@@ -465,24 +465,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_thread_env() -> None:
-    raw = os.environ.get("SKEL2BOX_THREADS")
-    if raw is None:
-        return
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise InvalidConfig(f"SKEL2BOX_THREADS must be a positive integer, got {raw!r}")
-
-
 def run(argv: Sequence[str]) -> int:
     """Execute one subcommand; returns the process exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
-        _check_thread_env()
         config = _resolve_config(args)
         summary = args.handler(args, config)
     except _UsageError as exc:

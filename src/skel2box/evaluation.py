@@ -65,7 +65,7 @@ class EvalReport:
             "n_det": self.n_det,
             "pr": [[_jsnum(t), _jsnum(p), _jsnum(r)] for t, p, r in self.pr.points],
         }
-        return json.dumps(doc, separators=(",", ":"))
+        return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
 def iou(a: BBox, b: BBox) -> float:

@@ -114,6 +114,16 @@ def _require_finite(value: Any, what: str, location: str) -> float:
     return float(value)
 
 
+def _mot_box(fields: list[str], values: list[float], location: str) -> BBox:
+    """The box of a MOT row: fields 2-5, finite and of positive extent."""
+    x, y, w, h = values[2:6]
+    if not all(math.isfinite(v) for v in (x, y, w, h)):
+        raise ParseError("box fields must be finite", location=location)
+    if w <= 0 or h <= 0:
+        raise ParseError(f"box must have positive extent, got {fields[2:6]}", location=location)
+    return BBox(x, y, w, h)
+
+
 def _clamp_score(value: float, location: str) -> float:
     if -_SCORE_SLACK <= value <= 1.0 + _SCORE_SLACK:
         return min(max(value, 0.0), 1.0)
@@ -124,6 +134,31 @@ def _clamp_score(value: float, location: str) -> float:
 # JTA skeleton dumps
 # ---------------------------------------------------------------------------
 
+def _jta_fields(rec: Any, idx: int) -> tuple:
+    """Check one JTA record field by field and return its normalised fields.
+
+    This is the only source of JTA record errors. It accepts what the fast
+    check in :func:`parse_jta` does not: integral floats and booleans as ids
+    and flags, integers as coordinates.
+    """
+    loc = f"record {idx}"
+    if not isinstance(rec, list) or len(rec) != _JTA_ARITY:
+        raise ParseError(f"expected an array of {_JTA_ARITY} fields, got {rec!r}", location=loc)
+    frame_id = _require_int(rec[0], "frame_id", loc)
+    pedestrian_id = _require_int(rec[1], "pedestrian_id", loc)
+    joint_id = _require_int(rec[2], "joint_id", loc)
+    if frame_id < 0 or pedestrian_id < 0 or joint_id < 0:
+        raise ParseError("frame, pedestrian and joint ids must be non-negative", location=loc)
+    if frame_id == 0:
+        raise ParseError("frame_id must be at least 1 (frames are 1-based)", location=loc)
+    coords = [_require_finite(rec[i], f"field {i}", loc) for i in range(3, 8)]
+    occluded = _require_int(rec[8], "occluded", loc)
+    self_occluded = _require_int(rec[9], "self_occluded", loc)
+    if occluded not in (0, 1) or self_occluded not in (0, 1):
+        raise ParseError("occlusion flags must be 0 or 1", location=loc)
+    return (frame_id, pedestrian_id, joint_id, *coords, occluded, self_occluded)
+
+
 def parse_jta(
     source: str,
     video_id: str,
@@ -131,12 +166,25 @@ def parse_jta(
 ) -> list[SkeletonInstance]:
     """Parse a JTA-style dump: a JSON array of per-joint records.
 
+    Each record is ``[frame, pedestrian, joint, x2d, y2d, x3d, y3d, z3d,
+    occluded, self_occluded]``. Frames are 1-based, as in the manifests;
+    pedestrian and joint ids start at 0.
+
     Records are grouped by (frame, pedestrian) into skeletons with joints
     ordered by joint id; output is sorted by (frame, pedestrian), so record
     order in the file does not matter.
 
+    A record of the shape real dumps use takes a fast check: a 10-element
+    array whose ids and flags are JSON integers (frame >= 1, ids >= 0, flags
+    0 or 1) and whose coordinates are finite JSON floats (with a decimal
+    point or exponent). Every other record goes through the field-by-field
+    check, so it parses, or fails with the same message and location, as if
+    there were no fast check: integral floats and booleans are accepted as
+    ids and flags, integers as coordinates.
+
     Raises:
-        ParseError: malformed JSON, wrong record arity, or bad field values.
+        ParseError: malformed JSON, wrong record arity, or bad field values,
+            located as ``record N`` (0-based index in the array).
         IncompleteSkeleton: a pedestrian's records do not cover exactly the
             joint ids 0..joints_per_skeleton-1.
     """
@@ -147,34 +195,28 @@ def parse_jta(
     if not isinstance(records, list):
         raise ParseError("expected a top-level JSON array of joint records")
 
+    inf = math.inf
     grouped: dict[tuple[int, int], list[Joint]] = {}
     for idx, rec in enumerate(records):
-        loc = f"record {idx}"
-        if not isinstance(rec, list) or len(rec) != _JTA_ARITY:
-            raise ParseError(
-                f"expected an array of {_JTA_ARITY} fields, got {rec!r}", location=loc
+        if type(rec) is list and len(rec) == _JTA_ARITY:
+            frame, ped, joint, x, y, x3, y3, z3, occ, self_occ = rec
+            canonical = (
+                type(frame) is int and type(ped) is int and type(joint) is int
+                and frame >= 1 and ped >= 0 and joint >= 0
+                and type(x) is float and type(y) is float and type(x3) is float
+                and type(y3) is float and type(z3) is float
+                # Also false for NaN, which json.loads accepts.
+                and -inf < x < inf and -inf < y < inf and -inf < x3 < inf
+                and -inf < y3 < inf and -inf < z3 < inf
+                and type(occ) is int and type(self_occ) is int
+                and 0 <= occ <= 1 and 0 <= self_occ <= 1
             )
-        frame_id = _require_int(rec[0], "frame_id", loc)
-        pedestrian_id = _require_int(rec[1], "pedestrian_id", loc)
-        joint_id = _require_int(rec[2], "joint_id", loc)
-        if frame_id < 0 or pedestrian_id < 0 or joint_id < 0:
-            raise ParseError("frame, pedestrian and joint ids must be non-negative", location=loc)
-        coords = [_require_finite(rec[i], f"field {i}", loc) for i in range(3, 8)]
-        occluded = _require_int(rec[8], "occluded", loc)
-        self_occluded = _require_int(rec[9], "self_occluded", loc)
-        if occluded not in (0, 1) or self_occluded not in (0, 1):
-            raise ParseError("occlusion flags must be 0 or 1", location=loc)
-        grouped.setdefault((frame_id, pedestrian_id), []).append(
-            Joint(
-                joint_id=joint_id,
-                x_px=coords[0],
-                y_px=coords[1],
-                x3d_m=coords[2],
-                y3d_m=coords[3],
-                z3d_m=coords[4],
-                occluded=bool(occluded),
-                self_occluded=bool(self_occluded),
-            )
+        else:
+            canonical = False
+        if not canonical:
+            frame, ped, joint, x, y, x3, y3, z3, occ, self_occ = _jta_fields(rec, idx)
+        grouped.setdefault((frame, ped), []).append(
+            Joint(joint, x, y, x3, y3, z3, occ == 1, self_occ == 1)
         )
 
     skeletons: list[SkeletonInstance] = []
@@ -276,7 +318,7 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
         "annotations": coco_annotations,
         "categories": [{"id": PEDESTRIAN_CATEGORY_ID, "name": "pedestrian"}],
     }
-    return json.dumps(doc, separators=(",", ":"))
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
 def _parse_file_name(file_name: str, location: str) -> tuple[str, int]:
@@ -448,10 +490,7 @@ def parse_mot_gt(source: str, video_id: str) -> tuple[list[AnnotatedBox], int]:
         if class_id != PEDESTRIAN_CATEGORY_ID:
             skipped += 1
             continue
-        x, y, w, h = values[2:6]
-        if w <= 0 or h <= 0:
-            raise ParseError(f"box must have positive extent, got {fields[2:6]}", location=loc)
-        box = BBox(x, y, w, h)
+        box = _mot_box(fields, values, loc)
         annotations.append(
             AnnotatedBox(
                 video_id=video_id,
@@ -553,15 +592,9 @@ def _parse_mot_det(source: str, video_id: str) -> list[Detection]:
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", location=loc) from exc
         frame_id = _require_int(values[0], "frame", loc)
-        x, y, w, h = values[2:6]
-        if not all(math.isfinite(v) for v in (x, y, w, h)):
-            raise ParseError("box fields must be finite", location=loc)
-        if w <= 0 or h <= 0:
-            raise ParseError(f"box must have positive extent, got {fields[2:6]}", location=loc)
+        box = _mot_box(fields, values, loc)
         score = _clamp_score(values[6], loc)
-        detections.append(
-            Detection(video_id=video_id, frame_id=frame_id, box=BBox(x, y, w, h), score=score)
-        )
+        detections.append(Detection(video_id=video_id, frame_id=frame_id, box=box, score=score))
     return detections
 
 
@@ -595,7 +628,7 @@ def emit_detections(
                     "score": _jsnum(det.score),
                 }
             )
-        return json.dumps(records, separators=(",", ":"))
+        return json.dumps(records, separators=(",", ":"), allow_nan=False)
     if fmt == "mot_det":
         videos = {d.video_id for d in ordered}
         if len(videos) > 1:

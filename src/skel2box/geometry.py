@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from .errors import DegenerateSkeleton, InvalidArgument, NonPositiveDistance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Joint:
     """One skeleton joint: screen position plus camera-space position."""
 

@@ -2,8 +2,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from skel2box import (
     AnnotatedBox,
     BBox,
@@ -168,6 +166,16 @@ class TestSynthesize:
         assert code == 2
         assert not out.exists()
 
+    def test_frame_zero_leaves_no_output(self, tmp_path, capsys):
+        jta = jta_file(tmp_path, [(0, 1, 100.0, 200.0, 20.0, 50.0, 10.0)])
+        out = tmp_path / "gt.json"
+        code, _, err = run_cli(
+            capsys, "synthesize", "--jta", jta, "--alpha", 100, "--out-coco", out
+        )
+        assert code == 2
+        assert "frames are 1-based" in err and "(record 0)" in err
+        assert not out.exists()
+
 
 class TestHistogramAndPrune:
     def test_histogram_csv(self, tmp_path, capsys):
@@ -281,6 +289,19 @@ class TestConvert:
         assert [(a.video_id, a.frame_id, a.pedestrian_id, a.box) for a in parsed.annotations] == [
             (a.video_id, a.frame_id, a.pedestrian_id, a.box) for a in anns
         ]
+
+    def test_non_finite_mot_box_leaves_no_output(self, tmp_path, capsys):
+        mot = tmp_path / "gt.txt"
+        mot.write_text("1,1,10,20,30,40,1,1,1\n2,1,nan,20,30,40,1,1,1\n")
+        out = tmp_path / "o.json"
+        code, _, err = run_cli(
+            capsys,
+            "convert", "--in", mot, "--from", "mot", "--to", "coco",
+            "--video-id", "v", "--out", out,
+        )
+        assert code == 2
+        assert "box fields must be finite (line 2)" in err
+        assert not out.exists()
 
     def test_mot_input_requires_video_id(self, tmp_path, capsys):
         mot = tmp_path / "gt.txt"
@@ -424,26 +445,6 @@ class TestInfrastructure:
             capsys, "calibrate", "--samples", tmp_path / "s.csv", "--bogus"
         )
         assert code == 1
-
-    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
-    def test_thread_env_rejected(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("SKEL2BOX_THREADS", value)
-        code, _, err = run_cli(
-            capsys,
-            "plan-finetune", "--phase1-epochs", 1, "--phase2-epochs", 1,
-            "--out", tmp_path / "p.json",
-        )
-        assert code == 2
-        assert "SKEL2BOX_THREADS" in err
-
-    def test_thread_env_accepted(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SKEL2BOX_THREADS", "4")
-        code, _, _ = run_cli(
-            capsys,
-            "plan-finetune", "--phase1-epochs", 1, "--phase2-epochs", 1,
-            "--out", tmp_path / "p.json",
-        )
-        assert code == 0
 
     def test_output_dir_missing(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -9,6 +9,7 @@ from skel2box import (
     AnnotatedBox,
     BBox,
     Detection,
+    EvalReport,
     InvalidArgument,
     JoinError,
     MatchOutcome,
@@ -307,6 +308,11 @@ class TestEvaluate:
             assert list(report.pr.points) == expected["points"]
             assert report.n_gt == expected["n_gt"]
             assert report.n_det == expected["n_det"]
+
+    def test_report_json_rejects_non_finite(self):
+        report = EvalReport(math.nan, 0.0, 1, 1, PRCurve(points=(), n_gt=1))
+        with pytest.raises(ValueError):
+            report.to_json()
 
     def test_report_json_layout(self):
         report = evaluate([det(BBox(0, 0, 10, 10), 1.0)], [gt_ann(BBox(0, 0, 10, 10))])

@@ -33,6 +33,45 @@ def jta_records(frame, ped, n_joints=22, base=(100.0, 200.0), z=10.0):
     return rows
 
 
+# Record 2 of jta_records(1, 1): the shape that takes parse_jta's fast check.
+JTA_RECORD = [1, 1, 2, 102.0, 204.0, 0.0, 0.0, 10.0, 0, 0]
+
+
+def with_field(field, value):
+    record = list(JTA_RECORD)
+    record[field] = value
+    return record
+
+
+# A mutated record 2 and its outcome: either the canonical record it must
+# parse exactly like, or the error message it must fail with.
+JTA_RECORD_CASES = {
+    "bool id": (with_field(1, True), JTA_RECORD),
+    "bool flag": (with_field(8, True), with_field(8, 1)),
+    "float id": (with_field(0, 1.0), JTA_RECORD),
+    "int coordinate": (with_field(3, 102), JTA_RECORD),
+    "NaN": (with_field(3, math.nan), "field 3 must be a finite number, got nan"),
+    "Infinity": (with_field(4, math.inf), "field 4 must be a finite number, got inf"),
+    "-Infinity": (with_field(7, -math.inf), "field 7 must be a finite number, got -inf"),
+    "null": (with_field(5, None), "field 5 must be a finite number, got None"),
+    "string coordinate": (with_field(6, "x"), "field 6 must be a finite number, got 'x'"),
+    "string id": (with_field(0, "1"), "frame_id must be an integer, got '1'"),
+    "negative id": (
+        with_field(1, -1), "frame, pedestrian and joint ids must be non-negative"
+    ),
+    "flag 2": (with_field(9, 2), "occlusion flags must be 0 or 1"),
+    "arity 9": (
+        JTA_RECORD[:9],
+        "expected an array of 10 fields, got [1, 1, 2, 102.0, 204.0, 0.0, 0.0, 10.0, 0]",
+    ),
+    "arity 11": (
+        JTA_RECORD + [0],
+        "expected an array of 10 fields, got [1, 1, 2, 102.0, 204.0, 0.0, 0.0, 10.0, 0, 0, 0]",
+    ),
+    "not a list": ({"frame": 1}, "expected an array of 10 fields, got {'frame': 1}"),
+}
+
+
 def make_ann(video="v", frame=1, ped=1, box=None, distance=10.0):
     box = box or BBox(10.0, 20.0, 30.0, 40.0)
     return AnnotatedBox(video, frame, ped, box, distance, box)
@@ -130,6 +169,34 @@ class TestParseJta:
         with pytest.raises(ParseError):
             parse_jta(json.dumps(rows), "v")
 
+    @pytest.mark.parametrize(
+        "record, outcome", JTA_RECORD_CASES.values(), ids=JTA_RECORD_CASES.keys()
+    )
+    def test_fast_and_field_checks_agree(self, record, outcome):
+        rows = jta_records(1, 1)
+        rows[2] = record
+        if isinstance(outcome, list):
+            want = jta_records(1, 1)
+            want[2] = outcome
+            # repr tells 1 from True and 102 from 102.0, which == does not.
+            got = parse_jta(json.dumps(rows), "v")
+            assert repr(got) == repr(parse_jta(json.dumps(want), "v"))
+        else:
+            with pytest.raises(ParseError) as exc_info:
+                parse_jta(json.dumps(rows), "v")
+            assert str(exc_info.value) == f"{outcome} (record 2)"
+            assert exc_info.value.location == "record 2"
+
+    @pytest.mark.parametrize("frame", [0, 0.0, False])
+    def test_frame_zero_rejected(self, frame):
+        rows = jta_records(1, 1) + jta_records(0, 1)
+        rows[22][0] = frame
+        with pytest.raises(ParseError) as exc_info:
+            parse_jta(json.dumps(rows), "v")
+        assert str(exc_info.value) == (
+            "frame_id must be at least 1 (frames are 1-based) (record 22)"
+        )
+
 
 class TestEmitCoco:
     def test_field_mapping(self):
@@ -172,6 +239,11 @@ class TestEmitCoco:
             emit_coco([make_ann("b", 1, 1)], manifest)
         with pytest.raises(UnknownVideo):
             emit_coco([make_ann("a", 3, 1)], manifest)
+
+    def test_non_finite_values_rejected(self):
+        ann = make_ann(box=BBox(math.nan, 20.0, 30.0, 40.0))
+        with pytest.raises(ValueError):
+            emit_coco([ann], manifest_for_annotations([ann], "ds", 100.0, 100.0))
 
     def test_unknown_distance_omitted(self):
         manifest = DatasetManifest("d", 100, 100, (("v", 1),))
@@ -359,6 +431,14 @@ class TestMot:
         with pytest.raises(ParseError):
             parse_mot_gt("1,1,10,20,0,40,1,1,1\n", "v")
 
+    @pytest.mark.parametrize(
+        "row", ["2,1,nan,20,30,40,1,1,1", "2,1,10,inf,30,40,1,1,1", "2,1,10,20,30,-inf,1,1,1"]
+    )
+    def test_non_finite_box(self, row):
+        with pytest.raises(ParseError) as exc_info:
+            parse_mot_gt(f"1,1,10,20,30,40,1,1,1\n{row}\n", "v")
+        assert str(exc_info.value) == "box fields must be finite (line 2)"
+
 
 class TestDetections:
     def test_mot_det_field_mapping(self):
@@ -448,6 +528,11 @@ class TestDetections:
     def test_coco_results_other_category_skipped(self):
         text = '[{"image_id": 1, "category_id": 2, "bbox": [0, 0, 1, 1], "score": 0.5}]'
         assert parse_detections(text, "coco_results", frame_of_image={1: ("v", 1)}) == []
+
+    def test_emit_coco_results_non_finite_rejected(self):
+        detections = [Detection("v", 1, BBox(0, 0, 1, 1), math.nan)]
+        with pytest.raises(ValueError):
+            emit_detections(detections, "coco_results", image_id_of_frame={("v", 1): 1})
 
     def test_emit_mot_det_mixed_videos(self):
         detections = [Detection("a", 1, BBox(0, 0, 1, 1), 0.5), Detection("b", 1, BBox(0, 0, 1, 1), 0.5)]
