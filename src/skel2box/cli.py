@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import calibration, evaluation, formats, geometry, sanitize, training_plan
-from .errors import InvalidConfig, MixedVideos, Skel2BoxError
+from .errors import InvalidConfig, MixedVideos, ParseError, Skel2BoxError
 
 DEFAULT_IMAGE_W = 1920.0
 DEFAULT_IMAGE_H = 1080.0
@@ -85,8 +85,10 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     values: dict[str, Any] = {}
     config_path = getattr(args, "config", None)
     if config_path:
+        with _reading(config_path):
+            text = _read_text(config_path)
         try:
-            doc = json.loads(_read_text(config_path))
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"{config_path}: {exc}") from exc
         if not isinstance(doc, dict):
@@ -107,7 +109,15 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The UTF-8 text of ``path``; a byte that does not decode is a data error.
+
+    The error is located by byte offset; callers read inside :func:`_reading`,
+    which names the file.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", location=f"byte {exc.start}") from None
 
 
 def _write_atomic(path: str, text: str) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidArgument, JoinError
-from .formats import Detection, _jsnum
+from .formats import Detection, json_number
 from .geometry import AnnotatedBox, BBox
 
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -59,11 +59,13 @@ class EvalReport:
 
     def to_json(self) -> str:
         doc = {
-            "ap_allpoint": _jsnum(self.ap_allpoint),
-            "ap_101point": _jsnum(self.ap_101point),
+            "ap_allpoint": json_number(self.ap_allpoint),
+            "ap_101point": json_number(self.ap_101point),
             "n_gt": self.n_gt,
             "n_det": self.n_det,
-            "pr": [[_jsnum(t), _jsnum(p), _jsnum(r)] for t, p, r in self.pr.points],
+            "pr": [
+                [json_number(t), json_number(p), json_number(r)] for t, p, r in self.pr.points
+            ],
         }
         return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
@@ -91,22 +93,49 @@ def match_frame(
     order. Each detection takes the still-unmatched ground truth with the
     highest IoU, provided that IoU reaches ``iou_thr``; lower-index ground
     truth wins IoU ties. Outcomes are returned in detection input order.
+
+    Cost: at most D·G box pairs for D detections and G ground-truth boxes.
+    Box corners and areas are computed once per box, only still-unmatched
+    ground truth is scanned, and a pair without overlap is dropped before
+    the division. Each IoU is computed with the same float expressions as
+    :func:`iou`, so every ``iou_at_match`` equals ``iou(det.box, gt)``.
+
+    Raises:
+        InvalidArgument: a detection is processed while some ground truth
+            is unmatched, and that detection or an unmatched ground-truth
+            box has no positive area (the condition :func:`iou` rejects).
     """
+    # The first detection processed scans every ground-truth box.
+    if detections and any(b.w <= 0 or b.h <= 0 for b in gts):
+        raise InvalidArgument("iou needs boxes with positive area")
     order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
-    matched_gt: set[int] = set()
+    corners = [(b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h) for b in gts]
+    unmatched = list(range(len(gts)))
     outcomes: list[Optional[MatchOutcome]] = [None] * len(detections)
     for det_index in order:
         best_gt = None
         best_iou = 0.0
-        for gt_index, gt_box in enumerate(gts):
-            if gt_index in matched_gt:
-                continue
-            overlap = iou(detections[det_index].box, gt_box)
-            if overlap >= iou_thr and overlap > best_iou:
-                best_gt = gt_index
-                best_iou = overlap
+        if unmatched:
+            box = detections[det_index].box
+            if box.w <= 0 or box.h <= 0:
+                raise InvalidArgument("iou needs boxes with positive area")
+            dx1, dy1, dx2, dy2, darea = box.x, box.y, box.x + box.w, box.y + box.h, box.w * box.h
+            for gt_index in unmatched:
+                gx1, gy1, gx2, gy2, garea = corners[gt_index]
+                # min(a.x2, b.x2) - max(a.x, b.x) of iou(), operands in the same order
+                inter_w = (gx2 if gx2 < dx2 else dx2) - (gx1 if gx1 > dx1 else dx1)
+                if inter_w <= 0:
+                    continue
+                inter_h = (gy2 if gy2 < dy2 else dy2) - (gy1 if gy1 > dy1 else dy1)
+                if inter_h <= 0:
+                    continue
+                inter = inter_w * inter_h
+                overlap = inter / (darea + garea - inter)
+                if overlap >= iou_thr and overlap > best_iou:
+                    best_gt = gt_index
+                    best_iou = overlap
         if best_gt is not None:
-            matched_gt.add(best_gt)
+            unmatched.remove(best_gt)
             outcomes[det_index] = MatchOutcome(det_index, best_gt, best_iou)
         else:
             outcomes[det_index] = MatchOutcome(det_index)

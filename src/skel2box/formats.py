@@ -85,14 +85,15 @@ class CocoGroundTruth:
         return {(ref.video_id, ref.frame_id): ref.image_id for ref in self.images}
 
 
-def _jsnum(value: float) -> Any:
+def json_number(value: float) -> Any:
     """Integral floats emit as JSON ints so re-emission is byte-stable."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
 
 
-def _csvnum(value: float) -> str:
+def csv_number(value: float) -> str:
+    """A number as CSV text: integral values without a decimal point, others by repr."""
     if value == int(value):
         return str(int(value))
     return repr(value)
@@ -274,8 +275,8 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
             images.append(
                 {
                     "id": image_id,
-                    "width": _jsnum(manifest.image_w),
-                    "height": _jsnum(manifest.image_h),
+                    "width": json_number(manifest.image_w),
+                    "height": json_number(manifest.image_h),
                     "file_name": coco_file_name(video_id, frame_id),
                 }
             )
@@ -292,25 +293,25 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
             "id": len(coco_annotations) + 1,
             "image_id": image_ids[key],
             "category_id": PEDESTRIAN_CATEGORY_ID,
-            "bbox": [_jsnum(v) for v in (ann.box.x, ann.box.y, ann.box.w, ann.box.h)],
-            "area": _jsnum(ann.box.w * ann.box.h),
+            "bbox": [json_number(v) for v in (ann.box.x, ann.box.y, ann.box.w, ann.box.h)],
+            "area": json_number(ann.box.w * ann.box.h),
             "iscrowd": 0,
             "pedestrian_id": ann.pedestrian_id,
         }
         if math.isfinite(ann.distance_m):
-            entry["distance_m"] = _jsnum(ann.distance_m)
+            entry["distance_m"] = json_number(ann.distance_m)
         coco_annotations.append(entry)
 
     info: dict[str, Any] = {
         "dataset_id": manifest.dataset_id,
-        "image_w": _jsnum(manifest.image_w),
-        "image_h": _jsnum(manifest.image_h),
+        "image_w": json_number(manifest.image_w),
+        "image_h": json_number(manifest.image_h),
         "videos": [[video_id, count] for video_id, count in manifest.videos],
     }
     if manifest.alpha_used is not None:
-        info["alpha_used"] = _jsnum(manifest.alpha_used)
+        info["alpha_used"] = json_number(manifest.alpha_used)
     if manifest.distance_limit_m is not None:
-        info["distance_limit_m"] = _jsnum(manifest.distance_limit_m)
+        info["distance_limit_m"] = json_number(manifest.distance_limit_m)
 
     doc = {
         "info": info,
@@ -331,13 +332,44 @@ def _parse_file_name(file_name: str, location: str) -> tuple[str, int]:
     return head, int(stem)
 
 
+def _info_number(info: dict, key: str, default: Optional[float]) -> Optional[float]:
+    """``info[key]`` as a finite float, or ``default`` when it is absent or null."""
+    value = info.get(key)
+    if value is None:
+        return default
+    return _require_finite(value, key, f"info.{key}")
+
+
+def _manifest_videos(videos: Any) -> tuple[tuple[str, int], ...]:
+    """The ``info.videos`` table: an array of ``[video, frame count]`` pairs."""
+    loc = "info.videos"
+    if not isinstance(videos, list):
+        raise ParseError(
+            f"expected an array of [video, frame count] pairs, got {videos!r}", location=loc
+        )
+    table = []
+    for idx, entry in enumerate(videos):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ParseError(
+                f"entry {idx} must be [video, frame count], got {entry!r}", location=loc
+            )
+        table.append((str(entry[0]), _require_int(entry[1], f"entry {idx} frame count", loc)))
+    return tuple(table)
+
+
 def parse_coco_gt(source: str) -> CocoGroundTruth:
     """Parse a COCO ground-truth document (ours or foreign).
 
     Frames are recovered from image ``file_name`` entries of the form
     ``<video>/<frame>.jpg``. Annotations missing the ``pedestrian_id`` /
     ``distance_m`` extension keys fall back to the COCO annotation id and
-    an infinite distance respectively.
+    an infinite distance respectively. An absent or null ``info`` number
+    takes its default (0 for the image size, unset otherwise).
+
+    Raises:
+        ParseError: malformed JSON or a malformed part of the document,
+            located as ``images`` or ``annotations`` (not an array),
+            ``image N``, ``annotation N`` or ``info.<key>``.
     """
     try:
         doc = json.loads(source)
@@ -345,69 +377,74 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
         raise ParseError("expected a COCO document with 'images' and 'annotations'")
+    for key in ("images", "annotations"):
+        if not isinstance(doc[key], list):
+            raise ParseError(f"expected an array, got {type(doc[key]).__name__}", location=key)
 
     images: list[FrameRef] = []
     frame_of: dict[int, tuple[str, int]] = {}
-    for idx, img in enumerate(doc["images"]):
-        loc = f"image {idx}"
-        image_id = _require_int(img.get("id"), "image id", loc)
-        video_id, frame_id = _parse_file_name(str(img.get("file_name", "")), loc)
-        if image_id in frame_of:
-            raise ParseError(f"duplicate image id {image_id}", location=loc)
-        frame_of[image_id] = (video_id, frame_id)
-        images.append(FrameRef(image_id=image_id, video_id=video_id, frame_id=frame_id))
+    try:
+        for idx, img in enumerate(doc["images"]):
+            loc = f"image {idx}"
+            image_id = _require_int(img.get("id"), "image id", loc)
+            video_id, frame_id = _parse_file_name(str(img.get("file_name", "")), loc)
+            if image_id in frame_of:
+                raise ParseError(f"duplicate image id {image_id}", location=loc)
+            frame_of[image_id] = (video_id, frame_id)
+            images.append(FrameRef(image_id=image_id, video_id=video_id, frame_id=frame_id))
+    except AttributeError:
+        # Only an entry that is not an object lacks .get(). Catching that
+        # here, for both tables, keeps the check off the per-entry path.
+        raise ParseError(f"expected an object, got {img!r}", location=loc) from None
     images.sort(key=lambda ref: (ref.video_id, ref.frame_id))
 
     annotations: list[AnnotatedBox] = []
-    for idx, ann in enumerate(doc["annotations"]):
-        loc = f"annotation {idx}"
-        image_id = _require_int(ann.get("image_id"), "image_id", loc)
-        if image_id not in frame_of:
-            raise ParseError(f"annotation references unknown image id {image_id}", location=loc)
-        video_id, frame_id = frame_of[image_id]
-        bbox = ann.get("bbox")
-        if not isinstance(bbox, list) or len(bbox) != 4:
-            raise ParseError(f"bbox must be [x, y, w, h], got {bbox!r}", location=loc)
-        x, y, w, h = (_require_finite(v, "bbox field", loc) for v in bbox)
-        if w <= 0 or h <= 0:
-            raise ParseError(f"bbox must have positive extent, got {bbox!r}", location=loc)
-        pedestrian_id = _require_int(
-            ann.get("pedestrian_id", ann.get("id", idx + 1)), "pedestrian_id", loc
-        )
-        if "distance_m" in ann:
-            distance = _require_finite(ann["distance_m"], "distance_m", loc)
-            if distance <= 0:
-                raise ParseError(f"distance_m must be positive, got {distance!r}", location=loc)
-        else:
-            distance = math.inf
-        box = BBox(x, y, w, h)
-        annotations.append(
-            AnnotatedBox(
-                video_id=video_id,
-                frame_id=frame_id,
-                pedestrian_id=pedestrian_id,
-                box=box,
-                distance_m=distance,
-                skeleton_box=box,
+    try:
+        for idx, ann in enumerate(doc["annotations"]):
+            loc = f"annotation {idx}"
+            image_id = _require_int(ann.get("image_id"), "image_id", loc)
+            if image_id not in frame_of:
+                raise ParseError(f"annotation references unknown image id {image_id}", location=loc)
+            video_id, frame_id = frame_of[image_id]
+            bbox = ann.get("bbox")
+            if not isinstance(bbox, list) or len(bbox) != 4:
+                raise ParseError(f"bbox must be [x, y, w, h], got {bbox!r}", location=loc)
+            x, y, w, h = (_require_finite(v, "bbox field", loc) for v in bbox)
+            if w <= 0 or h <= 0:
+                raise ParseError(f"bbox must have positive extent, got {bbox!r}", location=loc)
+            pedestrian_id = _require_int(
+                ann.get("pedestrian_id", ann.get("id", idx + 1)), "pedestrian_id", loc
             )
-        )
+            if "distance_m" in ann:
+                distance = _require_finite(ann["distance_m"], "distance_m", loc)
+                if distance <= 0:
+                    raise ParseError(f"distance_m must be positive, got {distance!r}", location=loc)
+            else:
+                distance = math.inf
+            box = BBox(x, y, w, h)
+            annotations.append(
+                AnnotatedBox(
+                    video_id=video_id,
+                    frame_id=frame_id,
+                    pedestrian_id=pedestrian_id,
+                    box=box,
+                    distance_m=distance,
+                    skeleton_box=box,
+                )
+            )
+    except AttributeError:
+        raise ParseError(f"expected an object, got {ann!r}", location=loc) from None
     annotations.sort(key=sort_key)
 
     info = doc.get("info") or {}
     if isinstance(info, dict) and "videos" in info:
         manifest = DatasetManifest(
             dataset_id=str(info.get("dataset_id", "")),
-            image_w=float(info.get("image_w", 0)),
-            image_h=float(info.get("image_h", 0)),
-            videos=tuple((str(v), int(n)) for v, n in info["videos"]),
-            alpha_used=(
-                float(info["alpha_used"]) if info.get("alpha_used") is not None else None
-            ),
-            distance_limit_m=(
-                float(info["distance_limit_m"])
-                if info.get("distance_limit_m") is not None
-                else None
-            ),
+            image_w=_info_number(info, "image_w", 0.0),
+            image_h=_info_number(info, "image_h", 0.0),
+            videos=_manifest_videos(info["videos"]),
+            alpha_used=_info_number(info, "alpha_used", None),
+            distance_limit_m=_info_number(info, "distance_limit_m", None),
         )
     else:
         # Foreign document: reconstruct what the images table supports.
@@ -417,8 +454,8 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
         first = doc["images"][0] if doc["images"] else {}
         manifest = DatasetManifest(
             dataset_id=str(info.get("dataset_id", "")) if isinstance(info, dict) else "",
-            image_w=float(first.get("width", 0)),
-            image_h=float(first.get("height", 0)),
+            image_w=_require_finite(first.get("width", 0), "width", "image 0"),
+            image_h=_require_finite(first.get("height", 0), "height", "image 0"),
             videos=tuple(sorted(counts.items())),
         )
 
@@ -448,10 +485,10 @@ def emit_mot(annotations: Sequence[AnnotatedBox]) -> str:
         fields = [
             str(a.frame_id),
             str(a.pedestrian_id),
-            _csvnum(a.box.x),
-            _csvnum(a.box.y),
-            _csvnum(a.box.w),
-            _csvnum(a.box.h),
+            csv_number(a.box.x),
+            csv_number(a.box.y),
+            csv_number(a.box.w),
+            csv_number(a.box.h),
             "1",
             "1",
             "1",
@@ -623,9 +660,9 @@ def emit_detections(
                     "image_id": image_id_of_frame[key],
                     "category_id": PEDESTRIAN_CATEGORY_ID,
                     "bbox": [
-                        _jsnum(v) for v in (det.box.x, det.box.y, det.box.w, det.box.h)
+                        json_number(v) for v in (det.box.x, det.box.y, det.box.w, det.box.h)
                     ],
-                    "score": _jsnum(det.score),
+                    "score": json_number(det.score),
                 }
             )
         return json.dumps(records, separators=(",", ":"), allow_nan=False)
@@ -638,11 +675,11 @@ def emit_detections(
             fields = [
                 str(det.frame_id),
                 "-1",
-                _csvnum(det.box.x),
-                _csvnum(det.box.y),
-                _csvnum(det.box.w),
-                _csvnum(det.box.h),
-                _csvnum(det.score),
+                csv_number(det.box.x),
+                csv_number(det.box.y),
+                csv_number(det.box.w),
+                csv_number(det.box.h),
+                csv_number(det.score),
                 "-1",
                 "-1",
                 "-1",

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyInput, InvalidArgument
+from .formats import csv_number
 from .geometry import AnnotatedBox
 
 DEFAULT_DISTANCE_LIMIT_M = 40.0
@@ -30,12 +31,8 @@ class DistanceHistogram:
     def to_csv(self) -> str:
         lines = ["bin_lower_m,count"]
         for k, count in enumerate(self.counts):
-            lines.append(f"{_fmt(k * self.bin_width_m)},{count}")
+            lines.append(f"{csv_number(k * self.bin_width_m)},{count}")
         return "\n".join(lines) + "\n"
-
-
-def _fmt(value: float) -> str:
-    return str(int(value)) if value == int(value) else repr(value)
 
 
 def _bin_of(distance: float, bin_width_m: float) -> int:

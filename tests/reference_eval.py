@@ -24,10 +24,10 @@ def ref_iou(a, b):
 
 
 def ref_match(detections, gt_boxes, iou_thr):
-    """True/False per detection (input order): matched a ground truth or not."""
+    """Matched ground-truth index per detection (input order), or None."""
     processing_order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
     used = [False] * len(gt_boxes)
-    is_tp = [False] * len(detections)
+    matched = [None] * len(detections)
     for det_index in processing_order:
         best_gt = -1
         best_iou = -1.0
@@ -40,8 +40,8 @@ def ref_match(detections, gt_boxes, iou_thr):
                 best_iou = value
         if best_gt >= 0:
             used[best_gt] = True
-            is_tp[det_index] = True
-    return is_tp
+            matched[det_index] = best_gt
+    return matched
 
 
 def ref_pr_points(scored_flags, n_gt, score_floor):
@@ -112,9 +112,9 @@ def ref_evaluate(detections, ground_truth, frames, iou_thr, score_floor):
     scored_flags = []
     for key in sorted(dets_by_frame):
         frame_dets = dets_by_frame[key]
-        flags = ref_match(frame_dets, gt_boxes[key], iou_thr)
-        for det, flag in zip(frame_dets, flags):
-            scored_flags.append((det.score, flag))
+        matched = ref_match(frame_dets, gt_boxes[key], iou_thr)
+        for det, gt in zip(frame_dets, matched):
+            scored_flags.append((det.score, gt is not None))
 
     points = ref_pr_points(scored_flags, len(ground_truth), score_floor)
     return {

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from skel2box import (
     AnnotatedBox,
     BBox,
@@ -377,6 +379,50 @@ class TestEvaluate:
         )
         assert code == 1
         assert "--video-id" in err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "doc, location",
+        [
+            ('{"images": [1], "annotations": []}', "(image 0)"),
+            ('{"images": [], "annotations": ["x"]}', "(annotation 0)"),
+            ('{"images": [], "annotations": [], "info": {"videos": 5}}', "(info.videos)"),
+        ],
+    )
+    def test_malformed_coco_parts_leave_no_output(self, tmp_path, capsys, doc, location):
+        gt = tmp_path / "gt.json"
+        gt.write_text(doc)
+        out = tmp_path / "o.json"
+        code, _, err = run_cli(capsys, "prune", "--gt", gt, "--out", out)
+        assert code == 2
+        assert err.startswith(f"error: {gt}: ") and location in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind", ["config", "alpha_file", "samples", "jta", "coco_gt", "mot_gt", "detections"]
+    )
+    def test_invalid_utf8_is_located(self, tmp_path, capsys, kind):
+        gt = coco_file(tmp_path, [annotation("v", 1, 1, 10, 20, 30, 40, 5.0)])
+        jta = jta_file(tmp_path, [(1, 1, 100.0, 200.0, 20.0, 50.0, 10.0)])
+        bad = tmp_path / "bad.in"
+        # Past the first 8 KiB, so the offset is counted from the start of the file.
+        bad.write_bytes(b"[" + b" " * 9000 + b"\xff]")
+        out = tmp_path / "o.json"
+        argv = {
+            "config": ("prune", "--gt", gt, "--out", out, "--config", bad),
+            "alpha_file": ("synthesize", "--jta", jta, "--alpha-file", bad, "--out-coco", out),
+            "samples": ("calibrate", "--samples", bad, "--out", out),
+            "jta": ("synthesize", "--jta", bad, "--alpha", 100, "--out-coco", out),
+            "coco_gt": ("prune", "--gt", bad, "--out", out),
+            "mot_gt": ("convert", "--in", bad, "--from", "mot", "--to", "coco",
+                       "--video-id", "v", "--out", out),
+            "detections": ("evaluate", "--gt", gt, "--det", bad, "--out", out),
+        }[kind]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {bad}: not UTF-8 text (invalid start byte) (byte 9001)\n"
+        assert not out.exists()
 
 
 class TestPlans:

@@ -41,6 +41,55 @@ def int_box(rng):
     )
 
 
+def crowded_frame(rng):
+    """One crowded frame: (detections, ground-truth boxes, exact ties).
+
+    20-60 ground-truth boxes on float coordinates, some of them exact twins.
+    Some come in mirrored pairs on a 1/8 px grid, shifted by the same amount
+    left and right of a detection, so both reach exactly the same IoU with
+    it; ``ties`` lists (detection index, lower, higher ground-truth index).
+    20-60 detections: the tie makers, jittered and exact copies of ground
+    truth, then false positives; scores come from a small pool, so many tie.
+    """
+    gts, makers, ties = [], [], []
+    n_gt = rng.randint(20, 60)
+    while len(gts) < n_gt:
+        kind = rng.random()
+        if kind < 0.15:
+            w8, h8 = rng.randint(64, 960), rng.randint(160, 2400)
+            x8, y8 = rng.randint(0, 14000), rng.randint(0, 8000)
+            s8 = rng.randint(1, w8 // 4)
+            pair = [BBox((x8 - s8) / 8, y8 / 8, w8 / 8, h8 / 8),
+                    BBox((x8 + s8) / 8, y8 / 8, w8 / 8, h8 / 8)]
+            rng.shuffle(pair)
+            maker = BBox(x8 / 8, y8 / 8, w8 / 8, h8 / 8)
+            assert iou(maker, pair[0]) == iou(maker, pair[1])
+            makers.append((maker, len(gts)))
+            gts += pair
+        else:
+            box = BBox(rng.uniform(0, 1800), rng.uniform(0, 1000),
+                       rng.uniform(8, 120), rng.uniform(20, 300))
+            gts += [box, box] if kind < 0.3 else [box]
+    dets = []
+    for maker, lower in makers:
+        ties.append((len(dets), lower, lower + 1))
+        dets.append(det(maker, rng.choice(SCORE_POOL)))
+    for box in gts:
+        roll = rng.random()
+        if roll < 0.5:
+            jittered = BBox(box.x + rng.gauss(0, 0.1 * box.w), box.y + rng.gauss(0, 0.1 * box.h),
+                            box.w * rng.uniform(0.8, 1.25), box.h * rng.uniform(0.8, 1.25))
+            dets.append(det(jittered, rng.choice(SCORE_POOL)))
+        elif roll < 0.65:
+            dets.append(det(box, rng.choice(SCORE_POOL)))
+    n_det = rng.randint(max(20, len(makers)), 60)
+    while len(dets) < n_det:
+        box = BBox(rng.uniform(0, 1800), rng.uniform(0, 1000),
+                   rng.uniform(8, 120), rng.uniform(20, 300))
+        dets.append(det(box, rng.random()))
+    return dets[:n_det], gts[:n_gt], ties
+
+
 class TestIou:
     def test_identity(self):
         box = BBox(3, 4, 10, 12)
@@ -123,8 +172,49 @@ class TestMatchFrame:
             gts = [int_box(rng) for _ in range(rng.randint(0, 4))]
             dets = [det(int_box(rng), rng.choice(SCORE_POOL)) for _ in range(rng.randint(0, 4))]
             outcomes = match_frame(dets, gts)
-            expected = ref_match(dets, gts, 0.5)
-            assert [o.matched_gt is not None for o in outcomes] == expected
+            assert [o.matched_gt for o in outcomes] == ref_match(dets, gts, 0.5)
+
+    def test_matches_brute_force_on_crowded_frames(self):
+        rng = random.Random(2025)
+        tied_matches = 0
+        for _ in range(120):
+            dets, gts, ties = crowded_frame(rng)
+            iou_thr = rng.choice([0.3, 0.5, 0.5, 0.75])
+            outcomes = match_frame(dets, gts, iou_thr)
+            assert [o.detection_index for o in outcomes] == list(range(len(dets)))
+            assert [o.matched_gt for o in outcomes] == ref_match(dets, gts, iou_thr)
+            for o in outcomes:
+                if o.is_tp:
+                    expected = iou(dets[o.detection_index].box, gts[o.matched_gt])
+                    assert o.iou_at_match.hex() == expected.hex()
+            tied_matches += sum(
+                outcomes[d].matched_gt == lower for d, lower, _ in ties if lower < len(gts) - 1
+            )
+        assert tied_matches > 0
+
+    @pytest.mark.parametrize(
+        "dets, gts",
+        [
+            ([det(BBox(0, 0, 0, 10), 0.9)], [BBox(0, 0, 10, 10)]),
+            (
+                [det(BBox(0, 0, 10, 10), 0.9), det(BBox(0, 0, 10, 0), 0.5)],
+                [BBox(0, 0, 10, 10), BBox(50, 50, 10, 10)],
+            ),
+            ([det(BBox(0, 0, 10, 10), 0.9)], [BBox(0, 0, 10, 10), BBox(5, 5, -1, 4)]),
+            ([det(BBox(80, 80, 5, 5), 0.1)], [BBox(0, 0, 0, 0)]),
+        ],
+    )
+    def test_zero_area_rejected_while_ground_truth_is_unmatched(self, dets, gts):
+        with pytest.raises(InvalidArgument, match="positive area"):
+            match_frame(dets, gts)
+
+    def test_zero_area_accepted_when_no_ground_truth_is_left(self):
+        box = BBox(0, 0, 10, 10)
+        outcomes = match_frame([det(box, 0.9), det(BBox(0, 0, 0, 10), 0.1)], [box])
+        assert [o.matched_gt for o in outcomes] == [0, None]
+        (outcome,) = match_frame([det(BBox(0, 0, 10, 0), 0.5)], [])
+        assert outcome.matched_gt is None
+        assert match_frame([], [BBox(0, 0, 0, 0)]) == []
 
 
 class TestPrCurve:

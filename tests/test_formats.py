@@ -373,6 +373,40 @@ class TestParseCocoForeign:
         with pytest.raises(ParseError):
             parse_coco_gt(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "doc, location",
+        [
+            ({"images": [1], "annotations": []}, "image 0"),
+            ({"images": [], "annotations": ["x"]}, "annotation 0"),
+            ({"images": [], "annotations": [], "info": {"videos": 5}}, "info.videos"),
+            ({"images": 5, "annotations": []}, "images"),
+            ({"images": "ab", "annotations": []}, "images"),
+            ({"images": [], "annotations": {"a": 1}}, "annotations"),
+            ({"images": [], "annotations": [], "info": {"videos": [["v"]]}}, "info.videos"),
+            ({"images": [], "annotations": [], "info": {"videos": ["ab"]}}, "info.videos"),
+            ({"images": [], "annotations": [], "info": {"videos": [["v", "x"]]}}, "info.videos"),
+            ({"images": [], "annotations": [], "info": {"videos": [], "image_w": "x"}},
+             "info.image_w"),
+            ({"images": [], "annotations": [], "info": {"videos": [], "image_h": [1]}},
+             "info.image_h"),
+            ({"images": [], "annotations": [], "info": {"videos": [], "alpha_used": "a"}},
+             "info.alpha_used"),
+            ({"images": [], "annotations": [], "info": {"videos": [], "distance_limit_m": {}}},
+             "info.distance_limit_m"),
+            ({"images": [{"id": 1, "file_name": "v/000001.jpg", "width": "w"}],
+              "annotations": []}, "image 0"),
+        ],
+    )
+    def test_malformed_parts_are_located(self, doc, location):
+        with pytest.raises(ParseError) as info:
+            parse_coco_gt(json.dumps(doc))
+        assert info.value.location == location
+
+    def test_non_finite_info_number(self):
+        text = '{"images": [], "annotations": [], "info": {"videos": [], "alpha_used": NaN}}'
+        with pytest.raises(ParseError, match=r"\(info\.alpha_used\)"):
+            parse_coco_gt(text)
+
 
 class TestMot:
     def test_field_mapping(self):
