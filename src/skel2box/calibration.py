@@ -19,7 +19,7 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence, TextIO, Union
 
 from .errors import EmptySampleSet, InvalidSample, ParseError
@@ -52,14 +52,7 @@ class CalibrationResult:
     max_abs_residual_px: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "n_samples": self.n_samples,
-                "rmse_px": self.rmse_px,
-                "max_abs_residual_px": self.max_abs_residual_px,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationResult":

@@ -19,7 +19,7 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, TypeVar
 
 from . import calibration, evaluation, formats, geometry, sanitize, training_plan
 from .errors import InvalidConfig, MixedVideos, ParseError, Skel2BoxError
@@ -27,15 +27,7 @@ from .errors import InvalidConfig, MixedVideos, ParseError, Skel2BoxError
 DEFAULT_IMAGE_W = 1920.0
 DEFAULT_IMAGE_H = 1080.0
 
-_CONFIG_FIELDS = (
-    "image_w",
-    "image_h",
-    "joints_per_skeleton",
-    "alpha",
-    "distance_limit_m",
-    "score_floor",
-    "iou_thr",
-)
+_T = TypeVar("_T")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,6 +60,9 @@ class PipelineConfig:
         if not 0 < self.iou_thr <= 1:
             raise InvalidConfig("iou_thr must lie in (0, 1]")
         return self
+
+
+_CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(PipelineConfig))
 
 
 class _UsageError(Exception):
@@ -152,16 +147,16 @@ def _resolve_alpha(args: argparse.Namespace, config: PipelineConfig) -> float:
         return args.alpha
     alpha_file = getattr(args, "alpha_file", None)
     if alpha_file:
-        with _reading(alpha_file):
-            return calibration.CalibrationResult.from_json(_read_text(alpha_file)).alpha
+        return _parse_file(alpha_file, calibration.CalibrationResult.from_json).alpha
     if config.alpha is not None:
         return config.alpha
     raise _UsageError("an alpha value is required (--alpha, --alpha-file, or config file)")
 
 
-def _load_coco(path: str) -> formats.CocoGroundTruth:
+def _parse_file(path: str, parse: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
+    """``parse`` run on the text of ``path``; its data errors name the file."""
     with _reading(path):
-        return formats.parse_coco_gt(_read_text(path))
+        return parse(_read_text(path), *args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +171,7 @@ def _cmd_calibrate(args: argparse.Namespace, config: PipelineConfig) -> dict:
         _write_atomic(args.out, result.to_json())
     return {
         "command": "calibrate",
-        "alpha": result.alpha,
-        "n_samples": result.n_samples,
-        "rmse_px": result.rmse_px,
-        "max_abs_residual_px": result.max_abs_residual_px,
+        **dataclasses.asdict(result),
         "out": args.out,
     }
 
@@ -187,10 +179,7 @@ def _cmd_calibrate(args: argparse.Namespace, config: PipelineConfig) -> dict:
 def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> dict:
     alpha = _resolve_alpha(args, config)
     video_id = args.video_id or Path(args.jta).stem
-    with _reading(args.jta):
-        skeletons = formats.parse_jta(
-            _read_text(args.jta), video_id, config.joints_per_skeleton
-        )
+    skeletons = _parse_file(args.jta, formats.parse_jta, video_id, config.joints_per_skeleton)
     result = geometry.synthesize_annotations(
         skeletons,
         alpha=alpha,
@@ -198,16 +187,11 @@ def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> dict:
         image_h=config.image_h,
         clamp=not args.no_clamp,
     )
-    frame_counts: dict[str, int] = {}
-    for skeleton in skeletons:
-        frame_counts[skeleton.video_id] = max(
-            frame_counts.get(skeleton.video_id, 0), skeleton.frame_id
-        )
-    manifest = formats.DatasetManifest(
+    manifest = formats.manifest_for_annotations(
+        skeletons,
         dataset_id=args.dataset_id or video_id,
         image_w=config.image_w,
         image_h=config.image_h,
-        videos=tuple(sorted(frame_counts.items())),
         alpha_used=alpha,
     )
     _write_atomic(args.out_coco, formats.emit_coco(result.annotations, manifest))
@@ -225,7 +209,7 @@ def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def _cmd_histogram(args: argparse.Namespace, config: PipelineConfig) -> dict:
-    gt = _load_coco(args.gt)
+    gt = _parse_file(args.gt, formats.parse_coco_gt)
     with _reading(args.gt):
         hist = sanitize.distance_histogram(gt.annotations, bin_width_m=args.bin_width)
     _write_atomic(args.out, hist.to_csv())
@@ -239,7 +223,7 @@ def _cmd_histogram(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def _cmd_prune(args: argparse.Namespace, config: PipelineConfig) -> dict:
-    gt = _load_coco(args.gt)
+    gt = _parse_file(args.gt, formats.parse_coco_gt)
     kept, pruned = sanitize.prune_by_distance(
         gt.annotations, limit_m=config.distance_limit_m
     )
@@ -255,7 +239,7 @@ def _cmd_prune(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def _cmd_distance_limit(args: argparse.Namespace, config: PipelineConfig) -> dict:
-    gt = _load_coco(args.gt)
+    gt = _parse_file(args.gt, formats.parse_coco_gt)
     with _reading(args.gt):
         limit = sanitize.derive_distance_limit(
             gt.annotations,
@@ -276,14 +260,13 @@ def _cmd_distance_limit(args: argparse.Namespace, config: PipelineConfig) -> dic
 def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> dict:
     skipped = 0
     if args.from_fmt == "coco":
-        gt = _load_coco(args.infile)
+        gt = _parse_file(args.infile, formats.parse_coco_gt)
         annotations = list(gt.annotations)
         manifest = gt.manifest
     else:
         if not args.video_id:
             raise _UsageError("--video-id is required when converting from MOT input")
-        with _reading(args.infile):
-            annotations, skipped = formats.parse_mot_gt(_read_text(args.infile), args.video_id)
+        annotations, skipped = _parse_file(args.infile, formats.parse_mot_gt, args.video_id)
         manifest = formats.manifest_for_annotations(
             annotations,
             dataset_id=args.dataset_id or args.video_id,
@@ -312,16 +295,16 @@ def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> dict:
-    gt = _load_coco(args.gt)
+    gt = _parse_file(args.gt, formats.parse_coco_gt)
     if args.det_format == "mot_det" and not args.video_id:
         raise _UsageError("--video-id is required with --det-format mot_det")
-    with _reading(args.det):
-        detections = formats.parse_detections(
-            _read_text(args.det),
-            args.det_format,
-            video_id=args.video_id,
-            frame_of_image=gt.frame_by_image_id(),
-        )
+    detections = _parse_file(
+        args.det,
+        formats.parse_detections,
+        args.det_format,
+        video_id=args.video_id,
+        frame_of_image=gt.frame_by_image_id(),
+    )
     report = evaluation.evaluate(
         detections,
         gt.annotations,
@@ -485,9 +468,6 @@ def run(argv: Sequence[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (Skel2BoxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,24 +28,22 @@ class EmptySampleSet(Skel2BoxError):
     """Calibration was attempted with no samples."""
 
 
-class InvalidSample(Skel2BoxError):
+class _Located(Skel2BoxError):
+    """An error at a place in an input: ``location`` is appended to the message."""
+
+    def __init__(self, message: str, location: str | None = None):
+        if location is not None:
+            message = f"{message} ({location})"
+        super().__init__(message)
+        self.location = location
+
+
+class InvalidSample(_Located):
     """A calibration sample violates its invariants (source location attached)."""
 
-    def __init__(self, message: str, location: str | None = None):
-        if location is not None:
-            message = f"{message} ({location})"
-        super().__init__(message)
-        self.location = location
 
-
-class ParseError(Skel2BoxError):
+class ParseError(_Located):
     """Malformed input file; ``location`` points at the offending record."""
-
-    def __init__(self, message: str, location: str | None = None):
-        if location is not None:
-            message = f"{message} ({location})"
-        super().__init__(message)
-        self.location = location
 
 
 class IncompleteSkeleton(ParseError):
@@ -65,14 +63,8 @@ class MixedVideos(Skel2BoxError):
     """A single-video output format received annotations from several videos."""
 
 
-class InvalidScore(Skel2BoxError):
+class InvalidScore(_Located):
     """A detection confidence is outside [0, 1] beyond the clamping slack."""
-
-    def __init__(self, message: str, location: str | None = None):
-        if location is not None:
-            message = f"{message} ({location})"
-        super().__init__(message)
-        self.location = location
 
 
 class JoinError(Skel2BoxError):

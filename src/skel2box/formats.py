@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     IncompleteSkeleton,
@@ -99,6 +99,13 @@ def csv_number(value: float) -> str:
     return repr(value)
 
 
+def _load_json(source: str) -> Any:
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc}") from exc
+
+
 def _require_int(value: Any, what: str, location: str) -> int:
     if isinstance(value, bool):
         return int(value)
@@ -115,6 +122,12 @@ def _require_finite(value: Any, what: str, location: str) -> float:
     return float(value)
 
 
+def _require_str(value: Any, what: str, location: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{what} must be a string, got {value!r}", location=location)
+    return value
+
+
 def _mot_box(fields: list[str], values: list[float], location: str) -> BBox:
     """The box of a MOT row: fields 2-5, finite and of positive extent."""
     x, y, w, h = values[2:6]
@@ -122,6 +135,16 @@ def _mot_box(fields: list[str], values: list[float], location: str) -> BBox:
         raise ParseError("box fields must be finite", location=location)
     if w <= 0 or h <= 0:
         raise ParseError(f"box must have positive extent, got {fields[2:6]}", location=location)
+    return BBox(x, y, w, h)
+
+
+def _coco_box(bbox: Any, location: str) -> BBox:
+    """A COCO ``bbox``: ``[x, y, w, h]``, finite and of positive extent."""
+    if not isinstance(bbox, list) or len(bbox) != 4:
+        raise ParseError(f"bbox must be [x, y, w, h], got {bbox!r}", location=location)
+    x, y, w, h = (_require_finite(v, "bbox field", location) for v in bbox)
+    if w <= 0 or h <= 0:
+        raise ParseError(f"bbox must have positive extent, got {bbox!r}", location=location)
     return BBox(x, y, w, h)
 
 
@@ -189,10 +212,7 @@ def parse_jta(
         IncompleteSkeleton: a pedestrian's records do not cover exactly the
             joint ids 0..joints_per_skeleton-1.
     """
-    try:
-        records = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+    records = _load_json(source)
     if not isinstance(records, list):
         raise ParseError("expected a top-level JSON array of joint records")
 
@@ -325,19 +345,22 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
 def _parse_file_name(file_name: str, location: str) -> tuple[str, int]:
     head, _, tail = file_name.rpartition("/")
     stem = tail.rsplit(".", 1)[0]
-    if not stem.isdigit():
+    # isdigit() would also pass digits such as "²" that int() rejects.
+    if not stem.isdecimal():
         raise ParseError(
             f"cannot extract a frame number from file_name {file_name!r}", location=location
         )
+    if int(stem) == 0:
+        raise ParseError(f"file_name {file_name!r}: frames start at 1, not 0", location=location)
     return head, int(stem)
 
 
-def _info_number(info: dict, key: str, default: Optional[float]) -> Optional[float]:
-    """``info[key]`` as a finite float, or ``default`` when it is absent or null."""
+def _info_value(info: dict, key: str, default: Any, check: Callable[..., Any]) -> Any:
+    """``info[key]`` passed through ``check``, or ``default`` when it is absent or null."""
     value = info.get(key)
     if value is None:
         return default
-    return _require_finite(value, key, f"info.{key}")
+    return check(value, key, f"info.{key}")
 
 
 def _manifest_videos(videos: Any) -> tuple[tuple[str, int], ...]:
@@ -353,8 +376,25 @@ def _manifest_videos(videos: Any) -> tuple[tuple[str, int], ...]:
             raise ParseError(
                 f"entry {idx} must be [video, frame count], got {entry!r}", location=loc
             )
-        table.append((str(entry[0]), _require_int(entry[1], f"entry {idx} frame count", loc)))
+        table.append((entry[0], _require_int(entry[1], f"entry {idx} frame count", loc)))
     return tuple(table)
+
+
+def _check_videos(videos: Sequence[tuple[Any, int]], images: Sequence[FrameRef]) -> None:
+    """Each ``info.videos`` entry is a string name with at least one frame, and
+    the table covers every image. Runs last, so another fault is reported first."""
+    for idx, (name, count) in enumerate(videos):
+        if not isinstance(name, str) or count < 1:
+            raise ParseError(
+                f"entry {idx} must be [name, frame count >= 1], got {[name, count]!r}",
+                location="info.videos",
+            )
+    counts = dict(videos)
+    for idx, ref in enumerate(images):
+        if ref.frame_id > counts.get(ref.video_id, 0):
+            raise ParseError(
+                f"{ref.video_id}/{ref.frame_id} is outside info.videos", location=f"image {idx}"
+            )
 
 
 def parse_coco_gt(source: str) -> CocoGroundTruth:
@@ -363,18 +403,17 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
     Frames are recovered from image ``file_name`` entries of the form
     ``<video>/<frame>.jpg``. Annotations missing the ``pedestrian_id`` /
     ``distance_m`` extension keys fall back to the COCO annotation id and
-    an infinite distance respectively. An absent or null ``info`` number
-    takes its default (0 for the image size, unset otherwise).
+    an infinite distance respectively. An absent or null ``info`` value
+    takes its default (0 for the image size, "" for ``dataset_id``, unset
+    otherwise). A given ``info.videos`` must cover every image.
 
     Raises:
         ParseError: malformed JSON or a malformed part of the document,
             located as ``images`` or ``annotations`` (not an array),
-            ``image N``, ``annotation N`` or ``info.<key>``.
+            ``image N`` (also an image outside ``info.videos``),
+            ``annotation N`` or ``info.<key>``.
     """
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+    doc = _load_json(source)
     if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
         raise ParseError("expected a COCO document with 'images' and 'annotations'")
     for key in ("images", "annotations"):
@@ -396,7 +435,6 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
         # Only an entry that is not an object lacks .get(). Catching that
         # here, for both tables, keeps the check off the per-entry path.
         raise ParseError(f"expected an object, got {img!r}", location=loc) from None
-    images.sort(key=lambda ref: (ref.video_id, ref.frame_id))
 
     annotations: list[AnnotatedBox] = []
     try:
@@ -406,12 +444,7 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
             if image_id not in frame_of:
                 raise ParseError(f"annotation references unknown image id {image_id}", location=loc)
             video_id, frame_id = frame_of[image_id]
-            bbox = ann.get("bbox")
-            if not isinstance(bbox, list) or len(bbox) != 4:
-                raise ParseError(f"bbox must be [x, y, w, h], got {bbox!r}", location=loc)
-            x, y, w, h = (_require_finite(v, "bbox field", loc) for v in bbox)
-            if w <= 0 or h <= 0:
-                raise ParseError(f"bbox must have positive extent, got {bbox!r}", location=loc)
+            box = _coco_box(ann.get("bbox"), loc)
             pedestrian_id = _require_int(
                 ann.get("pedestrian_id", ann.get("id", idx + 1)), "pedestrian_id", loc
             )
@@ -421,7 +454,6 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
                     raise ParseError(f"distance_m must be positive, got {distance!r}", location=loc)
             else:
                 distance = math.inf
-            box = BBox(x, y, w, h)
             annotations.append(
                 AnnotatedBox(
                     video_id=video_id,
@@ -436,28 +468,28 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
         raise ParseError(f"expected an object, got {ann!r}", location=loc) from None
     annotations.sort(key=sort_key)
 
-    info = doc.get("info") or {}
-    if isinstance(info, dict) and "videos" in info:
+    info = doc.get("info")
+    info = info if isinstance(info, dict) else {}
+    if "videos" in info:
         manifest = DatasetManifest(
-            dataset_id=str(info.get("dataset_id", "")),
-            image_w=_info_number(info, "image_w", 0.0),
-            image_h=_info_number(info, "image_h", 0.0),
+            image_w=_info_value(info, "image_w", 0.0, _require_finite),
+            image_h=_info_value(info, "image_h", 0.0, _require_finite),
             videos=_manifest_videos(info["videos"]),
-            alpha_used=_info_number(info, "alpha_used", None),
-            distance_limit_m=_info_number(info, "distance_limit_m", None),
+            alpha_used=_info_value(info, "alpha_used", None, _require_finite),
+            distance_limit_m=_info_value(info, "distance_limit_m", None, _require_finite),
+            dataset_id=_info_value(info, "dataset_id", "", _require_str),
         )
+        _check_videos(manifest.videos, images)
     else:
         # Foreign document: reconstruct what the images table supports.
-        counts: dict[str, int] = {}
-        for ref in images:
-            counts[ref.video_id] = max(counts.get(ref.video_id, 0), ref.frame_id)
         first = doc["images"][0] if doc["images"] else {}
-        manifest = DatasetManifest(
-            dataset_id=str(info.get("dataset_id", "")) if isinstance(info, dict) else "",
+        manifest = manifest_for_annotations(
+            images,
             image_w=_require_finite(first.get("width", 0), "width", "image 0"),
             image_h=_require_finite(first.get("height", 0), "height", "image 0"),
-            videos=tuple(sorted(counts.items())),
+            dataset_id=_info_value(info, "dataset_id", "", _require_str),
         )
+    images.sort(key=lambda ref: (ref.video_id, ref.frame_id))
 
     return CocoGroundTruth(
         annotations=tuple(annotations), manifest=manifest, images=tuple(images)
@@ -468,6 +500,13 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
 # MOT ground truth
 # ---------------------------------------------------------------------------
 
+def _one_video(records: Iterable[Any]) -> None:
+    """Raise MixedVideos unless the records come from at most one video."""
+    videos = {r.video_id for r in records}
+    if len(videos) > 1:
+        raise MixedVideos(f"MOT files hold one video, got {sorted(videos)}")
+
+
 def emit_mot(annotations: Sequence[AnnotatedBox]) -> str:
     """Serialize annotations as MOT ground-truth CSV (single video per file).
 
@@ -477,9 +516,7 @@ def emit_mot(annotations: Sequence[AnnotatedBox]) -> str:
     Raises:
         MixedVideos: annotations span more than one video.
     """
-    videos = {a.video_id for a in annotations}
-    if len(videos) > 1:
-        raise MixedVideos(f"MOT files hold one video, got {sorted(videos)}")
+    _one_video(annotations)
     lines = []
     for a in sorted(annotations, key=lambda a: (a.frame_id, a.pedestrian_id)):
         fields = [
@@ -583,10 +620,7 @@ def parse_detections(
 def _parse_coco_results(
     source: str, frame_of_image: Mapping[int, tuple[str, int]]
 ) -> list[Detection]:
-    try:
-        records = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+    records = _load_json(source)
     if not isinstance(records, list):
         raise ParseError("expected a top-level JSON array of detection records")
     detections = []
@@ -600,16 +634,11 @@ def _parse_coco_results(
         category = _require_int(rec.get("category_id", PEDESTRIAN_CATEGORY_ID), "category_id", loc)
         if category != PEDESTRIAN_CATEGORY_ID:
             continue
-        bbox = rec.get("bbox")
-        if not isinstance(bbox, list) or len(bbox) != 4:
-            raise ParseError(f"bbox must be [x, y, w, h], got {bbox!r}", location=loc)
-        x, y, w, h = (_require_finite(v, "bbox field", loc) for v in bbox)
-        if w <= 0 or h <= 0:
-            raise ParseError(f"bbox must have positive extent, got {bbox!r}", location=loc)
+        box = _coco_box(rec.get("bbox"), loc)
         score = _clamp_score(_require_finite(rec.get("score"), "score", loc), loc)
         video_id, frame_id = frame_of_image[image_id]
         detections.append(
-            Detection(video_id=video_id, frame_id=frame_id, box=BBox(x, y, w, h), score=score)
+            Detection(video_id=video_id, frame_id=frame_id, box=box, score=score)
         )
     return detections
 
@@ -667,9 +696,7 @@ def emit_detections(
             )
         return json.dumps(records, separators=(",", ":"), allow_nan=False)
     if fmt == "mot_det":
-        videos = {d.video_id for d in ordered}
-        if len(videos) > 1:
-            raise MixedVideos(f"MOT files hold one video, got {sorted(videos)}")
+        _one_video(ordered)
         lines = []
         for det in ordered:
             fields = [
@@ -690,14 +717,17 @@ def emit_detections(
 
 
 def manifest_for_annotations(
-    annotations: Iterable[AnnotatedBox],
+    annotations: Iterable[Any],
     dataset_id: str,
     image_w: float,
     image_h: float,
     alpha_used: Optional[float] = None,
     distance_limit_m: Optional[float] = None,
 ) -> DatasetManifest:
-    """Build a manifest covering every frame referenced by the annotations."""
+    """Build a manifest covering every frame referenced by the records.
+
+    ``annotations`` may be any records that carry ``video_id`` and ``frame_id``.
+    """
     counts: dict[str, int] = {}
     for a in annotations:
         counts[a.video_id] = max(counts.get(a.video_id, 0), a.frame_id)

@@ -233,7 +233,7 @@ def synthesize_annotations(
                 skeleton_box=skeleton_box,
             )
         )
-    kept.sort(key=lambda a: (a.video_id, a.frame_id, a.pedestrian_id))
+    kept.sort(key=sort_key)
     return SynthesisResult(annotations=tuple(kept), skipped_count=skipped)
 
 
@@ -241,18 +241,3 @@ def sort_key(annotation: AnnotatedBox) -> tuple[str, int, int]:
     """Canonical dataset ordering used by all emitters."""
     return (annotation.video_id, annotation.frame_id, annotation.pedestrian_id)
 
-
-def validate_skeleton(skeleton: SkeletonInstance, joints_per_skeleton: int) -> None:
-    """Check the joint-count and joint-id invariants for one skeleton."""
-    if len(skeleton.joints) != joints_per_skeleton:
-        raise InvalidArgument(
-            f"skeleton ({skeleton.video_id}, {skeleton.frame_id}, "
-            f"{skeleton.pedestrian_id}) has {len(skeleton.joints)} joints, "
-            f"expected {joints_per_skeleton}"
-        )
-    ids = sorted(j.joint_id for j in skeleton.joints)
-    if ids != list(range(joints_per_skeleton)):
-        raise InvalidArgument(
-            f"skeleton ({skeleton.video_id}, {skeleton.frame_id}, "
-            f"{skeleton.pedestrian_id}) joint ids are not 0..{joints_per_skeleton - 1}"
-        )

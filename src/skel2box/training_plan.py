@@ -10,10 +10,11 @@ consumption by any trainer.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import asdict, dataclass
+from typing import Iterator, Union
 
 from .errors import InvalidConfig, ParseError
 
@@ -95,30 +96,15 @@ def _validate_mix_config(config: MixConfig) -> tuple[int, int]:
     return syn_per_batch, real_per_batch
 
 
-class _WraparoundStream:
-    """Hands out dataset indices, reshuffling each time the set is exhausted.
+def _wraparound(n: int, seed: int, epoch: int) -> Iterator[int]:
+    """Dataset indices, reshuffled each time the set is exhausted.
 
     Consuming whole permutations back to back keeps occurrence counts of any
     two indices within 1 of each other at every point in the stream.
     """
-
-    def __init__(self, n: int, seed: int, epoch: int):
-        self._n = n
-        self._seed = seed
-        self._epoch = epoch
-        self._chunk = 0
-        self._buffer: list[int] = []
-
-    def take(self, count: int) -> list[int]:
-        out: list[int] = []
-        while len(out) < count:
-            if not self._buffer:
-                self._buffer = _permutation(self._n, self._seed, REAL, self._epoch, self._chunk)
-                self._chunk += 1
-            need = count - len(out)
-            out.extend(self._buffer[:need])
-            del self._buffer[:need]
-        return out
+    return itertools.chain.from_iterable(
+        _permutation(n, seed, REAL, epoch, chunk) for chunk in itertools.count()
+    )
 
 
 def plan_mixed_batches(config: MixConfig) -> BatchPlan:
@@ -145,7 +131,7 @@ def plan_mixed_batches(config: MixConfig) -> BatchPlan:
     epochs: list[Epoch] = []
     for epoch in range(config.epochs):
         syn_order = _permutation(config.n_synthetic, config.seed, SYNTHETIC, epoch)
-        real_stream = _WraparoundStream(config.n_real, config.seed, epoch)
+        real_stream = _wraparound(config.n_real, config.seed, epoch)
         batches: list[Batch] = []
         for b in range(n_batches):
             entries: list[Entry] = [
@@ -153,7 +139,7 @@ def plan_mixed_batches(config: MixConfig) -> BatchPlan:
                 for i in syn_order[b * syn_per_batch : (b + 1) * syn_per_batch]
             ]
             if real_per_batch > 0:
-                entries.extend((REAL, i) for i in real_stream.take(real_per_batch))
+                entries.extend((REAL, i) for i in itertools.islice(real_stream, real_per_batch))
             batches.append(tuple(entries))
         epochs.append(tuple(batches))
     return BatchPlan(config=config, epochs=tuple(epochs))
@@ -177,16 +163,8 @@ def serialize_plan(plan: Union[BatchPlan, FineTunePlan]) -> str:
     config.batch_size entries.
     """
     if isinstance(plan, BatchPlan):
-        cfg = plan.config
         doc = {
-            "config": {
-                "n_synthetic": cfg.n_synthetic,
-                "n_real": cfg.n_real,
-                "batch_size": cfg.batch_size,
-                "ratio": list(cfg.ratio),
-                "seed": cfg.seed,
-                "epochs": cfg.epochs,
-            },
+            "config": asdict(plan.config),
             "kind": "mixed",
             "epochs": [
                 [[domain, index] for batch in epoch for domain, index in batch]
@@ -200,14 +178,7 @@ def serialize_plan(plan: Union[BatchPlan, FineTunePlan]) -> str:
                 "phase2_epochs": plan.phase2.epochs,
             },
             "kind": "finetune",
-            "phases": [
-                {
-                    "dataset": phase.dataset,
-                    "epochs": phase.epochs,
-                    "all_weights_unfrozen": phase.all_weights_unfrozen,
-                }
-                for phase in (plan.phase1, plan.phase2)
-            ],
+            "phases": [asdict(plan.phase1), asdict(plan.phase2)],
         }
     else:
         raise InvalidConfig(f"cannot serialize {type(plan).__name__}")

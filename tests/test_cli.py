@@ -388,6 +388,15 @@ class TestMalformedInput:
             ('{"images": [1], "annotations": []}', "(image 0)"),
             ('{"images": [], "annotations": ["x"]}', "(annotation 0)"),
             ('{"images": [], "annotations": [], "info": {"videos": 5}}', "(info.videos)"),
+            ('{"images": [{"id": 1, "file_name": "v/000001.jpg"}], "annotations": [],'
+             ' "info": {"videos": [["v", -3]]}}', "(info.videos)"),
+            ('{"images": [{"id": 1, "file_name": "v/000005.jpg"}], "annotations": [],'
+             ' "info": {"videos": [["v", 1]]}}', "(image 0)"),
+            ('{"images": [], "annotations": [], "info": {"videos": [[7, 1]]}}', "(info.videos)"),
+            ('{"images": [], "annotations": [], "info": {"videos": [], "dataset_id": {"a": 1}}}',
+             "(info.dataset_id)"),
+            ('{"images": [], "annotations": [], "info": {"dataset_id": 7}}', "(info.dataset_id)"),
+            ('{"images": [{"id": 1, "file_name": "v/000000.jpg"}], "annotations": []}', "(image 0)"),
         ],
     )
     def test_malformed_coco_parts_leave_no_output(self, tmp_path, capsys, doc, location):
@@ -422,6 +431,28 @@ class TestMalformedInput:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert err == f"error: {bad}: not UTF-8 text (invalid start byte) (byte 9001)\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("kind", ["config", "alpha_file", "jta", "coco_gt", "detections"])
+    def test_malformed_json_is_located(self, tmp_path, capsys, kind):
+        gt = coco_file(tmp_path, [annotation("v", 1, 1, 10, 20, 30, 40, 5.0)])
+        jta = jta_file(tmp_path, [(1, 1, 100.0, 200.0, 20.0, 50.0, 10.0)])
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"a": [1, 2')
+        out = tmp_path / "o.json"
+        argv = {
+            "config": ("prune", "--gt", gt, "--out", out, "--config", bad),
+            "alpha_file": ("synthesize", "--jta", jta, "--alpha-file", bad, "--out-coco", out),
+            "jta": ("synthesize", "--jta", bad, "--alpha", 100, "--out-coco", out),
+            "coco_gt": ("prune", "--gt", bad, "--out", out),
+            "detections": ("evaluate", "--gt", gt, "--det", bad, "--out", out),
+        }[kind]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert "(char 11)" in err
         assert not out.exists()
 
 

@@ -395,12 +395,34 @@ class TestParseCocoForeign:
              "info.distance_limit_m"),
             ({"images": [{"id": 1, "file_name": "v/000001.jpg", "width": "w"}],
               "annotations": []}, "image 0"),
+            ({"images": [], "annotations": [], "info": {"videos": [["v", -3]]}}, "info.videos"),
+            ({"images": [], "annotations": [], "info": {"videos": [["v", 0]]}}, "info.videos"),
+            ({"images": [], "annotations": [], "info": {"videos": [[7, 1]]}}, "info.videos"),
+            # Located in file order, not in the sorted frame table.
+            ({"images": [{"id": 1, "file_name": "v/000005.jpg"},
+                         {"id": 2, "file_name": "v/000001.jpg"}],
+              "annotations": [], "info": {"videos": [["v", 1]]}}, "image 0"),
+            ({"images": [{"id": 1, "file_name": "w/000001.jpg"}],
+              "annotations": [], "info": {"videos": [["v", 1]]}}, "image 0"),
+            ({"images": [{"id": 1, "file_name": "v/000000.jpg"}],
+              "annotations": [], "info": {"videos": [["v", 1]]}}, "image 0"),
+            ({"images": [], "annotations": [], "info": {"videos": [], "dataset_id": {"a": 1}}},
+             "info.dataset_id"),
+            ({"images": [], "annotations": [], "info": {"dataset_id": 7}}, "info.dataset_id"),
+            ({"images": [{"id": 1, "file_name": "v/000000.jpg"}], "annotations": []}, "image 0"),
+            ({"images": [{"id": 1, "file_name": "v/\u00b2.jpg"}], "annotations": []}, "image 0"),
         ],
     )
     def test_malformed_parts_are_located(self, doc, location):
         with pytest.raises(ParseError) as info:
             parse_coco_gt(json.dumps(doc))
         assert info.value.location == location
+
+    @pytest.mark.parametrize("info", [{"videos": []}, {}, {"videos": [], "dataset_id": None},
+                                      {"dataset_id": None}])
+    def test_absent_or_null_dataset_id_is_empty(self, info):
+        doc = {"images": [], "annotations": [], "info": info}
+        assert parse_coco_gt(json.dumps(doc)).manifest.dataset_id == ""
 
     def test_non_finite_info_number(self):
         text = '{"images": [], "annotations": [], "info": {"videos": [], "alpha_used": NaN}}'

@@ -18,7 +18,6 @@ from skel2box import (
     skeleton_enclosing_box,
     synthesize_annotations,
 )
-from skel2box.geometry import validate_skeleton
 
 
 def make_skeleton(points_2d, z=10.0, video_id="v", frame_id=1, pedestrian_id=1):
@@ -249,18 +248,3 @@ class TestSynthesizeAnnotations:
             backward.annotations, manifest
         )
 
-
-class TestValidateSkeleton:
-    def test_accepts_complete_skeleton(self):
-        skeleton = make_skeleton([(i, i + 1) for i in range(22)])
-        validate_skeleton(skeleton, 22)
-
-    def test_rejects_wrong_count(self):
-        skeleton = make_skeleton([(0, 0), (1, 1)])
-        with pytest.raises(InvalidArgument):
-            validate_skeleton(skeleton, 22)
-
-    def test_rejects_bad_joint_ids(self):
-        joints = (Joint(0, 0, 0, 0, 0, 5), Joint(2, 1, 1, 0, 0, 5))
-        with pytest.raises(InvalidArgument):
-            validate_skeleton(SkeletonInstance("v", 1, 1, joints), 2)
