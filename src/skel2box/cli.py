@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -32,9 +33,10 @@ _T = TypeVar("_T")
 
 @dataclasses.dataclass(frozen=True)
 class PipelineConfig:
-    """Numeric knobs shared across subcommands.
+    """Numeric settings of the pipeline; each subcommand reads a few.
 
-    Resolution order: command-line flag, then JSON config file, then the
+    Resolution order: command-line flag, then (for ``alpha``) the
+    ``--alpha-file`` calibration, then the JSON config file, then the
     defaults below.
     """
 
@@ -47,6 +49,16 @@ class PipelineConfig:
     iou_thr: float = evaluation.DEFAULT_IOU_THRESHOLD
 
     def validate(self) -> "PipelineConfig":
+        """Check every field, whatever its source: a real, finite number
+        (``joints_per_skeleton`` an ``int``, ``alpha`` possibly unset), then
+        within its range."""
+        for name in _CONFIG_FIELDS:
+            value = getattr(self, name)
+            if name == "joints_per_skeleton" and type(value) is not int:
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+            finite = type(value) is int or (type(value) is float and math.isfinite(value))
+            if not finite and not (name == "alpha" and value is None):
+                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
         if self.image_w <= 0 or self.image_h <= 0:
             raise InvalidConfig("image dimensions must be positive")
         if self.joints_per_skeleton <= 0:
@@ -92,15 +104,14 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
         if unknown:
             raise InvalidConfig(f"{config_path}: unknown config keys {unknown}")
         values.update(doc)
+    alpha_file = getattr(args, "alpha_file", None)
+    if alpha_file and args.alpha is None:
+        values["alpha"] = _parse_file(alpha_file, calibration.CalibrationResult.from_json).alpha
     for field in _CONFIG_FIELDS:
         flag_value = getattr(args, field, None)
         if flag_value is not None:
             values[field] = flag_value
-    try:
-        config = PipelineConfig(**values)
-    except TypeError as exc:
-        raise InvalidConfig(str(exc)) from exc
-    return config.validate()
+    return PipelineConfig(**values).validate()
 
 
 def _read_text(path: str) -> str:
@@ -142,17 +153,6 @@ def _reading(path: str):
         raise
 
 
-def _resolve_alpha(args: argparse.Namespace, config: PipelineConfig) -> float:
-    if getattr(args, "alpha", None) is not None:
-        return args.alpha
-    alpha_file = getattr(args, "alpha_file", None)
-    if alpha_file:
-        return _parse_file(alpha_file, calibration.CalibrationResult.from_json).alpha
-    if config.alpha is not None:
-        return config.alpha
-    raise _UsageError("an alpha value is required (--alpha, --alpha-file, or config file)")
-
-
 def _parse_file(path: str, parse: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
     """``parse`` run on the text of ``path``; its data errors name the file."""
     with _reading(path):
@@ -170,19 +170,19 @@ def _cmd_calibrate(args: argparse.Namespace, config: PipelineConfig) -> dict:
     if args.out:
         _write_atomic(args.out, result.to_json())
     return {
-        "command": "calibrate",
         **dataclasses.asdict(result),
         "out": args.out,
     }
 
 
 def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> dict:
-    alpha = _resolve_alpha(args, config)
+    if config.alpha is None:
+        raise _UsageError("an alpha value is required (--alpha, --alpha-file, or config file)")
     video_id = args.video_id or Path(args.jta).stem
     skeletons = _parse_file(args.jta, formats.parse_jta, video_id, config.joints_per_skeleton)
     result = geometry.synthesize_annotations(
         skeletons,
-        alpha=alpha,
+        alpha=config.alpha,
         image_w=config.image_w,
         image_h=config.image_h,
         clamp=not args.no_clamp,
@@ -192,15 +192,14 @@ def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> dict:
         dataset_id=args.dataset_id or video_id,
         image_w=config.image_w,
         image_h=config.image_h,
-        alpha_used=alpha,
+        alpha_used=config.alpha,
     )
     _write_atomic(args.out_coco, formats.emit_coco(result.annotations, manifest))
     if args.out_mot:
         _write_atomic(args.out_mot, formats.emit_mot(result.annotations))
     return {
-        "command": "synthesize",
         "video_id": video_id,
-        "alpha": alpha,
+        "alpha": config.alpha,
         "n_annotations": len(result.annotations),
         "n_skipped": result.skipped_count,
         "out_coco": args.out_coco,
@@ -214,7 +213,6 @@ def _cmd_histogram(args: argparse.Namespace, config: PipelineConfig) -> dict:
         hist = sanitize.distance_histogram(gt.annotations, bin_width_m=args.bin_width)
     _write_atomic(args.out, hist.to_csv())
     return {
-        "command": "histogram",
         "n_annotations": len(gt.annotations),
         "bin_width_m": args.bin_width,
         "n_bins": len(hist.counts),
@@ -230,7 +228,6 @@ def _cmd_prune(args: argparse.Namespace, config: PipelineConfig) -> dict:
     manifest = dataclasses.replace(gt.manifest, distance_limit_m=config.distance_limit_m)
     _write_atomic(args.out, formats.emit_coco(kept, manifest))
     return {
-        "command": "prune",
         "distance_limit_m": config.distance_limit_m,
         "kept": len(kept),
         "pruned": pruned,
@@ -250,7 +247,6 @@ def _cmd_distance_limit(args: argparse.Namespace, config: PipelineConfig) -> dic
     if args.out:
         _write_atomic(args.out, json.dumps({"distance_limit_m": limit}))
     return {
-        "command": "distance-limit",
         "h_min_px": args.h_min,
         "distance_limit_m": limit,
         "out": args.out,
@@ -285,7 +281,6 @@ def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> dict:
             annotations = [a for a in annotations if a.video_id == args.video_id]
         _write_atomic(args.out, formats.emit_mot(annotations))
     return {
-        "command": "convert",
         "from": args.from_fmt,
         "to": args.to_fmt,
         "n_annotations": len(annotations),
@@ -315,7 +310,6 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> dict:
     if args.out:
         _write_atomic(args.out, report.to_json())
     return {
-        "command": "evaluate",
         "ap_allpoint": report.ap_allpoint,
         "ap_101point": report.ap_101point,
         "n_gt": report.n_gt,
@@ -336,7 +330,6 @@ def _cmd_plan_batches(args: argparse.Namespace, config: PipelineConfig) -> dict:
     plan = training_plan.plan_mixed_batches(mix)
     _write_atomic(args.out, training_plan.serialize_plan(plan))
     return {
-        "command": "plan-batches",
         "epochs": mix.epochs,
         "batches_per_epoch": len(plan.epochs[0]) if plan.epochs else 0,
         "batch_size": mix.batch_size,
@@ -349,7 +342,6 @@ def _cmd_plan_finetune(args: argparse.Namespace, config: PipelineConfig) -> dict
     plan = training_plan.plan_finetune(args.phase1_epochs, args.phase2_epochs)
     _write_atomic(args.out, training_plan.serialize_plan(plan))
     return {
-        "command": "plan-finetune",
         "phase1_epochs": plan.phase1.epochs,
         "phase2_epochs": plan.phase2.epochs,
         "out": args.out,
@@ -371,25 +363,30 @@ def _ratio(text: str) -> tuple[int, int]:
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="JSON file with PipelineConfig overrides")
-    common.add_argument("--image-w", dest="image_w", type=float)
-    common.add_argument("--image-h", dest="image_h", type=float)
-    common.add_argument("--joints-per-skeleton", dest="joints_per_skeleton", type=int)
-    common.add_argument("--alpha", dest="alpha", type=float)
-    common.add_argument("--distance-limit", dest="distance_limit_m", type=float)
-    common.add_argument("--score-floor", dest="score_floor", type=float)
-    common.add_argument("--iou-thr", dest="iou_thr", type=float)
-
     parser = _Parser(prog="skel2box", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("calibrate", parents=[common], help="fit alpha from height samples")
+    def add(name: str, handler: Callable[..., dict], help: str, *settings: str) -> _Parser:
+        """Subcommand ``name``. With ``settings``, the PipelineConfig fields it
+        reads, it takes ``--config`` and one flag per field: the field name
+        dashed, ``distance_limit_m`` without its unit (``--distance-limit``)."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if settings:
+            p.add_argument("--config", help="JSON file with PipelineConfig overrides")
+        for field in settings:
+            flag = "--" + field.removesuffix("_m").replace("_", "-")
+            p.add_argument(flag, dest=field, type=int if field == "joints_per_skeleton" else float)
+        return p
+
+    p = add("calibrate", _cmd_calibrate, "fit alpha from height samples")
     p.add_argument("--samples", required=True, help="CSV of h_s_px,z_m,h_true_px rows")
     p.add_argument("--out", help="where to write the calibration JSON")
-    p.set_defaults(handler=_cmd_calibrate)
 
-    p = sub.add_parser("synthesize", parents=[common], help="skeletons to detection boxes")
+    p = add(
+        "synthesize", _cmd_synthesize, "skeletons to detection boxes",
+        "image_w", "image_h", "joints_per_skeleton", "alpha",
+    )
     p.add_argument("--jta", required=True, help="JTA-style JSON joint dump")
     p.add_argument("--video-id", help="video id (default: input file stem)")
     p.add_argument("--alpha-file", help="calibration JSON produced by 'calibrate'")
@@ -397,39 +394,33 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-coco", required=True, help="COCO ground-truth output path")
     p.add_argument("--out-mot", help="optional MOT ground-truth output path")
     p.add_argument("--no-clamp", action="store_true", help="keep boxes beyond image borders")
-    p.set_defaults(handler=_cmd_synthesize)
 
-    p = sub.add_parser("histogram", parents=[common], help="distance histogram CSV")
+    p = add("histogram", _cmd_histogram, "distance histogram CSV")
     p.add_argument("--gt", required=True, help="COCO ground-truth input")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--bin-width", type=float, default=1.0)
-    p.set_defaults(handler=_cmd_histogram)
 
-    p = sub.add_parser("prune", parents=[common], help="drop annotations beyond a distance")
+    p = add("prune", _cmd_prune, "drop annotations beyond a distance", "distance_limit_m")
     p.add_argument("--gt", required=True, help="COCO ground-truth input")
     p.add_argument("--out", required=True, help="pruned COCO output path")
-    p.set_defaults(handler=_cmd_prune)
 
-    p = sub.add_parser(
-        "distance-limit", parents=[common], help="derive a distance limit from box heights"
-    )
+    p = add("distance-limit", _cmd_distance_limit, "derive a distance limit from box heights")
     p.add_argument("--gt", required=True, help="COCO ground-truth input")
     p.add_argument("--h-min", type=float, required=True, help="minimum usable box height (px)")
     p.add_argument("--bin-width", type=float, default=1.0)
     p.add_argument("--min-bin-count", type=int, default=10)
     p.add_argument("--out", help="optional JSON output path")
-    p.set_defaults(handler=_cmd_distance_limit)
 
-    p = sub.add_parser("convert", parents=[common], help="convert between COCO and MOT")
+    # The image size is read for MOT input only: a COCO input carries its own.
+    p = add("convert", _cmd_convert, "convert between COCO and MOT", "image_w", "image_h")
     p.add_argument("--in", dest="infile", required=True, help="input annotation file")
     p.add_argument("--from", dest="from_fmt", required=True, choices=["coco", "mot"])
     p.add_argument("--to", dest="to_fmt", required=True, choices=["coco", "mot"])
     p.add_argument("--out", required=True)
     p.add_argument("--video-id", help="video id for MOT input, or selector for MOT output")
     p.add_argument("--dataset-id", help="dataset id for COCO output built from MOT input")
-    p.set_defaults(handler=_cmd_convert)
 
-    p = sub.add_parser("evaluate", parents=[common], help="score detections against GT")
+    p = add("evaluate", _cmd_evaluate, "score detections against GT", "score_floor", "iou_thr")
     p.add_argument("--gt", required=True, help="COCO ground-truth input")
     p.add_argument("--det", required=True, help="detection file")
     p.add_argument(
@@ -437,9 +428,8 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--video-id", help="video id; required for --det-format mot_det")
     p.add_argument("--out", help="optional JSON report path")
-    p.set_defaults(handler=_cmd_evaluate)
 
-    p = sub.add_parser("plan-batches", parents=[common], help="mixed-batch training plan")
+    p = add("plan-batches", _cmd_plan_batches, "mixed-batch training plan")
     p.add_argument("--n-synthetic", type=int, required=True)
     p.add_argument("--n-real", type=int, required=True)
     p.add_argument("--batch-size", type=int, required=True)
@@ -447,13 +437,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_plan_batches)
 
-    p = sub.add_parser("plan-finetune", parents=[common], help="two-phase fine-tune plan")
+    p = add("plan-finetune", _cmd_plan_finetune, "two-phase fine-tune plan")
     p.add_argument("--phase1-epochs", type=int, required=True)
     p.add_argument("--phase2-epochs", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_plan_finetune)
 
     return parser
 
@@ -471,7 +459,7 @@ def run(argv: Sequence[str]) -> int:
     except (Skel2BoxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(summary))
+    print(json.dumps({"command": args.command, **summary}))
     return 0
 
 

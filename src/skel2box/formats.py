@@ -138,6 +138,16 @@ def _mot_box(fields: list[str], values: list[float], location: str) -> BBox:
     return BBox(x, y, w, h)
 
 
+def _mot_frame(value: float, location: str) -> int:
+    """The frame of a MOT row: an integer of at least 1, as in the manifests."""
+    frame_id = _require_int(value, "frame", location)
+    if frame_id < 1:
+        raise ParseError(
+            f"frame must be at least 1 (frames are 1-based), got {frame_id}", location=location
+        )
+    return frame_id
+
+
 def _coco_box(bbox: Any, location: str) -> BBox:
     """A COCO ``bbox``: ``[x, y, w, h]``, finite and of positive extent."""
     if not isinstance(bbox, list) or len(bbox) != 4:
@@ -382,14 +392,18 @@ def _manifest_videos(videos: Any) -> tuple[tuple[str, int], ...]:
 
 def _check_videos(videos: Sequence[tuple[Any, int]], images: Sequence[FrameRef]) -> None:
     """Each ``info.videos`` entry is a string name with at least one frame, and
-    the table covers every image. Runs last, so another fault is reported first."""
+    the table covers every image, naming each video once. Runs last, so another
+    fault is reported first."""
+    counts: dict[str, int] = {}
     for idx, (name, count) in enumerate(videos):
         if not isinstance(name, str) or count < 1:
             raise ParseError(
                 f"entry {idx} must be [name, frame count >= 1], got {[name, count]!r}",
                 location="info.videos",
             )
-    counts = dict(videos)
+        if name in counts:
+            raise ParseError(f"entry {idx} repeats video {name!r}", location="info.videos")
+        counts[name] = count
     for idx, ref in enumerate(images):
         if ref.frame_id > counts.get(ref.video_id, 0):
             raise ParseError(
@@ -558,7 +572,7 @@ def parse_mot_gt(source: str, video_id: str) -> tuple[list[AnnotatedBox], int]:
             values = [float(f) for f in fields]
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", location=loc) from exc
-        frame_id = _require_int(values[0], "frame", loc)
+        frame_id = _mot_frame(values[0], loc)
         pedestrian_id = _require_int(values[1], "id", loc)
         class_id = _require_int(values[7], "class", loc)
         if class_id != PEDESTRIAN_CATEGORY_ID:
@@ -657,7 +671,7 @@ def _parse_mot_det(source: str, video_id: str) -> list[Detection]:
             values = [float(f) for f in fields]
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", location=loc) from exc
-        frame_id = _require_int(values[0], "frame", loc)
+        frame_id = _mot_frame(values[0], loc)
         box = _mot_box(fields, values, loc)
         score = _clamp_score(values[6], loc)
         detections.append(Detection(video_id=video_id, frame_id=frame_id, box=box, score=score))

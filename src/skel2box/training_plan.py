@@ -186,7 +186,13 @@ def serialize_plan(plan: Union[BatchPlan, FineTunePlan]) -> str:
 
 
 def parse_plan(source: str) -> Union[BatchPlan, FineTunePlan]:
-    """Inverse of serialize_plan: parse(serialize(p)) == p."""
+    """Inverse of serialize_plan: parse(serialize(p)) == p.
+
+    Raises:
+        ParseError: malformed JSON or a malformed part of the plan.
+        InvalidConfig: a mixed-plan config that breaks the rules of
+            :class:`MixConfig` (sizes, ratio, batch size, epochs).
+    """
     try:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
@@ -203,10 +209,16 @@ def parse_plan(source: str) -> Union[BatchPlan, FineTunePlan]:
         for idx, phase in enumerate(phases):
             if not isinstance(phase, dict) or phase.get("dataset") not in (SYNTHETIC, REAL):
                 raise ParseError(f"bad phase {idx}: {phase!r}")
+            try:
+                epochs = int(phase["epochs"])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(
+                    f"bad phase {idx}: epochs must be an integer, got {phase.get('epochs')!r}"
+                ) from exc
             parsed.append(
                 FineTunePhase(
                     dataset=phase["dataset"],
-                    epochs=int(phase["epochs"]),
+                    epochs=epochs,
                     all_weights_unfrozen=bool(phase.get("all_weights_unfrozen", True)),
                 )
             )
@@ -221,10 +233,14 @@ def parse_plan(source: str) -> Union[BatchPlan, FineTunePlan]:
                 seed=int(cfg["seed"]),
                 epochs=int(cfg["epochs"]),
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ParseError(f"bad mixed-plan config: {exc}") from exc
+        _validate_mix_config(config)
+        flat_epochs = doc.get("epochs", [])
+        if not isinstance(flat_epochs, list):
+            raise ParseError(f"epochs must be an array, got {flat_epochs!r}")
         epochs: list[Epoch] = []
-        for e_idx, flat in enumerate(doc.get("epochs", [])):
+        for e_idx, flat in enumerate(flat_epochs):
             if not isinstance(flat, list) or len(flat) % config.batch_size != 0:
                 raise ParseError(
                     f"epoch {e_idx} length is not a multiple of batch_size"

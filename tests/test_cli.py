@@ -305,6 +305,22 @@ class TestConvert:
         assert "box fields must be finite (line 2)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "row, to_fmt", [("0,1,10,20,30,40,1,1,1", "coco"), ("-2,1,10,20,30,40,1,1,1", "mot")]
+    )
+    def test_mot_frame_below_one_leaves_no_output(self, tmp_path, capsys, row, to_fmt):
+        mot = tmp_path / "gt.txt"
+        mot.write_text(f"{row}\n")
+        out = tmp_path / "o.out"
+        code, _, err = run_cli(
+            capsys,
+            "convert", "--in", mot, "--from", "mot", "--to", to_fmt,
+            "--video-id", "v", "--out", out,
+        )
+        assert code == 2
+        assert err.startswith(f"error: {mot}: frame must be at least 1") and "(line 1)" in err
+        assert not out.exists()
+
     def test_mot_input_requires_video_id(self, tmp_path, capsys):
         mot = tmp_path / "gt.txt"
         mot.write_text("1,1,10,20,30,40,1,1,1\n")
@@ -397,6 +413,8 @@ class TestMalformedInput:
              "(info.dataset_id)"),
             ('{"images": [], "annotations": [], "info": {"dataset_id": 7}}', "(info.dataset_id)"),
             ('{"images": [{"id": 1, "file_name": "v/000000.jpg"}], "annotations": []}', "(image 0)"),
+            ('{"images": [], "annotations": [], "info": {"videos": [["v", 3], ["v", 1]]}}',
+             "(info.videos)"),
         ],
     )
     def test_malformed_coco_parts_leave_no_output(self, tmp_path, capsys, doc, location):
@@ -506,6 +524,155 @@ class TestPlans:
         )
         assert summary["phase1_epochs"] == 3
         assert parse_plan(out.read_text()) == plan_finetune(3, 2)
+
+
+COMMANDS = [
+    "calibrate", "synthesize", "histogram", "prune", "distance-limit",
+    "convert", "evaluate", "plan-batches", "plan-finetune",
+]
+# The flags of the PipelineConfig fields each subcommand reads; a subcommand
+# that reads none takes no --config either.
+SETTINGS = {
+    "synthesize": ["--image-w", "--image-h", "--joints-per-skeleton", "--alpha"],
+    "convert": ["--image-w", "--image-h"],
+    "prune": ["--distance-limit"],
+    "evaluate": ["--score-floor", "--iou-thr"],
+}
+SETTING_FLAGS = [
+    "--config", "--image-w", "--image-h", "--joints-per-skeleton", "--alpha",
+    "--distance-limit", "--score-floor", "--iou-thr",
+]
+ACCEPTED = [(c, f) for c, flags in SETTINGS.items() for f in ["--config", *flags]]
+REMOVED = [(c, f) for c in COMMANDS for f in SETTING_FLAGS if (c, f) not in ACCEPTED]
+VALID_SETTING = {
+    "--image-w": "1920", "--image-h": "1080", "--joints-per-skeleton": "22", "--alpha": "100",
+    "--distance-limit": "40", "--score-floor": "0.05", "--iou-thr": "0.5",
+}
+# PipelineConfig field -> (a subcommand that reads it, its flag)
+FIELDS = {
+    "image_w": ("synthesize", "--image-w"),
+    "image_h": ("synthesize", "--image-h"),
+    "joints_per_skeleton": ("synthesize", "--joints-per-skeleton"),
+    "alpha": ("synthesize", "--alpha"),
+    "distance_limit_m": ("prune", "--distance-limit"),
+    "score_floor": ("evaluate", "--score-floor"),
+    "iou_thr": ("evaluate", "--iou-thr"),
+}
+
+
+def command_argv(tmp_path, command, out, alpha=True):
+    """A run of ``command`` that succeeds and writes ``out``.
+
+    ``synthesize`` gets ``--alpha 100`` unless ``alpha`` is false.
+    """
+    gt = coco_file(tmp_path, [annotation("v", 1, 1, 10, 20, 30, 40, 5.0)])
+    samples = tmp_path / "samples.csv"
+    samples.write_text(SAMPLES_CSV)
+    jta = jta_file(tmp_path, [(1, 1, 100.0, 200.0, 20.0, 50.0, 10.0)])
+    mot = tmp_path / "gt.txt"
+    mot.write_text("1,1,10,20,30,40,1,1,1\n")
+    det = tmp_path / "det.txt"
+    det.write_text("1,-1,10,20,30,40,1.0\n")
+    return {
+        "calibrate": ("calibrate", "--samples", samples, "--out", out),
+        "synthesize": ("synthesize", "--jta", jta, "--out-coco", out)
+        + (("--alpha", 100) if alpha else ()),
+        "histogram": ("histogram", "--gt", gt, "--out", out),
+        "prune": ("prune", "--gt", gt, "--out", out),
+        "distance-limit": ("distance-limit", "--gt", gt, "--h-min", 10,
+                           "--min-bin-count", 1, "--out", out),
+        "convert": ("convert", "--in", mot, "--from", "mot", "--to", "coco",
+                    "--video-id", "v", "--out", out),
+        "evaluate": ("evaluate", "--gt", gt, "--det", det, "--det-format", "mot_det",
+                     "--video-id", "v", "--out", out),
+        "plan-batches": ("plan-batches", "--n-synthetic", 6, "--n-real", 3,
+                         "--batch-size", 3, "--out", out),
+        "plan-finetune": ("plan-finetune", "--phase1-epochs", 1, "--phase2-epochs", 1,
+                          "--out", out),
+    }[command]
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command, flag", ACCEPTED)
+    def test_subcommand_takes_the_settings_it_reads(self, tmp_path, capsys, command, flag):
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        out = tmp_path / "out.file"
+        value = config if flag == "--config" else VALID_SETTING[flag]
+        summary = summary_of(capsys, *command_argv(tmp_path, command, out), flag, value)
+        assert summary["command"] == command
+        assert out.exists()
+
+    @pytest.mark.parametrize("command, flag", REMOVED)
+    def test_subcommand_rejects_settings_it_does_not_read(self, tmp_path, capsys, command, flag):
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        out = tmp_path / "out.file"
+        value = config if flag == "--config" else VALID_SETTING[flag]
+        code, stdout, err = run_cli(capsys, *command_argv(tmp_path, command, out), flag, value)
+        assert code == 1
+        assert stdout == ""
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (field, value)
+            for field in FIELDS
+            for value in ["Infinity", "NaN", '"wide"', "null", "true"]
+            if (field, value) != ("alpha", "null")
+        ],
+    )
+    def test_bad_config_value_names_the_field(self, tmp_path, capsys, field, value):
+        command, _ = FIELDS[field]
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"{field}": {value}}}')
+        out = tmp_path / "out.file"
+        argv = command_argv(tmp_path, command, out, alpha=field != "alpha")
+        code, stdout, err = run_cli(capsys, *argv, "--config", config)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(field, value) for field in FIELDS if field != "joints_per_skeleton"
+         for value in ["inf", "nan"]],
+    )
+    def test_non_finite_flag_names_the_field(self, tmp_path, capsys, field, value):
+        command, flag = FIELDS[field]
+        out = tmp_path / "out.file"
+        code, stdout, err = run_cli(capsys, *command_argv(tmp_path, command, out), flag, value)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {field} must be a finite number, got {float(value)!r}\n"
+        assert not out.exists()
+
+    def test_null_config_alpha_is_unset(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"alpha": null}')
+        out = tmp_path / "out.json"
+        argv = command_argv(tmp_path, "synthesize", out, alpha=False)
+        code, _, err = run_cli(capsys, *argv, "--config", config)
+        assert code == 1
+        assert "an alpha value is required" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-5", "NaN"])
+    def test_alpha_file_follows_the_alpha_flag_rule(self, tmp_path, capsys, value):
+        alpha_file = tmp_path / "alpha.json"
+        alpha_file.write_text(
+            f'{{"alpha": {value}, "n_samples": 1, "rmse_px": 0, "max_abs_residual_px": 0}}'
+        )
+        out = tmp_path / "out.json"
+        argv = command_argv(tmp_path, "synthesize", out, alpha=False)
+        by_flag = run_cli(capsys, *argv, "--alpha", value)
+        by_file = run_cli(capsys, *argv, "--alpha-file", alpha_file)
+        assert by_file == by_flag
+        assert by_flag[0] == 2 and by_flag[2].startswith("error: alpha must be ")
+        assert not out.exists()
 
 
 class TestInfrastructure:

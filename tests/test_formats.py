@@ -411,6 +411,8 @@ class TestParseCocoForeign:
             ({"images": [], "annotations": [], "info": {"dataset_id": 7}}, "info.dataset_id"),
             ({"images": [{"id": 1, "file_name": "v/000000.jpg"}], "annotations": []}, "image 0"),
             ({"images": [{"id": 1, "file_name": "v/\u00b2.jpg"}], "annotations": []}, "image 0"),
+            ({"images": [], "annotations": [], "info": {"videos": [["v", 3], ["v", 1]]}},
+             "info.videos"),
         ],
     )
     def test_malformed_parts_are_located(self, doc, location):
@@ -494,6 +496,24 @@ class TestMot:
         with pytest.raises(ParseError) as exc_info:
             parse_mot_gt(f"1,1,10,20,30,40,1,1,1\n{row}\n", "v")
         assert str(exc_info.value) == "box fields must be finite (line 2)"
+
+    @pytest.mark.parametrize("frame", ["0", "-2", "-1.0"])
+    @pytest.mark.parametrize(
+        "parse, row",
+        [
+            (lambda text: parse_mot_gt(text, "v"), "{},1,10,20,30,40,1,1,1"),
+            (lambda text: parse_mot_gt(text, "v"), "{},1,10,20,30,40,0,3,1"),
+            (lambda text: parse_detections(text, "mot_det", video_id="v"),
+             "{},-1,10,20,30,40,0.9,-1,-1,-1"),
+        ],
+        ids=["gt", "gt_other_class", "det"],
+    )
+    def test_frame_below_one_is_located(self, parse, row, frame):
+        good = row.format(1)
+        with pytest.raises(ParseError) as exc_info:
+            parse(f"{good}\n{row.format(frame)}\n")
+        assert exc_info.value.location == "line 2"
+        assert "frames are 1-based" in str(exc_info.value)
 
 
 class TestDetections:

@@ -10,11 +10,15 @@ from skel2box import (
     InvalidConfig,
     MixConfig,
     ParseError,
+    Skel2BoxError,
     parse_plan,
     plan_finetune,
     plan_mixed_batches,
     serialize_plan,
 )
+
+
+GOOD_MIX = {"n_synthetic": 4, "n_real": 2, "batch_size": 3, "ratio": [2, 1], "seed": 0, "epochs": 1}
 
 
 def entries(plan, domain=None):
@@ -200,6 +204,32 @@ class TestSerialization:
                 f'{{"kind": "mixed", "config": {good_cfg}, '
                 '"epochs": [[["syn", 0], ["bad", 1], ["real", 0]]]}'
             )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "finetune", "config": {},
+             "phases": [{"dataset": "syn"}, {"dataset": "real", "epochs": 1}]},
+            {"kind": "finetune", "config": {},
+             "phases": [{"dataset": "syn", "epochs": "x"}, {"dataset": "real", "epochs": 1}]},
+            {"kind": "finetune", "config": {},
+             "phases": [{"dataset": "syn", "epochs": 1}, {"dataset": "real", "epochs": None}]},
+            {"kind": "finetune", "config": {},
+             "phases": [{"dataset": "syn", "epochs": float("inf")},
+                        {"dataset": "real", "epochs": 1}]},
+            {"kind": "mixed", "config": {**GOOD_MIX, "batch_size": 0}, "epochs": [[]]},
+            {"kind": "mixed", "config": {**GOOD_MIX, "ratio": [0, 0]}, "epochs": [[]]},
+            {"kind": "mixed", "config": {**GOOD_MIX, "n_real": float("inf")}, "epochs": []},
+            {"kind": "mixed", "config": GOOD_MIX, "epochs": 5},
+        ],
+        ids=[
+            "phase_without_epochs", "phase_epochs_text", "phase_epochs_null", "phase_epochs_inf",
+            "batch_size_0", "ratio_0_0", "n_real_inf", "epochs_not_array",
+        ],
+    )
+    def test_malformed_plans_raise_package_errors(self, doc):
+        with pytest.raises(Skel2BoxError):
+            parse_plan(json.dumps(doc))
 
     def test_serialize_rejects_foreign_objects(self):
         with pytest.raises(InvalidConfig):
