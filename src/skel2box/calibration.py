@@ -19,7 +19,8 @@ import io
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence, TextIO, Union
 
 from .errors import EmptySampleSet, InvalidSample, ParseError
@@ -56,16 +57,25 @@ class CalibrationResult:
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationResult":
+        """Inverse of :meth:`to_json`; a bad value is a ParseError naming its key.
+
+        Each value must be a number, not a boolean or a string: ``n_samples``
+        an integer of at least 1, the residuals finite and at least 0. The
+        range of ``alpha`` is the rule of the setting, checked where it is used.
+        """
         try:
             doc = json.loads(text)
-            return cls(
-                alpha=float(doc["alpha"]),
-                n_samples=int(doc["n_samples"]),
-                rmse_px=float(doc["rmse_px"]),
-                max_abs_residual_px=float(doc["max_abs_residual_px"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            alpha, n_samples, rmse_px, max_abs = (doc[field.name] for field in fields(cls))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"not a calibration result document: {exc}") from exc
+        if not (type(alpha) is float or type(alpha) is int and abs(alpha) <= sys.float_info.max):
+            raise ParseError(f"alpha must be a number in float range, got {alpha!r}")
+        if type(n_samples) is not int or n_samples < 1:
+            raise ParseError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
+        for key, value in (("rmse_px", rmse_px), ("max_abs_residual_px", max_abs)):
+            if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+                raise ParseError(f"{key} must be a finite number of at least 0, got {value!r}")
+        return cls(float(alpha), n_samples, float(rmse_px), float(max_abs))
 
 
 def _check_sample(sample: CalibrationSample, location: str) -> None:

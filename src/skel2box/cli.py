@@ -96,7 +96,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
             text = _read_text(config_path)
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
             raise InvalidConfig(f"{config_path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise InvalidConfig(f"{config_path}: config file must hold a JSON object")

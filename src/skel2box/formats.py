@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     ParseError,
     UnknownVideo,
 )
-from .geometry import AnnotatedBox, BBox, Joint, SkeletonInstance, sort_key
+from .geometry import AnnotatedBox, BBox, SkeletonInstance, sort_key
 
 DEFAULT_JOINTS_PER_SKELETON = 22
 PEDESTRIAN_CATEGORY_ID = 1
@@ -102,7 +103,7 @@ def csv_number(value: float) -> str:
 def _load_json(source: str) -> Any:
     try:
         return json.loads(source)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"malformed JSON: {exc}") from exc
 
 
@@ -204,17 +205,18 @@ def parse_jta(
     occluded, self_occluded]``. Frames are 1-based, as in the manifests;
     pedestrian and joint ids start at 0.
 
-    Records are grouped by (frame, pedestrian) into skeletons with joints
-    ordered by joint id; output is sorted by (frame, pedestrian), so record
-    order in the file does not matter.
+    Records are grouped by (frame, pedestrian) into skeletons, whose joint
+    columns are in joint-id order; output is sorted by (frame, pedestrian),
+    so record order in the file does not matter. The occlusion flags are
+    checked but not kept.
 
-    A record of the shape real dumps use takes a fast check: a 10-element
-    array whose ids and flags are JSON integers (frame >= 1, ids >= 0, flags
-    0 or 1) and whose coordinates are finite JSON floats (with a decimal
-    point or exponent). Every other record goes through the field-by-field
-    check, so it parses, or fails with the same message and location, as if
-    there were no fast check: integral floats and booleans are accepted as
-    ids and flags, integers as coordinates.
+    A record of the shape real dumps use takes a fast check and is grouped
+    as it is: a 10-element array whose ids and flags are JSON integers
+    (frame >= 1, ids >= 0, flags 0 or 1) and whose coordinates are finite
+    JSON floats (with a decimal point or exponent). Every other record goes
+    through the field-by-field check, so it parses, or fails with the same
+    message and location, as if there were no fast check: integral floats
+    and booleans are accepted as ids and flags, integers as coordinates.
 
     Raises:
         ParseError: malformed JSON, wrong record arity, or bad field values,
@@ -227,7 +229,7 @@ def parse_jta(
         raise ParseError("expected a top-level JSON array of joint records")
 
     inf = math.inf
-    grouped: dict[tuple[int, int], list[Joint]] = {}
+    grouped: dict[tuple[int, int], list[Sequence]] = {}
     for idx, rec in enumerate(records):
         if type(rec) is list and len(rec) == _JTA_ARITY:
             frame, ped, joint, x, y, x3, y3, z3, occ, self_occ = rec
@@ -245,34 +247,32 @@ def parse_jta(
         else:
             canonical = False
         if not canonical:
-            frame, ped, joint, x, y, x3, y3, z3, occ, self_occ = _jta_fields(rec, idx)
-        grouped.setdefault((frame, ped), []).append(
-            Joint(joint, x, y, x3, y3, z3, occ == 1, self_occ == 1)
-        )
+            rec = _jta_fields(rec, idx)
+            frame, ped = rec[0], rec[1]
+        grouped.setdefault((frame, ped), []).append(rec)
+    # With the array gone, each group's rows are freed once its columns are built.
+    del records
 
+    joint_ids = tuple(range(joints_per_skeleton))
     skeletons: list[SkeletonInstance] = []
-    for (frame_id, pedestrian_id) in sorted(grouped):
-        joints = grouped[(frame_id, pedestrian_id)]
-        if len(joints) != joints_per_skeleton:
+    for frame_id, pedestrian_id in sorted(grouped):
+        rows = grouped.pop((frame_id, pedestrian_id))
+        if len(rows) != joints_per_skeleton:
             raise IncompleteSkeleton(
-                f"expected {joints_per_skeleton} joints, got {len(joints)}",
+                f"expected {joints_per_skeleton} joints, got {len(rows)}",
                 frame_id=frame_id,
                 pedestrian_id=pedestrian_id,
             )
-        joints.sort(key=lambda j: j.joint_id)
-        if [j.joint_id for j in joints] != list(range(joints_per_skeleton)):
+        rows.sort(key=itemgetter(2))
+        _, _, ids, xs, ys, x3s, y3s, z3s, _, _ = zip(*rows)
+        if ids != joint_ids:
             raise IncompleteSkeleton(
                 f"joint ids do not cover 0..{joints_per_skeleton - 1}",
                 frame_id=frame_id,
                 pedestrian_id=pedestrian_id,
             )
         skeletons.append(
-            SkeletonInstance(
-                video_id=video_id,
-                frame_id=frame_id,
-                pedestrian_id=pedestrian_id,
-                joints=tuple(joints),
-            )
+            SkeletonInstance(video_id, frame_id, pedestrian_id, xs, ys, x3s, y3s, z3s)
         )
     return skeletons
 
@@ -475,7 +475,6 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
                     pedestrian_id=pedestrian_id,
                     box=box,
                     distance_m=distance,
-                    skeleton_box=box,
                 )
             )
     except AttributeError:
@@ -586,7 +585,6 @@ def parse_mot_gt(source: str, video_id: str) -> tuple[list[AnnotatedBox], int]:
                 pedestrian_id=pedestrian_id,
                 box=box,
                 distance_m=math.inf,
-                skeleton_box=box,
             )
         )
     annotations.sort(key=lambda a: (a.frame_id, a.pedestrian_id))

@@ -18,27 +18,27 @@ from .errors import DegenerateSkeleton, InvalidArgument, NonPositiveDistance
 
 
 @dataclass(frozen=True, slots=True)
-class Joint:
-    """One skeleton joint: screen position plus camera-space position."""
-
-    joint_id: int
-    x_px: float
-    y_px: float
-    x3d_m: float
-    y3d_m: float
-    z3d_m: float
-    occluded: bool = False
-    self_occluded: bool = False
-
-
-@dataclass(frozen=True)
 class SkeletonInstance:
-    """One pedestrian in one frame, identified by (video, frame, pedestrian)."""
+    """One pedestrian in one frame, identified by (video, frame, pedestrian).
+
+    The joints are stored as columns, one tuple per coordinate, each in
+    joint-id order: the screen position ``x_px``/``y_px`` and the
+    camera-space position ``x3d_m``/``y3d_m``/``z3d_m`` in metres.
+    """
 
     video_id: str
     frame_id: int
     pedestrian_id: int
-    joints: tuple[Joint, ...]
+    x_px: tuple[float, ...]
+    y_px: tuple[float, ...]
+    x3d_m: tuple[float, ...]
+    y3d_m: tuple[float, ...]
+    z3d_m: tuple[float, ...]
+
+    @property
+    def joints(self) -> tuple[tuple[float, float, float, float, float], ...]:
+        """One ``(x_px, y_px, x3d_m, y3d_m, z3d_m)`` tuple per joint, in joint-id order."""
+        return tuple(zip(self.x_px, self.y_px, self.x3d_m, self.y3d_m, self.z3d_m))
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ class AnnotatedBox:
     """Synthesized ground truth for one pedestrian in one frame.
 
     ``box`` is the padded full-body box (clamped to the image unless clamping
-    was disabled); ``skeleton_box`` is the pre-padding joint hull kept for
-    diagnostics; ``distance_m`` is the pedestrian-camera distance used for
+    was disabled); ``distance_m`` is the pedestrian-camera distance used for
     the padding and later for distance-based pruning.
     """
 
@@ -82,7 +81,6 @@ class AnnotatedBox:
     pedestrian_id: int
     box: BBox
     distance_m: float
-    skeleton_box: BBox
 
 
 @dataclass(frozen=True)
@@ -102,8 +100,7 @@ def skeleton_enclosing_box(skeleton: SkeletonInstance) -> BBox:
     Raises:
         DegenerateSkeleton: the hull has zero width or zero height.
     """
-    xs = [j.x_px for j in skeleton.joints]
-    ys = [j.y_px for j in skeleton.joints]
+    xs, ys = skeleton.x_px, skeleton.y_px
     if not xs:
         raise DegenerateSkeleton(
             f"skeleton ({skeleton.video_id}, {skeleton.frame_id}, "
@@ -128,11 +125,9 @@ def camera_distance(skeleton: SkeletonInstance) -> float:
     Raises:
         NonPositiveDistance: the norm is zero, negative, or not finite.
     """
-    n = len(skeleton.joints)
-    mx = math.fsum(j.x3d_m for j in skeleton.joints) / n
-    my = math.fsum(j.y3d_m for j in skeleton.joints) / n
-    mz = math.fsum(j.z3d_m for j in skeleton.joints) / n
-    dist = math.hypot(mx, my, mz)
+    n = len(skeleton.z3d_m)
+    columns = (skeleton.x3d_m, skeleton.y3d_m, skeleton.z3d_m)
+    dist = math.hypot(*(math.fsum(column) / n for column in columns))
     if not math.isfinite(dist) or dist <= 0:
         raise NonPositiveDistance(
             f"skeleton ({skeleton.video_id}, {skeleton.frame_id}, "
@@ -230,7 +225,6 @@ def synthesize_annotations(
                 pedestrian_id=skeleton.pedestrian_id,
                 box=box,
                 distance_m=z,
-                skeleton_box=skeleton_box,
             )
         )
     kept.sort(key=sort_key)

@@ -195,7 +195,7 @@ def parse_plan(source: str) -> Union[BatchPlan, FineTunePlan]:
     """
     try:
         doc = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc or "config" not in doc:
         raise ParseError("expected a plan document with 'kind' and 'config'")

@@ -49,7 +49,7 @@ def check(criterion, label, ok):
 
 def annotation(video, frame, ped, x, y, w, h, dist):
     box = BBox(x, y, w, h)
-    return AnnotatedBox(video, frame, ped, box, dist, box)
+    return AnnotatedBox(video, frame, ped, box, dist)
 
 
 class TestAcceptance:

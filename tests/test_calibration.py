@@ -131,6 +131,38 @@ class TestCalibrationResultJson:
             CalibrationResult.from_json("not json")
 
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("alpha", '"3.5"'),
+            ("alpha", "true"),
+            ("alpha", "null"),
+            pytest.param("alpha", "1" + "0" * 400, id="alpha-1e400"),
+            ("n_samples", "2.7"),
+            ("n_samples", "2.0"),
+            ("n_samples", "0"),
+            ("n_samples", "true"),
+            ("rmse_px", "NaN"),
+            ("rmse_px", "-0.5"),
+            ("rmse_px", '"1"'),
+            ("max_abs_residual_px", "Infinity"),
+            ("max_abs_residual_px", "false"),
+            pytest.param("max_abs_residual_px", "1" + "0" * 400, id="max_abs_residual_px-1e400"),
+        ],
+    )
+    def test_bad_value_names_the_key(self, key, value):
+        fields = {"alpha": "100", "n_samples": "4", "rmse_px": "0.5", "max_abs_residual_px": "1"}
+        fields[key] = value
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+        with pytest.raises(ParseError, match=f"^{key} must be "):
+            CalibrationResult.from_json(text)
+
+    @pytest.mark.parametrize("alpha", ["0", "-5", "NaN"])
+    def test_alpha_range_is_left_to_the_setting(self, alpha):
+        text = f'{{"alpha": {alpha}, "n_samples": 1, "rmse_px": 0, "max_abs_residual_px": 0}}'
+        assert repr(CalibrationResult.from_json(text).alpha) == repr(float(alpha.lower()))
+
+
 class TestLoadCalibrationSamples:
     def test_single_row(self):
         samples = load_calibration_samples(f"{CSV_HEADER}\n50,10,60\n")

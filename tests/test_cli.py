@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -55,7 +57,7 @@ def jta_file(tmp_path, skeletons, name="clip.json", joints=22):
 
 def annotation(video, frame, ped, x, y, w, h, dist):
     box = BBox(x, y, w, h)
-    return AnnotatedBox(video, frame, ped, box, dist, box)
+    return AnnotatedBox(video, frame, ped, box, dist)
 
 
 def coco_file(tmp_path, annotations, name="gt.json", dataset_id="ds"):
@@ -177,6 +179,67 @@ class TestSynthesize:
         assert code == 2
         assert "frames are 1-based" in err and "(record 0)" in err
         assert not out.exists()
+
+
+def golden_jta_records():
+    """A seeded 6-frame dump with every kind of skeleton ``synthesize`` meets.
+
+    Per frame, pedestrian ``ped % 6`` picks the kind: 0-1 plain, 2 off the
+    image, 3 a single point (degenerate hull), 4 at the camera (distance 0),
+    5 at the left border with ``-0.0`` and ``0.0`` screen x. About a tenth of
+    the records are written the non-canonical way (integer coordinates,
+    ``true`` flags, ``3.0`` ids), and the record order is shuffled.
+    """
+    rng = random.Random(6)
+    records = []
+    for frame in range(1, 7):
+        for ped in range(12):
+            kind = ped % 6
+            cx, cy = rng.uniform(60, 1860), rng.uniform(150, 930)
+            z = rng.uniform(2.0, 70.0)
+            if kind == 2:
+                cx += 5000.0
+            for joint in range(22):
+                x, y = cx + rng.uniform(-30, 30), cy + rng.uniform(-120, 120)
+                x3, y3, z3 = rng.uniform(-1, 1), rng.uniform(-1, 1), z
+                if kind == 3:
+                    x, y = cx, cy
+                elif kind == 4:
+                    x3, y3, z3 = 0.0, -0.0, 0.0
+                elif kind == 5:
+                    x = (-0.0, 0.0)[joint % 2] if joint < 4 else rng.uniform(1, 60)
+                record = [frame, ped, joint, x, y, x3, y3, z3, rng.randint(0, 1), 0]
+                if rng.random() < 0.1:
+                    field = rng.choice([0, 2, 3, 4, 8])
+                    if field in (0, 2):
+                        record[field] = float(record[field])
+                    elif field == 8:
+                        record[8] = record[8] == 1
+                    else:
+                        record[field] = round(record[field])
+                records.append(record)
+    rng.shuffle(records)
+    return records
+
+
+class TestSynthesizeGolden:
+    # sha256 of the outputs as written before skeletons were stored as joint
+    # columns; any change to ingest or synthesis that moves a byte fails here.
+    COCO_SHA256 = "45121c7205a1b26c9e250b59da1867d3a86a7abdf06eb7c0942466c1be57283b"
+    MOT_SHA256 = "a96c89a65f679077da9441e585248d78b786dc56764d40804d2c3c4758f7ca62"
+
+    def test_output_bytes_are_pinned(self, tmp_path, capsys):
+        jta = tmp_path / "golden.json"
+        jta.write_text(json.dumps(golden_jta_records()))
+        out_coco, out_mot = tmp_path / "gt.json", tmp_path / "gt.txt"
+        summary = summary_of(
+            capsys,
+            "synthesize", "--jta", jta, "--alpha", 174,
+            "--out-coco", out_coco, "--out-mot", out_mot,
+        )
+        assert (summary["n_annotations"], summary["n_skipped"]) == (37, 35)
+        assert hashlib.sha256(out_coco.read_bytes()).hexdigest() == self.COCO_SHA256
+        assert hashlib.sha256(out_mot.read_bytes()).hexdigest() == self.MOT_SHA256
 
 
 class TestHistogramAndPrune:
@@ -397,6 +460,22 @@ class TestEvaluate:
         assert "--video-id" in err
 
 
+def json_reader_argv(tmp_path, kind, bad, out):
+    """A command line that reads ``bad`` as the JSON input ``kind`` and writes ``out``."""
+    gt = coco_file(tmp_path, [annotation("v", 1, 1, 10, 20, 30, 40, 5.0)])
+    jta = jta_file(tmp_path, [(1, 1, 100.0, 200.0, 20.0, 50.0, 10.0)])
+    det = tmp_path / "det.json"
+    det.write_text("[]")
+    return {
+        "config": ("prune", "--gt", gt, "--out", out, "--config", bad),
+        "alpha_file": ("synthesize", "--jta", jta, "--alpha-file", bad, "--out-coco", out),
+        "jta": ("synthesize", "--jta", bad, "--alpha", 100, "--out-coco", out),
+        "coco_gt": ("prune", "--gt", bad, "--out", out),
+        "evaluate_gt": ("evaluate", "--gt", bad, "--det", det, "--out", out),
+        "detections": ("evaluate", "--gt", gt, "--det", bad, "--out", out),
+    }[kind]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "doc, location",
@@ -454,23 +533,28 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("kind", ["config", "alpha_file", "jta", "coco_gt", "detections"])
     def test_malformed_json_is_located(self, tmp_path, capsys, kind):
-        gt = coco_file(tmp_path, [annotation("v", 1, 1, 10, 20, 30, 40, 5.0)])
-        jta = jta_file(tmp_path, [(1, 1, 100.0, 200.0, 20.0, 50.0, 10.0)])
         bad = tmp_path / "bad.json"
         bad.write_text('{"a": [1, 2')
         out = tmp_path / "o.json"
-        argv = {
-            "config": ("prune", "--gt", gt, "--out", out, "--config", bad),
-            "alpha_file": ("synthesize", "--jta", jta, "--alpha-file", bad, "--out-coco", out),
-            "jta": ("synthesize", "--jta", bad, "--alpha", 100, "--out-coco", out),
-            "coco_gt": ("prune", "--gt", bad, "--out", out),
-            "detections": ("evaluate", "--gt", gt, "--det", bad, "--out", out),
-        }[kind]
-        code, stdout, err = run_cli(capsys, *argv)
+        code, stdout, err = run_cli(capsys, *json_reader_argv(tmp_path, kind, bad, out))
         assert code == 2
         assert stdout == ""
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         assert "(char 11)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind", ["config", "alpha_file", "jta", "coco_gt", "evaluate_gt", "detections"]
+    )
+    def test_overlong_integer_is_located(self, tmp_path, capsys, kind):
+        # Past the interpreter's 4300-digit limit on int() of a string.
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"a": ' + "9" * 5000 + "}")
+        out = tmp_path / "o.json"
+        code, stdout, err = run_cli(capsys, *json_reader_argv(tmp_path, kind, bad, out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert "4300 digits" in err
         assert not out.exists()
 
 
@@ -672,6 +756,20 @@ class TestSettings:
         by_file = run_cli(capsys, *argv, "--alpha-file", alpha_file)
         assert by_file == by_flag
         assert by_flag[0] == 2 and by_flag[2].startswith("error: alpha must be ")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("value, shown", [('"3.5"', "'3.5'"), ("true", "True")])
+    def test_alpha_file_value_must_be_a_number(self, tmp_path, capsys, value, shown):
+        alpha_file = tmp_path / "alpha.json"
+        alpha_file.write_text(
+            f'{{"alpha": {value}, "n_samples": 1, "rmse_px": 0, "max_abs_residual_px": 0}}'
+        )
+        out = tmp_path / "out.json"
+        argv = command_argv(tmp_path, "synthesize", out, alpha=False)
+        code, _, err = run_cli(capsys, *argv, "--alpha-file", alpha_file)
+        assert code == 2
+        assert err == f"error: {alpha_file}: alpha must be a number in float range, got {shown}\n"
         assert not out.exists()
 
 

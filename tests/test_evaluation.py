@@ -29,7 +29,7 @@ def det(box, score, video="v", frame=1):
 
 
 def gt_ann(box, video="v", frame=1, ped=0):
-    return AnnotatedBox(video, frame, ped, box, 10.0, box)
+    return AnnotatedBox(video, frame, ped, box, 10.0)
 
 
 def int_box(rng):

@@ -74,7 +74,7 @@ JTA_RECORD_CASES = {
 
 def make_ann(video="v", frame=1, ped=1, box=None, distance=10.0):
     box = box or BBox(10.0, 20.0, 30.0, 40.0)
-    return AnnotatedBox(video, frame, ped, box, distance, box)
+    return AnnotatedBox(video, frame, ped, box, distance)
 
 
 class TestParseJta:
@@ -84,8 +84,8 @@ class TestParseJta:
         assert len(skeletons) == 1
         skeleton = skeletons[0]
         assert (skeleton.video_id, skeleton.frame_id, skeleton.pedestrian_id) == ("vid3", 1, 7)
-        assert [j.joint_id for j in skeleton.joints] == list(range(22))
-        assert skeleton.joints[3].x_px == 103.0
+        assert skeleton.x_px == tuple(100.0 + j for j in range(22))
+        assert skeleton.joints[3] == (103.0, 206.0, 0.0, 0.0, 10.0)
 
     def test_incomplete_skeleton(self):
         source = json.dumps(jta_records(1, 7)[:21])
@@ -121,14 +121,6 @@ class TestParseJta:
         source = json.dumps(jta_records(1, 1, n_joints=15))
         skeletons = parse_jta(source, "v", joints_per_skeleton=15)
         assert len(skeletons[0].joints) == 15
-
-    def test_occlusion_flags_mapped(self):
-        rows = jta_records(1, 1)
-        rows[0][8] = 1
-        rows[1][9] = 1
-        skeleton = parse_jta(json.dumps(rows), "v")[0]
-        assert skeleton.joints[0].occluded and not skeleton.joints[0].self_occluded
-        assert skeleton.joints[1].self_occluded
 
     def test_malformed_json(self):
         with pytest.raises(ParseError):
@@ -274,7 +266,7 @@ def random_annotations(rng, n, videos=("cam_a", "cam_b", "cam_c")):
             rng.uniform(0.5, 120),
             rng.uniform(0.5, 300),
         )
-        annotations.append(AnnotatedBox(key[0], key[1], key[2], box, rng.uniform(1, 99), box))
+        annotations.append(AnnotatedBox(key[0], key[1], key[2], box, rng.uniform(1, 99)))
     annotations.sort(key=lambda a: (a.video_id, a.frame_id, a.pedestrian_id))
     return annotations
 

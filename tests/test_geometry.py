@@ -7,7 +7,6 @@ from skel2box import (
     BBox,
     DegenerateSkeleton,
     InvalidArgument,
-    Joint,
     NonPositiveDistance,
     SkeletonInstance,
     camera_distance,
@@ -20,12 +19,15 @@ from skel2box import (
 )
 
 
+def skeleton_of(joints, video_id="v", frame_id=1, pedestrian_id=1):
+    """A skeleton from (x_px, y_px, x3d_m, y3d_m, z3d_m) joints in joint-id order."""
+    columns = tuple(zip(*joints)) or ((),) * 5
+    return SkeletonInstance(video_id, frame_id, pedestrian_id, *columns)
+
+
 def make_skeleton(points_2d, z=10.0, video_id="v", frame_id=1, pedestrian_id=1):
-    joints = tuple(
-        Joint(joint_id=i, x_px=x, y_px=y, x3d_m=0.0, y3d_m=0.0, z3d_m=z)
-        for i, (x, y) in enumerate(points_2d)
-    )
-    return SkeletonInstance(video_id, frame_id, pedestrian_id, joints)
+    joints = [(x, y, 0.0, 0.0, z) for x, y in points_2d]
+    return skeleton_of(joints, video_id, frame_id, pedestrian_id)
 
 
 def random_skeleton(rng, n_joints=22, span=100.0):
@@ -33,18 +35,10 @@ def random_skeleton(rng, n_joints=22, span=100.0):
     # force nonzero extent on both axes
     pts[0] = (0.0, 0.0)
     pts[1] = (span, span)
-    joints = tuple(
-        Joint(
-            joint_id=i,
-            x_px=x,
-            y_px=y,
-            x3d_m=rng.uniform(-5, 5),
-            y3d_m=rng.uniform(-2, 2),
-            z3d_m=rng.uniform(5, 40),
-        )
-        for i, (x, y) in enumerate(pts)
-    )
-    return SkeletonInstance("v", 1, 1, joints)
+    joints = [
+        (x, y, rng.uniform(-5, 5), rng.uniform(-2, 2), rng.uniform(5, 40)) for x, y in pts
+    ]
+    return skeleton_of(joints)
 
 
 class TestSkeletonEnclosingBox:
@@ -64,15 +58,15 @@ class TestSkeletonEnclosingBox:
 
     def test_no_joints(self):
         with pytest.raises(DegenerateSkeleton):
-            skeleton_enclosing_box(SkeletonInstance("v", 1, 1, ()))
+            skeleton_enclosing_box(skeleton_of([]))
 
     def test_matches_brute_force_min_max(self):
         rng = random.Random(101)
         for _ in range(300):
             skeleton = random_skeleton(rng)
             box = skeleton_enclosing_box(skeleton)
-            xs = [j.x_px for j in skeleton.joints]
-            ys = [j.y_px for j in skeleton.joints]
+            xs = [j[0] for j in skeleton.joints]
+            ys = [j[1] for j in skeleton.joints]
             assert box.x == min(xs)
             assert box.y == min(ys)
             assert box.x2 == max(xs)
@@ -85,32 +79,29 @@ class TestCameraDistance:
         assert camera_distance(skeleton) == 10.0
 
     def test_mean_of_symmetric_pair(self):
-        joints = (
-            Joint(0, 0, 0, 0.0, 0.0, 9.0),
-            Joint(1, 1, 1, 0.0, 0.0, 11.0),
-        )
-        assert camera_distance(SkeletonInstance("v", 1, 1, joints)) == 10.0
+        joints = [(0, 0, 0.0, 0.0, 9.0), (1, 1, 0.0, 0.0, 11.0)]
+        assert camera_distance(skeleton_of(joints)) == 10.0
 
     def test_matches_independent_mean_then_norm(self):
         rng = random.Random(7)
         for _ in range(200):
             skeleton = random_skeleton(rng)
             n = len(skeleton.joints)
-            mx = sum(j.x3d_m for j in skeleton.joints) / n
-            my = sum(j.y3d_m for j in skeleton.joints) / n
-            mz = sum(j.z3d_m for j in skeleton.joints) / n
+            mx = sum(j[2] for j in skeleton.joints) / n
+            my = sum(j[3] for j in skeleton.joints) / n
+            mz = sum(j[4] for j in skeleton.joints) / n
             expected = math.sqrt(mx * mx + my * my + mz * mz)
             assert camera_distance(skeleton) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_norm_rejected(self):
-        joints = (Joint(0, 0, 0, 0.0, 0.0, 0.0), Joint(1, 1, 1, 0.0, 0.0, 0.0))
+        joints = [(0, 0, 0.0, 0.0, 0.0), (1, 1, 0.0, 0.0, 0.0)]
         with pytest.raises(NonPositiveDistance):
-            camera_distance(SkeletonInstance("v", 1, 1, joints))
+            camera_distance(skeleton_of(joints))
 
     def test_non_finite_rejected(self):
-        joints = (Joint(0, 0, 0, 0.0, 0.0, math.inf), Joint(1, 1, 1, 0.0, 0.0, 1.0))
+        joints = [(0, 0, 0.0, 0.0, math.inf), (1, 1, 0.0, 0.0, 1.0)]
         with pytest.raises(NonPositiveDistance):
-            camera_distance(SkeletonInstance("v", 1, 1, joints))
+            camera_distance(skeleton_of(joints))
 
 
 class TestPadBox:
@@ -199,7 +190,6 @@ class TestSynthesizeAnnotations:
         z = camera_distance(skeleton)
         expected = clamp_to_image(pad_box(skeleton_box, z, 100), 1920, 1080)
         assert ann.box == expected
-        assert ann.skeleton_box == skeleton_box
         assert ann.distance_m == z
         assert (ann.video_id, ann.frame_id, ann.pedestrian_id) == ("v", 1, 1)
 
@@ -225,7 +215,8 @@ class TestSynthesizeAnnotations:
         skeleton = make_skeleton([(500, 300), (600, 700)], z=8.0)
         result = synthesize_annotations([skeleton], alpha=200, image_w=1920, image_h=1080)
         (ann,) = result.annotations
-        assert ann.box.aspect == pytest.approx(ann.skeleton_box.aspect, rel=1e-9)
+        hull = skeleton_enclosing_box(skeleton)
+        assert ann.box.aspect == pytest.approx(hull.aspect, rel=1e-9)
 
     def test_permutation_invariance_bitwise(self):
         rng = random.Random(55)
@@ -233,11 +224,8 @@ class TestSynthesizeAnnotations:
         for frame in range(1, 11):
             for ped in range(3):
                 pts = [(rng.uniform(0, 1800), rng.uniform(0, 1000)) for _ in range(22)]
-                joints = tuple(
-                    Joint(i, x, y, rng.uniform(-3, 3), 0.0, rng.uniform(5, 40))
-                    for i, (x, y) in enumerate(pts)
-                )
-                skeletons.append(SkeletonInstance("v", frame, ped, joints))
+                joints = [(x, y, rng.uniform(-3, 3), 0.0, rng.uniform(5, 40)) for x, y in pts]
+                skeletons.append(skeleton_of(joints, frame_id=frame, pedestrian_id=ped))
         forward = synthesize_annotations(skeletons, 100, 1920, 1080)
         shuffled = list(skeletons)
         rng.shuffle(shuffled)

@@ -17,7 +17,7 @@ from skel2box.sanitize import DEFAULT_DISTANCE_LIMIT_M
 
 def ann(distance, height=100.0, ped=0):
     box = BBox(0, 0, height / 2, height)
-    return AnnotatedBox("v", 1, ped, box, distance, box)
+    return AnnotatedBox("v", 1, ped, box, distance)
 
 
 class TestDistanceHistogram:

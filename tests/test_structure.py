@@ -1,10 +1,12 @@
 """Structure rules of the package, checked on its source with ``ast``.
 
 No module of ``skel2box`` uses a ``_``-prefixed name of another package
-module: a helper that two modules share is public in one of them.
+module: a helper that two modules share is public in one of them. And the
+package imports nothing outside the standard library and itself.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +84,40 @@ def test_checker_flags_each_form():
         "skel2box._hidden",
         "formats._coco_box",
     ]
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Each module that ``source`` imports by absolute name from outside the
+    standard library and ``skel2box``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [
+        name for name in names
+        if name.split(".")[0] not in sys.stdlib_module_names | {PACKAGE}
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_package_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_import_checker_flags_each_form():
+    source = "\n".join(
+        [
+            "from __future__ import annotations",
+            "import json, numpy.linalg",
+            "from os import path",
+            "from . import formats",
+            "from .geometry import BBox",
+            "from skel2box.errors import ParseError",
+            "from yaml import safe_load",
+            "def later():",
+            "    import attr",
+        ]
+    )
+    assert non_stdlib_imports(source) == ["numpy.linalg", "yaml", "attr"]

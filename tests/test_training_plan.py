@@ -231,6 +231,11 @@ class TestSerialization:
         with pytest.raises(Skel2BoxError):
             parse_plan(json.dumps(doc))
 
+    def test_overlong_integer_is_a_parse_error(self):
+        # Past the interpreter's 4300-digit limit on int() of a string.
+        with pytest.raises(ParseError, match="^malformed JSON: "):
+            parse_plan('{"kind": "mixed", "config": {"seed": ' + "9" * 5000 + "}}")
+
     def test_serialize_rejects_foreign_objects(self):
         with pytest.raises(InvalidConfig):
             serialize_plan("not a plan")
