@@ -19,11 +19,11 @@ import io
 import json
 import logging
 import math
-import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence, TextIO, Union
 
 from .errors import EmptySampleSet, InvalidSample, ParseError
+from .formats import is_finite_number, load_json
 
 log = logging.getLogger(__name__)
 
@@ -63,29 +63,32 @@ class CalibrationResult:
         an integer of at least 1, the residuals finite and at least 0. The
         range of ``alpha`` is the rule of the setting, checked where it is used.
         """
+        doc = load_json(text)
         try:
-            doc = json.loads(text)
             alpha, n_samples, rmse_px, max_abs = (doc[field.name] for field in fields(cls))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"not a calibration result document: {exc}") from exc
-        if not (type(alpha) is float or type(alpha) is int and abs(alpha) <= sys.float_info.max):
+        if not (type(alpha) is float or is_finite_number(alpha)):
             raise ParseError(f"alpha must be a number in float range, got {alpha!r}")
         if type(n_samples) is not int or n_samples < 1:
             raise ParseError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
         for key, value in (("rmse_px", rmse_px), ("max_abs_residual_px", max_abs)):
-            if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+            if not (is_finite_number(value) and value >= 0):
                 raise ParseError(f"{key} must be a finite number of at least 0, got {value!r}")
         return cls(float(alpha), n_samples, float(rmse_px), float(max_abs))
 
 
 def _check_sample(sample: CalibrationSample, location: str) -> None:
-    for name, value in (
-        ("h_s_px", sample.h_s_px),
-        ("z_m", sample.z_m),
-        ("h_true_px", sample.h_true_px),
-    ):
+    """Each value finite and positive, and so is the fit weight ``1 / z_m**2``."""
+    for field in fields(sample):
+        value = getattr(sample, field.name)
         if not (math.isfinite(value) and value > 0):
-            raise InvalidSample(f"{name} must be finite and positive, got {value!r}", location=location)
+            message = f"{field.name} must be finite and positive, got {value!r}"
+            raise InvalidSample(message, location=location)
+    z_squared = sample.z_m * sample.z_m
+    if not (z_squared > 0 and 0 < 1.0 / z_squared < math.inf):
+        message = f"z_m {sample.z_m!r} is out of range: 1/z_m**2 is not a positive finite number"
+        raise InvalidSample(message, location=location)
 
 
 def fit_alpha(samples: Sequence[CalibrationSample]) -> CalibrationResult:

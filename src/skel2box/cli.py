@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import tempfile
@@ -23,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
 from . import calibration, evaluation, formats, geometry, sanitize, training_plan
-from .errors import InvalidConfig, MixedVideos, ParseError, Skel2BoxError
+from .errors import InvalidConfig, MixedVideos, ParseError, Skel2BoxError, UnknownVideo
 
 DEFAULT_IMAGE_W = 1920.0
 DEFAULT_IMAGE_H = 1080.0
@@ -56,8 +55,7 @@ class PipelineConfig:
             value = getattr(self, name)
             if name == "joints_per_skeleton" and type(value) is not int:
                 raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-            finite = type(value) is int or (type(value) is float and math.isfinite(value))
-            if not finite and not (name == "alpha" and value is None):
+            if not formats.is_finite_number(value) and not (name == "alpha" and value is None):
                 raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
         if self.image_w <= 0 or self.image_h <= 0:
             raise InvalidConfig("image dimensions must be positive")
@@ -92,12 +90,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     values: dict[str, Any] = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        with _reading(config_path):
-            text = _read_text(config_path)
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-            raise InvalidConfig(f"{config_path}: {exc}") from exc
+        doc = _parse_file(config_path, formats.load_json)
         if not isinstance(doc, dict):
             raise InvalidConfig(f"{config_path}: config file must hold a JSON object")
         unknown = sorted(set(doc) - set(_CONFIG_FIELDS))
@@ -259,6 +252,11 @@ def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> dict:
         gt = _parse_file(args.infile, formats.parse_coco_gt)
         annotations = list(gt.annotations)
         manifest = gt.manifest
+        if args.to_fmt == "mot" and args.video_id:
+            videos = sorted(name for name, _ in manifest.videos)
+            if args.video_id not in videos:
+                raise UnknownVideo(f"{args.infile}: holds videos {videos}, not {args.video_id!r}")
+            annotations = [a for a in annotations if a.video_id == args.video_id]
     else:
         if not args.video_id:
             raise _UsageError("--video-id is required when converting from MOT input")
@@ -274,11 +272,7 @@ def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> dict:
     else:
         videos = sorted({a.video_id for a in annotations})
         if len(videos) > 1:
-            if not args.video_id:
-                raise MixedVideos(
-                    f"{args.infile}: holds videos {videos}; pick one with --video-id"
-                )
-            annotations = [a for a in annotations if a.video_id == args.video_id]
+            raise MixedVideos(f"{args.infile}: holds videos {videos}; pick one with --video-id")
         _write_atomic(args.out, formats.emit_mot(annotations))
     return {
         "from": args.from_fmt,
@@ -319,14 +313,8 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def _cmd_plan_batches(args: argparse.Namespace, config: PipelineConfig) -> dict:
-    mix = training_plan.MixConfig(
-        n_synthetic=args.n_synthetic,
-        n_real=args.n_real,
-        batch_size=args.batch_size,
-        ratio=args.ratio,
-        seed=args.seed,
-        epochs=args.epochs,
-    )
+    fields = dataclasses.fields(training_plan.MixConfig)
+    mix = training_plan.MixConfig(**{field.name: getattr(args, field.name) for field in fields})
     plan = training_plan.plan_mixed_batches(mix)
     _write_atomic(args.out, training_plan.serialize_plan(plan))
     return {

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     IncompleteSkeleton,
@@ -38,6 +39,8 @@ _JTA_ARITY = 10
 # Confidence clamping slack: values this far outside [0, 1] are treated as
 # float noise, anything worse is an error.
 _SCORE_SLACK = 1e-9
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -100,11 +103,17 @@ def csv_number(value: float) -> str:
     return repr(value)
 
 
-def _load_json(source: str) -> Any:
+def load_json(source: str) -> Any:
+    """The value of a JSON document; the package's one JSON reader."""
     try:
         return json.loads(source)
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"malformed JSON: {exc}") from exc
+
+
+def is_finite_number(value: Any) -> bool:
+    """True for an ``int`` or ``float`` within float range: not a bool, NaN or infinity."""
+    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
 
 
 def _require_int(value: Any, what: str, location: str) -> int:
@@ -118,7 +127,7 @@ def _require_int(value: Any, what: str, location: str) -> int:
 
 
 def _require_finite(value: Any, what: str, location: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+    if not is_finite_number(value):
         raise ParseError(f"{what} must be a finite number, got {value!r}", location=location)
     return float(value)
 
@@ -129,6 +138,35 @@ def _require_str(value: Any, what: str, location: str) -> str:
     return value
 
 
+def _mot_rows(source: str, fewest: int, most: int) -> Iterator[tuple]:
+    """``(location, fields, values, frame)`` of each non-blank MOT CSV row: ``fewest``
+    to ``most`` comma-separated numbers, the first a frame of at least 1."""
+    arity = str(fewest) if fewest == most else f"{fewest}-{most}"
+    for line_no, line in enumerate(source.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        loc = f"line {line_no}"
+        fields = line.split(",")
+        if not fewest <= len(fields) <= most:
+            raise ParseError(f"expected {arity} fields, got {len(fields)}", location=loc)
+        try:
+            values = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ParseError(f"non-numeric field: {exc}", location=loc) from exc
+        frame_id = _require_int(values[0], "frame", loc)
+        if frame_id < 1:
+            raise ParseError(
+                f"frame must be at least 1 (frames are 1-based), got {frame_id}", location=loc
+            )
+        yield loc, fields, values, frame_id
+
+
+def _mot_row(*values: float) -> str:
+    """One MOT CSV line of ``values``, each written by :func:`csv_number`."""
+    return ",".join(map(csv_number, values)) + "\n"
+
+
 def _mot_box(fields: list[str], values: list[float], location: str) -> BBox:
     """The box of a MOT row: fields 2-5, finite and of positive extent."""
     x, y, w, h = values[2:6]
@@ -137,16 +175,6 @@ def _mot_box(fields: list[str], values: list[float], location: str) -> BBox:
     if w <= 0 or h <= 0:
         raise ParseError(f"box must have positive extent, got {fields[2:6]}", location=location)
     return BBox(x, y, w, h)
-
-
-def _mot_frame(value: float, location: str) -> int:
-    """The frame of a MOT row: an integer of at least 1, as in the manifests."""
-    frame_id = _require_int(value, "frame", location)
-    if frame_id < 1:
-        raise ParseError(
-            f"frame must be at least 1 (frames are 1-based), got {frame_id}", location=location
-        )
-    return frame_id
 
 
 def _coco_box(bbox: Any, location: str) -> BBox:
@@ -224,7 +252,7 @@ def parse_jta(
         IncompleteSkeleton: a pedestrian's records do not cover exactly the
             joint ids 0..joints_per_skeleton-1.
     """
-    records = _load_json(source)
+    records = load_json(source)
     if not isinstance(records, list):
         raise ParseError("expected a top-level JSON array of joint records")
 
@@ -352,8 +380,8 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
     return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
-def _parse_file_name(file_name: str, location: str) -> tuple[str, int]:
-    head, _, tail = file_name.rpartition("/")
+def _parse_file_name(file_name: Any, location: str) -> tuple[str, int]:
+    head, _, tail = _require_str(file_name, "file_name", location).rpartition("/")
     stem = tail.rsplit(".", 1)[0]
     # isdigit() would also pass digits such as "²" that int() rejects.
     if not stem.isdecimal():
@@ -427,7 +455,7 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
             ``image N`` (also an image outside ``info.videos``),
             ``annotation N`` or ``info.<key>``.
     """
-    doc = _load_json(source)
+    doc = load_json(source)
     if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
         raise ParseError("expected a COCO document with 'images' and 'annotations'")
     for key in ("images", "annotations"):
@@ -440,7 +468,7 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
         for idx, img in enumerate(doc["images"]):
             loc = f"image {idx}"
             image_id = _require_int(img.get("id"), "image id", loc)
-            video_id, frame_id = _parse_file_name(str(img.get("file_name", "")), loc)
+            video_id, frame_id = _parse_file_name(img.get("file_name", ""), loc)
             if image_id in frame_of:
                 raise ParseError(f"duplicate image id {image_id}", location=loc)
             frame_of[image_id] = (video_id, frame_id)
@@ -530,21 +558,10 @@ def emit_mot(annotations: Sequence[AnnotatedBox]) -> str:
         MixedVideos: annotations span more than one video.
     """
     _one_video(annotations)
-    lines = []
-    for a in sorted(annotations, key=lambda a: (a.frame_id, a.pedestrian_id)):
-        fields = [
-            str(a.frame_id),
-            str(a.pedestrian_id),
-            csv_number(a.box.x),
-            csv_number(a.box.y),
-            csv_number(a.box.w),
-            csv_number(a.box.h),
-            "1",
-            "1",
-            "1",
-        ]
-        lines.append(",".join(fields))
-    return "".join(line + "\n" for line in lines)
+    return "".join(
+        _mot_row(a.frame_id, a.pedestrian_id, a.box.x, a.box.y, a.box.w, a.box.h, 1, 1, 1)
+        for a in sorted(annotations, key=lambda a: (a.frame_id, a.pedestrian_id))
+    )
 
 
 def parse_mot_gt(source: str, video_id: str) -> tuple[list[AnnotatedBox], int]:
@@ -559,19 +576,7 @@ def parse_mot_gt(source: str, video_id: str) -> tuple[list[AnnotatedBox], int]:
     """
     annotations: list[AnnotatedBox] = []
     skipped = 0
-    for line_no, line in enumerate(source.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        loc = f"line {line_no}"
-        fields = line.split(",")
-        if len(fields) != 9:
-            raise ParseError(f"expected 9 fields, got {len(fields)}", location=loc)
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric field: {exc}", location=loc) from exc
-        frame_id = _mot_frame(values[0], loc)
+    for loc, fields, values, frame_id in _mot_rows(source, 9, 9):
         pedestrian_id = _require_int(values[1], "id", loc)
         class_id = _require_int(values[7], "class", loc)
         if class_id != PEDESTRIAN_CATEGORY_ID:
@@ -632,7 +637,7 @@ def parse_detections(
 def _parse_coco_results(
     source: str, frame_of_image: Mapping[int, tuple[str, int]]
 ) -> list[Detection]:
-    records = _load_json(source)
+    records = load_json(source)
     if not isinstance(records, list):
         raise ParseError("expected a top-level JSON array of detection records")
     detections = []
@@ -657,19 +662,7 @@ def _parse_coco_results(
 
 def _parse_mot_det(source: str, video_id: str) -> list[Detection]:
     detections = []
-    for line_no, line in enumerate(source.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        loc = f"line {line_no}"
-        fields = line.split(",")
-        if not 7 <= len(fields) <= 10:
-            raise ParseError(f"expected 7-10 fields, got {len(fields)}", location=loc)
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric field: {exc}", location=loc) from exc
-        frame_id = _mot_frame(values[0], loc)
+    for loc, fields, values, frame_id in _mot_rows(source, 7, 10):
         box = _mot_box(fields, values, loc)
         score = _clamp_score(values[6], loc)
         detections.append(Detection(video_id=video_id, frame_id=frame_id, box=box, score=score))
@@ -709,22 +702,10 @@ def emit_detections(
         return json.dumps(records, separators=(",", ":"), allow_nan=False)
     if fmt == "mot_det":
         _one_video(ordered)
-        lines = []
-        for det in ordered:
-            fields = [
-                str(det.frame_id),
-                "-1",
-                csv_number(det.box.x),
-                csv_number(det.box.y),
-                csv_number(det.box.w),
-                csv_number(det.box.h),
-                csv_number(det.score),
-                "-1",
-                "-1",
-                "-1",
-            ]
-            lines.append(",".join(fields))
-        return "".join(line + "\n" for line in lines)
+        return "".join(
+            _mot_row(d.frame_id, -1, d.box.x, d.box.y, d.box.w, d.box.h, d.score, -1, -1, -1)
+            for d in ordered
+        )
     raise ParseError(f"unknown detection format {fmt!r}")
 
 

@@ -13,10 +13,11 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Union
 
 from .errors import InvalidConfig, ParseError
+from .formats import load_json
 
 SYNTHETIC = "syn"
 REAL = "real"
@@ -69,7 +70,13 @@ def _permutation(n: int, *tokens: object) -> list[int]:
 
 
 def _validate_mix_config(config: MixConfig) -> tuple[int, int]:
-    syn_parts, real_parts = config.ratio
+    ratio = config.ratio
+    if type(ratio) is not tuple or len(ratio) != 2:
+        raise InvalidConfig(f"ratio must be a pair of integers, got {ratio!r}")
+    counts = (config.n_synthetic, config.n_real, config.batch_size, config.seed, config.epochs)
+    if any(type(value) is not int for value in (*counts, *ratio)):
+        raise InvalidConfig(f"sizes, seed, epochs and ratio parts must be integers, got {config}")
+    syn_parts, real_parts = ratio
     if syn_parts < 0 or real_parts < 0 or syn_parts + real_parts == 0:
         raise InvalidConfig("ratio parts must be non-negative with at least one positive")
     if config.n_synthetic < 0 or config.n_real < 0:
@@ -147,12 +154,36 @@ def plan_mixed_batches(config: MixConfig) -> BatchPlan:
 
 def plan_finetune(phase1_epochs: int, phase2_epochs: int) -> FineTunePlan:
     """Two-step schedule: synthetic epochs first, then real, nothing frozen."""
-    if phase1_epochs < 1 or phase2_epochs < 1:
-        raise InvalidConfig("both phases need at least one epoch")
+    epochs = (phase1_epochs, phase2_epochs)
+    if not all(type(n) is int and n >= 1 for n in epochs):
+        raise InvalidConfig(f"both phases need an integer of at least 1 epoch, got {epochs}")
     return FineTunePlan(
         phase1=FineTunePhase(dataset=SYNTHETIC, epochs=phase1_epochs),
         phase2=FineTunePhase(dataset=REAL, epochs=phase2_epochs),
     )
+
+
+def _plan_doc(plan: Union[BatchPlan, FineTunePlan]) -> dict:
+    """The document :func:`serialize_plan` writes for ``plan``."""
+    if isinstance(plan, BatchPlan):
+        return {
+            "config": asdict(plan.config),
+            "kind": "mixed",
+            "epochs": [
+                [[domain, index] for batch in epoch for domain, index in batch]
+                for epoch in plan.epochs
+            ],
+        }
+    if isinstance(plan, FineTunePlan):
+        return {
+            "config": {
+                "phase1_epochs": plan.phase1.epochs,
+                "phase2_epochs": plan.phase2.epochs,
+            },
+            "kind": "finetune",
+            "phases": [asdict(plan.phase1), asdict(plan.phase2)],
+        }
+    raise InvalidConfig(f"cannot serialize {type(plan).__name__}")
 
 
 def serialize_plan(plan: Union[BatchPlan, FineTunePlan]) -> str:
@@ -162,79 +193,41 @@ def serialize_plan(plan: Union[BatchPlan, FineTunePlan]) -> str:
     batch boundaries are implicit because every batch holds exactly
     config.batch_size entries.
     """
-    if isinstance(plan, BatchPlan):
-        doc = {
-            "config": asdict(plan.config),
-            "kind": "mixed",
-            "epochs": [
-                [[domain, index] for batch in epoch for domain, index in batch]
-                for epoch in plan.epochs
-            ],
-        }
-    elif isinstance(plan, FineTunePlan):
-        doc = {
-            "config": {
-                "phase1_epochs": plan.phase1.epochs,
-                "phase2_epochs": plan.phase2.epochs,
-            },
-            "kind": "finetune",
-            "phases": [asdict(plan.phase1), asdict(plan.phase2)],
-        }
-    else:
-        raise InvalidConfig(f"cannot serialize {type(plan).__name__}")
-    return json.dumps(doc, separators=(",", ":"))
+    return json.dumps(_plan_doc(plan), separators=(",", ":"))
 
 
 def parse_plan(source: str) -> Union[BatchPlan, FineTunePlan]:
     """Inverse of serialize_plan: parse(serialize(p)) == p.
 
+    A finetune document must be the one :func:`serialize_plan` writes for the
+    plan :func:`plan_finetune` builds from its config. A mixed config holds
+    the six :class:`MixConfig` fields, checked as :func:`plan_mixed_batches`
+    checks them; the entries are read as they stand.
+
     Raises:
         ParseError: malformed JSON or a malformed part of the plan.
-        InvalidConfig: a mixed-plan config that breaks the rules of
-            :class:`MixConfig` (sizes, ratio, batch size, epochs).
+        InvalidConfig: a config that breaks the rules of its planner.
     """
-    try:
-        doc = json.loads(source)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-        raise ParseError(f"malformed JSON: {exc}") from exc
+    doc = load_json(source)
     if not isinstance(doc, dict) or "kind" not in doc or "config" not in doc:
         raise ParseError("expected a plan document with 'kind' and 'config'")
     kind = doc["kind"]
     cfg = doc["config"]
     if kind == "finetune":
-        phases = doc.get("phases")
-        if not isinstance(phases, list) or len(phases) != 2:
-            raise ParseError("finetune plan needs exactly two phases")
-        parsed = []
-        for idx, phase in enumerate(phases):
-            if not isinstance(phase, dict) or phase.get("dataset") not in (SYNTHETIC, REAL):
-                raise ParseError(f"bad phase {idx}: {phase!r}")
-            try:
-                epochs = int(phase["epochs"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(
-                    f"bad phase {idx}: epochs must be an integer, got {phase.get('epochs')!r}"
-                ) from exc
-            parsed.append(
-                FineTunePhase(
-                    dataset=phase["dataset"],
-                    epochs=epochs,
-                    all_weights_unfrozen=bool(phase.get("all_weights_unfrozen", True)),
-                )
-            )
-        return FineTunePlan(phase1=parsed[0], phase2=parsed[1])
-    if kind == "mixed":
         try:
-            config = MixConfig(
-                n_synthetic=int(cfg["n_synthetic"]),
-                n_real=int(cfg["n_real"]),
-                batch_size=int(cfg["batch_size"]),
-                ratio=(int(cfg["ratio"][0]), int(cfg["ratio"][1])),
-                seed=int(cfg["seed"]),
-                epochs=int(cfg["epochs"]),
-            )
-        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-            raise ParseError(f"bad mixed-plan config: {exc}") from exc
+            plan = plan_finetune(cfg["phase1_epochs"], cfg["phase2_epochs"])
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"bad finetune-plan config: {exc}") from exc
+        expected = _plan_doc(plan)
+        if json.dumps(doc, sort_keys=True) != json.dumps(expected, sort_keys=True):
+            raise ParseError(f"finetune plan is not the one its config gives: {expected}")
+        return plan
+    if kind == "mixed":
+        keys = [field.name for field in fields(MixConfig)]
+        if not isinstance(cfg, dict) or set(cfg) != set(keys):
+            raise ParseError(f"mixed-plan config must hold the keys {keys}, got {cfg!r}")
+        ratio = cfg["ratio"]
+        config = MixConfig(**{**cfg, "ratio": tuple(ratio) if type(ratio) is list else ratio})
         _validate_mix_config(config)
         flat_epochs = doc.get("epochs", [])
         if not isinstance(flat_epochs, list):
@@ -251,7 +244,7 @@ def parse_plan(source: str) -> Union[BatchPlan, FineTunePlan]:
                     not isinstance(entry, list)
                     or len(entry) != 2
                     or entry[0] not in (SYNTHETIC, REAL)
-                    or not isinstance(entry[1], int)
+                    or type(entry[1]) is not int
                 ):
                     raise ParseError(f"bad plan entry {entry!r} in epoch {e_idx}")
                 entries.append((entry[0], entry[1]))

@@ -23,6 +23,8 @@ from skel2box import (
 )
 
 SAMPLES_CSV = "h_s_px,z_m,h_true_px\n50,10,60\n100,5,120\n80,20,85\n40,25,44\n"
+# A JSON integer beyond float range, far below the 4300-digit limit.
+BEYOND_FLOAT = "1" + "0" * 400
 
 
 def run_cli(capsys, *args):
@@ -93,6 +95,17 @@ class TestCalibrate:
         assert code == 2
         assert "line 2" in err
         assert str(samples) in err
+
+    # 1/z_m**2 is infinite (z*z underflows) or 0 (z*z overflows).
+    @pytest.mark.parametrize("z_m", ["1e-200", "1e-160", "1e200"])
+    def test_distance_without_a_finite_fit_weight_leaves_no_output(self, tmp_path, capsys, z_m):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(f"h_s_px,z_m,h_true_px\n50,10,60\n50,{z_m},60\n")
+        out = tmp_path / "alpha.json"
+        code, stdout, err = run_cli(capsys, "calibrate", "--samples", samples, "--out", out)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {samples}: z_m ") and err.endswith("(line 3)\n")
+        assert not out.exists()
 
 
 class TestSynthesize:
@@ -416,6 +429,18 @@ class TestConvert:
         assert summary["n_annotations"] == 1
         assert out.read_text() == emit_mot(anns[:1])
 
+    def test_video_id_must_name_an_input_video(self, tmp_path, capsys):
+        gt = coco_file(tmp_path, [annotation("a", 1, 1, 10, 20, 30, 40, 5.0)])
+        out = tmp_path / "o.txt"
+        code, stdout, err = run_cli(
+            capsys,
+            "convert", "--in", gt, "--from", "coco", "--to", "mot", "--out", out,
+            "--video-id", "b",
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {gt}: holds videos ['a'], not 'b'\n"
+        assert not out.exists()
+
 
 class TestEvaluate:
     def make_pair(self, tmp_path):
@@ -494,6 +519,40 @@ class TestMalformedInput:
             ('{"images": [{"id": 1, "file_name": "v/000000.jpg"}], "annotations": []}', "(image 0)"),
             ('{"images": [], "annotations": [], "info": {"videos": [["v", 3], ["v", 1]]}}',
              "(info.videos)"),
+            ('{"images": [{"id": 1, "file_name": 7}], "annotations": []}', "(image 0)"),
+            ('{"images": [{"id": 1, "file_name": 7.0}], "annotations": []}', "(image 0)"),
+            *[
+                pytest.param(
+                    '{"images": [{"id": 1, "file_name": "v/000001.jpg"}], "annotations":'
+                    f' [{{"image_id": 1, "bbox": [{bbox}]}}]}}', "(annotation 0)",
+                    id=f"bbox {field} beyond float range",
+                )
+                for field, bbox in enumerate(
+                    ",".join(BEYOND_FLOAT if i == field else "5" for i in range(4))
+                    for field in range(4)
+                )
+            ],
+            pytest.param(
+                '{"images": [{"id": 1, "file_name": "v/000001.jpg"}], "annotations": [{"image_id":'
+                f' 1, "bbox": [1, 2, 3, 4], "distance_m": {BEYOND_FLOAT}}}]}}', "(annotation 0)",
+                id="distance_m beyond float range",
+            ),
+            *[
+                pytest.param(
+                    f'{{"images": [], "annotations": [], "info": {{"videos": [], "{key}":'
+                    f' {BEYOND_FLOAT}}}}}', f"(info.{key})",
+                    id=f"info.{key} beyond float range",
+                )
+                for key in ["image_w", "image_h", "alpha_used", "distance_limit_m"]
+            ],
+            *[
+                pytest.param(
+                    f'{{"images": [{{"id": 1, "file_name": "v/000001.jpg", "{key}":'
+                    f' {BEYOND_FLOAT}}}], "annotations": []}}', "(image 0)",
+                    id=f"image {key} beyond float range",
+                )
+                for key in ["width", "height"]
+            ],
         ],
     )
     def test_malformed_coco_parts_leave_no_output(self, tmp_path, capsys, doc, location):
@@ -704,9 +763,10 @@ class TestSettings:
         [
             (field, value)
             for field in FIELDS
-            for value in ["Infinity", "NaN", '"wide"', "null", "true"]
+            for value in ["Infinity", "NaN", '"wide"', "null", "true", BEYOND_FLOAT]
             if (field, value) != ("alpha", "null")
         ],
+        ids=lambda value: "beyond float range" if value == BEYOND_FLOAT else None,
     )
     def test_bad_config_value_names_the_field(self, tmp_path, capsys, field, value):
         command, _ = FIELDS[field]

@@ -55,6 +55,9 @@ JTA_RECORD_CASES = {
     "-Infinity": (with_field(7, -math.inf), "field 7 must be a finite number, got -inf"),
     "null": (with_field(5, None), "field 5 must be a finite number, got None"),
     "string coordinate": (with_field(6, "x"), "field 6 must be a finite number, got 'x'"),
+    "int beyond float range": (
+        with_field(3, 10**400), f"field 3 must be a finite number, got {10**400}"
+    ),
     "string id": (with_field(0, "1"), "frame_id must be an integer, got '1'"),
     "negative id": (
         with_field(1, -1), "frame, pedestrian and joint ids must be non-negative"
@@ -543,6 +546,13 @@ class TestDetections:
     def test_unknown_format(self):
         with pytest.raises(ParseError):
             parse_detections("", "voc")
+
+    def test_score_beyond_float_range(self):
+        text = '[{"image_id": 1, "bbox": [0, 0, 10, 10], "score": 1' + "0" * 400 + "}]"
+        with pytest.raises(ParseError) as exc_info:
+            parse_detections(text, "coco_results", frame_of_image={1: ("v", 1)})
+        assert exc_info.value.location == "record 0"
+        assert str(exc_info.value).startswith("score must be a finite number")
 
     def test_missing_context(self):
         with pytest.raises(ParseError):

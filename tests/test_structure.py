@@ -1,8 +1,10 @@
 """Structure rules of the package, checked on its source with ``ast``.
 
 No module of ``skel2box`` uses a ``_``-prefixed name of another package
-module: a helper that two modules share is public in one of them. And the
-package imports nothing outside the standard library and itself.
+module: a helper that two modules share is public in one of them. The
+package imports nothing outside the standard library and itself. And JSON
+is read in one place, ``formats.load_json``, so every JSON input fails the
+same way.
 """
 
 import ast
@@ -121,3 +123,64 @@ def test_import_checker_flags_each_form():
         ]
     )
     assert non_stdlib_imports(source) == ["numpy.linalg", "yaml", "attr"]
+
+
+def json_reads(source: str) -> list[str]:
+    """The function around each call of ``json.load`` or ``json.loads`` in
+    ``source``, or ``<module>`` at top level.
+
+    Covers ``json.loads(...)``, ``import json as j`` then ``j.loads(...)``,
+    and ``from json import loads`` (also renamed) then ``loads(...)``.
+    """
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "json"}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "json":
+            functions |= {
+                alias.asname or alias.name for alias in node.names
+                if alias.name in ("load", "loads")
+            }
+
+    def reads(func: ast.expr) -> bool:
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            return func.value.id in modules and func.attr in ("load", "loads")
+        return isinstance(func, ast.Name) and func.id in functions
+
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and reads(child.func):
+                found.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_json_is_read_only_by_load_json(path):
+    expected = ["load_json"] if path.name == "formats.py" else []
+    assert json_reads(path.read_text(encoding="utf-8")) == expected
+
+
+def test_json_read_checker_flags_each_form():
+    source = "\n".join(
+        [
+            "import json",
+            "import json as j",
+            "from json import loads, load as read",
+            "doc = json.loads('1')",
+            "def load_json(text):",
+            "    return j.loads(text)",
+            "class Result:",
+            "    def from_json(self, fh):",
+            "        return loads(fh.read()), read(fh)",
+            "json.dumps(doc)",
+            "other.loads('1')",
+        ]
+    )
+    assert json_reads(source) == ["<module>", "load_json", "from_json", "from_json"]

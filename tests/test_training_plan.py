@@ -21,6 +21,19 @@ from skel2box import (
 GOOD_MIX = {"n_synthetic": 4, "n_real": 2, "batch_size": 3, "ratio": [2, 1], "seed": 0, "epochs": 1}
 
 
+def finetune_doc(epochs1, epochs2, second="real"):
+    """A finetune plan document whose config and phases agree, with phase 2 on ``second``."""
+    phases = [("syn", epochs1), (second, epochs2)]
+    return {
+        "kind": "finetune",
+        "config": {"phase1_epochs": epochs1, "phase2_epochs": epochs2},
+        "phases": [
+            {"dataset": dataset, "epochs": epochs, "all_weights_unfrozen": True}
+            for dataset, epochs in phases
+        ],
+    }
+
+
 def entries(plan, domain=None):
     out = []
     for epoch in plan.epochs:
@@ -221,10 +234,21 @@ class TestSerialization:
             {"kind": "mixed", "config": {**GOOD_MIX, "ratio": [0, 0]}, "epochs": [[]]},
             {"kind": "mixed", "config": {**GOOD_MIX, "n_real": float("inf")}, "epochs": []},
             {"kind": "mixed", "config": GOOD_MIX, "epochs": 5},
+            finetune_doc(-3, 1),
+            finetune_doc(2.5, 1),
+            finetune_doc(True, 1),
+            finetune_doc(1, 1, second="syn"),
+            {"kind": "mixed", "config": {**GOOD_MIX, "seed": 2.7}, "epochs": []},
+            {"kind": "mixed", "config": {**GOOD_MIX, "n_synthetic": "4"}, "epochs": []},
+            {"kind": "mixed", "config": {**GOOD_MIX, "n_real": True}, "epochs": []},
+            {"kind": "mixed", "config": GOOD_MIX,
+             "epochs": [[["syn", True], ["syn", 1], ["real", 0]]]},
         ],
         ids=[
             "phase_without_epochs", "phase_epochs_text", "phase_epochs_null", "phase_epochs_inf",
             "batch_size_0", "ratio_0_0", "n_real_inf", "epochs_not_array",
+            "epochs_negative", "epochs_fraction", "epochs_bool", "two_phases_on_syn",
+            "seed_fraction", "n_synthetic_text", "n_real_bool", "entry_index_bool",
         ],
     )
     def test_malformed_plans_raise_package_errors(self, doc):
