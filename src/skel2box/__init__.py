@@ -16,18 +16,14 @@ from .calibration import (
 from .errors import (
     DegenerateSkeleton,
     EmptyInput,
-    EmptySampleSet,
     IncompleteSkeleton,
     InvalidArgument,
     InvalidConfig,
-    InvalidSample,
-    InvalidScore,
     JoinError,
     MixedVideos,
     NonPositiveDistance,
     ParseError,
     Skel2BoxError,
-    UnknownVideo,
 )
 from .evaluation import (
     EvalReport,
@@ -95,7 +91,6 @@ __all__ = [
     "Detection",
     "DistanceHistogram",
     "EmptyInput",
-    "EmptySampleSet",
     "EvalReport",
     "FineTunePhase",
     "FineTunePlan",
@@ -103,8 +98,6 @@ __all__ = [
     "IncompleteSkeleton",
     "InvalidArgument",
     "InvalidConfig",
-    "InvalidSample",
-    "InvalidScore",
     "JoinError",
     "MatchOutcome",
     "MixConfig",
@@ -115,7 +108,6 @@ __all__ = [
     "Skel2BoxError",
     "SkeletonInstance",
     "SynthesisResult",
-    "UnknownVideo",
     "average_precision",
     "camera_distance",
     "clamp_to_image",

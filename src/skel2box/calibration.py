@@ -14,16 +14,14 @@ would contradict the formula the synthesis pipeline then applies.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Sequence, TextIO, Union
+from typing import Sequence
 
-from .errors import EmptySampleSet, InvalidSample, ParseError
-from .formats import is_finite_number, load_json
+from .errors import EmptyInput, ParseError
+from .formats import csv_rows, is_finite_number, load_json
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +51,7 @@ class CalibrationResult:
     max_abs_residual_px: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(asdict(self), allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationResult":
@@ -84,11 +82,11 @@ def _check_sample(sample: CalibrationSample, location: str) -> None:
         value = getattr(sample, field.name)
         if not (math.isfinite(value) and value > 0):
             message = f"{field.name} must be finite and positive, got {value!r}"
-            raise InvalidSample(message, location=location)
+            raise ParseError(message, location=location)
     z_squared = sample.z_m * sample.z_m
     if not (z_squared > 0 and 0 < 1.0 / z_squared < math.inf):
         message = f"z_m {sample.z_m!r} is out of range: 1/z_m**2 is not a positive finite number"
-        raise InvalidSample(message, location=location)
+        raise ParseError(message, location=location)
 
 
 def fit_alpha(samples: Sequence[CalibrationSample]) -> CalibrationResult:
@@ -99,11 +97,13 @@ def fit_alpha(samples: Sequence[CalibrationSample]) -> CalibrationResult:
     and logged as a warning since they usually indicate measurement noise.
 
     Raises:
-        EmptySampleSet: no samples were supplied.
-        InvalidSample: a sample has a non-positive height or distance.
+        EmptyInput: no samples were supplied.
+        ParseError: a sample has a non-positive height or distance (located
+            as ``row N``), or the samples give no fit in float range (no
+            location: the failure belongs to the whole set).
     """
     if not samples:
-        raise EmptySampleSet("cannot fit alpha from zero samples")
+        raise EmptyInput("cannot fit alpha from zero samples")
     negative_rows = 0
     for i, sample in enumerate(samples):
         _check_sample(sample, location=f"row {i}")
@@ -119,49 +119,31 @@ def fit_alpha(samples: Sequence[CalibrationSample]) -> CalibrationResult:
 
     # Zero-intercept least squares of gap vs 1/z; dividing by z before
     # squaring keeps the one-sample case exact (z*z is exact for integral z).
-    num = math.fsum((s.h_true_px - s.h_s_px) / s.z_m for s in samples)
-    den = math.fsum(1.0 / (s.z_m * s.z_m) for s in samples)
+    try:
+        num = math.fsum((s.h_true_px - s.h_s_px) / s.z_m for s in samples)
+        den = math.fsum(1.0 / (s.z_m * s.z_m) for s in samples)
+    except (OverflowError, ValueError) as exc:  # a sum beyond float range, or inf - inf
+        raise ParseError(f"the samples give no finite fit: {exc}") from None
     alpha = num / den
 
     residuals = [(s.h_s_px + alpha / s.z_m) - s.h_true_px for s in samples]
     rmse = math.sqrt(math.fsum(r * r for r in residuals) / len(residuals))
     max_abs = max(abs(r) for r in residuals)
-    return CalibrationResult(
-        alpha=alpha,
-        n_samples=len(samples),
-        rmse_px=rmse,
-        max_abs_residual_px=max_abs,
-    )
+    result = CalibrationResult(alpha, len(samples), rmse, max_abs)
+    if not all(math.isfinite(v) for v in (alpha, rmse, max_abs)):
+        raise ParseError(f"the samples give no finite fit: {result}")
+    return result
 
 
-def load_calibration_samples(source: Union[str, TextIO]) -> list[CalibrationSample]:
+def load_calibration_samples(source: str) -> list[CalibrationSample]:
     """Read samples from CSV with header ``h_s_px,z_m,h_true_px``.
 
-    Line numbers in errors are 1-based and count the header line.
+    The file is read by :func:`formats.csv_rows`: blank lines are skipped,
+    and line numbers in errors are 1-based and count the header line.
     """
-    stream = io.StringIO(source) if isinstance(source, str) else source
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty calibration file, expected header h_s_px,z_m,h_true_px")
-    if tuple(field.strip() for field in header) != SAMPLE_CSV_HEADER:
-        raise ParseError(
-            f"bad header {','.join(header)!r}, expected h_s_px,z_m,h_true_px",
-            location="line 1",
-        )
-
-    samples: list[CalibrationSample] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", location=f"line {line_no}")
-        try:
-            values = [float(field) for field in row]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric field: {exc}", location=f"line {line_no}") from exc
-        sample = CalibrationSample(h_s_px=values[0], z_m=values[1], h_true_px=values[2])
-        _check_sample(sample, location=f"line {line_no}")
+    samples = []
+    for loc, _, values in csv_rows(source, 3, 3, header=SAMPLE_CSV_HEADER):
+        sample = CalibrationSample(*values)
+        _check_sample(sample, location=loc)
         samples.append(sample)
     return samples

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
 from . import calibration, evaluation, formats, geometry, sanitize, training_plan
-from .errors import InvalidConfig, MixedVideos, ParseError, Skel2BoxError, UnknownVideo
+from .errors import InvalidConfig, JoinError, MixedVideos, ParseError, Skel2BoxError
 
 DEFAULT_IMAGE_W = 1920.0
 DEFAULT_IMAGE_H = 1080.0
@@ -126,6 +126,10 @@ def _write_atomic(path: str, text: str) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=target.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            # The mode a plain open() gives, not the 0o600 of mkstemp.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp_name, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp_name, str(target))
     except BaseException:
@@ -255,7 +259,7 @@ def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> dict:
         if args.to_fmt == "mot" and args.video_id:
             videos = sorted(name for name, _ in manifest.videos)
             if args.video_id not in videos:
-                raise UnknownVideo(f"{args.infile}: holds videos {videos}, not {args.video_id!r}")
+                raise JoinError(f"{args.infile}: holds videos {videos}, not {args.video_id!r}")
             annotations = [a for a in annotations if a.video_id == args.video_id]
     else:
         if not args.video_id:

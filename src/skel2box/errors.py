@@ -1,15 +1,23 @@
 """Exception hierarchy shared by all skel2box modules.
 
-Errors that carry a file location (line number or record index) expose it
-both in the message and as an attribute so callers can report diagnostics
-without string parsing.
+Each class is one kind of failure. Errors that carry a place in an input
+(a line, a record or a key) expose it both in the message and as the
+``location`` attribute, so callers can report diagnostics without string
+parsing.
 """
 
 from __future__ import annotations
 
 
 class Skel2BoxError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``location``, when
+    given, is appended to the message."""
+
+    def __init__(self, message: str, location: str | None = None):
+        if location is not None:
+            message = f"{message} ({location})"
+        super().__init__(message)
+        self.location = location
 
 
 class InvalidArgument(Skel2BoxError, ValueError):
@@ -24,26 +32,8 @@ class NonPositiveDistance(Skel2BoxError):
     """Computed pedestrian-camera distance is not finite and positive."""
 
 
-class EmptySampleSet(Skel2BoxError):
-    """Calibration was attempted with no samples."""
-
-
-class _Located(Skel2BoxError):
-    """An error at a place in an input: ``location`` is appended to the message."""
-
-    def __init__(self, message: str, location: str | None = None):
-        if location is not None:
-            message = f"{message} ({location})"
-        super().__init__(message)
-        self.location = location
-
-
-class InvalidSample(_Located):
-    """A calibration sample violates its invariants (source location attached)."""
-
-
-class ParseError(_Located):
-    """Malformed input file; ``location`` points at the offending record."""
+class ParseError(Skel2BoxError):
+    """Malformed input or a bad value in it; ``location`` points at the offending record."""
 
 
 class IncompleteSkeleton(ParseError):
@@ -55,20 +45,12 @@ class IncompleteSkeleton(ParseError):
         self.pedestrian_id = pedestrian_id
 
 
-class UnknownVideo(Skel2BoxError):
-    """An annotation references a video/frame missing from the manifest."""
+class JoinError(Skel2BoxError):
+    """A record names a video, frame or image that its table does not hold."""
 
 
 class MixedVideos(Skel2BoxError):
     """A single-video output format received annotations from several videos."""
-
-
-class InvalidScore(_Located):
-    """A detection confidence is outside [0, 1] beyond the clamping slack."""
-
-
-class JoinError(Skel2BoxError):
-    """A detection references a frame absent from the ground-truth index."""
 
 
 class InvalidConfig(Skel2BoxError):

@@ -20,14 +20,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import (
-    IncompleteSkeleton,
-    InvalidScore,
-    JoinError,
-    MixedVideos,
-    ParseError,
-    UnknownVideo,
-)
+from .errors import IncompleteSkeleton, JoinError, MixedVideos, ParseError
 from .geometry import AnnotatedBox, BBox, SkeletonInstance, sort_key
 
 DEFAULT_JOINTS_PER_SKELETON = 22
@@ -96,13 +89,6 @@ def json_number(value: float) -> Any:
     return value
 
 
-def csv_number(value: float) -> str:
-    """A number as CSV text: integral values without a decimal point, others by repr."""
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
-
-
 def load_json(source: str) -> Any:
     """The value of a JSON document; the package's one JSON reader."""
     try:
@@ -138,11 +124,22 @@ def _require_str(value: Any, what: str, location: str) -> str:
     return value
 
 
-def _mot_rows(source: str, fewest: int, most: int) -> Iterator[tuple]:
-    """``(location, fields, values, frame)`` of each non-blank MOT CSV row: ``fewest``
-    to ``most`` comma-separated numbers, the first a frame of at least 1."""
+def csv_rows(source: str, fewest: int, most: int, header: Sequence[str] = ()) -> Iterator[tuple]:
+    """``(location, fields, values)`` of each line of ``source`` that is not
+    blank: ``fewest`` to ``most`` comma-separated numbers, none quoted. Lines
+    split as :meth:`str.splitlines` splits and are located as ``line N``,
+    1-based. A given ``header`` must be the first line, which is not yielded.
+    """
     arity = str(fewest) if fewest == most else f"{fewest}-{most}"
-    for line_no, line in enumerate(source.splitlines(), start=1):
+    lines = enumerate(source.splitlines(), start=1)
+    if header:
+        expected = ",".join(header)
+        _, first = next(lines, (1, None))
+        if first is None:
+            raise ParseError(f"empty file, expected header {expected}")
+        if tuple(field.strip() for field in first.split(",")) != tuple(header):
+            raise ParseError(f"bad header {first!r}, expected {expected}", location="line 1")
+    for line_no, line in lines:
         line = line.strip()
         if not line:
             continue
@@ -154,17 +151,25 @@ def _mot_rows(source: str, fewest: int, most: int) -> Iterator[tuple]:
             values = [float(f) for f in fields]
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", location=loc) from exc
+        yield loc, fields, values
+
+
+def csv_row(*values: float) -> str:
+    """One CSV line of ``values``: integral values without a decimal point,
+    others by ``repr``; the package's one CSV writer."""
+    return ",".join(str(int(v)) if v == int(v) else repr(v) for v in values) + "\n"
+
+
+def _mot_rows(source: str, fewest: int, most: int) -> Iterator[tuple]:
+    """``(location, fields, values, frame)`` of each MOT row of :func:`csv_rows`;
+    the first field is a frame of at least 1."""
+    for loc, fields, values in csv_rows(source, fewest, most):
         frame_id = _require_int(values[0], "frame", loc)
         if frame_id < 1:
             raise ParseError(
                 f"frame must be at least 1 (frames are 1-based), got {frame_id}", location=loc
             )
         yield loc, fields, values, frame_id
-
-
-def _mot_row(*values: float) -> str:
-    """One MOT CSV line of ``values``, each written by :func:`csv_number`."""
-    return ",".join(map(csv_number, values)) + "\n"
 
 
 def _mot_box(fields: list[str], values: list[float], location: str) -> BBox:
@@ -190,7 +195,7 @@ def _coco_box(bbox: Any, location: str) -> BBox:
 def _clamp_score(value: float, location: str) -> float:
     if -_SCORE_SLACK <= value <= 1.0 + _SCORE_SLACK:
         return min(max(value, 0.0), 1.0)
-    raise InvalidScore(f"score {value!r} outside [0, 1]", location=location)
+    raise ParseError(f"score {value!r} outside [0, 1]", location=location)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +326,7 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
     (video, frame[, pedestrian]) order, so the output is deterministic.
 
     Raises:
-        UnknownVideo: an annotation's video/frame is not in the manifest.
+        JoinError: an annotation's video/frame is not in the manifest.
     """
     frame_counts = dict(manifest.videos)
     images = []
@@ -343,7 +348,7 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
     for ann in sorted(annotations, key=sort_key):
         key = (ann.video_id, ann.frame_id)
         if key not in image_ids:
-            raise UnknownVideo(
+            raise JoinError(
                 f"annotation ({ann.video_id}, {ann.frame_id}, {ann.pedestrian_id}) "
                 "is outside the manifest"
             )
@@ -401,42 +406,44 @@ def _info_value(info: dict, key: str, default: Any, check: Callable[..., Any]) -
     return check(value, key, f"info.{key}")
 
 
-def _manifest_videos(videos: Any) -> tuple[tuple[str, int], ...]:
-    """The ``info.videos`` table: an array of ``[video, frame count]`` pairs."""
+def _manifest_videos(videos: Any, images: Sequence[FrameRef]) -> tuple[tuple[str, int], ...]:
+    """The ``info.videos`` table: an array of ``[name, frame count]`` pairs, each
+    name a string given once and each count at least 1. The table claims one
+    image per frame: every image lies in a claimed frame, no two images share
+    one, and the counts add up to the number of images."""
     loc = "info.videos"
     if not isinstance(videos, list):
         raise ParseError(
             f"expected an array of [video, frame count] pairs, got {videos!r}", location=loc
         )
-    table = []
+    counts: dict[str, int] = {}
     for idx, entry in enumerate(videos):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError(
                 f"entry {idx} must be [video, frame count], got {entry!r}", location=loc
             )
-        table.append((entry[0], _require_int(entry[1], f"entry {idx} frame count", loc)))
-    return tuple(table)
-
-
-def _check_videos(videos: Sequence[tuple[Any, int]], images: Sequence[FrameRef]) -> None:
-    """Each ``info.videos`` entry is a string name with at least one frame, and
-    the table covers every image, naming each video once. Runs last, so another
-    fault is reported first."""
-    counts: dict[str, int] = {}
-    for idx, (name, count) in enumerate(videos):
+        name, count = entry[0], _require_int(entry[1], f"entry {idx} frame count", loc)
         if not isinstance(name, str) or count < 1:
             raise ParseError(
                 f"entry {idx} must be [name, frame count >= 1], got {[name, count]!r}",
-                location="info.videos",
+                location=loc,
             )
         if name in counts:
-            raise ParseError(f"entry {idx} repeats video {name!r}", location="info.videos")
+            raise ParseError(f"entry {idx} repeats video {name!r}", location=loc)
         counts[name] = count
+    seen: set[tuple[str, int]] = set()
     for idx, ref in enumerate(images):
-        if ref.frame_id > counts.get(ref.video_id, 0):
-            raise ParseError(
-                f"{ref.video_id}/{ref.frame_id} is outside info.videos", location=f"image {idx}"
-            )
+        key = (ref.video_id, ref.frame_id)
+        if key in seen or ref.frame_id > counts.get(ref.video_id, 0):
+            where = "the frame of an earlier image" if key in seen else "outside info.videos"
+            raise ParseError(f"{ref.video_id}/{ref.frame_id} is {where}", location=f"image {idx}")
+        seen.add(key)
+    total = sum(counts.values())
+    if total != len(images):
+        raise ParseError(
+            f"claims {total} frames, but the document holds {len(images)} images", location=loc
+        )
+    return tuple(counts.items())
 
 
 def parse_coco_gt(source: str) -> CocoGroundTruth:
@@ -447,13 +454,13 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
     ``distance_m`` extension keys fall back to the COCO annotation id and
     an infinite distance respectively. An absent or null ``info`` value
     takes its default (0 for the image size, "" for ``dataset_id``, unset
-    otherwise). A given ``info.videos`` must cover every image.
+    otherwise). A given ``info.videos`` must claim one image per frame.
 
     Raises:
         ParseError: malformed JSON or a malformed part of the document,
             located as ``images`` or ``annotations`` (not an array),
-            ``image N`` (also an image outside ``info.videos``),
-            ``annotation N`` or ``info.<key>``.
+            ``image N`` (also an image outside ``info.videos`` or on the
+            frame of an earlier image), ``annotation N`` or ``info.<key>``.
     """
     doc = load_json(source)
     if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
@@ -515,12 +522,11 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
         manifest = DatasetManifest(
             image_w=_info_value(info, "image_w", 0.0, _require_finite),
             image_h=_info_value(info, "image_h", 0.0, _require_finite),
-            videos=_manifest_videos(info["videos"]),
+            videos=_manifest_videos(info["videos"], images),
             alpha_used=_info_value(info, "alpha_used", None, _require_finite),
             distance_limit_m=_info_value(info, "distance_limit_m", None, _require_finite),
             dataset_id=_info_value(info, "dataset_id", "", _require_str),
         )
-        _check_videos(manifest.videos, images)
     else:
         # Foreign document: reconstruct what the images table supports.
         first = doc["images"][0] if doc["images"] else {}
@@ -559,7 +565,7 @@ def emit_mot(annotations: Sequence[AnnotatedBox]) -> str:
     """
     _one_video(annotations)
     return "".join(
-        _mot_row(a.frame_id, a.pedestrian_id, a.box.x, a.box.y, a.box.w, a.box.h, 1, 1, 1)
+        csv_row(a.frame_id, a.pedestrian_id, a.box.x, a.box.y, a.box.w, a.box.h, 1, 1, 1)
         for a in sorted(annotations, key=lambda a: (a.frame_id, a.pedestrian_id))
     )
 
@@ -616,8 +622,8 @@ def parse_detections(
     by (video, frame, descending score).
 
     Raises:
-        ParseError: malformed records.
-        InvalidScore: a score outside [0, 1] beyond clamping slack.
+        ParseError: malformed records, or a score outside [0, 1] beyond
+            clamping slack.
         JoinError: a coco_results record references an unknown image id.
     """
     if fmt == "coco_results":
@@ -647,7 +653,7 @@ def _parse_coco_results(
             raise ParseError(f"expected an object, got {rec!r}", location=loc)
         image_id = _require_int(rec.get("image_id"), "image_id", loc)
         if image_id not in frame_of_image:
-            raise JoinError(f"detection references unknown image id {image_id} ({loc})")
+            raise JoinError(f"detection references unknown image id {image_id}", location=loc)
         category = _require_int(rec.get("category_id", PEDESTRIAN_CATEGORY_ID), "category_id", loc)
         if category != PEDESTRIAN_CATEGORY_ID:
             continue
@@ -703,7 +709,7 @@ def emit_detections(
     if fmt == "mot_det":
         _one_video(ordered)
         return "".join(
-            _mot_row(d.frame_id, -1, d.box.x, d.box.y, d.box.w, d.box.h, d.score, -1, -1, -1)
+            csv_row(d.frame_id, -1, d.box.x, d.box.y, d.box.w, d.box.h, d.score, -1, -1, -1)
             for d in ordered
         )
     raise ParseError(f"unknown detection format {fmt!r}")

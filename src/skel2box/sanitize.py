@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyInput, InvalidArgument
-from .formats import csv_number
+from .formats import csv_row
 from .geometry import AnnotatedBox
 
 DEFAULT_DISTANCE_LIMIT_M = 40.0
@@ -29,10 +29,8 @@ class DistanceHistogram:
     counts: tuple[int, ...]
 
     def to_csv(self) -> str:
-        lines = ["bin_lower_m,count"]
-        for k, count in enumerate(self.counts):
-            lines.append(f"{csv_number(k * self.bin_width_m)},{count}")
-        return "\n".join(lines) + "\n"
+        rows = (csv_row(k * self.bin_width_m, count) for k, count in enumerate(self.counts))
+        return "bin_lower_m,count\n" + "".join(rows)
 
 
 def _bin_of(distance: float, bin_width_m: float) -> int:

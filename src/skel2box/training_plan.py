@@ -69,7 +69,8 @@ def _permutation(n: int, *tokens: object) -> list[int]:
     return indices
 
 
-def _validate_mix_config(config: MixConfig) -> tuple[int, int]:
+def _validate_mix_config(config: MixConfig) -> tuple[int, int, int]:
+    """``(synthetic slots, real slots, batches)`` of each epoch of ``config``."""
     ratio = config.ratio
     if type(ratio) is not tuple or len(ratio) != 2:
         raise InvalidConfig(f"ratio must be a pair of integers, got {ratio!r}")
@@ -100,7 +101,15 @@ def _validate_mix_config(config: MixConfig) -> tuple[int, int]:
         )
     if real_per_batch > 0 and config.n_real <= 0:
         raise InvalidConfig("real parts are positive but the real dataset is empty")
-    return syn_per_batch, real_per_batch
+    if syn_per_batch > 0:
+        n_batches = config.n_synthetic // syn_per_batch
+    else:
+        n_batches = config.n_real // real_per_batch
+    if n_batches == 0:
+        raise InvalidConfig(
+            f"real dataset ({config.n_real}) cannot fill one batch ({real_per_batch} real slots)"
+        )
+    return syn_per_batch, real_per_batch, n_batches
 
 
 def _wraparound(n: int, seed: int, epoch: int) -> Iterator[int]:
@@ -124,16 +133,7 @@ def plan_mixed_batches(config: MixConfig) -> BatchPlan:
     smaller real set is oversampled evenly. With no synthetic parts the real
     permutation drives the epoch instead.
     """
-    syn_per_batch, real_per_batch = _validate_mix_config(config)
-    if syn_per_batch > 0:
-        n_batches = config.n_synthetic // syn_per_batch
-    else:
-        n_batches = config.n_real // real_per_batch
-        if n_batches == 0:
-            raise InvalidConfig(
-                f"real dataset ({config.n_real}) cannot fill one batch "
-                f"({real_per_batch} real slots)"
-            )
+    syn_per_batch, real_per_batch, n_batches = _validate_mix_config(config)
 
     epochs: list[Epoch] = []
     for epoch in range(config.epochs):
@@ -202,7 +202,10 @@ def parse_plan(source: str) -> Union[BatchPlan, FineTunePlan]:
     A finetune document must be the one :func:`serialize_plan` writes for the
     plan :func:`plan_finetune` builds from its config. A mixed config holds
     the six :class:`MixConfig` fields, checked as :func:`plan_mixed_batches`
-    checks them; the entries are read as they stand.
+    checks them. Its entries are checked against it in one pass, with no
+    permutation built: ``config.epochs`` epochs of the planner's batch count,
+    each batch its synthetic slots then its real slots, each index within its
+    dataset, and no synthetic index twice in one epoch.
 
     Raises:
         ParseError: malformed JSON or a malformed part of the plan.
@@ -228,26 +231,38 @@ def parse_plan(source: str) -> Union[BatchPlan, FineTunePlan]:
             raise ParseError(f"mixed-plan config must hold the keys {keys}, got {cfg!r}")
         ratio = cfg["ratio"]
         config = MixConfig(**{**cfg, "ratio": tuple(ratio) if type(ratio) is list else ratio})
-        _validate_mix_config(config)
+        syn_per_batch, real_per_batch, n_batches = _validate_mix_config(config)
         flat_epochs = doc.get("epochs", [])
-        if not isinstance(flat_epochs, list):
-            raise ParseError(f"epochs must be an array, got {flat_epochs!r}")
+        if not isinstance(flat_epochs, list) or len(flat_epochs) != config.epochs:
+            raise ParseError(f"epochs must be an array of {config.epochs} epochs")
+        slots = (SYNTHETIC,) * syn_per_batch + (REAL,) * real_per_batch
+        sizes = {SYNTHETIC: config.n_synthetic, REAL: config.n_real}
         epochs: list[Epoch] = []
         for e_idx, flat in enumerate(flat_epochs):
-            if not isinstance(flat, list) or len(flat) % config.batch_size != 0:
+            if not isinstance(flat, list) or len(flat) != n_batches * config.batch_size:
                 raise ParseError(
-                    f"epoch {e_idx} length is not a multiple of batch_size"
+                    f"epoch {e_idx} must hold {n_batches} batches of {config.batch_size} entries"
                 )
             entries: list[Entry] = []
-            for entry in flat:
+            synthetic: set[int] = set()
+            for position, entry in enumerate(flat):
+                domain = slots[position % config.batch_size]
                 if (
                     not isinstance(entry, list)
                     or len(entry) != 2
-                    or entry[0] not in (SYNTHETIC, REAL)
+                    or entry[0] != domain
                     or type(entry[1]) is not int
+                    or not 0 <= entry[1] < sizes[domain]
+                    or (domain == SYNTHETIC and entry[1] in synthetic)
                 ):
-                    raise ParseError(f"bad plan entry {entry!r} in epoch {e_idx}")
-                entries.append((entry[0], entry[1]))
+                    raise ParseError(
+                        f"bad plan entry {entry!r} at {position} in epoch {e_idx}: expected "
+                        f"[{domain!r}, i], i in range({sizes[domain]})"
+                        + (" and not used before in the epoch" if domain == SYNTHETIC else "")
+                    )
+                if domain == SYNTHETIC:
+                    synthetic.add(entry[1])
+                entries.append((domain, entry[1]))
             batches = tuple(
                 tuple(entries[i : i + config.batch_size])
                 for i in range(0, len(entries), config.batch_size)

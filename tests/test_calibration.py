@@ -1,4 +1,3 @@
-import io
 import logging
 import math
 import random
@@ -8,8 +7,7 @@ import pytest
 from skel2box import (
     CalibrationResult,
     CalibrationSample,
-    EmptySampleSet,
-    InvalidSample,
+    EmptyInput,
     ParseError,
     fit_alpha,
     load_calibration_samples,
@@ -42,14 +40,33 @@ class TestFitAlpha:
         assert result.rmse_px == 0.0
 
     def test_empty_set(self):
-        with pytest.raises(EmptySampleSet):
+        with pytest.raises(EmptyInput, match="^cannot fit alpha from zero samples$"):
             fit_alpha([])
 
     def test_invalid_sample_names_row(self):
         samples = [CalibrationSample(50, 10, 60), CalibrationSample(50, 0, 60)]
-        with pytest.raises(InvalidSample) as exc_info:
+        with pytest.raises(ParseError, match="^z_m must be finite and positive") as exc_info:
             fit_alpha(samples)
         assert "row 1" in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [
+            ([(50, 1e-154, 60)] * 2, "intermediate overflow in fsum"),
+            ([(1, 1e-100, 1e308), (1e308, 1e-100, 1)], "-inf + inf in fsum"),
+            ([(1, 1e-100, 1e308)],
+             "CalibrationResult(alpha=inf, n_samples=1, rmse_px=inf, max_abs_residual_px=inf)"),
+            ([(1, 1, 1e300), (1e300, 1, 1)],
+             "CalibrationResult(alpha=0.0, n_samples=2, rmse_px=inf, max_abs_residual_px=1e+300)"),
+        ],
+        ids=["weights_overflow", "gaps_inf_minus_inf", "alpha_inf", "rmse_inf"],
+    )
+    def test_fit_beyond_float_range_names_no_row(self, rows, reason):
+        samples = [CalibrationSample(*row) for row in rows]
+        with pytest.raises(ParseError) as exc_info:
+            fit_alpha(samples)
+        assert str(exc_info.value) == f"the samples give no finite fit: {reason}"
+        assert exc_info.value.location is None
 
     def test_negative_gap_kept_with_warning(self, caplog):
         samples = exact_samples(200.0, [5, 10, 20]) + [CalibrationSample(100, 10, 95)]
@@ -116,6 +133,11 @@ class TestCalibrationResultJson:
         result = CalibrationResult(alpha=123.5, n_samples=7, rmse_px=0.25, max_abs_residual_px=0.5)
         assert CalibrationResult.from_json(result.to_json()) == result
 
+    def test_non_finite_value_is_not_written(self):
+        result = CalibrationResult(alpha=math.inf, n_samples=1, rmse_px=0, max_abs_residual_px=0)
+        with pytest.raises(ValueError):
+            result.to_json()
+
     def test_json_keys(self):
         import json
 
@@ -171,12 +193,47 @@ class TestLoadCalibrationSamples:
     def test_header_only(self):
         assert load_calibration_samples(f"{CSV_HEADER}\n") == []
 
-    def test_accepts_stream(self):
-        stream = io.StringIO(f"{CSV_HEADER}\n50,10,60\n25,20,30\n")
-        assert len(load_calibration_samples(stream)) == 2
+    def test_empty_file(self):
+        with pytest.raises(ParseError, match=f"^empty file, expected header {CSV_HEADER}$"):
+            load_calibration_samples("")
+
+    # The rules of formats.csv_rows, which also reads MOT files.
+    @pytest.mark.parametrize(
+        "text, rows",
+        [
+            (f"{CSV_HEADER}\n  \n50,10,60\n\t\n", [(50, 10, 60)]),
+            (f"{CSV_HEADER}\r\n50,10,60\r\n25,20,30\r\n", [(50, 10, 60), (25, 20, 30)]),
+            (f" h_s_px , z_m,h_true_px\n50, 10 ,60\n", [(50, 10, 60)]),
+        ],
+        ids=["whitespace_lines_skipped", "crlf", "spaces_around_fields"],
+    )
+    def test_accepted_layouts(self, text, rows):
+        assert load_calibration_samples(text) == [CalibrationSample(*row) for row in rows]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f'{CSV_HEADER}\n"50",10,60\n',
+             "non-numeric field: could not convert string to float: '\"50\"' (line 2)"),
+            (f"{CSV_HEADER}\n50,10,\f60\n",
+             "non-numeric field: could not convert string to float: '' (line 2)"),
+            (f"{CSV_HEADER}\n50,1\x000,60\n",
+             "non-numeric field: could not convert string to float: '1\\x000' (line 2)"),
+            (f'"h_s_px",z_m,h_true_px\n',
+             "bad header '\"h_s_px\",z_m,h_true_px', expected h_s_px,z_m,h_true_px (line 1)"),
+            (f"\n{CSV_HEADER}\n",
+             "bad header '', expected h_s_px,z_m,h_true_px (line 1)"),
+        ],
+        ids=["quoted_number", "form_feed_splits_the_line", "nul_byte", "quoted_header",
+             "blank_first_line"],
+    )
+    def test_rejected_layouts(self, text, message):
+        with pytest.raises(ParseError) as exc_info:
+            load_calibration_samples(text)
+        assert str(exc_info.value) == message
 
     def test_zero_distance_names_line(self):
-        with pytest.raises(InvalidSample) as exc_info:
+        with pytest.raises(ParseError, match="^z_m must be finite and positive") as exc_info:
             load_calibration_samples(f"{CSV_HEADER}\n50,0,60\n")
         assert "line 2" in str(exc_info.value)
 

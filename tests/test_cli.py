@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import random
+import stat
 import subprocess
 import sys
 
@@ -105,6 +107,30 @@ class TestCalibrate:
         code, stdout, err = run_cli(capsys, "calibrate", "--samples", samples, "--out", out)
         assert (code, stdout) == (2, "")
         assert err.startswith(f"error: {samples}: z_m ") and err.endswith("(line 3)\n")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file, expected header h_s_px,z_m,h_true_px"),
+            ("h_s_px,z_m,h_true_px\n50,1e-154,60\n50,1e-154,60\n",
+             "the samples give no finite fit: intermediate overflow in fsum"),
+            ("h_s_px,z_m,h_true_px\n1,1e-100,1e308\n",
+             "the samples give no finite fit: CalibrationResult(alpha=inf, n_samples=1, "
+             "rmse_px=inf, max_abs_residual_px=inf)"),
+            # Longer than the csv module's field limit of 131072 characters.
+            ("h_s_px,z_m,h_true_px\n" + "5" * 200000 + ",1,1\n",
+             "h_s_px must be finite and positive, got inf (line 2)"),
+        ],
+        ids=["empty_file", "weights_overflow", "alpha_inf", "long_field"],
+    )
+    def test_bad_samples_leave_no_output(self, tmp_path, capsys, text, message):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(text)
+        out = tmp_path / "alpha.json"
+        code, stdout, err = run_cli(capsys, "calibrate", "--samples", samples, "--out", out)
+        assert (code, stdout, err) == (2, "", f"error: {samples}: {message}\n")
         assert not out.exists()
 
 
@@ -313,6 +339,15 @@ class TestHistogramAndPrune:
         assert code == 2
         assert "distance_limit" in err
 
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        gt = coco_file(tmp_path, [annotation("v", 1, 1, 0, 0, 10, 20, 5.0)])
+        config = tmp_path / "config.json"
+        config.write_text('[{"distance_limit_m": 10}]')
+        out = tmp_path / "o.json"
+        code, _, err = run_cli(capsys, "prune", "--gt", gt, "--out", out, "--config", config)
+        assert (code, err) == (2, f"error: {config}: config file must hold a JSON object\n")
+        assert not out.exists()
+
     def test_malformed_config_file(self, tmp_path, capsys):
         gt = coco_file(tmp_path, [annotation("v", 1, 1, 0, 0, 10, 20, 5.0)])
         config = tmp_path / "config.json"
@@ -520,6 +555,11 @@ class TestMalformedInput:
             ('{"images": [], "annotations": [], "info": {"videos": [["v", 3], ["v", 1]]}}',
              "(info.videos)"),
             ('{"images": [{"id": 1, "file_name": 7}], "annotations": []}', "(image 0)"),
+            pytest.param('{"images": [], "annotations": [], "info": {"videos": [["v", 100000]]}}',
+                         "(info.videos)", id="frames claimed without images"),
+            pytest.param('{"images": [{"id": 1, "file_name": "v/1.jpg"}, {"id": 2, "file_name":'
+                         ' "v/1.jpg"}], "annotations": [], "info": {"videos": [["v", 2]]}}',
+                         "(image 1)", id="two images of one frame"),
             ('{"images": [{"id": 1, "file_name": 7.0}], "annotations": []}', "(image 0)"),
             *[
                 pytest.param(
@@ -650,6 +690,21 @@ class TestPlans:
             "--ratio", "2:1", "--out", tmp_path / "p.json",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("ratio, code", [("1,1", 0), ("a,1", 1), ("1", 1)])
+    def test_ratio_flag(self, tmp_path, capsys, ratio, code):
+        out = tmp_path / "p.json"
+        result = run_cli(
+            capsys,
+            "plan-batches", "--n-synthetic", 24, "--n-real", 4, "--batch-size", 6,
+            "--ratio", ratio, "--out", out,
+        )
+        assert result[0] == code
+        if code == 0:
+            assert json.loads(result[1])["ratio"] == [1, 1]
+        else:
+            assert "argument --ratio" in result[2]
+        assert out.exists() == (code == 0)
 
     def test_indivisible_batch(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -794,6 +849,23 @@ class TestSettings:
         assert err == f"error: {field} must be a finite number, got {float(value)!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("image_w", "0", "image dimensions must be positive"),
+            ("joints_per_skeleton", "0", "joints_per_skeleton must be positive"),
+            ("distance_limit_m", "0", "distance_limit_m must be positive"),
+            ("score_floor", "1", "score_floor must lie in [0, 1)"),
+            ("iou_thr", "0", "iou_thr must lie in (0, 1]"),
+        ],
+    )
+    def test_flag_out_of_range_names_the_rule(self, tmp_path, capsys, field, value, message):
+        command, flag = FIELDS[field]
+        out = tmp_path / "out.file"
+        code, stdout, err = run_cli(capsys, *command_argv(tmp_path, command, out), flag, value)
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
     def test_null_config_alpha_is_unset(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"alpha": null}')
@@ -855,6 +927,28 @@ class TestInfrastructure:
             "--out", tmp_path / "no" / "such" / "dir" / "p.json",
         )
         assert code == 2
+
+    def test_output_file_mode_follows_umask(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        previous = os.umask(0o027)
+        try:
+            summary_of(
+                capsys, "plan-finetune", "--phase1-epochs", 1, "--phase2-epochs", 1, "--out", out
+            )
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_out_naming_a_directory_leaves_no_temporary_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, stdout, err = run_cli(
+            capsys, "plan-finetune", "--phase1-epochs", 1, "--phase2-epochs", 1, "--out", target
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and str(target) in err
+        assert [path.name for path in tmp_path.iterdir()] == ["taken"]
+        assert list(target.iterdir()) == []
 
     def test_module_entry_point(self, tmp_path):
         samples = tmp_path / "samples.csv"

@@ -10,11 +10,9 @@ from skel2box import (
     DatasetManifest,
     Detection,
     IncompleteSkeleton,
-    InvalidScore,
     JoinError,
     MixedVideos,
     ParseError,
-    UnknownVideo,
     emit_coco,
     emit_detections,
     emit_mot,
@@ -230,9 +228,9 @@ class TestEmitCoco:
 
     def test_unknown_video(self):
         manifest = DatasetManifest("d", 100, 100, (("a", 2),))
-        with pytest.raises(UnknownVideo):
+        with pytest.raises(JoinError, match=r"^annotation \(b, 1, 1\) is outside the manifest$"):
             emit_coco([make_ann("b", 1, 1)], manifest)
-        with pytest.raises(UnknownVideo):
+        with pytest.raises(JoinError, match=r"^annotation \(a, 3, 1\) is outside the manifest$"):
             emit_coco([make_ann("a", 3, 1)], manifest)
 
     def test_non_finite_values_rejected(self):
@@ -408,6 +406,14 @@ class TestParseCocoForeign:
             ({"images": [{"id": 1, "file_name": "v/\u00b2.jpg"}], "annotations": []}, "image 0"),
             ({"images": [], "annotations": [], "info": {"videos": [["v", 3], ["v", 1]]}},
              "info.videos"),
+            # info.videos claims one image per frame.
+            ({"images": [], "annotations": [], "info": {"videos": [["v", 100000]]}},
+             "info.videos"),
+            ({"images": [{"id": 1, "file_name": "v/000002.jpg"}],
+              "annotations": [], "info": {"videos": [["v", 2]]}}, "info.videos"),
+            ({"images": [{"id": 1, "file_name": "v/000001.jpg"},
+                         {"id": 2, "file_name": "v/000001.png"}],
+              "annotations": [], "info": {"videos": [["v", 2]]}}, "image 1"),
         ],
     )
     def test_malformed_parts_are_located(self, doc, location):
@@ -538,9 +544,9 @@ class TestDetections:
         assert det.score == 0.0
 
     def test_score_out_of_range(self):
-        with pytest.raises(InvalidScore):
+        with pytest.raises(ParseError, match=r"^score 1.1 outside \[0, 1\] \(line 1\)$"):
             parse_detections("1,-1,0,0,10,10,1.1,-1,-1,-1\n", "mot_det", video_id="v")
-        with pytest.raises(InvalidScore):
+        with pytest.raises(ParseError, match=r"^score -0.2 outside \[0, 1\] \(line 1\)$"):
             parse_detections("1,-1,0,0,10,10,-0.2,-1,-1,-1\n", "mot_det", video_id="v")
 
     def test_unknown_format(self):
@@ -602,6 +608,23 @@ class TestDetections:
                 "coco_results",
                 frame_of_image={1: ("v", 1)},
             )
+
+    @pytest.mark.parametrize(
+        "text, error, message, location",
+        [
+            ('{"image_id": 1}', ParseError,
+             "expected a top-level JSON array of detection records", None),
+            ('[{"image_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5}, [1]]', ParseError,
+             "expected an object, got [1] (record 1)", "record 1"),
+            ('[{"image_id": 99, "bbox": [0, 0, 1, 1], "score": 0.5}]', JoinError,
+             "detection references unknown image id 99 (record 0)", "record 0"),
+        ],
+        ids=["not_an_array", "record_not_an_object", "unknown_image"],
+    )
+    def test_coco_results_document_errors(self, text, error, message, location):
+        with pytest.raises(error) as exc_info:
+            parse_detections(text, "coco_results", frame_of_image={1: ("v", 1)})
+        assert (str(exc_info.value), exc_info.value.location) == (message, location)
 
     def test_coco_results_other_category_skipped(self):
         text = '[{"image_id": 1, "category_id": 2, "bbox": [0, 0, 1, 1], "score": 0.5}]'

@@ -200,6 +200,20 @@ class TestSynthesizeAnnotations:
         assert len(result.annotations) == 1
         assert result.skipped_count == 1
 
+    @pytest.mark.parametrize(
+        "alpha, image_w, image_h, message",
+        [
+            (math.nan, 1920, 1080, "alpha must be finite and non-negative, got nan"),
+            (100, 0, 1080, "image dimensions must be positive, got 0x1080"),
+            (100, 1920, 0, "image dimensions must be positive, got 1920x0"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, alpha, image_w, image_h, message):
+        skeleton = make_skeleton([(100, 200), (120, 250)])
+        with pytest.raises(InvalidArgument) as exc_info:
+            synthesize_annotations([skeleton], alpha=alpha, image_w=image_w, image_h=image_h)
+        assert str(exc_info.value) == message
+
     def test_off_screen_skipped(self):
         off = make_skeleton([(-500, -500), (-400, -300)])
         result = synthesize_annotations([off], alpha=10, image_w=1920, image_h=1080)

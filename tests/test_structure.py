@@ -2,9 +2,10 @@
 
 No module of ``skel2box`` uses a ``_``-prefixed name of another package
 module: a helper that two modules share is public in one of them. The
-package imports nothing outside the standard library and itself. And JSON
-is read in one place, ``formats.load_json``, so every JSON input fails the
-same way.
+package imports nothing outside the standard library and itself. JSON is
+read in one place, ``formats.load_json``, so every JSON input fails the
+same way; and CSV is read and written by ``formats.csv_rows`` and
+``formats.csv_row``, not by the ``csv`` module.
 """
 
 import ast
@@ -184,3 +185,38 @@ def test_json_read_checker_flags_each_form():
         ]
     )
     assert json_reads(source) == ["<module>", "load_json", "from_json", "from_json"]
+
+
+def csv_imports(source: str) -> list[str]:
+    """Each import of the ``csv`` module or a submodule of it in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [name for name in names if name.split(".")[0] == "csv"]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_package_does_not_import_csv(path):
+    assert csv_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_csv_import_checker_flags_each_form():
+    source = "\n".join(
+        [
+            "import csv",
+            "import json, csv as c",
+            "from csv import reader",
+            "from . import csv_rows",
+            "from .formats import csv_row",
+            "import csvkit",
+            "def later():",
+            "    import _csv",
+        ]
+    )
+    assert csv_imports(source) == ["csv", "csv", "csv"]

@@ -133,6 +133,22 @@ class TestPlanMixedBatches:
             plan_mixed_batches(MixConfig(-1, 5, batch_size=12))
 
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (MixConfig(10, 5, batch_size=12, ratio=(1, 1, 1)),
+             "ratio must be a pair of integers, got (1, 1, 1)"),
+            (MixConfig(0, 2, batch_size=3, ratio=(0, 1)),
+             "real dataset (2) cannot fill one batch (3 real slots)"),
+        ],
+        ids=["three_part_ratio", "real_only_too_few"],
+    )
+    def test_invalid_config_names_the_rule(self, config, message):
+        with pytest.raises(InvalidConfig) as exc_info:
+            plan_mixed_batches(config)
+        assert str(exc_info.value) == message
+
+
 class TestPlanFinetune:
     def test_direct_construction(self):
         plan = plan_finetune(3, 2)
@@ -253,6 +269,57 @@ class TestSerialization:
     )
     def test_malformed_plans_raise_package_errors(self, doc):
         with pytest.raises(Skel2BoxError):
+            parse_plan(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "epochs, match",
+        [
+            ([[["syn", -5], ["syn", 1], ["real", 0], ["syn", 2], ["syn", 3], ["real", 1]]],
+             r"^bad plan entry \['syn', -5\] at 0 in epoch 0: expected \['syn', i\], "
+             r"i in range\(4\) and not used before in the epoch$"),
+            ([[["syn", 0], ["syn", 1], ["real", 0], ["syn", 2], ["syn", 99], ["real", 1]]],
+             r"^bad plan entry \['syn', 99\] at 4 in epoch 0"),
+            ([[["syn", 0], ["syn", 1], ["real", 2], ["syn", 2], ["syn", 3], ["real", 1]]],
+             r"^bad plan entry \['real', 2\] at 2 in epoch 0: expected \['real', i\], "
+             r"i in range\(2\)$"),
+            ([[["syn", 0], ["syn", 1], ["real", 0], ["syn", 1], ["syn", 3], ["real", 1]]],
+             r"^bad plan entry \['syn', 1\] at 3 in epoch 0"),
+            ([[["syn", 0], ["real", 0], ["syn", 1], ["syn", 2], ["syn", 3], ["real", 1]]],
+             r"^bad plan entry \['real', 0\] at 1 in epoch 0: expected \['syn', i\]"),
+            ([[["syn", 0], ["syn", 1], ["real", 0]]],
+             r"^epoch 0 must hold 2 batches of 3 entries$"),
+            ([[["syn", 0], ["syn", 1], ["real", 0], ["syn", 2], ["syn", 3], ["real", 1]]] * 2,
+             r"^epochs must be an array of 1 epochs$"),
+            ([], r"^epochs must be an array of 1 epochs$"),
+        ],
+        ids=["syn_negative", "syn_beyond_set", "real_beyond_set", "syn_repeated",
+             "real_in_syn_slot", "short_epoch", "two_epochs", "no_epochs"],
+    )
+    def test_mixed_entries_are_checked_against_the_config(self, epochs, match):
+        doc = {"kind": "mixed", "config": GOOD_MIX, "epochs": epochs}
+        with pytest.raises(ParseError, match=match):
+            parse_plan(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "config, error, match",
+        [
+            ({key: value for key, value in GOOD_MIX.items() if key != "seed"}, ParseError,
+             r"^mixed-plan config must hold the keys "),
+            ({**GOOD_MIX, "ratio": [1, 1, 1]}, InvalidConfig, r"^ratio must be a pair"),
+            ({**GOOD_MIX, "ratio": [0, 1], "n_real": 2}, InvalidConfig,
+             r"^real dataset \(2\) cannot fill one batch \(3 real slots\)$"),
+        ],
+        ids=["lacks_a_key", "three_part_ratio", "real_only_too_few"],
+    )
+    def test_mixed_config_is_checked_by_its_planner(self, config, error, match):
+        doc = {"kind": "mixed", "config": config, "epochs": []}
+        with pytest.raises(error, match=match):
+            parse_plan(json.dumps(doc))
+
+    def test_claimed_dataset_size_builds_nothing(self):
+        config = {**GOOD_MIX, "n_real": 10**9, "n_synthetic": 10**9, "batch_size": 3}
+        doc = {"kind": "mixed", "config": config, "epochs": [[]]}
+        with pytest.raises(ParseError, match=r"^epoch 0 must hold 500000000 batches of 3 "):
             parse_plan(json.dumps(doc))
 
     def test_overlong_integer_is_a_parse_error(self):
