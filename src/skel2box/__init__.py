@@ -14,14 +14,12 @@ from .calibration import (
     load_calibration_samples,
 )
 from .errors import (
-    DegenerateSkeleton,
     EmptyInput,
     IncompleteSkeleton,
     InvalidArgument,
     InvalidConfig,
     JoinError,
     MixedVideos,
-    NonPositiveDistance,
     ParseError,
     Skel2BoxError,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "CalibrationSample",
     "CocoGroundTruth",
     "DatasetManifest",
-    "DegenerateSkeleton",
     "Detection",
     "DistanceHistogram",
     "EmptyInput",
@@ -102,7 +99,6 @@ __all__ = [
     "MatchOutcome",
     "MixConfig",
     "MixedVideos",
-    "NonPositiveDistance",
     "PRCurve",
     "ParseError",
     "Skel2BoxError",

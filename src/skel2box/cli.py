@@ -141,12 +141,12 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 @contextmanager
-def _reading(path: str):
-    """Prefix data errors with the file they came from."""
+def _reading(source: str):
+    """Prefix data errors with the file or flag they came from."""
     try:
         yield
     except Skel2BoxError as exc:
-        exc.args = (f"{path}: {exc}",)
+        exc.args = (f"{source}: {exc}",)
         raise
 
 
@@ -205,6 +205,8 @@ def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def _cmd_histogram(args: argparse.Namespace, config: PipelineConfig) -> dict:
+    with _reading("--bin-width"):
+        sanitize.check_bin_width(args.bin_width)
     gt = _parse_file(args.gt, formats.parse_coco_gt)
     with _reading(args.gt):
         hist = sanitize.distance_histogram(gt.annotations, bin_width_m=args.bin_width)
@@ -233,6 +235,10 @@ def _cmd_prune(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def _cmd_distance_limit(args: argparse.Namespace, config: PipelineConfig) -> dict:
+    with _reading("--bin-width"):
+        sanitize.check_bin_width(args.bin_width)
+    with _reading("--h-min"):
+        sanitize.check_height_floor(args.h_min)
     gt = _parse_file(args.gt, formats.parse_coco_gt)
     with _reading(args.gt):
         limit = sanitize.derive_distance_limit(

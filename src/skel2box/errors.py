@@ -24,14 +24,6 @@ class InvalidArgument(Skel2BoxError, ValueError):
     """A caller-supplied value violates an operation precondition."""
 
 
-class DegenerateSkeleton(Skel2BoxError):
-    """Skeleton joint hull has zero width or zero height."""
-
-
-class NonPositiveDistance(Skel2BoxError):
-    """Computed pedestrian-camera distance is not finite and positive."""
-
-
 class ParseError(Skel2BoxError):
     """Malformed input or a bad value in it; ``location`` points at the offending record."""
 

@@ -461,6 +461,7 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
             located as ``images`` or ``annotations`` (not an array),
             ``image N`` (also an image outside ``info.videos`` or on the
             frame of an earlier image), ``annotation N`` or ``info.<key>``.
+        JoinError: ``annotation N`` references an unknown image id.
     """
     doc = load_json(source)
     if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
@@ -471,49 +472,45 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
 
     images: list[FrameRef] = []
     frame_of: dict[int, tuple[str, int]] = {}
-    try:
-        for idx, img in enumerate(doc["images"]):
-            loc = f"image {idx}"
-            image_id = _require_int(img.get("id"), "image id", loc)
-            video_id, frame_id = _parse_file_name(img.get("file_name", ""), loc)
-            if image_id in frame_of:
-                raise ParseError(f"duplicate image id {image_id}", location=loc)
-            frame_of[image_id] = (video_id, frame_id)
-            images.append(FrameRef(image_id=image_id, video_id=video_id, frame_id=frame_id))
-    except AttributeError:
-        # Only an entry that is not an object lacks .get(). Catching that
-        # here, for both tables, keeps the check off the per-entry path.
-        raise ParseError(f"expected an object, got {img!r}", location=loc) from None
+    for idx, img in enumerate(doc["images"]):
+        loc = f"image {idx}"
+        if not isinstance(img, dict):
+            raise ParseError(f"expected an object, got {img!r}", location=loc)
+        image_id = _require_int(img.get("id"), "image id", loc)
+        video_id, frame_id = _parse_file_name(img.get("file_name", ""), loc)
+        if image_id in frame_of:
+            raise ParseError(f"duplicate image id {image_id}", location=loc)
+        frame_of[image_id] = (video_id, frame_id)
+        images.append(FrameRef(image_id=image_id, video_id=video_id, frame_id=frame_id))
 
     annotations: list[AnnotatedBox] = []
-    try:
-        for idx, ann in enumerate(doc["annotations"]):
-            loc = f"annotation {idx}"
-            image_id = _require_int(ann.get("image_id"), "image_id", loc)
-            if image_id not in frame_of:
-                raise ParseError(f"annotation references unknown image id {image_id}", location=loc)
-            video_id, frame_id = frame_of[image_id]
-            box = _coco_box(ann.get("bbox"), loc)
-            pedestrian_id = _require_int(
-                ann.get("pedestrian_id", ann.get("id", idx + 1)), "pedestrian_id", loc
+    for idx, ann in enumerate(doc["annotations"]):
+        loc = f"annotation {idx}"
+        if not isinstance(ann, dict):
+            raise ParseError(f"expected an object, got {ann!r}", location=loc)
+        image_id = _require_int(ann.get("image_id"), "image_id", loc)
+        if image_id not in frame_of:
+            raise JoinError(f"annotation references unknown image id {image_id}", location=loc)
+        video_id, frame_id = frame_of[image_id]
+        box = _coco_box(ann.get("bbox"), loc)
+        pedestrian_id = _require_int(
+            ann.get("pedestrian_id", ann.get("id", idx + 1)), "pedestrian_id", loc
+        )
+        if "distance_m" in ann:
+            distance = _require_finite(ann["distance_m"], "distance_m", loc)
+            if distance <= 0:
+                raise ParseError(f"distance_m must be positive, got {distance!r}", location=loc)
+        else:
+            distance = math.inf
+        annotations.append(
+            AnnotatedBox(
+                video_id=video_id,
+                frame_id=frame_id,
+                pedestrian_id=pedestrian_id,
+                box=box,
+                distance_m=distance,
             )
-            if "distance_m" in ann:
-                distance = _require_finite(ann["distance_m"], "distance_m", loc)
-                if distance <= 0:
-                    raise ParseError(f"distance_m must be positive, got {distance!r}", location=loc)
-            else:
-                distance = math.inf
-            annotations.append(
-                AnnotatedBox(
-                    video_id=video_id,
-                    frame_id=frame_id,
-                    pedestrian_id=pedestrian_id,
-                    box=box,
-                    distance_m=distance,
-                )
-            )
-    except AttributeError:
-        raise ParseError(f"expected an object, got {ann!r}", location=loc) from None
+        )
     annotations.sort(key=sort_key)
 
     info = doc.get("info")
@@ -721,7 +718,6 @@ def manifest_for_annotations(
     image_w: float,
     image_h: float,
     alpha_used: Optional[float] = None,
-    distance_limit_m: Optional[float] = None,
 ) -> DatasetManifest:
     """Build a manifest covering every frame referenced by the records.
 
@@ -736,5 +732,4 @@ def manifest_for_annotations(
         image_h=image_h,
         videos=tuple(sorted(counts.items())),
         alpha_used=alpha_used,
-        distance_limit_m=distance_limit_m,
     )

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import DegenerateSkeleton, InvalidArgument, NonPositiveDistance
+from .errors import InvalidArgument
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,49 +91,34 @@ class SynthesisResult:
     skipped_count: int
 
 
-def skeleton_enclosing_box(skeleton: SkeletonInstance) -> BBox:
+def skeleton_enclosing_box(skeleton: SkeletonInstance) -> Optional[BBox]:
     """Minimum axis-aligned box enclosing all joint screen positions.
 
     Occluded joints are included: excluding them would shrink boxes for
-    partially hidden pedestrians.
-
-    Raises:
-        DegenerateSkeleton: the hull has zero width or zero height.
+    partially hidden pedestrians. Returns None for a skeleton with no joints
+    or a hull of zero width or zero height.
     """
     xs, ys = skeleton.x_px, skeleton.y_px
     if not xs:
-        raise DegenerateSkeleton(
-            f"skeleton ({skeleton.video_id}, {skeleton.frame_id}, "
-            f"{skeleton.pedestrian_id}) has no joints"
-        )
+        return None
     x1, x2 = min(xs), max(xs)
     y1, y2 = min(ys), max(ys)
     if x2 - x1 <= 0 or y2 - y1 <= 0:
-        raise DegenerateSkeleton(
-            f"skeleton ({skeleton.video_id}, {skeleton.frame_id}, "
-            f"{skeleton.pedestrian_id}) collapses to a zero-extent hull"
-        )
+        return None
     return BBox(x1, y1, x2 - x1, y2 - y1)
 
 
-def camera_distance(skeleton: SkeletonInstance) -> float:
+def camera_distance(skeleton: SkeletonInstance) -> Optional[float]:
     """Distance of the pedestrian's center of mass from the camera.
 
     The center of mass is the unweighted mean of the joints' camera-space
-    positions; the distance is its Euclidean norm.
-
-    Raises:
-        NonPositiveDistance: the norm is zero, negative, or not finite.
+    positions; the distance is its Euclidean norm. Returns None when the
+    norm is zero or not finite.
     """
     n = len(skeleton.z3d_m)
     columns = (skeleton.x3d_m, skeleton.y3d_m, skeleton.z3d_m)
     dist = math.hypot(*(math.fsum(column) / n for column in columns))
-    if not math.isfinite(dist) or dist <= 0:
-        raise NonPositiveDistance(
-            f"skeleton ({skeleton.video_id}, {skeleton.frame_id}, "
-            f"{skeleton.pedestrian_id}) has center-of-mass distance {dist!r}"
-        )
-    return dist
+    return dist if math.isfinite(dist) and dist > 0 else None
 
 
 def pad_box(skeleton_box: BBox, z: float, alpha: float) -> BBox:
@@ -205,19 +190,14 @@ def synthesize_annotations(
     kept: list[AnnotatedBox] = []
     skipped = 0
     for skeleton in skeletons:
-        try:
-            skeleton_box = skeleton_enclosing_box(skeleton)
-            z = camera_distance(skeleton)
-        except (DegenerateSkeleton, NonPositiveDistance):
+        skeleton_box = skeleton_enclosing_box(skeleton)
+        z = None if skeleton_box is None else camera_distance(skeleton)
+        box = None if z is None else pad_box(skeleton_box, z, alpha)
+        if clamp and box is not None:
+            box = clamp_to_image(box, image_w, image_h)
+        if box is None:
             skipped += 1
             continue
-        box = pad_box(skeleton_box, z, alpha)
-        if clamp:
-            clipped = clamp_to_image(box, image_w, image_h)
-            if clipped is None:
-                skipped += 1
-                continue
-            box = clipped
         kept.append(
             AnnotatedBox(
                 video_id=skeleton.video_id,

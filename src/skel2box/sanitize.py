@@ -19,6 +19,7 @@ from .formats import csv_row
 from .geometry import AnnotatedBox
 
 DEFAULT_DISTANCE_LIMIT_M = 40.0
+MAX_HISTOGRAM_BINS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,18 @@ class DistanceHistogram:
         return "bin_lower_m,count\n" + "".join(rows)
 
 
+def check_bin_width(bin_width_m: float) -> None:
+    """Raise InvalidArgument unless ``bin_width_m`` is finite and positive."""
+    if not (math.isfinite(bin_width_m) and bin_width_m > 0):
+        raise InvalidArgument(f"bin width must be positive, got {bin_width_m!r}")
+
+
+def check_height_floor(h_min_px: float) -> None:
+    """Raise InvalidArgument unless ``h_min_px`` is finite and non-negative."""
+    if not (math.isfinite(h_min_px) and h_min_px >= 0):
+        raise InvalidArgument(f"height floor must be non-negative, got {h_min_px!r}")
+
+
 def _bin_of(distance: float, bin_width_m: float) -> int:
     if not math.isfinite(distance):
         raise InvalidArgument(f"annotation distance must be finite, got {distance!r}")
@@ -42,11 +55,15 @@ def _bin_of(distance: float, bin_width_m: float) -> int:
 def distance_histogram(
     annotations: Sequence[AnnotatedBox], bin_width_m: float
 ) -> DistanceHistogram:
-    """Histogram of pedestrian-camera distances."""
-    if not (math.isfinite(bin_width_m) and bin_width_m > 0):
-        raise InvalidArgument(f"bin width must be positive, got {bin_width_m!r}")
+    """Histogram of pedestrian-camera distances in at most ``MAX_HISTOGRAM_BINS`` bins."""
+    check_bin_width(bin_width_m)
     if not annotations:
         return DistanceHistogram(bin_width_m=bin_width_m, counts=())
+    farthest = max(a.distance_m for a in annotations)
+    if math.isfinite(farthest) and farthest // bin_width_m >= MAX_HISTOGRAM_BINS:
+        raise InvalidArgument(
+            f"distance {farthest!r} m is past {MAX_HISTOGRAM_BINS} bins of {bin_width_m!r} m"
+        )
     bins = [_bin_of(a.distance_m, bin_width_m) for a in annotations]
     counts = [0] * (max(bins) + 1)
     for k in bins:
@@ -90,10 +107,8 @@ def derive_distance_limit(
     """
     if not annotations:
         raise EmptyInput("cannot derive a distance limit from zero annotations")
-    if not (math.isfinite(bin_width_m) and bin_width_m > 0):
-        raise InvalidArgument(f"bin width must be positive, got {bin_width_m!r}")
-    if not (math.isfinite(h_min_px) and h_min_px >= 0):
-        raise InvalidArgument(f"height floor must be non-negative, got {h_min_px!r}")
+    check_bin_width(bin_width_m)
+    check_height_floor(h_min_px)
 
     heights_by_bin: dict[int, list[float]] = {}
     for a in annotations:

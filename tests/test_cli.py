@@ -378,6 +378,57 @@ class TestDistanceLimit:
         assert json.loads(out.read_text()) == {"distance_limit_m": 30.0}
 
 
+class TestDistanceFlagsAndData:
+    """A bad flag is named before any file is read; bad data names the file."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("histogram", "--bin-width", 0),
+             "--bin-width: bin width must be positive, got 0.0"),
+            (("distance-limit", "--h-min", 10, "--bin-width", "nan"),
+             "--bin-width: bin width must be positive, got nan"),
+            (("distance-limit", "--h-min", -1),
+             "--h-min: height floor must be non-negative, got -1.0"),
+        ],
+        ids=["histogram_bin_width", "distance_limit_bin_width", "distance_limit_h_min"],
+    )
+    def test_bad_flag_is_named_before_the_file_is_read(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out.csv"
+        missing = tmp_path / "missing.json"
+        code, stdout, err = run_cli(capsys, *args, "--gt", missing, "--out", out)
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_histogram_of_too_many_bins_leaves_no_output(self, tmp_path, capsys):
+        gt = coco_file(tmp_path, [annotation("v", 1, 1, 0, 0, 10, 20, 1e12)])
+        out = tmp_path / "hist.csv"
+        code, stdout, err = run_cli(capsys, "histogram", "--gt", gt, "--out", out)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {gt}: distance 1000000000000.0 m is past 1000000 bins of 1.0 m\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [("histogram",), ("distance-limit", "--h-min", 10)])
+    def test_annotation_without_a_finite_distance_names_the_file(self, tmp_path, capsys, args):
+        # A foreign annotation without distance_m is infinitely far.
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({
+            "images": [{"id": 1, "file_name": "v/000001.jpg"}],
+            "annotations": [{"id": 1, "image_id": 1, "bbox": [0, 0, 10, 20]}],
+        }))
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, *args, "--gt", gt, "--out", out)
+        assert (code, err) == (2, f"error: {gt}: annotation distance must be finite, got inf\n")
+        assert not out.exists()
+
+    def test_distance_limit_of_no_annotations_names_the_file(self, tmp_path, capsys):
+        gt = coco_file(tmp_path, [])
+        code, _, err = run_cli(capsys, "distance-limit", "--gt", gt, "--h-min", 10)
+        assert (code, err) == (
+            2, f"error: {gt}: cannot derive a distance limit from zero annotations\n"
+        )
+
+
 class TestConvert:
     def test_coco_to_mot_to_coco(self, tmp_path, capsys):
         anns = [

@@ -346,8 +346,10 @@ class TestParseCocoForeign:
             "images": [{"id": 1, "file_name": "v/000001.jpg"}],
             "annotations": [{"id": 1, "image_id": 2, "bbox": [0, 0, 1, 1]}],
         }
-        with pytest.raises(ParseError):
+        with pytest.raises(JoinError) as exc_info:
             parse_coco_gt(json.dumps(doc))
+        assert str(exc_info.value) == "annotation references unknown image id 2 (annotation 0)"
+        assert exc_info.value.location == "annotation 0"
 
     def test_bad_bbox(self):
         base = {"images": [{"id": 1, "file_name": "v/000001.jpg"}]}

@@ -12,7 +12,7 @@ from skel2box import (
     distance_histogram,
     prune_by_distance,
 )
-from skel2box.sanitize import DEFAULT_DISTANCE_LIMIT_M
+from skel2box.sanitize import DEFAULT_DISTANCE_LIMIT_M, MAX_HISTOGRAM_BINS
 
 
 def ann(distance, height=100.0, ped=0):
@@ -49,6 +49,23 @@ class TestDistanceHistogram:
     def test_non_finite_distance(self):
         with pytest.raises(InvalidArgument):
             distance_histogram([ann(math.inf)], bin_width_m=1.0)
+
+    @pytest.mark.parametrize("distance", [1e12, 1e300])
+    def test_too_many_bins_refused(self, distance):
+        with pytest.raises(InvalidArgument) as exc_info:
+            distance_histogram([ann(1.0), ann(distance)], bin_width_m=1.0)
+        assert str(exc_info.value) == f"distance {distance!r} m is past 1000000 bins of 1.0 m"
+
+    def test_bins_beyond_float_range_refused(self):
+        # 10 // 1e-310 is infinite: refused, not an OverflowError.
+        with pytest.raises(InvalidArgument, match="^distance 10.0 m is past 1000000 bins"):
+            distance_histogram([ann(10.0)], bin_width_m=1e-310)
+
+    def test_most_bins_accepted(self):
+        assert MAX_HISTOGRAM_BINS == 1_000_000
+        hist = distance_histogram([ann(0.5), ann(999_999.5)], bin_width_m=1.0)
+        assert len(hist.counts) == MAX_HISTOGRAM_BINS
+        assert (hist.counts[0], hist.counts[-1], sum(hist.counts)) == (1, 1, 2)
 
     def test_csv_export(self):
         hist = distance_histogram([ann(0.5), ann(2.25), ann(2.5)], bin_width_m=1.0)

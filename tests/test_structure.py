@@ -5,7 +5,10 @@ module: a helper that two modules share is public in one of them. The
 package imports nothing outside the standard library and itself. JSON is
 read in one place, ``formats.load_json``, so every JSON input fails the
 same way; and CSV is read and written by ``formats.csv_rows`` and
-``formats.csv_row``, not by the ``csv`` module.
+``formats.csv_row``, not by the ``csv`` module. Errors are for failures
+only: every class of ``errors.py`` but the base is raised somewhere, and
+only ``cli.py`` catches one, so no module raises an error to steer its own
+control flow.
 """
 
 import ast
@@ -220,3 +223,75 @@ def test_csv_import_checker_flags_each_form():
         ]
     )
     assert csv_imports(source) == ["csv", "csv", "csv"]
+
+
+ERROR_CLASSES = [
+    node.name
+    for node in ast.parse((SOURCE_DIR / "errors.py").read_text(encoding="utf-8")).body
+    if isinstance(node, ast.ClassDef)
+]
+
+
+def _class_names(node: ast.expr | None) -> list[str]:
+    """The names in a ``raise`` or ``except`` expression: ``X``, ``X(...)``,
+    ``errors.X`` and tuples of these."""
+    if isinstance(node, ast.Call):
+        return _class_names(node.func)
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _class_names(elt)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    return []
+
+
+def raised_and_caught(source: str) -> tuple[list[str], list[str]]:
+    """The class names that ``source`` raises, and those its ``except`` clauses name."""
+    raised, caught = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            raised += _class_names(node.exc)
+        elif isinstance(node, ast.ExceptHandler):
+            caught += _class_names(node.type)
+    return raised, caught
+
+
+def test_error_classes_are_found():
+    assert {"Skel2BoxError", "ParseError", "IncompleteSkeleton"} <= set(ERROR_CLASSES)
+
+
+def test_every_error_class_is_raised():
+    raised = set()
+    for path in MODULES:
+        raised.update(raised_and_caught(path.read_text(encoding="utf-8"))[0])
+    assert [name for name in ERROR_CLASSES if name not in raised | {"Skel2BoxError"}] == []
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name != "cli.py"], ids=lambda path: path.name
+)
+def test_only_the_cli_catches_package_errors(path):
+    caught = raised_and_caught(path.read_text(encoding="utf-8"))[1]
+    assert [name for name in caught if name in ERROR_CLASSES] == []
+
+
+def test_error_checker_flags_each_form():
+    source = "\n".join(
+        [
+            "from . import errors",
+            "from .errors import ParseError",
+            "try:",
+            "    raise ParseError('x', location='line 1')",
+            "except ParseError:",
+            "    raise errors.JoinError('y') from None",
+            "except (KeyError, errors.EmptyInput) as exc:",
+            "    raise",
+            "except:",
+            "    raise InvalidConfig",
+        ]
+    )
+    assert raised_and_caught(source) == (
+        ["ParseError", "JoinError", "InvalidConfig"],
+        ["ParseError", "KeyError", "EmptyInput"],
+    )
