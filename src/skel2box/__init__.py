@@ -66,7 +66,6 @@ from .sanitize import (
 )
 from .training_plan import (
     BatchPlan,
-    FineTunePhase,
     FineTunePlan,
     MixConfig,
     parse_plan,
@@ -89,7 +88,6 @@ __all__ = [
     "DistanceHistogram",
     "EmptyInput",
     "EvalReport",
-    "FineTunePhase",
     "FineTunePlan",
     "FrameRef",
     "IncompleteSkeleton",

@@ -142,7 +142,7 @@ def load_calibration_samples(source: str) -> list[CalibrationSample]:
     and line numbers in errors are 1-based and count the header line.
     """
     samples = []
-    for loc, _, values in csv_rows(source, 3, 3, header=SAMPLE_CSV_HEADER):
+    for loc, values in csv_rows(source, 3, 3, header=SAMPLE_CSV_HEADER):
         sample = CalibrationSample(*values)
         _check_sample(sample, location=loc)
         samples.append(sample)

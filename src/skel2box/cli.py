@@ -184,13 +184,14 @@ def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> dict:
         image_h=config.image_h,
         clamp=not args.no_clamp,
     )
-    manifest = formats.manifest_for_annotations(
-        skeletons,
-        dataset_id=args.dataset_id or video_id,
-        image_w=config.image_w,
-        image_h=config.image_h,
-        alpha_used=config.alpha,
-    )
+    with _reading(args.jta):
+        manifest = formats.manifest_for_annotations(
+            skeletons,
+            dataset_id=args.dataset_id or video_id,
+            image_w=config.image_w,
+            image_h=config.image_h,
+            alpha_used=config.alpha,
+        )
     _write_atomic(args.out_coco, formats.emit_coco(result.annotations, manifest))
     if args.out_mot:
         _write_atomic(args.out_mot, formats.emit_mot(result.annotations))
@@ -221,9 +222,8 @@ def _cmd_histogram(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 def _cmd_prune(args: argparse.Namespace, config: PipelineConfig) -> dict:
     gt = _parse_file(args.gt, formats.parse_coco_gt)
-    kept, pruned = sanitize.prune_by_distance(
-        gt.annotations, limit_m=config.distance_limit_m
-    )
+    with _reading(args.gt):
+        kept, pruned = sanitize.prune_by_distance(gt.annotations, limit_m=config.distance_limit_m)
     manifest = dataclasses.replace(gt.manifest, distance_limit_m=config.distance_limit_m)
     _write_atomic(args.out, formats.emit_coco(kept, manifest))
     return {
@@ -271,13 +271,15 @@ def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> dict:
         if not args.video_id:
             raise _UsageError("--video-id is required when converting from MOT input")
         annotations, skipped = _parse_file(args.infile, formats.parse_mot_gt, args.video_id)
-        manifest = formats.manifest_for_annotations(
-            annotations,
-            dataset_id=args.dataset_id or args.video_id,
-            image_w=config.image_w,
-            image_h=config.image_h,
-        )
     if args.to_fmt == "coco":
+        if args.from_fmt == "mot":
+            with _reading(args.infile):
+                manifest = formats.manifest_for_annotations(
+                    annotations,
+                    dataset_id=args.dataset_id or args.video_id,
+                    image_w=config.image_w,
+                    image_h=config.image_h,
+                )
         _write_atomic(args.out, formats.emit_coco(annotations, manifest))
     else:
         videos = sorted({a.video_id for a in annotations})
@@ -340,8 +342,8 @@ def _cmd_plan_finetune(args: argparse.Namespace, config: PipelineConfig) -> dict
     plan = training_plan.plan_finetune(args.phase1_epochs, args.phase2_epochs)
     _write_atomic(args.out, training_plan.serialize_plan(plan))
     return {
-        "phase1_epochs": plan.phase1.epochs,
-        "phase2_epochs": plan.phase2.epochs,
+        "phase1_epochs": plan.phase1_epochs,
+        "phase2_epochs": plan.phase2_epochs,
         "out": args.out,
     }
 

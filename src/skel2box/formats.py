@@ -8,7 +8,8 @@ The emitted COCO documents are standard COCO detection ground truth plus
 two extension keys per annotation, ``pedestrian_id`` and ``distance_m``,
 which COCO tooling ignores but which let this package round-trip identity
 and distance information. ``distance_m`` is omitted when unknown; parsing
-a document without it yields an infinite distance, i.e. "never pruned".
+a document without it yields an infinite distance, which the distance
+operations of :mod:`skel2box.sanitize` refuse rather than bin or prune.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ _SCORE_SLACK = 1e-9
 
 _FLOAT_MAX = sys.float_info.max
 
+# The most frames a frame table may hold over all its videos; JTA has 460,800.
+MAX_FRAMES = 1_000_000
+
 
 @dataclass(frozen=True)
 class Detection:
@@ -56,6 +60,13 @@ class DatasetManifest:
     videos: tuple[tuple[str, int], ...]
     alpha_used: Optional[float] = None
     distance_limit_m: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        total = 0
+        for video, count in self.videos:
+            total += count
+            if total > MAX_FRAMES:
+                raise ParseError(f"video {video!r} puts the frame table over {MAX_FRAMES} frames")
 
 
 @dataclass(frozen=True)
@@ -125,10 +136,10 @@ def _require_str(value: Any, what: str, location: str) -> str:
 
 
 def csv_rows(source: str, fewest: int, most: int, header: Sequence[str] = ()) -> Iterator[tuple]:
-    """``(location, fields, values)`` of each line of ``source`` that is not
-    blank: ``fewest`` to ``most`` comma-separated numbers, none quoted. Lines
-    split as :meth:`str.splitlines` splits and are located as ``line N``,
-    1-based. A given ``header`` must be the first line, which is not yielded.
+    """``(location, values)`` of each line of ``source`` that is not blank:
+    ``fewest`` to ``most`` comma-separated numbers, none quoted. Lines split
+    as :meth:`str.splitlines` splits and are located as ``line N``, 1-based.
+    A given ``header`` must be the first line, which is not yielded.
     """
     arity = str(fewest) if fewest == most else f"{fewest}-{most}"
     lines = enumerate(source.splitlines(), start=1)
@@ -151,7 +162,7 @@ def csv_rows(source: str, fewest: int, most: int, header: Sequence[str] = ()) ->
             values = [float(f) for f in fields]
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", location=loc) from exc
-        yield loc, fields, values
+        yield loc, values
 
 
 def csv_row(*values: float) -> str:
@@ -160,42 +171,47 @@ def csv_row(*values: float) -> str:
     return ",".join(str(int(v)) if v == int(v) else repr(v) for v in values) + "\n"
 
 
-def _mot_rows(source: str, fewest: int, most: int) -> Iterator[tuple]:
-    """``(location, fields, values, frame)`` of each MOT row of :func:`csv_rows`;
-    the first field is a frame of at least 1."""
-    for loc, fields, values in csv_rows(source, fewest, most):
-        frame_id = _require_int(values[0], "frame", loc)
-        if frame_id < 1:
-            raise ParseError(
-                f"frame must be at least 1 (frames are 1-based), got {frame_id}", location=loc
-            )
-        yield loc, fields, values, frame_id
+def _frame(value: Any, location: str) -> int:
+    """A frame number: an integer of at least 1."""
+    frame_id = _require_int(value, "frame", location)
+    if frame_id < 1:
+        raise ParseError(
+            f"frame must be at least 1 (frames are 1-based), got {frame_id}", location=location
+        )
+    return frame_id
 
 
-def _mot_box(fields: list[str], values: list[float], location: str) -> BBox:
-    """The box of a MOT row: fields 2-5, finite and of positive extent."""
-    x, y, w, h = values[2:6]
-    if not all(math.isfinite(v) for v in (x, y, w, h)):
-        raise ParseError("box fields must be finite", location=location)
+def _box(values: Sequence[Any], location: str) -> BBox:
+    """A box ``x, y, w, h``: finite numbers, with positive width and height."""
+    x, y, w, h = (_require_finite(v, "box field", location) for v in values)
     if w <= 0 or h <= 0:
-        raise ParseError(f"box must have positive extent, got {fields[2:6]}", location=location)
+        raise ParseError(
+            f"box width and height must be positive, got {w!r} and {h!r}", location=location
+        )
     return BBox(x, y, w, h)
 
 
 def _coco_box(bbox: Any, location: str) -> BBox:
-    """A COCO ``bbox``: ``[x, y, w, h]``, finite and of positive extent."""
+    """A COCO ``bbox``: an array ``[x, y, w, h]`` that is a :func:`_box`."""
     if not isinstance(bbox, list) or len(bbox) != 4:
         raise ParseError(f"bbox must be [x, y, w, h], got {bbox!r}", location=location)
-    x, y, w, h = (_require_finite(v, "bbox field", location) for v in bbox)
-    if w <= 0 or h <= 0:
-        raise ParseError(f"bbox must have positive extent, got {bbox!r}", location=location)
-    return BBox(x, y, w, h)
+    return _box(bbox, location)
 
 
-def _clamp_score(value: float, location: str) -> float:
-    if -_SCORE_SLACK <= value <= 1.0 + _SCORE_SLACK:
-        return min(max(value, 0.0), 1.0)
-    raise ParseError(f"score {value!r} outside [0, 1]", location=location)
+def _clamp_score(value: Any, location: str) -> float:
+    """A finite score within [0, 1], or within ``_SCORE_SLACK`` of it and clamped."""
+    score = _require_finite(value, "score", location)
+    if -_SCORE_SLACK <= score <= 1.0 + _SCORE_SLACK:
+        return min(max(score, 0.0), 1.0)
+    raise ParseError(f"score {score!r} outside [0, 1]", location=location)
+
+
+def _image_size(value: Any, what: str, location: str) -> float:
+    """An image width or height: finite and at least 0, where 0 means unknown."""
+    size = _require_finite(value, what, location)
+    if size < 0:
+        raise ParseError(f"{what} must be at least 0, got {size!r}", location=location)
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +228,11 @@ def _jta_fields(rec: Any, idx: int) -> tuple:
     loc = f"record {idx}"
     if not isinstance(rec, list) or len(rec) != _JTA_ARITY:
         raise ParseError(f"expected an array of {_JTA_ARITY} fields, got {rec!r}", location=loc)
-    frame_id = _require_int(rec[0], "frame_id", loc)
+    frame_id = _frame(rec[0], loc)
     pedestrian_id = _require_int(rec[1], "pedestrian_id", loc)
     joint_id = _require_int(rec[2], "joint_id", loc)
-    if frame_id < 0 or pedestrian_id < 0 or joint_id < 0:
-        raise ParseError("frame, pedestrian and joint ids must be non-negative", location=loc)
-    if frame_id == 0:
-        raise ParseError("frame_id must be at least 1 (frames are 1-based)", location=loc)
+    if pedestrian_id < 0 or joint_id < 0:
+        raise ParseError("pedestrian and joint ids must be non-negative", location=loc)
     coords = [_require_finite(rec[i], f"field {i}", loc) for i in range(3, 8)]
     occluded = _require_int(rec[8], "occluded", loc)
     self_occluded = _require_int(rec[9], "self_occluded", loc)
@@ -389,13 +403,11 @@ def _parse_file_name(file_name: Any, location: str) -> tuple[str, int]:
     head, _, tail = _require_str(file_name, "file_name", location).rpartition("/")
     stem = tail.rsplit(".", 1)[0]
     # isdigit() would also pass digits such as "²" that int() rejects.
-    if not stem.isdecimal():
+    if not stem.removeprefix("-").isdecimal():
         raise ParseError(
             f"cannot extract a frame number from file_name {file_name!r}", location=location
         )
-    if int(stem) == 0:
-        raise ParseError(f"file_name {file_name!r}: frames start at 1, not 0", location=location)
-    return head, int(stem)
+    return head, _frame(int(stem), location)
 
 
 def _info_value(info: dict, key: str, default: Any, check: Callable[..., Any]) -> Any:
@@ -502,23 +514,15 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
                 raise ParseError(f"distance_m must be positive, got {distance!r}", location=loc)
         else:
             distance = math.inf
-        annotations.append(
-            AnnotatedBox(
-                video_id=video_id,
-                frame_id=frame_id,
-                pedestrian_id=pedestrian_id,
-                box=box,
-                distance_m=distance,
-            )
-        )
+        annotations.append(AnnotatedBox(video_id, frame_id, pedestrian_id, box, distance))
     annotations.sort(key=sort_key)
 
     info = doc.get("info")
     info = info if isinstance(info, dict) else {}
     if "videos" in info:
         manifest = DatasetManifest(
-            image_w=_info_value(info, "image_w", 0.0, _require_finite),
-            image_h=_info_value(info, "image_h", 0.0, _require_finite),
+            image_w=_info_value(info, "image_w", 0.0, _image_size),
+            image_h=_info_value(info, "image_h", 0.0, _image_size),
             videos=_manifest_videos(info["videos"], images),
             alpha_used=_info_value(info, "alpha_used", None, _require_finite),
             distance_limit_m=_info_value(info, "distance_limit_m", None, _require_finite),
@@ -529,8 +533,8 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
         first = doc["images"][0] if doc["images"] else {}
         manifest = manifest_for_annotations(
             images,
-            image_w=_require_finite(first.get("width", 0), "width", "image 0"),
-            image_h=_require_finite(first.get("height", 0), "height", "image 0"),
+            image_w=_image_size(first.get("width", 0), "width", "image 0"),
+            image_h=_image_size(first.get("height", 0), "height", "image 0"),
             dataset_id=_info_value(info, "dataset_id", "", _require_str),
         )
     images.sort(key=lambda ref: (ref.video_id, ref.frame_id))
@@ -579,22 +583,15 @@ def parse_mot_gt(source: str, video_id: str) -> tuple[list[AnnotatedBox], int]:
     """
     annotations: list[AnnotatedBox] = []
     skipped = 0
-    for loc, fields, values, frame_id in _mot_rows(source, 9, 9):
+    for loc, values in csv_rows(source, 9, 9):
+        frame_id = _frame(values[0], loc)
         pedestrian_id = _require_int(values[1], "id", loc)
         class_id = _require_int(values[7], "class", loc)
         if class_id != PEDESTRIAN_CATEGORY_ID:
             skipped += 1
             continue
-        box = _mot_box(fields, values, loc)
-        annotations.append(
-            AnnotatedBox(
-                video_id=video_id,
-                frame_id=frame_id,
-                pedestrian_id=pedestrian_id,
-                box=box,
-                distance_m=math.inf,
-            )
-        )
+        box = _box(values[2:6], loc)
+        annotations.append(AnnotatedBox(video_id, frame_id, pedestrian_id, box, math.inf))
     annotations.sort(key=lambda a: (a.frame_id, a.pedestrian_id))
     return annotations, skipped
 
@@ -655,20 +652,19 @@ def _parse_coco_results(
         if category != PEDESTRIAN_CATEGORY_ID:
             continue
         box = _coco_box(rec.get("bbox"), loc)
-        score = _clamp_score(_require_finite(rec.get("score"), "score", loc), loc)
+        score = _clamp_score(rec.get("score"), loc)
         video_id, frame_id = frame_of_image[image_id]
-        detections.append(
-            Detection(video_id=video_id, frame_id=frame_id, box=box, score=score)
-        )
+        detections.append(Detection(video_id, frame_id, box, score))
     return detections
 
 
 def _parse_mot_det(source: str, video_id: str) -> list[Detection]:
     detections = []
-    for loc, fields, values, frame_id in _mot_rows(source, 7, 10):
-        box = _mot_box(fields, values, loc)
+    for loc, values in csv_rows(source, 7, 10):
+        frame_id = _frame(values[0], loc)
+        box = _box(values[2:6], loc)
         score = _clamp_score(values[6], loc)
-        detections.append(Detection(video_id=video_id, frame_id=frame_id, box=box, score=score))
+        detections.append(Detection(video_id, frame_id, box, score))
     return detections
 
 

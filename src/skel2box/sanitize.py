@@ -46,10 +46,21 @@ def check_height_floor(h_min_px: float) -> None:
         raise InvalidArgument(f"height floor must be non-negative, got {h_min_px!r}")
 
 
-def _bin_of(distance: float, bin_width_m: float) -> int:
-    if not math.isfinite(distance):
-        raise InvalidArgument(f"annotation distance must be finite, got {distance!r}")
-    return int(distance // bin_width_m)
+def _distance(annotation: AnnotatedBox) -> float:
+    """The camera distance of ``annotation``, which must be finite and non-negative."""
+    d = annotation.distance_m
+    if not (math.isfinite(d) and d >= 0):
+        raise InvalidArgument(f"annotation distance must be finite and non-negative, got {d!r}")
+    return d
+
+
+def _bin_of(annotation: AnnotatedBox, bin_width_m: float) -> int:
+    """The distance bin of ``annotation``, which must be below ``MAX_HISTOGRAM_BINS``."""
+    k = _distance(annotation) // bin_width_m
+    if k >= MAX_HISTOGRAM_BINS:  # also when the quotient is infinite
+        d, w = annotation.distance_m, bin_width_m
+        raise InvalidArgument(f"distance {d!r} m is past {MAX_HISTOGRAM_BINS} bins of {w!r} m")
+    return int(k)
 
 
 def distance_histogram(
@@ -59,12 +70,7 @@ def distance_histogram(
     check_bin_width(bin_width_m)
     if not annotations:
         return DistanceHistogram(bin_width_m=bin_width_m, counts=())
-    farthest = max(a.distance_m for a in annotations)
-    if math.isfinite(farthest) and farthest // bin_width_m >= MAX_HISTOGRAM_BINS:
-        raise InvalidArgument(
-            f"distance {farthest!r} m is past {MAX_HISTOGRAM_BINS} bins of {bin_width_m!r} m"
-        )
-    bins = [_bin_of(a.distance_m, bin_width_m) for a in annotations]
+    bins = [_bin_of(a, bin_width_m) for a in annotations]
     counts = [0] * (max(bins) + 1)
     for k in bins:
         counts[k] += 1
@@ -79,13 +85,15 @@ def prune_by_distance(
 
     The boundary is inclusive: a pedestrian at exactly the limit is kept,
     since only those strictly farther are pruned. Input order is preserved.
+    An annotation of unknown (infinite) distance is refused, not kept or
+    dropped, as the histogram and :func:`derive_distance_limit` refuse it.
 
     Returns:
         (kept annotations, pruned count)
     """
     if not (math.isfinite(limit_m) and limit_m > 0):
         raise InvalidArgument(f"distance limit must be positive, got {limit_m!r}")
-    kept = [a for a in annotations if a.distance_m <= limit_m]
+    kept = [a for a in annotations if _distance(a) <= limit_m]
     return kept, len(annotations) - len(kept)
 
 
@@ -97,9 +105,10 @@ def derive_distance_limit(
 ) -> float:
     """Distance at which boxes shrink below the human-annotation height floor.
 
-    Annotations are binned by distance; the limit is the lower edge of the
-    nearest bin whose median box height falls below ``h_min_px``. The median
-    is used rather than the minimum because it is robust to outlier poses.
+    Annotations are binned by distance as :func:`distance_histogram` bins
+    them, within the same ``MAX_HISTOGRAM_BINS``; the limit is the lower edge
+    of the nearest bin whose median box height falls below ``h_min_px``. The
+    median is used rather than the minimum because it is robust to outlier poses.
     Bins holding fewer than ``min_bin_count`` annotations are skipped as
     unreliable. When no bin qualifies the maximum observed distance is
     returned: every annotation is above the floor, so nothing constrains
@@ -112,7 +121,7 @@ def derive_distance_limit(
 
     heights_by_bin: dict[int, list[float]] = {}
     for a in annotations:
-        heights_by_bin.setdefault(_bin_of(a.distance_m, bin_width_m), []).append(a.box.h)
+        heights_by_bin.setdefault(_bin_of(a, bin_width_m), []).append(a.box.h)
 
     for k in sorted(heights_by_bin):
         heights = heights_by_bin[k]

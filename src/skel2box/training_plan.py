@@ -48,16 +48,12 @@ class BatchPlan:
 
 
 @dataclass(frozen=True)
-class FineTunePhase:
-    dataset: str
-    epochs: int
-    all_weights_unfrozen: bool = True
-
-
-@dataclass(frozen=True)
 class FineTunePlan:
-    phase1: FineTunePhase
-    phase2: FineTunePhase
+    """``phase1_epochs`` on synthetic data, then ``phase2_epochs`` on real
+    data, all weights unfrozen in both phases."""
+
+    phase1_epochs: int
+    phase2_epochs: int
 
 
 def _permutation(n: int, *tokens: object) -> list[int]:
@@ -157,10 +153,7 @@ def plan_finetune(phase1_epochs: int, phase2_epochs: int) -> FineTunePlan:
     epochs = (phase1_epochs, phase2_epochs)
     if not all(type(n) is int and n >= 1 for n in epochs):
         raise InvalidConfig(f"both phases need an integer of at least 1 epoch, got {epochs}")
-    return FineTunePlan(
-        phase1=FineTunePhase(dataset=SYNTHETIC, epochs=phase1_epochs),
-        phase2=FineTunePhase(dataset=REAL, epochs=phase2_epochs),
-    )
+    return FineTunePlan(phase1_epochs, phase2_epochs)
 
 
 def _plan_doc(plan: Union[BatchPlan, FineTunePlan]) -> dict:
@@ -175,13 +168,14 @@ def _plan_doc(plan: Union[BatchPlan, FineTunePlan]) -> dict:
             ],
         }
     if isinstance(plan, FineTunePlan):
+        phases = ((SYNTHETIC, plan.phase1_epochs), (REAL, plan.phase2_epochs))
         return {
-            "config": {
-                "phase1_epochs": plan.phase1.epochs,
-                "phase2_epochs": plan.phase2.epochs,
-            },
+            "config": asdict(plan),
             "kind": "finetune",
-            "phases": [asdict(plan.phase1), asdict(plan.phase2)],
+            "phases": [
+                {"dataset": dataset, "epochs": epochs, "all_weights_unfrozen": True}
+                for dataset, epochs in phases
+            ],
         }
     raise InvalidConfig(f"cannot serialize {type(plan).__name__}")
 

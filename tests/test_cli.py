@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import resource
 import stat
 import subprocess
 import sys
@@ -408,17 +409,32 @@ class TestDistanceFlagsAndData:
         assert err == f"error: {gt}: distance 1000000000000.0 m is past 1000000 bins of 1.0 m\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("args", [("histogram",), ("distance-limit", "--h-min", 10)])
+    @pytest.mark.parametrize(
+        "args", [("histogram",), ("distance-limit", "--h-min", 10), ("prune",)]
+    )
     def test_annotation_without_a_finite_distance_names_the_file(self, tmp_path, capsys, args):
-        # A foreign annotation without distance_m is infinitely far.
+        # A foreign annotation without distance_m is infinitely far: refused,
+        # not binned, and not pruned into an empty dataset.
         gt = tmp_path / "gt.json"
         gt.write_text(json.dumps({
             "images": [{"id": 1, "file_name": "v/000001.jpg"}],
             "annotations": [{"id": 1, "image_id": 1, "bbox": [0, 0, 10, 20]}],
         }))
         out = tmp_path / "out"
-        code, _, err = run_cli(capsys, *args, "--gt", gt, "--out", out)
-        assert (code, err) == (2, f"error: {gt}: annotation distance must be finite, got inf\n")
+        code, stdout, err = run_cli(capsys, *args, "--gt", gt, "--out", out)
+        message = "annotation distance must be finite and non-negative, got inf"
+        assert (code, stdout, err) == (2, "", f"error: {gt}: {message}\n")
+        assert not out.exists()
+
+    def test_bin_index_beyond_float_range_leaves_no_output(self, tmp_path, capsys):
+        gt = coco_file(tmp_path, [annotation("v", 1, 1, 0, 0, 10, 20, 5e6)])
+        out = tmp_path / "limit.json"
+        code, stdout, err = run_cli(
+            capsys,
+            "distance-limit", "--gt", gt, "--h-min", 10, "--bin-width", "1e-310", "--out", out,
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {gt}: distance 5000000.0 m is past 1000000 bins of 1e-310 m\n"
         assert not out.exists()
 
     def test_distance_limit_of_no_annotations_names_the_file(self, tmp_path, capsys):
@@ -427,6 +443,59 @@ class TestDistanceFlagsAndData:
         assert (code, err) == (
             2, f"error: {gt}: cannot derive a distance limit from zero annotations\n"
         )
+
+
+class TestFrameTable:
+    """An input whose frame table would pass formats.MAX_FRAMES is refused
+    before any frame is built, also in a process limited to 600 MB of
+    address space (``ulimit -v 600000``)."""
+
+    FRAME = 20_000_000
+
+    def write_input(self, tmp_path, kind):
+        if kind == "prune":
+            gt = tmp_path / "gt.json"
+            doc = {"images": [{"id": 1, "file_name": f"v/{self.FRAME}.jpg"}], "annotations": []}
+            gt.write_text(json.dumps(doc))
+            return gt, ("prune", "--gt", gt)
+        if kind == "convert":
+            mot = tmp_path / "gt.txt"
+            mot.write_text(f"{self.FRAME},1,1,1,2,2,1,1,1\n")
+            return mot, ("convert", "--in", mot, "--from", "mot", "--to", "coco", "--video-id=v")
+        jta = jta_file(tmp_path, [(self.FRAME, 1, 100, 100, 50, 100, 10.0)], name="v.json")
+        return jta, ("synthesize", "--jta", jta, "--alpha", 100)
+
+    @pytest.mark.parametrize("kind", ["prune", "convert", "synthesize"])
+    def test_larger_table_leaves_no_output(self, tmp_path, kind):
+        source, args = self.write_input(tmp_path, kind)
+        out = tmp_path / "out.json"
+        out_flag = "--out-coco" if kind == "synthesize" else "--out"
+        limit = 600_000 * 1024
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "skel2box.cli", *map(str, args), out_flag, str(out)],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_address_space,
+        )
+        message = "video 'v' puts the frame table over 1000000 frames"
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {source}: {message}\n"
+        assert not out.exists()
+
+    def test_mot_to_mot_builds_no_table(self, tmp_path, capsys):
+        mot = tmp_path / "gt.txt"
+        mot.write_text(f"{self.FRAME},1,1,1,2,2,1,1,1\n")
+        out = tmp_path / "out.txt"
+        summary_of(
+            capsys,
+            "convert", "--in", mot, "--from", "mot", "--to", "mot", "--video-id", "v",
+            "--out", out,
+        )
+        assert out.read_text() == mot.read_text()
 
 
 class TestConvert:
@@ -464,7 +533,7 @@ class TestConvert:
             "--video-id", "v", "--out", out,
         )
         assert code == 2
-        assert "box fields must be finite (line 2)" in err
+        assert "box field must be a finite number, got nan (line 2)" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from skel2box import (
     BBox,
     DatasetManifest,
     Detection,
+    FrameRef,
     IncompleteSkeleton,
     JoinError,
     MixedVideos,
@@ -22,6 +23,7 @@ from skel2box import (
     parse_jta,
     parse_mot_gt,
 )
+from skel2box.formats import MAX_FRAMES
 
 
 def jta_records(frame, ped, n_joints=22, base=(100.0, 200.0), z=10.0):
@@ -56,10 +58,11 @@ JTA_RECORD_CASES = {
     "int beyond float range": (
         with_field(3, 10**400), f"field 3 must be a finite number, got {10**400}"
     ),
-    "string id": (with_field(0, "1"), "frame_id must be an integer, got '1'"),
-    "negative id": (
-        with_field(1, -1), "frame, pedestrian and joint ids must be non-negative"
+    "string id": (with_field(0, "1"), "frame must be an integer, got '1'"),
+    "negative frame": (
+        with_field(0, -1), "frame must be at least 1 (frames are 1-based), got -1"
     ),
+    "negative id": (with_field(1, -1), "pedestrian and joint ids must be non-negative"),
     "flag 2": (with_field(9, 2), "occlusion flags must be 0 or 1"),
     "arity 9": (
         JTA_RECORD[:9],
@@ -187,8 +190,35 @@ class TestParseJta:
         with pytest.raises(ParseError) as exc_info:
             parse_jta(json.dumps(rows), "v")
         assert str(exc_info.value) == (
-            "frame_id must be at least 1 (frames are 1-based) (record 22)"
+            "frame must be at least 1 (frames are 1-based), got 0 (record 22)"
         )
+
+
+class TestFrameTable:
+    def test_most_frames_accepted(self):
+        assert MAX_FRAMES == 1_000_000
+        manifest = DatasetManifest("d", 0, 0, (("a", MAX_FRAMES - 1), ("b", 1)))
+        assert sum(count for _, count in manifest.videos) == MAX_FRAMES
+
+    @pytest.mark.parametrize(
+        "videos, video",
+        [((("a", MAX_FRAMES + 1),), "a"), ((("a", MAX_FRAMES), ("b", 1), ("c", 1)), "b")],
+        ids=["one_video", "sum_of_videos"],
+    )
+    def test_larger_table_names_the_video(self, videos, video):
+        with pytest.raises(ParseError) as exc_info:
+            DatasetManifest("d", 0, 0, videos)
+        assert str(exc_info.value) == (
+            f"video {video!r} puts the frame table over 1000000 frames"
+        )
+
+    def test_checked_before_any_image_is_built(self):
+        refs = [FrameRef(1, "v", 20_000_000)]
+        with pytest.raises(ParseError, match="^video 'v' puts the frame table over"):
+            manifest_for_annotations(refs, dataset_id="d", image_w=0, image_h=0)
+        doc = {"images": [{"id": 1, "file_name": "v/20000000.jpg"}], "annotations": []}
+        with pytest.raises(ParseError, match="^video 'v' puts the frame table over"):
+            parse_coco_gt(json.dumps(doc))
 
 
 class TestEmitCoco:
@@ -423,6 +453,39 @@ class TestParseCocoForeign:
             parse_coco_gt(json.dumps(doc))
         assert info.value.location == location
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"images": [{"id": 1, "file_name": "v/1.jpg", "width": -5, "height": -7}],
+              "annotations": []}, "width must be at least 0, got -5.0 (image 0)"),
+            ({"images": [{"id": 1, "file_name": "v/1.jpg", "height": -7}],
+              "annotations": []}, "height must be at least 0, got -7.0 (image 0)"),
+            ({"images": [], "annotations": [], "info": {"videos": [], "image_w": -3}},
+             "image_w must be at least 0, got -3.0 (info.image_w)"),
+            ({"images": [], "annotations": [], "info": {"videos": [], "image_h": -0.5}},
+             "image_h must be at least 0, got -0.5 (info.image_h)"),
+        ],
+        ids=["foreign_width", "foreign_height", "info_image_w", "info_image_h"],
+    )
+    def test_negative_image_size_is_refused(self, doc, message):
+        with pytest.raises(ParseError) as exc_info:
+            parse_coco_gt(json.dumps(doc))
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"images": [{"id": 1, "file_name": "v/1.jpg", "width": 0, "height": 0}],
+             "annotations": []},
+            {"images": [{"id": 1, "file_name": "v/1.jpg"}], "annotations": [],
+             "info": {"videos": [["v", 1]], "image_w": 0, "image_h": None}},
+        ],
+        ids=["foreign", "info"],
+    )
+    def test_image_size_zero_means_unknown(self, doc):
+        manifest = parse_coco_gt(json.dumps(doc)).manifest
+        assert (manifest.image_w, manifest.image_h) == (0.0, 0.0)
+
     @pytest.mark.parametrize("info", [{"videos": []}, {}, {"videos": [], "dataset_id": None},
                                       {"dataset_id": None}])
     def test_absent_or_null_dataset_id_is_empty(self, info):
@@ -493,12 +556,14 @@ class TestMot:
             parse_mot_gt("1,1,10,20,0,40,1,1,1\n", "v")
 
     @pytest.mark.parametrize(
-        "row", ["2,1,nan,20,30,40,1,1,1", "2,1,10,inf,30,40,1,1,1", "2,1,10,20,30,-inf,1,1,1"]
+        "row, value",
+        [("2,1,nan,20,30,40,1,1,1", "nan"), ("2,1,10,inf,30,40,1,1,1", "inf"),
+         ("2,1,10,20,30,-inf,1,1,1", "-inf")],
     )
-    def test_non_finite_box(self, row):
+    def test_non_finite_box(self, row, value):
         with pytest.raises(ParseError) as exc_info:
             parse_mot_gt(f"1,1,10,20,30,40,1,1,1\n{row}\n", "v")
-        assert str(exc_info.value) == "box fields must be finite (line 2)"
+        assert str(exc_info.value) == f"box field must be a finite number, got {value} (line 2)"
 
     @pytest.mark.parametrize("frame", ["0", "-2", "-1.0"])
     @pytest.mark.parametrize(
@@ -636,6 +701,22 @@ class TestDetections:
         detections = [Detection("v", 1, BBox(0, 0, 1, 1), math.nan)]
         with pytest.raises(ValueError):
             emit_detections(detections, "coco_results", image_id_of_frame={("v", 1): 1})
+
+    @pytest.mark.parametrize(
+        "fmt, index, error, message",
+        [
+            ("coco_results", None, ParseError, "coco_results emission needs an image-id index"),
+            ("coco_results", {("v", 2): 1}, JoinError,
+             "detection frame ('v', 1) is not in the image index"),
+            ("voc", None, ParseError, "unknown detection format 'voc'"),
+        ],
+        ids=["no_index", "frame_not_in_index", "unknown_format"],
+    )
+    def test_emit_detections_errors(self, fmt, index, error, message):
+        detections = [Detection("v", 1, BBox(0, 0, 1, 1), 0.5)]
+        with pytest.raises(error) as exc_info:
+            emit_detections(detections, fmt, image_id_of_frame=index)
+        assert (type(exc_info.value), str(exc_info.value)) == (error, message)
 
     def test_emit_mot_det_mixed_videos(self):
         detections = [Detection("a", 1, BBox(0, 0, 1, 1), 0.5), Detection("b", 1, BBox(0, 0, 1, 1), 0.5)]

@@ -61,6 +61,18 @@ class TestDistanceHistogram:
         with pytest.raises(InvalidArgument, match="^distance 10.0 m is past 1000000 bins"):
             distance_histogram([ann(10.0)], bin_width_m=1e-310)
 
+    @pytest.mark.parametrize("distance", [-1.0, -5.0])
+    def test_negative_distance_refused(self, distance):
+        # Not counted in a bin at a negative list index, nor an IndexError.
+        with pytest.raises(InvalidArgument) as exc_info:
+            distance_histogram([ann(distance), ann(3.0)], bin_width_m=1.0)
+        assert str(exc_info.value) == (
+            f"annotation distance must be finite and non-negative, got {distance!r}"
+        )
+
+    def test_zero_distance_is_the_first_bin(self):
+        assert distance_histogram([ann(0.0), ann(1.0)], bin_width_m=1.0).counts == (1, 1)
+
     def test_most_bins_accepted(self):
         assert MAX_HISTOGRAM_BINS == 1_000_000
         hist = distance_histogram([ann(0.5), ann(999_999.5)], bin_width_m=1.0)
@@ -110,6 +122,11 @@ class TestPruneByDistance:
             for limit in (10.0, 20.0, 40.0, 80.0)
         ]
         assert kept_counts == sorted(kept_counts)
+
+    def test_unknown_distance_refused(self):
+        # Not pruned as "farther than any limit", which would empty the dataset.
+        with pytest.raises(InvalidArgument, match="^annotation distance must be finite"):
+            prune_by_distance([ann(5.0), ann(math.inf)], limit_m=40.0)
 
     def test_bad_limit(self):
         with pytest.raises(InvalidArgument):
@@ -166,6 +183,18 @@ class TestDeriveDistanceLimit:
     def test_bad_bin_width(self):
         with pytest.raises(InvalidArgument):
             derive_distance_limit([ann(5.0)], h_min_px=25.0, bin_width_m=-1.0)
+
+    @pytest.mark.parametrize(
+        "distance, width",
+        [(2e6, 1.0), (5e6, 1e-310)],
+        ids=["past_the_bins", "bin_index_beyond_float_range"],
+    )
+    def test_shares_the_histogram_bin_bound(self, distance, width):
+        with pytest.raises(InvalidArgument) as exc_info:
+            derive_distance_limit([ann(distance)], h_min_px=25.0, bin_width_m=width)
+        assert str(exc_info.value) == (
+            f"distance {distance!r} m is past {MAX_HISTOGRAM_BINS} bins of {width!r} m"
+        )
 
     def test_negative_floor(self):
         with pytest.raises(InvalidArgument):

@@ -8,7 +8,8 @@ same way; and CSV is read and written by ``formats.csv_rows`` and
 ``formats.csv_row``, not by the ``csv`` module. Errors are for failures
 only: every class of ``errors.py`` but the base is raised somewhere, and
 only ``cli.py`` catches one, so no module raises an error to steer its own
-control flow.
+control flow. The error table of ``README.md`` names exactly the classes of
+``errors.py``.
 """
 
 import ast
@@ -295,3 +296,42 @@ def test_error_checker_flags_each_form():
         ["ParseError", "JoinError", "InvalidConfig"],
         ["ParseError", "KeyError", "EmptyInput"],
     )
+
+
+def readme_error_classes(text: str) -> list[str]:
+    """The class in the first cell of each row of the table under the
+    ``## Errors`` heading of a README, in table order."""
+    section = text.partition("\n## Errors\n")[2].split("\n## ", 1)[0]
+    names = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("|") and cells[0].startswith("`") and cells[0].endswith("`"):
+            names.append(cells[0].strip("`"))
+    return names
+
+
+def test_readme_error_table_lists_each_error_class():
+    readme = (SOURCE_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert sorted(readme_error_classes(readme)) == sorted(ERROR_CLASSES)
+
+
+def test_readme_error_checker_flags_each_form():
+    text = "\n".join(
+        [
+            "## Library",
+            "| `NotAnError` | a table in another section |",
+            "## Errors",
+            "Every error is a `Skel2BoxError`.",
+            "",
+            "| class | raised when |",
+            "|---|---|",
+            "| `Skel2BoxError` | base class |",
+            "|`ParseError`| no spaces around the cells |",
+            "| JoinError | no backticks: not a class cell |",
+            "| `EmptyInput` | last row |",
+            "",
+            "## Determinism",
+            "| `Later` | a table in a later section |",
+        ]
+    )
+    assert readme_error_classes(text) == ["Skel2BoxError", "ParseError", "EmptyInput"]

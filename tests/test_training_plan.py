@@ -5,7 +5,6 @@ import pytest
 
 from skel2box import (
     BatchPlan,
-    FineTunePhase,
     FineTunePlan,
     InvalidConfig,
     MixConfig,
@@ -151,14 +150,11 @@ class TestPlanMixedBatches:
 
 class TestPlanFinetune:
     def test_direct_construction(self):
-        plan = plan_finetune(3, 2)
-        assert plan.phase1 == FineTunePhase(dataset="syn", epochs=3, all_weights_unfrozen=True)
-        assert plan.phase2 == FineTunePhase(dataset="real", epochs=2, all_weights_unfrozen=True)
+        assert plan_finetune(3, 2) == FineTunePlan(phase1_epochs=3, phase2_epochs=2)
 
     def test_minimal_plan(self):
         plan = plan_finetune(1, 1)
-        assert plan.phase1.epochs == 1
-        assert plan.phase2.epochs == 1
+        assert (plan.phase1_epochs, plan.phase2_epochs) == (1, 1)
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(InvalidConfig):

@@ -1,0 +1,116 @@
+"""One rule per kind of value, checked by one function.
+
+Every reader or operation that takes a frame number, a box or a camera
+distance refuses a bad one with the same message; only the location differs,
+and it is the one that reader gives its records (``record N``, ``line N``,
+``image N``, ``annotation N``). The distance operations take no file, so
+their errors carry no location.
+"""
+
+import json
+import math
+
+import pytest
+
+from skel2box import (
+    AnnotatedBox,
+    BBox,
+    InvalidArgument,
+    ParseError,
+    derive_distance_limit,
+    distance_histogram,
+    parse_coco_gt,
+    parse_detections,
+    parse_jta,
+    parse_mot_gt,
+    prune_by_distance,
+)
+
+
+def jta_frame(frame):
+    records = [[frame, 1, j, 100.0 + j, 200.0 + j, 0.0, 0.0, 10.0, 0, 0] for j in range(22)]
+    parse_jta(json.dumps(records), "v")
+
+
+def coco_gt(annotations, file_name="v/1.jpg"):
+    doc = {"images": [{"id": 1, "file_name": file_name}], "annotations": annotations}
+    parse_coco_gt(json.dumps(doc))
+
+
+def csv_box(box):
+    return ",".join(repr(v) for v in box)
+
+
+FRAME_READERS = {
+    "jta": (jta_frame, "record 0"),
+    "mot_gt": (
+        lambda frame: parse_mot_gt(f"1,1,10,20,30,40,1,1,1\n{frame},1,10,20,30,40,1,1,1\n", "v"),
+        "line 2",
+    ),
+    "mot_det": (
+        lambda frame: parse_detections(f"{frame},-1,10,20,30,40,0.9\n", "mot_det", video_id="v"),
+        "line 1",
+    ),
+    "coco_file_name": (lambda frame: coco_gt([], file_name=f"v/{frame}.jpg"), "image 0"),
+}
+
+BOX_READERS = {
+    "coco_gt": (lambda box: coco_gt([{"id": 1, "image_id": 1, "bbox": box}]), "annotation 0"),
+    "coco_results": (
+        lambda box: parse_detections(
+            json.dumps([{"image_id": 1, "bbox": box, "score": 0.5}]),
+            "coco_results",
+            frame_of_image={1: ("v", 1)},
+        ),
+        "record 0",
+    ),
+    "mot_gt": (lambda box: parse_mot_gt(f"1,1,{csv_box(box)},1,1,1\n", "v"), "line 1"),
+    "mot_det": (
+        lambda box: parse_detections(f"1,-1,{csv_box(box)},0.9\n", "mot_det", video_id="v"),
+        "line 1",
+    ),
+}
+
+
+def at(distance):
+    """A usable annotation, then one at ``distance``."""
+    return [AnnotatedBox("v", 1, i, BBox(0, 0, 10, 20), d) for i, d in enumerate((5.0, distance))]
+
+
+DISTANCE_OPERATIONS = {
+    "histogram": (lambda distance: distance_histogram(at(distance), 1.0), None),
+    "distance_limit": (lambda distance: derive_distance_limit(at(distance), 10.0), None),
+    "prune": (lambda distance: prune_by_distance(at(distance), 40.0), None),
+}
+
+RULES = {
+    "frame": (FRAME_READERS, {
+        "0": (0, "frame must be at least 1 (frames are 1-based), got 0"),
+        "-1": (-1, "frame must be at least 1 (frames are 1-based), got -1"),
+    }),
+    "box": (BOX_READERS, {
+        "nan": ([math.nan, 20.0, 30.0, 40.0], "box field must be a finite number, got nan"),
+        "zero_width": (
+            [10.0, 20.0, 0.0, 40.0], "box width and height must be positive, got 0.0 and 40.0"
+        ),
+    }),
+    "distance": (DISTANCE_OPERATIONS, {
+        "inf": (math.inf, "annotation distance must be finite and non-negative, got inf"),
+        "negative": (-1.0, "annotation distance must be finite and non-negative, got -1.0"),
+    }),
+}
+
+CASES = [
+    pytest.param(read, value, message, location, id=f"{kind}-{value_id}-{reader}")
+    for kind, (readers, values) in RULES.items()
+    for reader, (read, location) in readers.items()
+    for value_id, (value, message) in values.items()
+]
+
+
+@pytest.mark.parametrize("read, value, message, location", CASES)
+def test_every_reader_gives_the_one_message(read, value, message, location):
+    with pytest.raises((ParseError, InvalidArgument)) as exc_info:
+        read(value)
+    assert exc_info.value.location == location
+    assert str(exc_info.value) == (message if location is None else f"{message} ({location})")
