@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -107,18 +108,6 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**values).validate()
 
 
-def _read_text(path: str) -> str:
-    """The UTF-8 text of ``path``; a byte that does not decode is a data error.
-
-    The error is located by byte offset; callers read inside :func:`_reading`,
-    which names the file.
-    """
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text ({exc.reason})", location=f"byte {exc.start}") from None
-
-
 def _write_atomic(path: str, text: str) -> None:
     target = Path(path)
     if not text.endswith("\n"):
@@ -142,9 +131,14 @@ def _write_atomic(path: str, text: str) -> None:
 
 @contextmanager
 def _reading(source: str):
-    """Prefix data errors with the file or flag they came from."""
+    """Prefix data errors with the file or flag they came from. Input files are
+    read as UTF-8 inside it, and a byte that does not decode is a data error
+    located by its offset in the file."""
     try:
         yield
+    except UnicodeDecodeError as exc:
+        where = f"byte {exc.start}"
+        raise ParseError(f"{source}: not UTF-8 text ({exc.reason})", location=where) from None
     except Skel2BoxError as exc:
         exc.args = (f"{source}: {exc}",)
         raise
@@ -153,7 +147,7 @@ def _reading(source: str):
 def _parse_file(path: str, parse: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
     """``parse`` run on the text of ``path``; its data errors name the file."""
     with _reading(path):
-        return parse(_read_text(path), *args, **kwargs)
+        return parse(Path(path).read_text(encoding="utf-8"), *args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +155,8 @@ def _parse_file(path: str, parse: Callable[..., _T], *args: Any, **kwargs: Any) 
 # ---------------------------------------------------------------------------
 
 def _cmd_calibrate(args: argparse.Namespace, config: PipelineConfig) -> dict:
+    samples = _parse_file(args.samples, calibration.load_calibration_samples)
     with _reading(args.samples):
-        samples = calibration.load_calibration_samples(_read_text(args.samples))
         result = calibration.fit_alpha(samples)
     if args.out:
         _write_atomic(args.out, result.to_json())
@@ -176,7 +170,9 @@ def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> dict:
     if config.alpha is None:
         raise _UsageError("an alpha value is required (--alpha, --alpha-file, or config file)")
     video_id = args.video_id or Path(args.jta).stem
-    skeletons = _parse_file(args.jta, formats.parse_jta, video_id, config.joints_per_skeleton)
+    # A stream, so that parse_jta never holds the whole text.
+    with _reading(args.jta), Path(args.jta).open(encoding="utf-8") as dump:
+        skeletons = formats.parse_jta(dump, video_id, config.joints_per_skeleton)
     result = geometry.synthesize_annotations(
         skeletons,
         alpha=config.alpha,
@@ -459,7 +455,8 @@ def run(argv: Sequence[str]) -> int:
     except (Skel2BoxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps({"command": args.command, **summary}))
+    peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    print(json.dumps({"command": args.command, **summary, "peak_rss_mb": peak_rss_mb}))
     return 0
 
 

@@ -190,6 +190,9 @@ def average_precision(pr: PRCurve, scheme: str = "allpoint") -> float:
     ``allpoint`` integrates the precision envelope exactly over recall;
     ``101point`` samples the envelope at recall 0, 0.01, ..., 1.00 and
     averages. An empty curve scores 0.
+
+    The envelope's precision never rises along the list, so the sample at
+    ``r`` is that of the first point reaching ``r``: one sweep finds all 101.
     """
     if scheme not in ("allpoint", "101point"):
         raise InvalidArgument(f"unknown AP scheme {scheme!r}")
@@ -204,10 +207,12 @@ def average_precision(pr: PRCurve, scheme: str = "allpoint") -> float:
             prev_recall = recall
         return math.fsum(terms)
     samples = []
+    k = 0
     for i in range(101):
         r = i / 100
-        at_or_beyond = [p for rec, p in env if rec >= r]
-        samples.append(max(at_or_beyond) if at_or_beyond else 0.0)
+        while k < len(env) and env[k][0] < r:
+            k += 1
+        samples.append(env[k][1] if k < len(env) else 0.0)
     return math.fsum(samples) / 101
 
 

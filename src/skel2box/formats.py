@@ -18,17 +18,21 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from .errors import IncompleteSkeleton, JoinError, MixedVideos, ParseError
-from .geometry import AnnotatedBox, BBox, SkeletonInstance, sort_key
+from .geometry import AnnotatedBox, BBox, SkeletonInstance, check_distance, sort_key
 
 DEFAULT_JOINTS_PER_SKELETON = 22
 PEDESTRIAN_CATEGORY_ID = 1
 
 # One JTA record: [frame, pedestrian, joint, x2d, y2d, x3d, y3d, z3d, occluded, self_occluded]
 _JTA_ARITY = 10
+
+# Characters per block when parse_jta streams a dump.
+_JTA_BLOCK = 1 << 20
 
 # Confidence clamping slack: values this far outside [0, 1] are treated as
 # float noise, anything worse is an error.
@@ -100,11 +104,14 @@ def json_number(value: float) -> Any:
     return value
 
 
-def load_json(source: str) -> Any:
-    """The value of a JSON document; the package's one JSON reader."""
+def load_json(source: str, *, strict: bool = True) -> Any:
+    """The value of a JSON document; the package's one JSON reader. Unless
+    ``strict``, a document that does not parse gives None."""
     try:
         return json.loads(source)
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+        if not strict:
+            return None
         raise ParseError(f"malformed JSON: {exc}") from exc
 
 
@@ -221,8 +228,8 @@ def _image_size(value: Any, what: str, location: str) -> float:
 def _jta_fields(rec: Any, idx: int) -> tuple:
     """Check one JTA record field by field and return its normalised fields.
 
-    This is the only source of JTA record errors. It accepts what the fast
-    check in :func:`parse_jta` does not: integral floats and booleans as ids
+    This is the only source of JTA record errors. It accepts what
+    :func:`_fast_jta` does not: integral floats and booleans as ids
     and flags, integers as coordinates.
     """
     loc = f"record {idx}"
@@ -241,8 +248,77 @@ def _jta_fields(rec: Any, idx: int) -> tuple:
     return (frame_id, pedestrian_id, joint_id, *coords, occluded, self_occluded)
 
 
+def _fast_jta(rec: Any) -> bool:
+    """True for a record of the shape real dumps use: no field-by-field check needed."""
+    if type(rec) is not list or len(rec) != _JTA_ARITY:
+        return False
+    frame, ped, joint, x, y, x3, y3, z3, occ, self_occ = rec
+    inf = math.inf
+    return (
+        type(frame) is int and type(ped) is int and type(joint) is int
+        and frame >= 1 and ped >= 0 and joint >= 0
+        and type(x) is float and type(y) is float and type(x3) is float
+        and type(y3) is float and type(z3) is float
+        # Also false for NaN, which json.loads accepts.
+        and -inf < x < inf and -inf < y < inf and -inf < x3 < inf
+        and -inf < y3 < inf and -inf < z3 < inf
+        and type(occ) is int and type(self_occ) is int
+        and 0 <= occ <= 1 and 0 <= self_occ <= 1
+    )
+
+
+def _jta_skeleton(
+    video_id: str, key: tuple, rows: list, joint_ids: tuple
+) -> Optional[SkeletonInstance]:
+    """The skeleton of one (frame, pedestrian) group of records; None unless
+    they hold each of ``joint_ids`` once."""
+    rows.sort(key=itemgetter(2))
+    _, _, ids, xs, ys, x3s, y3s, z3s, _, _ = zip(*rows)
+    return SkeletonInstance(video_id, *key, xs, ys, x3s, y3s, z3s) if ids == joint_ids else None
+
+
+def _jta_arrays(blocks: Iterable[str]) -> Iterator[Any]:
+    """The JSON value of each piece of the dump that ``blocks`` spell, or None:
+    the text up to each block's last ``],``, bracketed, so that the elements
+    of the arrays, in order, are those of the dump."""
+    head, tail = "", ""
+    for block in blocks:
+        tail += block
+        cut = tail.rfind("],")
+        if cut >= 0:
+            piece, head, tail = head + tail[: cut + 1] + "]", "[", tail[cut + 2 :]
+            yield load_json(piece, strict=False)
+    yield load_json(head + tail, strict=False)
+
+
+def _stream_jta(blocks: Iterable[str], video_id: str, joint_ids: tuple) -> Optional[list]:
+    """The skeletons of a dump read block by block, each built as soon as its
+    group is complete; None for anything the whole-document code must decide."""
+    groups: dict[tuple[int, int], list[Sequence]] = {}
+    done: dict[tuple[int, int], SkeletonInstance] = {}
+    try:
+        for records in _jta_arrays(blocks):
+            if type(records) is not list:
+                return None
+            for rec in records:
+                key = (rec[0], rec[1]) if _fast_jta(rec) else None
+                if key is None or key in done:
+                    return None
+                rows = groups.setdefault(key, [])
+                rows.append(rec)
+                if len(rows) == len(joint_ids):
+                    skeleton = _jta_skeleton(video_id, key, groups.pop(key), joint_ids)
+                    if skeleton is None:
+                        return None
+                    done[key] = skeleton
+            del records
+    except UnicodeDecodeError:
+        return None
+    return None if groups else [done[key] for key in sorted(done)]
+
+
 def parse_jta(
-    source: str,
+    source: str | TextIO,
     video_id: str,
     joints_per_skeleton: int = DEFAULT_JOINTS_PER_SKELETON,
 ) -> list[SkeletonInstance]:
@@ -257,70 +333,61 @@ def parse_jta(
     so record order in the file does not matter. The occlusion flags are
     checked but not kept.
 
-    A record of the shape real dumps use takes a fast check and is grouped
-    as it is: a 10-element array whose ids and flags are JSON integers
-    (frame >= 1, ids >= 0, flags 0 or 1) and whose coordinates are finite
-    JSON floats (with a decimal point or exponent). Every other record goes
-    through the field-by-field check, so it parses, or fails with the same
-    message and location, as if there were no fast check: integral floats
-    and booleans are accepted as ids and flags, integers as coordinates.
+    ``source`` is the text of the dump or a seekable text stream of it. It
+    is read in blocks of ``_JTA_BLOCK`` characters, each cut at its last
+    ``],`` and parsed on its own, and each skeleton is built once its group
+    is complete, so the whole record array never exists. That holds while
+    each record has the shape real dumps use: a 10-element array whose ids
+    and flags are JSON integers (frame >= 1, ids >= 0, flags 0 or 1) and
+    whose coordinates are finite JSON floats (with a decimal point or
+    exponent). Anything else sends the dump, read again whole, through the
+    field-by-field check and the group checks, so it parses, or fails with
+    the same message and location, as if there were no stream: integral
+    floats and booleans are accepted as ids and flags, integers as coordinates.
 
     Raises:
         ParseError: malformed JSON, wrong record arity, or bad field values,
             located as ``record N`` (0-based index in the array).
         IncompleteSkeleton: a pedestrian's records do not cover exactly the
             joint ids 0..joints_per_skeleton-1.
+        UnicodeDecodeError: a stream that is not UTF-8 text, raised by the
+            whole read, so its ``start`` is the offset in the file.
     """
+    joint_ids = tuple(range(joints_per_skeleton))
+    if isinstance(source, str):
+        blocks = (source[i : i + _JTA_BLOCK] for i in range(0, len(source), _JTA_BLOCK))
+    else:
+        blocks = iter(partial(source.read, _JTA_BLOCK), "")
+    skeletons = _stream_jta(blocks, video_id, joint_ids)
+    if skeletons is not None:
+        return skeletons
+    if not isinstance(source, str):
+        source.seek(0)
+        source = source.read()
+
     records = load_json(source)
     if not isinstance(records, list):
         raise ParseError("expected a top-level JSON array of joint records")
-
-    inf = math.inf
     grouped: dict[tuple[int, int], list[Sequence]] = {}
     for idx, rec in enumerate(records):
-        if type(rec) is list and len(rec) == _JTA_ARITY:
-            frame, ped, joint, x, y, x3, y3, z3, occ, self_occ = rec
-            canonical = (
-                type(frame) is int and type(ped) is int and type(joint) is int
-                and frame >= 1 and ped >= 0 and joint >= 0
-                and type(x) is float and type(y) is float and type(x3) is float
-                and type(y3) is float and type(z3) is float
-                # Also false for NaN, which json.loads accepts.
-                and -inf < x < inf and -inf < y < inf and -inf < x3 < inf
-                and -inf < y3 < inf and -inf < z3 < inf
-                and type(occ) is int and type(self_occ) is int
-                and 0 <= occ <= 1 and 0 <= self_occ <= 1
-            )
-        else:
-            canonical = False
-        if not canonical:
+        if not _fast_jta(rec):
             rec = _jta_fields(rec, idx)
-            frame, ped = rec[0], rec[1]
-        grouped.setdefault((frame, ped), []).append(rec)
-    # With the array gone, each group's rows are freed once its columns are built.
+        grouped.setdefault((rec[0], rec[1]), []).append(rec)
+    # With the array gone, each group's rows are freed once its skeleton is built.
     del records
 
-    joint_ids = tuple(range(joints_per_skeleton))
-    skeletons: list[SkeletonInstance] = []
-    for frame_id, pedestrian_id in sorted(grouped):
-        rows = grouped.pop((frame_id, pedestrian_id))
-        if len(rows) != joints_per_skeleton:
-            raise IncompleteSkeleton(
-                f"expected {joints_per_skeleton} joints, got {len(rows)}",
-                frame_id=frame_id,
-                pedestrian_id=pedestrian_id,
+    skeletons = []
+    for key in sorted(grouped):
+        rows = grouped.pop(key)
+        skeleton = _jta_skeleton(video_id, key, rows, joint_ids)
+        if skeleton is None:
+            problem = (
+                f"expected {joints_per_skeleton} joints, got {len(rows)}"
+                if len(rows) != joints_per_skeleton
+                else f"joint ids do not cover 0..{joints_per_skeleton - 1}"
             )
-        rows.sort(key=itemgetter(2))
-        _, _, ids, xs, ys, x3s, y3s, z3s, _, _ = zip(*rows)
-        if ids != joint_ids:
-            raise IncompleteSkeleton(
-                f"joint ids do not cover 0..{joints_per_skeleton - 1}",
-                frame_id=frame_id,
-                pedestrian_id=pedestrian_id,
-            )
-        skeletons.append(
-            SkeletonInstance(video_id, frame_id, pedestrian_id, xs, ys, x3s, y3s, z3s)
-        )
+            raise IncompleteSkeleton(problem, frame_id=key[0], pedestrian_id=key[1])
+        skeletons.append(skeleton)
     return skeletons
 
 
@@ -341,6 +408,7 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
 
     Raises:
         JoinError: an annotation's video/frame is not in the manifest.
+        InvalidArgument: a known (not infinite) distance is not positive.
     """
     frame_counts = dict(manifest.videos)
     images = []
@@ -375,8 +443,8 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
             "iscrowd": 0,
             "pedestrian_id": ann.pedestrian_id,
         }
-        if math.isfinite(ann.distance_m):
-            entry["distance_m"] = json_number(ann.distance_m)
+        if ann.distance_m != math.inf:
+            entry["distance_m"] = json_number(check_distance(ann.distance_m))
         coco_annotations.append(entry)
 
     info: dict[str, Any] = {
@@ -474,6 +542,7 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
             ``image N`` (also an image outside ``info.videos`` or on the
             frame of an earlier image), ``annotation N`` or ``info.<key>``.
         JoinError: ``annotation N`` references an unknown image id.
+        InvalidArgument: the ``distance_m`` of ``annotation N`` is not positive.
     """
     doc = load_json(source)
     if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
@@ -509,9 +578,7 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
             ann.get("pedestrian_id", ann.get("id", idx + 1)), "pedestrian_id", loc
         )
         if "distance_m" in ann:
-            distance = _require_finite(ann["distance_m"], "distance_m", loc)
-            if distance <= 0:
-                raise ParseError(f"distance_m must be positive, got {distance!r}", location=loc)
+            distance = check_distance(_require_finite(ann["distance_m"], "distance_m", loc), loc)
         else:
             distance = math.inf
         annotations.append(AnnotatedBox(video_id, frame_id, pedestrian_id, box, distance))

@@ -121,6 +121,14 @@ def camera_distance(skeleton: SkeletonInstance) -> Optional[float]:
     return dist if math.isfinite(dist) and dist > 0 else None
 
 
+def check_distance(z: float, location: Optional[str] = None) -> float:
+    """``z``, if it is a camera distance: finite and positive, as
+    :func:`camera_distance` gives them. The package's one distance rule."""
+    if not (math.isfinite(z) and z > 0):
+        raise InvalidArgument(f"distance must be finite and positive, got {z!r}", location=location)
+    return z
+
+
 def pad_box(skeleton_box: BBox, z: float, alpha: float) -> BBox:
     """Grow a skeleton box into a full-body box.
 
@@ -128,8 +136,7 @@ def pad_box(skeleton_box: BBox, z: float, alpha: float) -> BBox:
     aspect ratio is preserved. Growth is symmetric about the box center,
     which keeps the box centered on the body.
     """
-    if not (math.isfinite(z) and z > 0):
-        raise InvalidArgument(f"distance must be finite and positive, got {z!r}")
+    check_distance(z)
     if not (math.isfinite(skeleton_box.h) and skeleton_box.h > 0) or skeleton_box.w <= 0:
         raise InvalidArgument(f"skeleton box must have positive extent, got {skeleton_box}")
     if not (math.isfinite(alpha) and alpha >= 0):

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import EmptyInput, InvalidArgument
 from .formats import csv_row
-from .geometry import AnnotatedBox
+from .geometry import AnnotatedBox, check_distance
 
 DEFAULT_DISTANCE_LIMIT_M = 40.0
 MAX_HISTOGRAM_BINS = 1_000_000
@@ -46,17 +46,9 @@ def check_height_floor(h_min_px: float) -> None:
         raise InvalidArgument(f"height floor must be non-negative, got {h_min_px!r}")
 
 
-def _distance(annotation: AnnotatedBox) -> float:
-    """The camera distance of ``annotation``, which must be finite and non-negative."""
-    d = annotation.distance_m
-    if not (math.isfinite(d) and d >= 0):
-        raise InvalidArgument(f"annotation distance must be finite and non-negative, got {d!r}")
-    return d
-
-
 def _bin_of(annotation: AnnotatedBox, bin_width_m: float) -> int:
     """The distance bin of ``annotation``, which must be below ``MAX_HISTOGRAM_BINS``."""
-    k = _distance(annotation) // bin_width_m
+    k = check_distance(annotation.distance_m) // bin_width_m
     if k >= MAX_HISTOGRAM_BINS:  # also when the quotient is infinite
         d, w = annotation.distance_m, bin_width_m
         raise InvalidArgument(f"distance {d!r} m is past {MAX_HISTOGRAM_BINS} bins of {w!r} m")
@@ -93,7 +85,7 @@ def prune_by_distance(
     """
     if not (math.isfinite(limit_m) and limit_m > 0):
         raise InvalidArgument(f"distance limit must be positive, got {limit_m!r}")
-    kept = [a for a in annotations if _distance(a) <= limit_m]
+    kept = [a for a in annotations if check_distance(a.distance_m) <= limit_m]
     return kept, len(annotations) - len(kept)
 
 

@@ -18,12 +18,14 @@ from skel2box import (
     emit_coco,
     emit_detections,
     emit_mot,
+    formats,
     manifest_for_annotations,
     parse_coco_gt,
     parse_plan,
     plan_finetune,
     plan_mixed_batches,
 )
+from test_formats import STREAM_CASES
 
 SAMPLES_CSV = "h_s_px,z_m,h_true_px\n50,10,60\n100,5,120\n80,20,85\n40,25,44\n"
 # A JSON integer beyond float range, far below the 4300-digit limit.
@@ -282,6 +284,52 @@ class TestSynthesizeGolden:
         assert hashlib.sha256(out_mot.read_bytes()).hexdigest() == self.MOT_SHA256
 
 
+class TestStreamedJoints:
+    """synthesize reads the dump as a stream; what the stream hands over to
+    the whole-document code ends exactly as a whole read does."""
+
+    @pytest.mark.parametrize("case", STREAM_CASES)
+    def test_small_blocks_end_as_the_whole_text(self, monkeypatch, tmp_path, capsys, case):
+        jta = tmp_path / "dump.json"
+        jta.write_text(STREAM_CASES[case][0], encoding="utf-8")
+        out = tmp_path / "gt.json"
+
+        def synthesize():
+            code, stdout, err = run_cli(
+                capsys, "synthesize", "--jta", jta, "--alpha", 100, "--out-coco", out
+            )
+            summary = json.loads(stdout) if stdout else None
+            if summary:
+                del summary["peak_rss_mb"]
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return code, summary, err, written
+
+        whole = synthesize()
+        monkeypatch.setattr(formats, "_JTA_BLOCK", 7)
+        assert synthesize() == whole
+        code, summary, err, written = whole
+        if code:
+            assert (code, summary, written) == (2, None, None)
+            assert err.startswith(f"error: {jta}: ")
+
+    def test_non_utf8_byte_past_the_first_block_is_located(self, tmp_path, capsys):
+        rows = [[f, p, j, 100.0 + j, 200.0 + j, 0.5, 0.5, 10.0, 0, 0]
+                for f in range(1, 301) for p in range(8) for j in range(22)]
+        text = json.dumps(rows).encode("utf-8")
+        assert len(text) > 1.5 * 2**20
+        at = text.index(b" ", 3 * 2**19)
+        jta = tmp_path / "dump.json"
+        jta.write_bytes(text[:at] + b"\xff" + text[at + 1:])
+        out = tmp_path / "gt.json"
+        code, stdout, err = run_cli(
+            capsys, "synthesize", "--jta", jta, "--alpha", 100, "--out-coco", out
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {jta}: not UTF-8 text (invalid start byte) (byte {at})\n"
+        assert not out.exists()
+
+
 class TestHistogramAndPrune:
     def test_histogram_csv(self, tmp_path, capsys):
         anns = [
@@ -422,7 +470,7 @@ class TestDistanceFlagsAndData:
         }))
         out = tmp_path / "out"
         code, stdout, err = run_cli(capsys, *args, "--gt", gt, "--out", out)
-        message = "annotation distance must be finite and non-negative, got inf"
+        message = "distance must be finite and positive, got inf"
         assert (code, stdout, err) == (2, "", f"error: {gt}: {message}\n")
         assert not out.exists()
 
@@ -1069,6 +1117,15 @@ class TestInfrastructure:
         assert err.startswith("error: ") and str(target) in err
         assert [path.name for path in tmp_path.iterdir()] == ["taken"]
         assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_summary_ends_with_the_peak_rss(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        summary = summary_of(capsys, *command_argv(tmp_path, command, out))
+        after_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert list(summary)[-1] == "peak_rss_mb"
+        assert 0 < summary["peak_rss_mb"] <= round(after_mb, 1)
+        assert b"peak_rss" not in out.read_bytes()
 
     def test_module_entry_point(self, tmp_path):
         samples = tmp_path / "samples.csv"

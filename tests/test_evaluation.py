@@ -315,6 +315,37 @@ class TestAveragePrecision:
         sampled = average_precision(curve, "101point")
         assert abs(dense - sampled) <= 0.01
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_101point_sweep_equals_the_rescan(self, seed):
+        # The 101-point AP as it was computed before the sweep: the envelope
+        # rescanned for each recall sample.
+        def rescanned(curve):
+            running, env = 0.0, []
+            for _, precision, recall in reversed(curve.points):
+                running = max(running, precision)
+                env.append((recall, running))
+            env.reverse()
+            samples = []
+            for i in range(101):
+                beyond = [p for rec, p in env if rec >= i / 100]
+                samples.append(max(beyond) if beyond else 0.0)
+            return math.fsum(samples) / 101
+
+        rng = random.Random(seed)
+        n_gt = rng.randint(1, 300)
+        scored = []
+        for i in range(rng.randint(0, 2 * n_gt)):
+            score = rng.random() if rng.random() < 0.5 else rng.choice(SCORE_POOL)
+            scored.append((score, MatchOutcome(i, 0 if rng.random() < 0.6 else None)))
+        curve = pr_curve(scored, n_gt=n_gt, score_floor=rng.choice([0.0, 0.3]))
+        assert average_precision(curve, "101point") == rescanned(curve)
+        # Arbitrary points too, with recall in any order.
+        points = tuple(
+            (0.5, rng.random(), rng.choice([rng.random(), i / 100, 1.0])) for i in range(seed)
+        )
+        curve = PRCurve(points=points, n_gt=1)
+        assert average_precision(curve, "101point") == rescanned(curve)
+
 
 def random_instance(rng, max_frames=20):
     frames = [("v", f) for f in range(1, rng.randint(1, max_frames) + 1)]

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from skel2box import (
     Detection,
     FrameRef,
     IncompleteSkeleton,
+    InvalidArgument,
     JoinError,
     MixedVideos,
     ParseError,
@@ -23,6 +25,7 @@ from skel2box import (
     parse_jta,
     parse_mot_gt,
 )
+from skel2box import formats
 from skel2box.formats import MAX_FRAMES
 
 
@@ -192,6 +195,133 @@ class TestParseJta:
         assert str(exc_info.value) == (
             "frame must be at least 1 (frames are 1-based), got 0 (record 22)"
         )
+
+
+def jta_dump(*groups, edit=None):
+    """The text of a dump of ``jta_records`` groups, ``edit`` applied to its records."""
+    rows = [row for frame, ped in groups for row in jta_records(frame, ped)]
+    if edit:
+        edit(rows)
+    return json.dumps(rows)
+
+
+def shuffled(rows):
+    random.Random(8).shuffle(rows)
+
+
+def set_field(index, field, value):
+    """An edit that sets ``field`` of record ``index`` to ``value``."""
+    def edit(rows):
+        rows[index][field] = value
+    return edit
+
+
+# Dumps that parse_jta streams, and whether the stream must hand each over to
+# the whole-document code.
+STREAM_CASES = {
+    "records split across blocks": (jta_dump((1, 1), (1, 2), (2, 1)), False),
+    "shuffled, so groups span blocks": (jta_dump((1, 1), (1, 2), (2, 1), edit=shuffled), False),
+    "newline between records": (jta_dump((1, 1), (2, 1)).replace("], [", "],\n["), False),
+    "space before the comma": (jta_dump((1, 1), (2, 1)).replace("], [", "] ,["), False),
+    "empty array": ("[]", False),
+    "'],' inside a string": (jta_dump((1, 1), (2, 1), edit=set_field(30, 5, "x], [y")), True),
+    "nested array": (jta_dump((1, 1), (2, 1), edit=set_field(30, 4, [1.0, [2.0]])), True),
+    "data after the array": (jta_dump((1, 1), (2, 1)) + ", [1]", True),
+    "top-level object": ('{"records": ' + jta_dump((1, 1)) + ', "more": [1]}', True),
+    "a joint of a group again after it was built": (
+        jta_dump((1, 1), (2, 1), edit=lambda rows: rows.append(list(rows[0]))), True
+    ),
+    "a whole group again after it was built": (jta_dump((1, 1), (2, 1), (1, 1)), True),
+    "missing joint": (jta_dump((1, 1), (2, 1), edit=lambda rows: rows.pop(30)), True),
+    "integral-float id late in the file": (
+        jta_dump((1, 1), (2, 1), (3, 1), edit=set_field(-1, 0, 3.0)), True
+    ),
+    "NaN late in the file": (jta_dump((1, 1), (2, 1), edit=set_field(-1, 7, math.nan)), True),
+}
+
+
+def jta_outcome(parse):
+    """The repr of the skeletons ``parse()`` returns, which tells 1 from 1.0 and
+    True, or the class, message and location of the error it raises."""
+    try:
+        return repr(parse())
+    except ParseError as exc:
+        return type(exc).__name__, str(exc), exc.location
+
+
+class TestStreamedJta:
+    """A dump read from a file in small blocks parses exactly as its whole text does."""
+
+    @staticmethod
+    def streamed(monkeypatch, path, block):
+        """The outcome of parse_jta on ``path`` read ``block`` characters at a
+        time, and whether it handed the dump over to the whole-document code."""
+        whole_reads = []
+        load_json = formats.load_json
+
+        def spy(source, **kwargs):
+            if not kwargs:
+                whole_reads.append(len(source))
+            return load_json(source, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(formats, "load_json", spy)
+            patch.setattr(formats, "_JTA_BLOCK", block)
+            with path.open(encoding="utf-8") as dump:
+                outcome = jta_outcome(lambda: parse_jta(dump, "v"))
+        return outcome, bool(whole_reads)
+
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    @pytest.mark.parametrize("case", STREAM_CASES)
+    def test_equals_the_whole_text(self, monkeypatch, tmp_path, case, block):
+        text, falls_back = STREAM_CASES[case]
+        path = tmp_path / "dump.json"
+        path.write_text(text, encoding="utf-8")
+        outcome, fell_back = self.streamed(monkeypatch, path, block)
+        assert outcome == jta_outcome(lambda: parse_jta(text, "v"))
+        assert fell_back == falls_back
+
+    def test_string_source_is_streamed_too(self, monkeypatch):
+        text, _ = STREAM_CASES["records split across blocks"]
+        whole = parse_jta(text, "v")
+        monkeypatch.setattr(formats, "_JTA_BLOCK", 5)
+        assert repr(parse_jta(text, "v")) == repr(whole)
+
+    def test_integral_float_parses_as_canonical(self):
+        text, _ = STREAM_CASES["integral-float id late in the file"]
+        assert repr(parse_jta(text, "v")) == repr(parse_jta(jta_dump((1, 1), (2, 1), (3, 1)), "v"))
+
+    def test_streaming_holds_little_beyond_its_skeletons(self, monkeypatch, tmp_path):
+        # About 2 MB in 64 KiB blocks: 30 blocks, as a 30 MB dump has in the
+        # default 1 MiB blocks. The skeletons keep 5 of each record's 10 values,
+        # so the stream's peak is measured beyond the skeletons it returns.
+        rng = random.Random(3)
+        rows = []
+        for frame in range(1, 40):
+            for ped in range(20):
+                rows += [
+                    [frame, ped, j, rng.uniform(0, 1920), rng.uniform(0, 1080),
+                     rng.uniform(-5, 5), rng.uniform(-2, 2), rng.uniform(3, 90), 0, 0]
+                    for j in range(22)
+                ]
+        text = json.dumps(rows)
+        del rows
+        assert 1_800_000 < len(text) < 2_200_000
+        path = tmp_path / "dump.json"
+        path.write_text(text, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            json.loads(text)
+            loads_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            monkeypatch.setattr(formats, "_JTA_BLOCK", 1 << 16)
+            with path.open(encoding="utf-8") as dump:
+                skeletons = parse_jta(dump, "v")
+            kept, stream_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(skeletons) == 39 * 20
+        assert stream_peak - kept < loads_peak / 4
 
 
 class TestFrameTable:
@@ -395,8 +525,11 @@ class TestParseCocoForeign:
                 {"id": 1, "image_id": 1, "bbox": [0, 0, 1, 1], "distance_m": -3}
             ],
         }
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidArgument) as exc_info:
             parse_coco_gt(json.dumps(doc))
+        assert str(exc_info.value) == (
+            "distance must be finite and positive, got -3.0 (annotation 0)"
+        )
 
     @pytest.mark.parametrize(
         "doc, location",

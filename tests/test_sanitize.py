@@ -66,12 +66,11 @@ class TestDistanceHistogram:
         # Not counted in a bin at a negative list index, nor an IndexError.
         with pytest.raises(InvalidArgument) as exc_info:
             distance_histogram([ann(distance), ann(3.0)], bin_width_m=1.0)
-        assert str(exc_info.value) == (
-            f"annotation distance must be finite and non-negative, got {distance!r}"
-        )
+        assert str(exc_info.value) == f"distance must be finite and positive, got {distance!r}"
 
-    def test_zero_distance_is_the_first_bin(self):
-        assert distance_histogram([ann(0.0), ann(1.0)], bin_width_m=1.0).counts == (1, 1)
+    def test_near_zero_distance_is_the_first_bin(self):
+        # Zero itself is refused (tests/test_value_rules.py), as no camera distance is 0.
+        assert distance_histogram([ann(5e-324), ann(1.0)], bin_width_m=1.0).counts == (1, 1)
 
     def test_most_bins_accepted(self):
         assert MAX_HISTOGRAM_BINS == 1_000_000
@@ -125,7 +124,7 @@ class TestPruneByDistance:
 
     def test_unknown_distance_refused(self):
         # Not pruned as "farther than any limit", which would empty the dataset.
-        with pytest.raises(InvalidArgument, match="^annotation distance must be finite"):
+        with pytest.raises(InvalidArgument, match="^distance must be finite and positive"):
             prune_by_distance([ann(5.0), ann(math.inf)], limit_m=40.0)
 
     def test_bad_limit(self):

@@ -3,12 +3,14 @@
 Every reader or operation that takes a frame number, a box or a camera
 distance refuses a bad one with the same message; only the location differs,
 and it is the one that reader gives its records (``record N``, ``line N``,
-``image N``, ``annotation N``). The distance operations take no file, so
-their errors carry no location.
+``image N``, ``annotation N``). The COCO emitter and the distance operations
+take no file, so their errors carry no location.
 """
 
 import json
 import math
+import random
+import sys
 
 import pytest
 
@@ -19,6 +21,8 @@ from skel2box import (
     ParseError,
     derive_distance_limit,
     distance_histogram,
+    emit_coco,
+    manifest_for_annotations,
     parse_coco_gt,
     parse_detections,
     parse_jta,
@@ -77,10 +81,25 @@ def at(distance):
     return [AnnotatedBox("v", 1, i, BBox(0, 0, 10, 20), d) for i, d in enumerate((5.0, distance))]
 
 
+def emitted(annotations):
+    return emit_coco(annotations, manifest_for_annotations(annotations, "d", 0, 0))
+
+
 DISTANCE_OPERATIONS = {
     "histogram": (lambda distance: distance_histogram(at(distance), 1.0), None),
     "distance_limit": (lambda distance: derive_distance_limit(at(distance), 10.0), None),
     "prune": (lambda distance: prune_by_distance(at(distance), 40.0), None),
+}
+
+DISTANCE_READERS = {
+    **DISTANCE_OPERATIONS,
+    "coco_gt": (
+        lambda distance: coco_gt(
+            [{"id": 1, "image_id": 1, "bbox": [0, 0, 10, 20], "distance_m": distance}]
+        ),
+        "annotation 0",
+    ),
+    "emit_coco": (lambda distance: emitted(at(distance)), None),
 }
 
 RULES = {
@@ -94,9 +113,14 @@ RULES = {
             [10.0, 20.0, 0.0, 40.0], "box width and height must be positive, got 0.0 and 40.0"
         ),
     }),
-    "distance": (DISTANCE_OPERATIONS, {
-        "inf": (math.inf, "annotation distance must be finite and non-negative, got inf"),
-        "negative": (-1.0, "annotation distance must be finite and non-negative, got -1.0"),
+    "distance": (DISTANCE_READERS, {
+        "0": (0.0, "distance must be finite and positive, got 0.0"),
+        "negative": (-1.0, "distance must be finite and positive, got -1.0"),
+    }),
+    # An unknown distance is written as no distance_m at all, and read back
+    # as infinite, so only the operations that need a distance refuse it.
+    "unknown_distance": (DISTANCE_OPERATIONS, {
+        "inf": (math.inf, "distance must be finite and positive, got inf"),
     }),
 }
 
@@ -114,3 +138,15 @@ def test_every_reader_gives_the_one_message(read, value, message, location):
         read(value)
     assert exc_info.value.location == location
     assert str(exc_info.value) == (message if location is None else f"{message} ({location})")
+
+
+def test_every_distance_the_emitter_writes_parses_back():
+    rng = random.Random(11)
+    distances = [5e-324, 0.1, 1.0, 40.0, 1e300, sys.float_info.max] + [
+        math.ldexp(0.5 + rng.random() / 2, rng.randint(-1073, 1024)) for _ in range(500)
+    ]
+    annotations = [
+        AnnotatedBox("v", 1, i, BBox(0, 0, 10, 20), d) for i, d in enumerate(distances)
+    ]
+    parsed = parse_coco_gt(emitted(annotations)).annotations
+    assert [a.distance_m for a in parsed] == distances
