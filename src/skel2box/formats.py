@@ -109,7 +109,8 @@ def load_json(source: str, *, strict: bool = True) -> Any:
     ``strict``, a document that does not parse gives None."""
     try:
         return json.loads(source)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+    # JSONDecodeError, an integer over the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         if not strict:
             return None
         raise ParseError(f"malformed JSON: {exc}") from exc

@@ -130,21 +130,21 @@ def plan_mixed_batches(config: MixConfig) -> BatchPlan:
     permutation drives the epoch instead.
     """
     syn_per_batch, real_per_batch, n_batches = _validate_mix_config(config)
+    # One entry tuple per index of a dataset in use, shared by every batch of every epoch.
+    syn_entries = [(SYNTHETIC, i) for i in range(config.n_synthetic)] if syn_per_batch else []
+    real_entries = [(REAL, i) for i in range(config.n_real)] if real_per_batch else []
 
     epochs: list[Epoch] = []
     for epoch in range(config.epochs):
-        syn_order = _permutation(config.n_synthetic, config.seed, SYNTHETIC, epoch)
-        real_stream = _wraparound(config.n_real, config.seed, epoch)
-        batches: list[Batch] = []
-        for b in range(n_batches):
-            entries: list[Entry] = [
-                (SYNTHETIC, i)
-                for i in syn_order[b * syn_per_batch : (b + 1) * syn_per_batch]
-            ]
-            if real_per_batch > 0:
-                entries.extend((REAL, i) for i in itertools.islice(real_stream, real_per_batch))
-            batches.append(tuple(entries))
-        epochs.append(tuple(batches))
+        syn_order = _permutation(len(syn_entries), config.seed, SYNTHETIC, epoch)
+        real_order = _wraparound(len(real_entries), config.seed, epoch)
+        syn_stream = map(syn_entries.__getitem__, syn_order)
+        real_stream = map(real_entries.__getitem__, real_order)
+        epochs.append(tuple(
+            (*itertools.islice(syn_stream, syn_per_batch),
+             *itertools.islice(real_stream, real_per_batch))
+            for _ in range(n_batches)
+        ))
     return BatchPlan(config=config, epochs=tuple(epochs))
 
 
@@ -156,17 +156,16 @@ def plan_finetune(phase1_epochs: int, phase2_epochs: int) -> FineTunePlan:
     return FineTunePlan(phase1_epochs, phase2_epochs)
 
 
-def _plan_doc(plan: Union[BatchPlan, FineTunePlan]) -> dict:
-    """The document :func:`serialize_plan` writes for ``plan``."""
-    if isinstance(plan, BatchPlan):
-        return {
-            "config": asdict(plan.config),
-            "kind": "mixed",
-            "epochs": [
-                [[domain, index] for batch in epoch for domain, index in batch]
-                for epoch in plan.epochs
-            ],
-        }
+def _entry_text(entry: Entry) -> str:
+    """``entry`` as JSON text such as ``["syn",12]``."""
+    domain, index = entry
+    if domain not in (SYNTHETIC, REAL) or type(index) is not int:
+        raise InvalidConfig(f"plan entries must be ({SYNTHETIC!r} or {REAL!r}, int), got {entry!r}")
+    return f'["{domain}",{index}]'
+
+
+def _plan_doc(plan: object) -> dict:
+    """The document :func:`serialize_plan` writes for a finetune ``plan``."""
     if isinstance(plan, FineTunePlan):
         phases = ((SYNTHETIC, plan.phase1_epochs), (REAL, plan.phase2_epochs))
         return {
@@ -185,9 +184,18 @@ def serialize_plan(plan: Union[BatchPlan, FineTunePlan]) -> str:
 
     Mixed plans list each epoch as a flat run of [domain, index] entries;
     batch boundaries are implicit because every batch holds exactly
-    config.batch_size entries.
+    config.batch_size entries. Entries are written straight to text, one
+    string per epoch; an entry that is not (SYNTHETIC or REAL, int) raises
+    InvalidConfig, since it would not parse back.
     """
-    return json.dumps(_plan_doc(plan), separators=(",", ":"))
+    if not isinstance(plan, BatchPlan):
+        return json.dumps(_plan_doc(plan), separators=(",", ":"))
+    config = json.dumps(asdict(plan.config), separators=(",", ":"))
+    epochs = (
+        "[" + ",".join(map(_entry_text, itertools.chain.from_iterable(epoch))) + "]"
+        for epoch in plan.epochs
+    )
+    return '{"config":' + config + ',"kind":"mixed","epochs":[' + ",".join(epochs) + "]}"
 
 
 def parse_plan(source: str) -> Union[BatchPlan, FineTunePlan]:

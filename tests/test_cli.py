@@ -824,6 +824,19 @@ class TestMalformedInput:
         assert "4300 digits" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind", ["config", "alpha_file", "jta", "coco_gt", "evaluate_gt", "detections"]
+    )
+    def test_nesting_past_the_recursion_limit_is_malformed_json(self, tmp_path, capsys, kind):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100000 + "]" * 100000)
+        out = tmp_path / "o.json"
+        code, stdout, err = run_cli(capsys, *json_reader_argv(tmp_path, kind, bad, out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {bad}: malformed JSON: maximum recursion depth exceeded")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPlans:
     def test_plan_batches_matches_library(self, tmp_path, capsys):

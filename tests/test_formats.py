@@ -281,6 +281,16 @@ class TestStreamedJta:
         assert outcome == jta_outcome(lambda: parse_jta(text, "v"))
         assert fell_back == falls_back
 
+    def test_record_nested_past_the_recursion_limit_is_read_whole(self, monkeypatch, tmp_path):
+        deep = "[" * 100000 + "]" * 100000
+        text = jta_dump((1, 1), (2, 1)).replace("], [", f"], {deep}, [", 1)
+        path = tmp_path / "dump.json"
+        path.write_text(text, encoding="utf-8")
+        outcome, fell_back = self.streamed(monkeypatch, path, 4096)
+        assert fell_back
+        assert outcome == jta_outcome(lambda: parse_jta(text, "v"))
+        assert outcome[1].startswith("malformed JSON: maximum recursion depth exceeded")
+
     def test_string_source_is_streamed_too(self, monkeypatch):
         text, _ = STREAM_CASES["records split across blocks"]
         whole = parse_jta(text, "v")

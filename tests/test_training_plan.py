@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -109,6 +110,27 @@ class TestPlanMixedBatches:
         b = plan_mixed_batches(config)
         assert a == b
         assert serialize_plan(a) == serialize_plan(b)
+
+    def test_each_index_has_one_entry_tuple(self):
+        # 8 batches of 4 synthetic and 2 real entries use every index in each epoch.
+        config = MixConfig(n_synthetic=32, n_real=4, batch_size=6, seed=4, epochs=2)
+        first, second = (
+            {entry: entry for batch in epoch for entry in batch}
+            for epoch in plan_mixed_batches(config).epochs
+        )
+        assert len(first) == 36 and first.keys() == second.keys()
+        assert all(first[entry] is second[entry] for entry in first)
+
+    @pytest.mark.parametrize(
+        "unused, used",
+        [
+            (MixConfig(10**12, 8, 4, ratio=(0, 1)), MixConfig(0, 8, 4, ratio=(0, 1))),
+            (MixConfig(8, 10**12, 4, ratio=(1, 0)), MixConfig(8, 0, 4, ratio=(1, 0))),
+        ],
+        ids=["synthetic", "real"],
+    )
+    def test_dataset_without_slots_builds_nothing(self, unused, used):
+        assert plan_mixed_batches(unused).epochs == plan_mixed_batches(used).epochs
 
     def test_seed_changes_plan(self):
         base = MixConfig(n_synthetic=50, n_real=9, batch_size=12, seed=1)
@@ -322,6 +344,32 @@ class TestSerialization:
         # Past the interpreter's 4300-digit limit on int() of a string.
         with pytest.raises(ParseError, match="^malformed JSON: "):
             parse_plan('{"kind": "mixed", "config": {"seed": ' + "9" * 5000 + "}}")
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (MixConfig(2000, 300, 12, seed=9, epochs=3),
+             "80cc181a8e1ad23c1c6c7c0d92e7d9d5df528b78049f4889d8d701834fc5b46a"),
+            (MixConfig(50, 0, 5, ratio=(1, 0), seed=3, epochs=2),
+             "6e374a942bb31f34339dbb449e1ed705eabf221f10dbf87cd31dff147d560783"),
+            (MixConfig(0, 40, 4, ratio=(0, 1), seed=3, epochs=2),
+             "bd0539ece67a91d08bd0bede0c4331b0520b9274b4fe17548552f759404157b0"),
+        ],
+        ids=["two_to_one", "synthetic_only", "real_only"],
+    )
+    def test_mixed_plan_bytes_are_pinned(self, config, digest):
+        text = serialize_plan(plan_mixed_batches(config))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "entry", [("syn", True), ("syn", 1.0), ("val", 0)], ids=["bool", "float", "val"]
+    )
+    def test_serialize_refuses_entries_that_would_not_parse(self, entry):
+        plan = BatchPlan(MixConfig(4, 2, 3), epochs=(((("syn", 0), entry, ("real", 0)),),))
+        with pytest.raises(InvalidConfig) as exc_info:
+            serialize_plan(plan)
+        message = f"plan entries must be ('syn' or 'real', int), got {entry!r}"
+        assert str(exc_info.value) == message
 
     def test_serialize_rejects_foreign_objects(self):
         with pytest.raises(InvalidConfig):
