@@ -3,7 +3,9 @@
 Subcommands: calibrate, synthesize, histogram, prune, distance-limit,
 convert, evaluate, plan-batches, plan-finetune. Every run prints a one-line
 JSON summary on stdout and writes output files atomically (temp file plus
-rename), so a failed run never leaves a partial file behind.
+rename), so a failed run never leaves a partial file behind. Each handler
+imports the package modules it calls, so a run loads only those, and
+``--help`` none but ``errors``.
 
 Exit codes: 0 success, 1 usage error, 2 data error (parse or validation
 failures, reported on stderr with file and record locations).
@@ -22,7 +24,13 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
-from . import calibration, evaluation, formats, geometry, sanitize, training_plan
+from . import (
+    DEFAULT_DISTANCE_LIMIT_M,
+    DEFAULT_IOU_THRESHOLD,
+    DEFAULT_JOINTS_PER_SKELETON,
+    DEFAULT_RATIO,
+    DEFAULT_SCORE_FLOOR,
+)
 from .errors import InvalidConfig, JoinError, MixedVideos, ParseError, Skel2BoxError
 
 DEFAULT_IMAGE_W = 1920.0
@@ -42,16 +50,17 @@ class PipelineConfig:
 
     image_w: float = DEFAULT_IMAGE_W
     image_h: float = DEFAULT_IMAGE_H
-    joints_per_skeleton: int = formats.DEFAULT_JOINTS_PER_SKELETON
+    joints_per_skeleton: int = DEFAULT_JOINTS_PER_SKELETON
     alpha: Optional[float] = None
-    distance_limit_m: float = sanitize.DEFAULT_DISTANCE_LIMIT_M
-    score_floor: float = evaluation.DEFAULT_SCORE_FLOOR
-    iou_thr: float = evaluation.DEFAULT_IOU_THRESHOLD
+    distance_limit_m: float = DEFAULT_DISTANCE_LIMIT_M
+    score_floor: float = DEFAULT_SCORE_FLOOR
+    iou_thr: float = DEFAULT_IOU_THRESHOLD
 
     def validate(self) -> "PipelineConfig":
         """Check every field, whatever its source: a real, finite number
         (``joints_per_skeleton`` an ``int``, ``alpha`` possibly unset), then
         within its range."""
+        from . import formats
         for name in _CONFIG_FIELDS:
             value = getattr(self, name)
             if name == "joints_per_skeleton" and type(value) is not int:
@@ -91,6 +100,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     values: dict[str, Any] = {}
     config_path = getattr(args, "config", None)
     if config_path:
+        from . import formats
         doc = _parse_file(config_path, formats.load_json)
         if not isinstance(doc, dict):
             raise InvalidConfig(f"{config_path}: config file must hold a JSON object")
@@ -100,6 +110,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
         values.update(doc)
     alpha_file = getattr(args, "alpha_file", None)
     if alpha_file and args.alpha is None:
+        from . import calibration
         values["alpha"] = _parse_file(alpha_file, calibration.CalibrationResult.from_json).alpha
     for field in _CONFIG_FIELDS:
         flag_value = getattr(args, field, None)
@@ -155,6 +166,7 @@ def _parse_file(path: str, parse: Callable[..., _T], *args: Any, **kwargs: Any) 
 # ---------------------------------------------------------------------------
 
 def _cmd_calibrate(args: argparse.Namespace, config: PipelineConfig) -> dict:
+    from . import calibration
     samples = _parse_file(args.samples, calibration.load_calibration_samples)
     with _reading(args.samples):
         result = calibration.fit_alpha(samples)
@@ -167,6 +179,7 @@ def _cmd_calibrate(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> dict:
+    from . import formats, geometry
     if config.alpha is None:
         raise _UsageError("an alpha value is required (--alpha, --alpha-file, or config file)")
     video_id = args.video_id or Path(args.jta).stem
@@ -202,6 +215,7 @@ def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def _cmd_histogram(args: argparse.Namespace, config: PipelineConfig) -> dict:
+    from . import formats, sanitize
     with _reading("--bin-width"):
         sanitize.check_bin_width(args.bin_width)
     gt = _parse_file(args.gt, formats.parse_coco_gt)
@@ -217,6 +231,7 @@ def _cmd_histogram(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def _cmd_prune(args: argparse.Namespace, config: PipelineConfig) -> dict:
+    from . import formats, sanitize
     gt = _parse_file(args.gt, formats.parse_coco_gt)
     with _reading(args.gt):
         kept, pruned = sanitize.prune_by_distance(gt.annotations, limit_m=config.distance_limit_m)
@@ -231,6 +246,7 @@ def _cmd_prune(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def _cmd_distance_limit(args: argparse.Namespace, config: PipelineConfig) -> dict:
+    from . import formats, sanitize
     with _reading("--bin-width"):
         sanitize.check_bin_width(args.bin_width)
     with _reading("--h-min"):
@@ -253,6 +269,7 @@ def _cmd_distance_limit(args: argparse.Namespace, config: PipelineConfig) -> dic
 
 
 def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> dict:
+    from . import formats
     skipped = 0
     if args.from_fmt == "coco":
         gt = _parse_file(args.infile, formats.parse_coco_gt)
@@ -292,6 +309,7 @@ def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> dict:
+    from . import evaluation, formats
     gt = _parse_file(args.gt, formats.parse_coco_gt)
     if args.det_format == "mot_det" and not args.video_id:
         raise _UsageError("--video-id is required with --det-format mot_det")
@@ -321,6 +339,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def _cmd_plan_batches(args: argparse.Namespace, config: PipelineConfig) -> dict:
+    from . import training_plan
     fields = dataclasses.fields(training_plan.MixConfig)
     mix = training_plan.MixConfig(**{field.name: getattr(args, field.name) for field in fields})
     plan = training_plan.plan_mixed_batches(mix)
@@ -335,6 +354,7 @@ def _cmd_plan_batches(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def _cmd_plan_finetune(args: argparse.Namespace, config: PipelineConfig) -> dict:
+    from . import training_plan
     plan = training_plan.plan_finetune(args.phase1_epochs, args.phase2_epochs)
     _write_atomic(args.out, training_plan.serialize_plan(plan))
     return {
@@ -429,7 +449,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-synthetic", type=int, required=True)
     p.add_argument("--n-real", type=int, required=True)
     p.add_argument("--batch-size", type=int, required=True)
-    p.add_argument("--ratio", type=_ratio, default=training_plan.DEFAULT_RATIO)
+    p.add_argument("--ratio", type=_ratio, default=DEFAULT_RATIO)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--out", required=True)

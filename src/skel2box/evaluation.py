@@ -16,12 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from . import DEFAULT_IOU_THRESHOLD, DEFAULT_SCORE_FLOOR
 from .errors import InvalidArgument, JoinError
 from .formats import Detection, json_number
 from .geometry import AnnotatedBox, BBox
-
-DEFAULT_IOU_THRESHOLD = 0.5
-DEFAULT_SCORE_FLOOR = 0.05
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
+from . import DEFAULT_JOINTS_PER_SKELETON
 from .errors import IncompleteSkeleton, JoinError, MixedVideos, ParseError
 from .geometry import AnnotatedBox, BBox, SkeletonInstance, check_distance, sort_key
 
-DEFAULT_JOINTS_PER_SKELETON = 22
 PEDESTRIAN_CATEGORY_ID = 1
 
 # One JTA record: [frame, pedestrian, joint, x2d, y2d, x3d, y3d, z3d, occluded, self_occluded]
@@ -33,6 +34,9 @@ _JTA_ARITY = 10
 
 # Characters per block when parse_jta streams a dump.
 _JTA_BLOCK = 1 << 20
+# What follows a record's ``]`` in a dump: JSON whitespace, then the comma
+# before the next record, which group 1 holds once the text has it.
+_RECORD_SPACE = re.compile(r"[ \t\n\r]*(,?)")
 
 # Confidence clamping slack: values this far outside [0, 1] are treated as
 # float noise, anything worse is an error.
@@ -278,16 +282,44 @@ def _jta_skeleton(
     return SkeletonInstance(video_id, *key, xs, ys, x3s, y3s, z3s) if ids == joint_ids else None
 
 
+def _last_cut(text: str, start: int, opened: int) -> tuple[int, int, int]:
+    """Find the last separator of records in ``text``: a ``]``, JSON
+    whitespace and a comma. Only ``text[start:]`` is searched; ``opened`` is
+    a ``]`` before ``start`` whose whitespace runs up to it, or -1.
+
+    Returns the index of the separator's ``]`` and the end of its comma, or
+    -1 twice; and the ``]`` whose whitespace runs to the end of ``text``, or
+    -1, which is ``opened`` for the next search once ``text`` has grown."""
+    end, still_open = len(text), -1
+    while (at := text.rfind("]", start, end)) >= 0:
+        space = _RECORD_SPACE.match(text, at + 1)
+        if space[1]:
+            return at, space.end(), still_open
+        if space.end() == len(text):
+            still_open = at
+        end = at
+    if opened >= 0:
+        space = _RECORD_SPACE.match(text, start)
+        if space[1]:
+            return opened, space.end(), still_open
+        if space.end() == len(text):
+            still_open = opened
+    return -1, -1, still_open
+
+
 def _jta_arrays(blocks: Iterable[str]) -> Iterator[Any]:
     """The JSON value of each piece of the dump that ``blocks`` spell, or None:
-    the text up to each block's last ``],``, bracketed, so that the elements
-    of the arrays, in order, are those of the dump."""
-    head, tail = "", ""
+    the text up to the last separator read so far, bracketed, so that the
+    elements of the arrays, in order, are those of the dump. Each block is
+    searched once, when it arrives."""
+    head, tail, opened = "", "", -1
     for block in blocks:
+        start = len(tail)
         tail += block
-        cut = tail.rfind("],")
-        if cut >= 0:
-            piece, head, tail = head + tail[: cut + 1] + "]", "[", tail[cut + 2 :]
+        bracket, after, opened = _last_cut(tail, start, opened)
+        if bracket >= 0:
+            piece, head, tail = head + tail[: bracket + 1] + "]", "[", tail[after:]
+            opened = opened - after if opened >= 0 else -1
             yield load_json(piece, strict=False)
     yield load_json(head + tail, strict=False)
 
@@ -335,8 +367,9 @@ def parse_jta(
     checked but not kept.
 
     ``source`` is the text of the dump or a seekable text stream of it. It
-    is read in blocks of ``_JTA_BLOCK`` characters, each cut at its last
-    ``],`` and parsed on its own, and each skeleton is built once its group
+    is read in blocks of ``_JTA_BLOCK`` characters, cut after the last
+    record that a comma follows (``],``, or ``] ,`` with any JSON whitespace)
+    and parsed piece by piece, and each skeleton is built once its group
     is complete, so the whole record array never exists. That holds while
     each record has the shape real dumps use: a 10-element array whose ids
     and flags are JSON integers (frame >= 1, ids >= 0, flags 0 or 1) and

@@ -14,11 +14,11 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import DEFAULT_DISTANCE_LIMIT_M
 from .errors import EmptyInput, InvalidArgument
 from .formats import csv_row
 from .geometry import AnnotatedBox, check_distance
 
-DEFAULT_DISTANCE_LIMIT_M = 40.0
 MAX_HISTOGRAM_BINS = 1_000_000
 
 

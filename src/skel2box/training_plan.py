@@ -16,13 +16,12 @@ import random
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Union
 
+from . import DEFAULT_RATIO
 from .errors import InvalidConfig, ParseError
 from .formats import load_json
 
 SYNTHETIC = "syn"
 REAL = "real"
-
-DEFAULT_RATIO = (2, 1)
 
 Entry = tuple[str, int]
 Batch = tuple[Entry, ...]

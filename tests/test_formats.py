@@ -223,8 +223,13 @@ STREAM_CASES = {
     "shuffled, so groups span blocks": (jta_dump((1, 1), (1, 2), (2, 1), edit=shuffled), False),
     "newline between records": (jta_dump((1, 1), (2, 1)).replace("], [", "],\n["), False),
     "space before the comma": (jta_dump((1, 1), (2, 1)).replace("], [", "] ,["), False),
+    "newlines around the comma": (jta_dump((1, 1), (2, 1)).replace("], [", "]\n,\n["), False),
+    "whitespace longer than a block": (
+        jta_dump((1, 1), (2, 1)).replace("], [", "]" + " " * 400 + "\t,\r\n["), False
+    ),
     "empty array": ("[]", False),
     "'],' inside a string": (jta_dump((1, 1), (2, 1), edit=set_field(30, 5, "x], [y")), True),
+    "'] ,' inside a string": (jta_dump((1, 1), (2, 1), edit=set_field(30, 5, "x] \t, [y")), True),
     "nested array": (jta_dump((1, 1), (2, 1), edit=set_field(30, 4, [1.0, [2.0]])), True),
     "data after the array": (jta_dump((1, 1), (2, 1)) + ", [1]", True),
     "top-level object": ('{"records": ' + jta_dump((1, 1)) + ', "more": [1]}', True),
@@ -281,6 +286,21 @@ class TestStreamedJta:
         assert outcome == jta_outcome(lambda: parse_jta(text, "v"))
         assert fell_back == falls_back
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "records split across blocks",
+            "newline between records",
+            "space before the comma",
+            "newlines around the comma",
+            "whitespace longer than a block",
+        ],
+    )
+    def test_one_character_blocks_cut_after_every_record(self, case):
+        text, _ = STREAM_CASES[case]
+        pieces = list(formats._jta_arrays(iter(text)))
+        assert [len(piece) for piece in pieces] == [1] * len(json.loads(text))
+
     def test_record_nested_past_the_recursion_limit_is_read_whole(self, monkeypatch, tmp_path):
         deep = "[" * 100000 + "]" * 100000
         text = jta_dump((1, 1), (2, 1)).replace("], [", f"], {deep}, [", 1)
@@ -301,7 +321,10 @@ class TestStreamedJta:
         text, _ = STREAM_CASES["integral-float id late in the file"]
         assert repr(parse_jta(text, "v")) == repr(parse_jta(jta_dump((1, 1), (2, 1), (3, 1)), "v"))
 
-    def test_streaming_holds_little_beyond_its_skeletons(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "separator", ["], [", "] , [", "]\n,\n["], ids=["plain", "spaced", "newlines"]
+    )
+    def test_streaming_holds_little_beyond_its_skeletons(self, monkeypatch, tmp_path, separator):
         # About 2 MB in 64 KiB blocks: 30 blocks, as a 30 MB dump has in the
         # default 1 MiB blocks. The skeletons keep 5 of each record's 10 values,
         # so the stream's peak is measured beyond the skeletons it returns.
@@ -314,7 +337,7 @@ class TestStreamedJta:
                      rng.uniform(-5, 5), rng.uniform(-2, 2), rng.uniform(3, 90), 0, 0]
                     for j in range(22)
                 ]
-        text = json.dumps(rows)
+        text = json.dumps(rows).replace("], [", separator)
         del rows
         assert 1_800_000 < len(text) < 2_200_000
         path = tmp_path / "dump.json"
