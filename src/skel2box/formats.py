@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
@@ -33,7 +35,11 @@ PEDESTRIAN_CATEGORY_ID = 1
 _JTA_ARITY = 10
 
 # Characters per block when parse_jta streams a dump.
-_JTA_BLOCK = 1 << 20
+_JTA_BLOCK = 1 << 19
+# Characters of a dump parsed in this process before the rest goes to worker
+# processes: starting and ending their pool costs about 35 ms, what a second
+# worker saves on 2 MiB.
+_JTA_POOLED = 1 << 21
 # What follows a record's ``]`` in a dump: JSON whitespace, then the comma
 # before the next record, which group 1 holds once the text has it.
 _RECORD_SPACE = re.compile(r"[ \t\n\r]*(,?)")
@@ -272,14 +278,12 @@ def _fast_jta(rec: Any) -> bool:
     )
 
 
-def _jta_skeleton(
-    video_id: str, key: tuple, rows: list, joint_ids: tuple
-) -> Optional[SkeletonInstance]:
-    """The skeleton of one (frame, pedestrian) group of records; None unless
-    they hold each of ``joint_ids`` once."""
+def _jta_columns(rows: list, joint_ids: tuple) -> Optional[tuple]:
+    """The five coordinate columns of one (frame, pedestrian) group of
+    records, in joint-id order; None unless they hold each of ``joint_ids`` once."""
     rows.sort(key=itemgetter(2))
     _, _, ids, xs, ys, x3s, y3s, z3s, _, _ = zip(*rows)
-    return SkeletonInstance(video_id, *key, xs, ys, x3s, y3s, z3s) if ids == joint_ids else None
+    return (xs, ys, x3s, y3s, z3s) if ids == joint_ids else None
 
 
 def _last_cut(text: str, start: int, opened: int) -> tuple[int, int, int]:
@@ -307,11 +311,11 @@ def _last_cut(text: str, start: int, opened: int) -> tuple[int, int, int]:
     return -1, -1, still_open
 
 
-def _jta_arrays(blocks: Iterable[str]) -> Iterator[Any]:
-    """The JSON value of each piece of the dump that ``blocks`` spell, or None:
-    the text up to the last separator read so far, bracketed, so that the
-    elements of the arrays, in order, are those of the dump. Each block is
-    searched once, when it arrives."""
+def _jta_pieces(blocks: Iterable[str]) -> Iterator[str]:
+    """The text of each piece of the dump that ``blocks`` spell: the text up
+    to the last separator read so far, bracketed, so that the elements of the
+    pieces' arrays, in order, are those of the dump. Each block is searched
+    once, when it arrives."""
     head, tail, opened = "", "", -1
     for block in blocks:
         start = len(tail)
@@ -320,34 +324,104 @@ def _jta_arrays(blocks: Iterable[str]) -> Iterator[Any]:
         if bracket >= 0:
             piece, head, tail = head + tail[: bracket + 1] + "]", "[", tail[after:]
             opened = opened - after if opened >= 0 else -1
-            yield load_json(piece, strict=False)
-    yield load_json(head + tail, strict=False)
+            yield piece
+    yield head + tail
+
+
+def _jta_groups(piece: str, joint_ids: tuple) -> Optional[list]:
+    """``(key, group)`` per (frame, pedestrian) key of the records of a piece,
+    in plain values that a worker process returns cheaply: a group that holds
+    each of ``joint_ids`` once is its columns, a tuple, any other its records,
+    a list. None unless the piece is an array of records of the shape real
+    dumps use."""
+    records = load_json(piece, strict=False)
+    if type(records) is not list or not all(map(_fast_jta, records)):
+        return None
+    groups: dict[tuple[int, int], list] = {}
+    for rec in records:
+        groups.setdefault((rec[0], rec[1]), []).append(rec)
+    return [
+        (key, len(rows) == len(joint_ids) and _jta_columns(rows, joint_ids) or rows)
+        for key, rows in groups.items()
+    ]
+
+
+def _jta_workers() -> int:
+    """Processes to parse the pieces of a dump on: one per usable core where
+    processes fork, else 1, which parses them in this one."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _map_pieces(function: Callable[[str], Any], pieces: Iterator[str]) -> Iterator[Any]:
+    """``function`` of each of ``pieces``, in order: here for the first
+    ``_JTA_POOLED`` characters, then on :func:`_jta_workers` forked processes,
+    at most two pieces each at a time. Closing the iterator ends their pool
+    once the pieces they hold are parsed."""
+    read = 0
+    for piece in pieces:
+        if read >= _JTA_POOLED:
+            break
+        read += len(piece)
+        yield function(piece)
+    else:
+        return
+    pieces, workers = chain((piece,), pieces), _jta_workers()
+    if workers == 1:
+        yield from map(function, pieces)
+        return
+    import multiprocessing
+    from signal import SIG_IGN, SIGINT, signal
+
+    # The workers ignore an interrupt: one that stopped a worker would lose
+    # its piece, and the join below would wait for it forever.
+    pool = multiprocessing.get_context("fork").Pool(workers, signal, (SIGINT, SIG_IGN))
+    try:
+        pending = []
+        for piece in pieces:
+            pending.append(pool.apply_async(function, (piece,)))
+            if len(pending) == 2 * workers:
+                yield pending.pop(0).get()
+        while pending:
+            yield pending.pop(0).get()
+    finally:
+        # Not terminate(): killing a worker while it sends a result can leave
+        # the pool's result queue locked, and the join hangs.
+        pool.close()
+        pool.join()
 
 
 def _stream_jta(blocks: Iterable[str], video_id: str, joint_ids: tuple) -> Optional[list]:
-    """The skeletons of a dump read block by block, each built as soon as its
-    group is complete; None for anything the whole-document code must decide."""
-    groups: dict[tuple[int, int], list[Sequence]] = {}
+    """The skeletons of a dump read block by block, the :func:`_jta_groups` of
+    its pieces joined where a group spans pieces; None for anything the
+    whole-document code must decide, such as a key whose records come to
+    more than ``joint_ids`` or that is complete twice."""
+    split: dict[tuple[int, int], list] = {}
     done: dict[tuple[int, int], SkeletonInstance] = {}
+    results = _map_pieces(partial(_jta_groups, joint_ids=joint_ids), _jta_pieces(blocks))
     try:
-        for records in _jta_arrays(blocks):
-            if type(records) is not list:
+        for groups in results:
+            if groups is None:
                 return None
-            for rec in records:
-                key = (rec[0], rec[1]) if _fast_jta(rec) else None
-                if key is None or key in done:
+            for key, group in groups:
+                if type(group) is list:
+                    rows = split.setdefault(key, [])
+                    rows += group
+                    if len(rows) < len(joint_ids):
+                        continue
+                    del split[key]
+                    group = len(rows) == len(joint_ids) and _jta_columns(rows, joint_ids)
+                if not group or key in done:
                     return None
-                rows = groups.setdefault(key, [])
-                rows.append(rec)
-                if len(rows) == len(joint_ids):
-                    skeleton = _jta_skeleton(video_id, key, groups.pop(key), joint_ids)
-                    if skeleton is None:
-                        return None
-                    done[key] = skeleton
-            del records
+                done[key] = SkeletonInstance(video_id, *key, *group)
     except UnicodeDecodeError:
         return None
-    return None if groups else [done[key] for key in sorted(done)]
+    finally:
+        results.close()
+    return None if split else [done[key] for key in sorted(done)]
 
 
 def parse_jta(
@@ -369,10 +443,11 @@ def parse_jta(
     ``source`` is the text of the dump or a seekable text stream of it. It
     is read in blocks of ``_JTA_BLOCK`` characters, cut after the last
     record that a comma follows (``],``, or ``] ,`` with any JSON whitespace)
-    and parsed piece by piece, and each skeleton is built once its group
-    is complete, so the whole record array never exists. That holds while
-    each record has the shape real dumps use: a 10-element array whose ids
-    and flags are JSON integers (frame >= 1, ids >= 0, flags 0 or 1) and
+    and parsed piece by piece, past the first ``_JTA_POOLED`` characters on
+    a forked worker per usable core, and each skeleton is built once its
+    group is complete, so the whole record array never exists. That holds
+    while each record has the shape real dumps use: a 10-element array whose
+    ids and flags are JSON integers (frame >= 1, ids >= 0, flags 0 or 1) and
     whose coordinates are finite JSON floats (with a decimal point or
     exponent). Anything else sends the dump, read again whole, through the
     field-by-field check and the group checks, so it parses, or fails with
@@ -413,15 +488,15 @@ def parse_jta(
     skeletons = []
     for key in sorted(grouped):
         rows = grouped.pop(key)
-        skeleton = _jta_skeleton(video_id, key, rows, joint_ids)
-        if skeleton is None:
+        columns = _jta_columns(rows, joint_ids)
+        if columns is None:
             problem = (
                 f"expected {joints_per_skeleton} joints, got {len(rows)}"
                 if len(rows) != joints_per_skeleton
                 else f"joint ids do not cover 0..{joints_per_skeleton - 1}"
             )
             raise IncompleteSkeleton(problem, frame_id=key[0], pedestrian_id=key[1])
-        skeletons.append(skeleton)
+        skeletons.append(SkeletonInstance(video_id, *key, *columns))
     return skeletons
 
 

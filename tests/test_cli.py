@@ -1140,6 +1140,37 @@ class TestInfrastructure:
         assert 0 < summary["peak_rss_mb"] <= round(after_mb, 1)
         assert b"peak_rss" not in out.read_bytes()
 
+    def test_peak_rss_counts_the_workers(self, tmp_path):
+        # Each worker that parses pieces of the dump holds 64 MiB, more than
+        # its parent ever does, so only a worker can reach that peak.
+        jta = jta_file(tmp_path, [(f, 1, 10.0, 20.0, 30.0, 60.0, 10.0) for f in range(1, 41)])
+        script = (
+            "import resource, sys\n"
+            "from skel2box import cli, formats\n"
+            "parse, ballast = formats._jta_groups, []\n"
+            "def heavy(piece, joint_ids):\n"
+            "    ballast[:] = ballast or [b'x' * (64 << 20)]\n"
+            "    return parse(piece, joint_ids)\n"
+            "formats._jta_groups, formats._jta_workers = heavy, lambda: 2\n"
+            "formats._JTA_BLOCK, formats._JTA_POOLED = 4096, 0\n"
+            "code = cli.run(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
+            "sys.exit(code)\n"
+        )
+        out = tmp_path / "gt.json"
+        # A process's peak RSS starts from that of the process that started
+        # it, so the job is started by a small one, not by this one.
+        starter = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", starter, sys.executable, "-c", script, "synthesize",
+             "--jta", str(jta), "--alpha", "100", "--out-coco", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary, parent_mb = proc.stdout.splitlines()
+        assert float(parent_mb) < 64 <= json.loads(summary)["peak_rss_mb"]
+        assert b"peak_rss" not in out.read_bytes()
+
     def test_module_entry_point(self, tmp_path):
         samples = tmp_path / "samples.csv"
         samples.write_text(SAMPLES_CSV)

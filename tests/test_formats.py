@@ -1,6 +1,13 @@
 import json
 import math
+import multiprocessing
+import multiprocessing.pool
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import pytest
@@ -298,7 +305,7 @@ class TestStreamedJta:
     )
     def test_one_character_blocks_cut_after_every_record(self, case):
         text, _ = STREAM_CASES[case]
-        pieces = list(formats._jta_arrays(iter(text)))
+        pieces = [json.loads(piece) for piece in formats._jta_pieces(iter(text))]
         assert [len(piece) for piece in pieces] == [1] * len(json.loads(text))
 
     def test_record_nested_past_the_recursion_limit_is_read_whole(self, monkeypatch, tmp_path):
@@ -355,6 +362,124 @@ class TestStreamedJta:
             tracemalloc.stop()
         assert len(skeletons) == 39 * 20
         assert stream_peak - kept < loads_peak / 4
+
+
+class TestPooledJta:
+    """The pieces of a dump parse alike in this process and on worker
+    processes, and no worker outlives parse_jta."""
+
+    @staticmethod
+    def pooled(monkeypatch, path, block, workers, started):
+        """The outcome and hand-over flag of parse_jta on ``path`` read
+        ``block`` characters at a time, with every piece sent to ``workers``
+        processes; ``started`` gets the size of each pool it starts."""
+
+        class CountedPool(multiprocessing.pool.Pool):
+            def __init__(self, processes, *args, **kwargs):
+                started.append(processes)
+                super().__init__(processes, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(multiprocessing.pool, "Pool", CountedPool)
+            patch.setattr(formats, "_jta_workers", lambda: workers)
+            patch.setattr(formats, "_JTA_POOLED", 0)
+            outcome, fell_back = TestStreamedJta.streamed(monkeypatch, path, block)
+        assert multiprocessing.active_children() == []
+        return outcome, fell_back
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", STREAM_CASES)
+    def test_in_process_and_pooled_agree(self, monkeypatch, tmp_path, case, workers):
+        text, falls_back = STREAM_CASES[case]
+        path = tmp_path / "dump.json"
+        path.write_text(text, encoding="utf-8")
+        started = []
+        # 1500-character pieces hold some groups whole and split others.
+        outcome, fell_back = self.pooled(monkeypatch, path, 1500, workers, started)
+        assert outcome == jta_outcome(lambda: parse_jta(text, "v"))
+        assert fell_back == falls_back
+        assert started == ([] if workers == 1 else [workers])
+
+    def test_no_worker_outlives_an_error(self, monkeypatch, tmp_path):
+        # A byte that is not UTF-8, past the 8 KiB that a text file decodes
+        # at a time, stops the read while pieces are on the pool.
+        text = jta_dump(*((frame, 1) for frame in range(1, 31))).encode("utf-8")
+        assert len(text) > 3 * 8192
+        path = tmp_path / "dump.json"
+        path.write_bytes(text[:-100] + b"\xff" + text[-99:])
+        started = []
+        with pytest.raises(UnicodeDecodeError) as exc_info:
+            self.pooled(monkeypatch, path, 7, 2, started)
+        assert exc_info.value.start == len(text) - 100
+        assert started == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupt_ends_a_pooled_parse(self, tmp_path):
+        # The workers ignore the interrupt and finish the pieces they hold; a
+        # worker stopped by it would lose its piece and the pool never join.
+        path = tmp_path / "dump.json"
+        path.write_text(jta_dump(*((frame, 1) for frame in range(1, 31))), encoding="utf-8")
+        script = (
+            "import sys, time\n"
+            "from skel2box import formats\n"
+            "parse = formats._jta_groups\n"
+            "def slow(piece, joint_ids):\n"
+            "    time.sleep(0.02)\n"
+            "    return parse(piece, joint_ids)\n"
+            "formats._jta_groups, formats._jta_workers = slow, lambda: 2\n"
+            "formats._JTA_BLOCK, formats._JTA_POOLED = 1024, 0\n"
+            "print('parsing', flush=True)\n"
+            "formats.parse_jta(open(sys.argv[1], encoding='utf-8'), 'v')\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(path)], start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            assert proc.stdout.readline() == "parsing\n"
+            time.sleep(0.1)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=20)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == -signal.SIGINT
+        assert err.count("Traceback") == 1 and err.endswith("KeyboardInterrupt\n")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    def test_a_small_dump_asks_for_no_workers(self, monkeypatch, tmp_path):
+        path = tmp_path / "dump.json"
+        path.write_text(STREAM_CASES["records split across blocks"][0], encoding="utf-8")
+        with monkeypatch.context() as patch:
+            patch.setattr(formats, "_jta_workers", lambda: pytest.fail("asked for workers"))
+            _, fell_back = TestStreamedJta.streamed(monkeypatch, path, 7)
+        assert not fell_back
+
+
+class TestJtaWorkers:
+    """The worker count, checked without starting a process."""
+
+    @pytest.fixture(autouse=True)
+    def fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+
+    def test_one_per_usable_core(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert formats._jta_workers() == 3
+
+    @pytest.mark.parametrize("cpus, workers", [(4096, 4096), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, cpus, workers):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert formats._jta_workers() == workers
+
+    def test_one_where_processes_cannot_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert formats._jta_workers() == 1
 
 
 class TestFrameTable:
