@@ -201,8 +201,7 @@ def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> dict:
             image_h=config.image_h,
             alpha_used=config.alpha,
         )
-    # The emitters read only the annotations: the skeletons' memory is theirs.
-    del skeletons
+    del skeletons  # The emitters read only the annotations.
     _write_atomic(args.out_coco, formats.emit_coco(result.annotations, manifest))
     if args.out_mot:
         _write_atomic(args.out_mot, formats.emit_mot(result.annotations))
@@ -477,8 +476,7 @@ def run(argv: Sequence[str]) -> int:
     except (Skel2BoxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # This process or its largest child, such as a worker that parsed pieces
-    # of a joint dump, whose pool has been joined by now.
+    # Also the largest child, such as a worker parsing a joint dump, all ended by now.
     scopes = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
     peak_rss_mb = round(max(resource.getrusage(s).ru_maxrss for s in scopes) / 1024, 1)
     print(json.dumps({"command": args.command, **summary, "peak_rss_mb": peak_rss_mb}))

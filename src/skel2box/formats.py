@@ -18,10 +18,12 @@ import json
 import math
 import os
 import re
+import signal
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import cycle
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
@@ -36,10 +38,9 @@ _JTA_ARITY = 10
 
 # Characters per block when parse_jta streams a dump.
 _JTA_BLOCK = 1 << 19
-# Characters of a dump parsed in this process before the rest goes to worker
-# processes: starting and ending their pool costs about 35 ms, what a second
-# worker saves on 2 MiB.
-_JTA_POOLED = 1 << 21
+# The smallest dump whose pieces go to worker processes: below it, starting
+# them costs about what they save (see README, Joint dumps).
+_JTA_POOL_FROM = 3 << 20
 # What follows a record's ``]`` in a dump: JSON whitespace, then the comma
 # before the next record, which group 1 holds once the text has it.
 _RECORD_SPACE = re.compile(r"[ \t\n\r]*(,?)")
@@ -279,8 +280,7 @@ def _fast_jta(rec: Any) -> bool:
 
 
 def _jta_columns(rows: list, joint_ids: tuple) -> Optional[tuple]:
-    """The five coordinate columns of one (frame, pedestrian) group of
-    records, in joint-id order; None unless they hold each of ``joint_ids`` once."""
+    """A group of records' five coordinate columns, by joint id, if it holds ``joint_ids``."""
     rows.sort(key=itemgetter(2))
     _, _, ids, xs, ys, x3s, y3s, z3s, _, _ = zip(*rows)
     return (xs, ys, x3s, y3s, z3s) if ids == joint_ids else None
@@ -312,10 +312,8 @@ def _last_cut(text: str, start: int, opened: int) -> tuple[int, int, int]:
 
 
 def _jta_pieces(blocks: Iterable[str]) -> Iterator[str]:
-    """The text of each piece of the dump that ``blocks`` spell: the text up
-    to the last separator read so far, bracketed, so that the elements of the
-    pieces' arrays, in order, are those of the dump. Each block is searched
-    once, when it arrives."""
+    """The text of each piece of the dump that ``blocks`` spell: what was read
+    up to the last separator, bracketed, as a JSON array of its records."""
     head, tail, opened = "", "", -1
     for block in blocks:
         start = len(tail)
@@ -329,11 +327,8 @@ def _jta_pieces(blocks: Iterable[str]) -> Iterator[str]:
 
 
 def _jta_groups(piece: str, joint_ids: tuple) -> Optional[list]:
-    """``(key, group)`` per (frame, pedestrian) key of the records of a piece,
-    in plain values that a worker process returns cheaply: a group that holds
-    each of ``joint_ids`` once is its columns, a tuple, any other its records,
-    a list. None unless the piece is an array of records of the shape real
-    dumps use."""
+    """``(key, group)`` per (frame, pedestrian) of a piece: a complete group's
+    columns (a tuple), any other's records (a list); None for a misfit piece."""
     records = load_json(piece, strict=False)
     if type(records) is not list or not all(map(_fast_jta, records)):
         return None
@@ -346,62 +341,73 @@ def _jta_groups(piece: str, joint_ids: tuple) -> Optional[list]:
     ]
 
 
-def _jta_workers() -> int:
-    """Processes to parse the pieces of a dump on: one per usable core where
-    processes fork, else 1, which parses them in this one."""
-    import multiprocessing
+def _jta_workers(size: int) -> int:
+    """Processes to parse a dump of ``size`` characters (bytes, for a stream) on; 1 is this one."""
+    import threading
 
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if size < _JTA_POOL_FROM or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cores or 1, math.ceil(size / _JTA_BLOCK))
 
 
-def _map_pieces(function: Callable[[str], Any], pieces: Iterator[str]) -> Iterator[Any]:
-    """``function`` of each of ``pieces``, in order: here for the first
-    ``_JTA_POOLED`` characters, then on :func:`_jta_workers` forked processes,
-    at most two pieces each at a time. Closing the iterator ends their pool
-    once the pieces they hold are parsed."""
-    read = 0
-    for piece in pieces:
-        if read >= _JTA_POOLED:
-            break
-        read += len(piece)
-        yield function(piece)
-    else:
-        return
-    pieces, workers = chain((piece,), pieces), _jta_workers()
+def _serve(function: Callable[[str], Any], conn: Any) -> None:
+    """A worker: sends back ``function`` of each piece; Ctrl-C is for its parent."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with suppress(EOFError):
+        while True:
+            conn.send(function(conn.recv()))
+
+
+def _receive(worker: tuple) -> Any:
+    """What a ``(process, pipe)`` worker sends next; ChildProcessError if it ends first."""
+    proc, conn = worker
+    with suppress(EOFError):
+        return conn.recv()
+    proc.join()
+    raise ChildProcessError(f"a process parsing the dump ended with exit code {proc.exitcode}")
+
+
+def _map_pieces(function: Callable[[str], Any], pieces: Iterator[str], workers: int) -> Iterator:
+    """``function`` of each of ``pieces``, in order, here or on ``workers`` forked
+    processes, one piece each at a time: with two, a worker sending a result and
+    this process sending it a piece could wait for each other forever."""
     if workers == 1:
         yield from map(function, pieces)
         return
     import multiprocessing
-    from signal import SIG_IGN, SIGINT, signal
 
-    # The workers ignore an interrupt: one that stopped a worker would lose
-    # its piece, and the join below would wait for it forever.
-    pool = multiprocessing.get_context("fork").Pool(workers, signal, (SIGINT, SIG_IGN))
+    context, ring, busy = multiprocessing.get_context("fork"), [], []
     try:
-        pending = []
-        for piece in pieces:
-            pending.append(pool.apply_async(function, (piece,)))
-            if len(pending) == 2 * workers:
-                yield pending.pop(0).get()
-        while pending:
-            yield pending.pop(0).get()
+        for _ in range(workers):
+            conn, child = context.Pipe()
+            ring.append((context.Process(target=_serve, args=(function, child), daemon=True), conn))
+            ring[-1][0].start()
+            child.close()  # Then the worker holds its end alone, and its death ends the pipe.
+        for piece, worker in zip(pieces, cycle(ring)):
+            if len(busy) == workers:
+                yield _receive(busy.pop(0))
+            with suppress(BrokenPipeError):  # _receive reports the dead worker.
+                worker[1].send(piece)
+            busy.append(worker)
+        while busy:
+            yield _receive(busy.pop(0))
     finally:
-        # Not terminate(): killing a worker while it sends a result can leave
-        # the pool's result queue locked, and the join hangs.
-        pool.close()
-        pool.join()
+        # Each worker has pipes of its own, so killing one leaves no lock held.
+        for proc, _ in ring:
+            proc.kill()
+            proc.join()
 
 
-def _stream_jta(blocks: Iterable[str], video_id: str, joint_ids: tuple) -> Optional[list]:
-    """The skeletons of a dump read block by block, the :func:`_jta_groups` of
-    its pieces joined where a group spans pieces; None for anything the
-    whole-document code must decide, such as a key whose records come to
-    more than ``joint_ids`` or that is complete twice."""
+def _stream_jta(
+    blocks: Iterable[str], video_id: str, joint_ids: tuple, workers: int
+) -> Optional[list]:
+    """The skeletons of a dump read block by block, its pieces' groups joined;
+    None for anything the whole-document code must decide."""
     split: dict[tuple[int, int], list] = {}
     done: dict[tuple[int, int], SkeletonInstance] = {}
-    results = _map_pieces(partial(_jta_groups, joint_ids=joint_ids), _jta_pieces(blocks))
+    function = partial(_jta_groups, joint_ids=joint_ids)
+    results = _map_pieces(function, _jta_pieces(blocks), workers)
     try:
         for groups in results:
             if groups is None:
@@ -441,18 +447,13 @@ def parse_jta(
     checked but not kept.
 
     ``source`` is the text of the dump or a seekable text stream of it. It
-    is read in blocks of ``_JTA_BLOCK`` characters, cut after the last
-    record that a comma follows (``],``, or ``] ,`` with any JSON whitespace)
-    and parsed piece by piece, past the first ``_JTA_POOLED`` characters on
-    a forked worker per usable core, and each skeleton is built once its
-    group is complete, so the whole record array never exists. That holds
-    while each record has the shape real dumps use: a 10-element array whose
-    ids and flags are JSON integers (frame >= 1, ids >= 0, flags 0 or 1) and
-    whose coordinates are finite JSON floats (with a decimal point or
-    exponent). Anything else sends the dump, read again whole, through the
-    field-by-field check and the group checks, so it parses, or fails with
-    the same message and location, as if there were no stream: integral
-    floats and booleans are accepted as ids and flags, integers as coordinates.
+    is read in blocks, cut after the last record that a comma follows and
+    parsed piece by piece, by a forked worker per usable core if the dump is
+    large, so the whole record array never exists (README, Joint dumps). A
+    record not of the shape real dumps use (JSON integer ids and flags,
+    finite JSON float coordinates) sends the dump, read again whole, through
+    :func:`_jta_fields` and the group checks, so it parses, or fails with the
+    same message and location, as if there were no stream.
 
     Raises:
         ParseError: malformed JSON, wrong record arity, or bad field values,
@@ -464,10 +465,13 @@ def parse_jta(
     """
     joint_ids = tuple(range(joints_per_skeleton))
     if isinstance(source, str):
-        blocks = (source[i : i + _JTA_BLOCK] for i in range(0, len(source), _JTA_BLOCK))
+        size = len(source)
+        blocks = (source[i : i + _JTA_BLOCK] for i in range(0, size, _JTA_BLOCK))
     else:
+        size = source.seek(0, os.SEEK_END)
+        source.seek(0)
         blocks = iter(partial(source.read, _JTA_BLOCK), "")
-    skeletons = _stream_jta(blocks, video_id, joint_ids)
+    skeletons = _stream_jta(blocks, video_id, joint_ids, _jta_workers(size))
     if skeletons is not None:
         return skeletons
     if not isinstance(source, str):

@@ -1151,8 +1151,8 @@ class TestInfrastructure:
             "def heavy(piece, joint_ids):\n"
             "    ballast[:] = ballast or [b'x' * (64 << 20)]\n"
             "    return parse(piece, joint_ids)\n"
-            "formats._jta_groups, formats._jta_workers = heavy, lambda: 2\n"
-            "formats._JTA_BLOCK, formats._JTA_POOLED = 4096, 0\n"
+            "formats._jta_groups, formats._jta_workers = heavy, lambda size: 2\n"
+            "formats._JTA_BLOCK = 4096\n"
             "code = cli.run(sys.argv[1:])\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
             "sys.exit(code)\n"

@@ -1,12 +1,12 @@
 import json
 import math
 import multiprocessing
-import multiprocessing.pool
 import os
 import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -371,18 +371,17 @@ class TestPooledJta:
     @staticmethod
     def pooled(monkeypatch, path, block, workers, started):
         """The outcome and hand-over flag of parse_jta on ``path`` read
-        ``block`` characters at a time, with every piece sent to ``workers``
-        processes; ``started`` gets the size of each pool it starts."""
+        ``block`` characters at a time, its pieces sent to ``workers``
+        processes; ``started`` gets each worker process it starts."""
+        start = multiprocessing.context.ForkProcess.start
 
-        class CountedPool(multiprocessing.pool.Pool):
-            def __init__(self, processes, *args, **kwargs):
-                started.append(processes)
-                super().__init__(processes, *args, **kwargs)
+        def counted(process):
+            started.append(process)
+            start(process)
 
         with monkeypatch.context() as patch:
-            patch.setattr(multiprocessing.pool, "Pool", CountedPool)
-            patch.setattr(formats, "_jta_workers", lambda: workers)
-            patch.setattr(formats, "_JTA_POOLED", 0)
+            patch.setattr(multiprocessing.context.ForkProcess, "start", counted)
+            patch.setattr(formats, "_jta_workers", lambda size: workers)
             outcome, fell_back = TestStreamedJta.streamed(monkeypatch, path, block)
         assert multiprocessing.active_children() == []
         return outcome, fell_back
@@ -398,11 +397,11 @@ class TestPooledJta:
         outcome, fell_back = self.pooled(monkeypatch, path, 1500, workers, started)
         assert outcome == jta_outcome(lambda: parse_jta(text, "v"))
         assert fell_back == falls_back
-        assert started == ([] if workers == 1 else [workers])
+        assert len(started) == (0 if workers == 1 else workers)
 
     def test_no_worker_outlives_an_error(self, monkeypatch, tmp_path):
         # A byte that is not UTF-8, past the 8 KiB that a text file decodes
-        # at a time, stops the read while pieces are on the pool.
+        # at a time, stops the read while pieces are with the workers.
         text = jta_dump(*((frame, 1) for frame in range(1, 31))).encode("utf-8")
         assert len(text) > 3 * 8192
         path = tmp_path / "dump.json"
@@ -411,12 +410,35 @@ class TestPooledJta:
         with pytest.raises(UnicodeDecodeError) as exc_info:
             self.pooled(monkeypatch, path, 7, 2, started)
         assert exc_info.value.start == len(text) - 100
-        assert started == [2]
+        assert len(started) == 2
         assert multiprocessing.active_children() == []
 
+    @staticmethod
+    def run_apart(script, *args):
+        """The exit code, stdout and stderr of ``script`` run on ``args`` by a
+        new Python in a session of its own, which gets SIGINT if the script's
+        first line of stdout asks for it. No process of the session is left."""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, *map(str, args)], start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            first = proc.stdout.readline()
+            if first == "interrupt me\n":
+                time.sleep(0.1)
+                os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=20)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        return proc.returncode, first + out, err
+
     def test_an_interrupt_ends_a_pooled_parse(self, tmp_path):
-        # The workers ignore the interrupt and finish the pieces they hold; a
-        # worker stopped by it would lose its piece and the pool never join.
+        # The workers ignore the interrupt, which the parse's process handles
+        # alone, with one traceback.
         path = tmp_path / "dump.json"
         path.write_text(jta_dump(*((frame, 1) for frame in range(1, 31))), encoding="utf-8")
         script = (
@@ -426,34 +448,46 @@ class TestPooledJta:
             "def slow(piece, joint_ids):\n"
             "    time.sleep(0.02)\n"
             "    return parse(piece, joint_ids)\n"
-            "formats._jta_groups, formats._jta_workers = slow, lambda: 2\n"
-            "formats._JTA_BLOCK, formats._JTA_POOLED = 1024, 0\n"
-            "print('parsing', flush=True)\n"
+            "formats._jta_groups, formats._jta_workers = slow, lambda size: 2\n"
+            "formats._JTA_BLOCK = 1024\n"
+            "print('interrupt me', flush=True)\n"
             "formats.parse_jta(open(sys.argv[1], encoding='utf-8'), 'v')\n"
         )
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script, str(path)], start_new_session=True,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        try:
-            assert proc.stdout.readline() == "parsing\n"
-            time.sleep(0.1)
-            os.killpg(proc.pid, signal.SIGINT)
-            _, err = proc.communicate(timeout=20)
-        finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.communicate()
-        assert proc.returncode == -signal.SIGINT
+        code, _, err = self.run_apart(script, path)
+        assert code == -signal.SIGINT
         assert err.count("Traceback") == 1 and err.endswith("KeyboardInterrupt\n")
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)
 
-    def test_a_small_dump_asks_for_no_workers(self, monkeypatch, tmp_path):
+    def test_a_killed_worker_ends_the_job(self, tmp_path):
+        # A worker killed from outside, as by the out-of-memory killer, on its
+        # second piece: synthesize exits 2 at once and writes nothing.
+        path = tmp_path / "dump.json"
+        path.write_text(jta_dump(*((frame, 1) for frame in range(1, 31))), encoding="utf-8")
+        out = tmp_path / "gt.json"
+        script = (
+            "import os, signal, sys\n"
+            "from skel2box import cli, formats\n"
+            "parse, calls = formats._jta_groups, []\n"
+            "def dying(piece, joint_ids):\n"
+            "    calls.append(piece)\n"
+            "    if len(calls) == 2:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return parse(piece, joint_ids)\n"
+            "formats._jta_groups, formats._jta_workers = dying, lambda size: 2\n"
+            "formats._JTA_BLOCK = 1024\n"
+            "sys.exit(cli.run(sys.argv[1:]))\n"
+        )
+        code, stdout, err = self.run_apart(
+            script, "synthesize", "--jta", path, "--alpha", 100, "--out-coco", out
+        )
+        assert (code, stdout) == (2, "")
+        assert err == "error: a process parsing the dump ended with exit code -9\n"
+        assert not out.exists()
+
+    def test_a_small_dump_starts_no_worker(self, monkeypatch, tmp_path):
         path = tmp_path / "dump.json"
         path.write_text(STREAM_CASES["records split across blocks"][0], encoding="utf-8")
         with monkeypatch.context() as patch:
-            patch.setattr(formats, "_jta_workers", lambda: pytest.fail("asked for workers"))
+            patch.setattr(multiprocessing.context.ForkProcess, "start", pytest.fail)
             _, fell_back = TestStreamedJta.streamed(monkeypatch, path, 7)
         assert not fell_back
 
@@ -461,25 +495,42 @@ class TestPooledJta:
 class TestJtaWorkers:
     """The worker count, checked without starting a process."""
 
+    LARGE = 64 * formats._JTA_BLOCK
+
     @pytest.fixture(autouse=True)
     def fork(self, monkeypatch):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
+        monkeypatch.setattr(formats, "_JTA_POOL_FROM", 4 * formats._JTA_BLOCK)
 
     def test_one_per_usable_core(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert formats._jta_workers() == 3
+        assert formats._jta_workers(self.LARGE) == 3
 
-    @pytest.mark.parametrize("cpus, workers", [(4096, 4096), (None, 1)])
+    @pytest.mark.parametrize("cpus, workers", [(4096, 64), (16, 16), (None, 1)])
     def test_cpu_count_without_affinity(self, monkeypatch, cpus, workers):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert formats._jta_workers() == workers
+        assert formats._jta_workers(self.LARGE) == workers
+
+    @pytest.mark.parametrize(
+        "size, workers", [(1, 1), (4 * formats._JTA_BLOCK - 1, 1), (4 * formats._JTA_BLOCK, 4),
+                          (4 * formats._JTA_BLOCK + 1, 5)]
+    )
+    def test_no_more_than_the_pieces_of_a_large_dump(self, monkeypatch, size, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert formats._jta_workers(size) == workers
 
     def test_one_where_processes_cannot_fork(self, monkeypatch):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        assert formats._jta_workers() == 1
+        assert formats._jta_workers(self.LARGE) == 1
+
+    def test_one_where_another_thread_runs(self, monkeypatch):
+        # A thread of the caller's might hold a lock that a forked worker would wait on forever.
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert formats._jta_workers(self.LARGE) == 1
 
 
 class TestFrameTable:
