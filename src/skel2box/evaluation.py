@@ -109,7 +109,7 @@ def match_frame(
     order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
     corners = [(b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h) for b in gts]
     unmatched = list(range(len(gts)))
-    outcomes: list[Optional[MatchOutcome]] = [None] * len(detections)
+    outcomes: list = [None] * len(detections)  # Every slot is filled below.
     for det_index in order:
         best_gt = None
         best_iou = 0.0
@@ -137,7 +137,7 @@ def match_frame(
             outcomes[det_index] = MatchOutcome(det_index, best_gt, best_iou)
         else:
             outcomes[det_index] = MatchOutcome(det_index)
-    return [o for o in outcomes if o is not None]
+    return outcomes
 
 
 def pr_curve(

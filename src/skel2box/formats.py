@@ -42,8 +42,8 @@ _JTA_BLOCK = 1 << 19
 # them costs about what they save (see README, Joint dumps).
 _JTA_POOL_FROM = 3 << 20
 # What follows a record's ``]`` in a dump: JSON whitespace, then the comma
-# before the next record, which group 1 holds once the text has it.
-_RECORD_SPACE = re.compile(r"[ \t\n\r]*(,?)")
+# before the next record.
+_RECORD_SPACE = re.compile(r"[ \t\n\r]*,")
 
 # Confidence clamping slack: values this far outside [0, 1] are treated as
 # float noise, anything worse is an error.
@@ -286,43 +286,21 @@ def _jta_columns(rows: list, joint_ids: tuple) -> Optional[tuple]:
     return (xs, ys, x3s, y3s, z3s) if ids == joint_ids else None
 
 
-def _last_cut(text: str, start: int, opened: int) -> tuple[int, int, int]:
-    """Find the last separator of records in ``text``: a ``]``, JSON
-    whitespace and a comma. Only ``text[start:]`` is searched; ``opened`` is
-    a ``]`` before ``start`` whose whitespace runs up to it, or -1.
-
-    Returns the index of the separator's ``]`` and the end of its comma, or
-    -1 twice; and the ``]`` whose whitespace runs to the end of ``text``, or
-    -1, which is ``opened`` for the next search once ``text`` has grown."""
-    end, still_open = len(text), -1
-    while (at := text.rfind("]", start, end)) >= 0:
-        space = _RECORD_SPACE.match(text, at + 1)
-        if space[1]:
-            return at, space.end(), still_open
-        if space.end() == len(text):
-            still_open = at
-        end = at
-    if opened >= 0:
-        space = _RECORD_SPACE.match(text, start)
-        if space[1]:
-            return opened, space.end(), still_open
-        if space.end() == len(text):
-            still_open = opened
-    return -1, -1, still_open
-
-
 def _jta_pieces(blocks: Iterable[str]) -> Iterator[str]:
     """The text of each piece of the dump that ``blocks`` spell: what was read
-    up to the last separator, bracketed, as a JSON array of its records."""
-    head, tail, opened = "", "", -1
+    up to the last separator of records (a ``]``, JSON whitespace and a comma)
+    wholly inside the newest block, bracketed, as a JSON array of its records."""
+    head, tail = "", ""
     for block in blocks:
         start = len(tail)
         tail += block
-        bracket, after, opened = _last_cut(tail, start, opened)
-        if bracket >= 0:
-            piece, head, tail = head + tail[: bracket + 1] + "]", "[", tail[after:]
-            opened = opened - after if opened >= 0 else -1
-            yield piece
+        at = len(tail)
+        while (at := tail.rfind("]", start, at)) >= 0:
+            if after := _RECORD_SPACE.match(tail, at + 1):
+                after = after.end()  # A Match would keep the text before the cut alive.
+                piece, head, tail = head + tail[: at + 1] + "]", "[", tail[after:]
+                yield piece
+                break
     yield head + tail
 
 
@@ -447,13 +425,14 @@ def parse_jta(
     checked but not kept.
 
     ``source`` is the text of the dump or a seekable text stream of it. It
-    is read in blocks, cut after the last record that a comma follows and
-    parsed piece by piece, by a forked worker per usable core if the dump is
-    large, so the whole record array never exists (README, Joint dumps). A
-    record not of the shape real dumps use (JSON integer ids and flags,
-    finite JSON float coordinates) sends the dump, read again whole, through
-    :func:`_jta_fields` and the group checks, so it parses, or fails with the
-    same message and location, as if there were no stream.
+    is read in blocks, cut after each block's last record that a comma
+    follows within it and parsed piece by piece, by a forked worker per
+    usable core if the dump is large, so the whole record array never
+    exists (README, Joint dumps). A record not of the shape real dumps use
+    (JSON integer ids and flags, finite JSON float coordinates) sends the
+    dump, read again whole, through :func:`_jta_fields` and the group
+    checks, so it parses, or fails with the same message and location, as
+    if there were no stream.
 
     Raises:
         ParseError: malformed JSON, wrong record arity, or bad field values,

@@ -112,12 +112,15 @@ def camera_distance(skeleton: SkeletonInstance) -> Optional[float]:
     """Distance of the pedestrian's center of mass from the camera.
 
     The center of mass is the unweighted mean of the joints' camera-space
-    positions; the distance is its Euclidean norm. Returns None when the
-    norm is zero or not finite.
+    positions; the distance is its Euclidean norm. Returns None when a
+    column's sum is beyond float range, or the norm is zero or not finite.
     """
     n = len(skeleton.z3d_m)
     columns = (skeleton.x3d_m, skeleton.y3d_m, skeleton.z3d_m)
-    dist = math.hypot(*(math.fsum(column) / n for column in columns))
+    try:
+        dist = math.hypot(*(math.fsum(column) / n for column in columns))
+    except OverflowError:
+        return None
     return dist if math.isfinite(dist) and dist > 0 else None
 
 
@@ -139,8 +142,7 @@ def pad_box(skeleton_box: BBox, z: float, alpha: float) -> BBox:
     check_distance(z)
     if not (math.isfinite(skeleton_box.h) and skeleton_box.h > 0) or skeleton_box.w <= 0:
         raise InvalidArgument(f"skeleton box must have positive extent, got {skeleton_box}")
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise InvalidArgument(f"alpha must be finite and non-negative, got {alpha!r}")
+    _check_alpha(alpha)
 
     pad = alpha / z
     h_m = skeleton_box.h + pad
@@ -158,8 +160,7 @@ def clamp_to_image(box: BBox, image_w: float, image_h: float) -> Optional[BBox]:
 
     Returns None when the intersection has zero area.
     """
-    if image_w <= 0 or image_h <= 0:
-        raise InvalidArgument(f"image dimensions must be positive, got {image_w}x{image_h}")
+    _check_image_size(image_w, image_h)
     if box.x >= 0 and box.y >= 0 and box.x2 <= image_w and box.y2 <= image_h:
         return box
     x1 = max(box.x, 0.0)
@@ -181,18 +182,18 @@ def synthesize_annotations(
     """Run the full box-synthesis pipeline over a batch of skeletons.
 
     Each skeleton goes through enclosing box -> camera distance -> padding ->
-    (optional) clamping. Degenerate skeletons, non-positive distances, and
-    boxes that fall entirely outside the image are skipped and counted
-    rather than aborting the batch: large synthetic dumps contain edge cases
-    and batch jobs must complete.
+    (optional) clamping. Degenerate skeletons, distances that are not
+    positive and finite, boxes that fall entirely outside the image, and
+    boxes whose corner, size or area is beyond float range are skipped and
+    counted rather than aborting the batch: large synthetic dumps contain
+    edge cases and batch jobs must complete.
 
     Output is sorted by (video_id, frame_id, pedestrian_id), so the result
     is independent of input order.
     """
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise InvalidArgument(f"alpha must be finite and non-negative, got {alpha!r}")
-    if clamp and (image_w <= 0 or image_h <= 0):
-        raise InvalidArgument(f"image dimensions must be positive, got {image_w}x{image_h}")
+    _check_alpha(alpha)
+    if clamp:
+        _check_image_size(image_w, image_h)
 
     kept: list[AnnotatedBox] = []
     skipped = 0
@@ -202,7 +203,7 @@ def synthesize_annotations(
         box = None if z is None else pad_box(skeleton_box, z, alpha)
         if clamp and box is not None:
             box = clamp_to_image(box, image_w, image_h)
-        if box is None:
+        if box is None or not all(map(math.isfinite, (box.x, box.y, box.w, box.h, box.area))):
             skipped += 1
             continue
         kept.append(
@@ -216,6 +217,18 @@ def synthesize_annotations(
         )
     kept.sort(key=sort_key)
     return SynthesisResult(annotations=tuple(kept), skipped_count=skipped)
+
+
+def _check_alpha(alpha: float) -> None:
+    """The alpha rule of the padding: finite and non-negative."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise InvalidArgument(f"alpha must be finite and non-negative, got {alpha!r}")
+
+
+def _check_image_size(image_w: float, image_h: float) -> None:
+    """The image-size rule of clamping: both sides positive."""
+    if image_w <= 0 or image_h <= 0:
+        raise InvalidArgument(f"image dimensions must be positive, got {image_w}x{image_h}")
 
 
 def sort_key(annotation: AnnotatedBox) -> tuple[str, int, int]:

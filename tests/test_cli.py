@@ -21,6 +21,7 @@ from skel2box import (
     formats,
     manifest_for_annotations,
     parse_coco_gt,
+    parse_mot_gt,
     parse_plan,
     plan_finetune,
     plan_mixed_batches,
@@ -138,6 +139,43 @@ class TestCalibrate:
 
 
 class TestSynthesize:
+    @pytest.mark.parametrize(
+        "fields, args",
+        [
+            # math.fsum of the z3d column overflows.
+            ({7: lambda joint: 1e308}, ["--alpha", 174]),
+            # A distance of about 1e-320 pads the box to infinity.
+            (dict.fromkeys((5, 6, 7), lambda joint: 1e-320), ["--alpha", 174]),
+            # A hull about 2e-4 px high, padded by 1e307 px, is too wide.
+            ({4: lambda joint: 200.0 + joint * 1e-5}, ["--alpha", 1e308]),
+            # A hull 2e308 px wide.
+            ({3: lambda joint: (-1e308, 1e308, 0.0)[min(joint, 2)]}, ["--alpha", 174]),
+            # Width and height are finite, their product is not.
+            ({}, ["--alpha", 1e307, "--no-clamp"]),
+        ],
+        ids=["distance overflows", "subnormal distance", "flat skeleton, huge alpha",
+             "hull beyond float range", "area overflows"],
+    )
+    def test_box_beyond_float_range_is_skipped(self, tmp_path, capsys, fields, args):
+        # Pedestrian 1's fields are set, per joint id, to the values ``fields`` gives.
+        jta = jta_file(tmp_path, [(1, 0, 100.0, 200.0, 20.0, 50.0, 10.0),
+                                  (1, 1, 500.0, 200.0, 50.0, 120.0, 10.0)])
+        records = json.loads(jta.read_text())
+        for record in records:
+            if record[1] == 1:
+                for field, value in fields.items():
+                    record[field] = value(record[2])
+        jta.write_text(json.dumps(records))
+        out_coco, out_mot = tmp_path / "gt.json", tmp_path / "gt.txt"
+        summary = summary_of(
+            capsys, "synthesize", "--jta", jta, *args, "--out-coco", out_coco, "--out-mot", out_mot
+        )
+        assert summary["n_skipped"] >= 1
+        assert summary["n_annotations"] + summary["n_skipped"] == 2
+        gt = parse_coco_gt(out_coco.read_text())
+        assert len(gt.annotations) == summary["n_annotations"]
+        assert len(parse_mot_gt(out_mot.read_text(), "clip")[0]) == summary["n_annotations"]
+
     def test_single_skeleton(self, tmp_path, capsys):
         jta = jta_file(tmp_path, [(3, 7, 100.0, 200.0, 20.0, 50.0, 10.0)])
         out_coco = tmp_path / "gt.json"

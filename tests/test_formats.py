@@ -293,20 +293,39 @@ class TestStreamedJta:
         assert outcome == jta_outcome(lambda: parse_jta(text, "v"))
         assert fell_back == falls_back
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "records split across blocks",
-            "newline between records",
-            "space before the comma",
-            "newlines around the comma",
-            "whitespace longer than a block",
-        ],
-    )
-    def test_one_character_blocks_cut_after_every_record(self, case):
-        text, _ = STREAM_CASES[case]
-        pieces = [json.loads(piece) for piece in formats._jta_pieces(iter(text))]
-        assert [len(piece) for piece in pieces] == [1] * len(json.loads(text))
+    def test_separator_split_across_blocks_is_no_cut(self):
+        text = json.dumps(jta_records(1, 1)[:2])
+        bracket = text.index("], [")
+        assert list(formats._jta_pieces([text[: bracket + 1], text[bracket + 1 :]])) == [text]
+        k = bracket + 5
+        assert list(formats._jta_pieces([text[:k], text[k:]])) == [
+            text[: bracket + 1] + "]", "[" + text[bracket + 2 :]
+        ]
+
+    def test_pieces_hold_no_text_before_their_cut(self):
+        # Blocks are sliced on demand, so each is traced from when the
+        # generator asks for it. While a piece is held, the generator keeps
+        # that piece, its newest block and what follows the cut, and no
+        # copy of the text the piece was cut from.
+        rng = random.Random(4)
+        text = json.dumps([
+            [frame, ped, j, rng.uniform(0, 1920), rng.uniform(0, 1080),
+             rng.uniform(-5, 5), rng.uniform(-2, 2), rng.uniform(3, 90), 0, 0]
+            for frame in range(1, 60) for ped in range(20) for j in range(22)
+        ])
+        assert 2_700_000 < len(text) < 3_300_000
+        block = 1 << 20
+        tracemalloc.start()
+        try:
+            pieces = formats._jta_pieces(text[i : i + block] for i in range(0, len(text), block))
+            next(pieces)
+            piece = next(pieces)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        pieces.close()
+        assert len(piece) > block - 200
+        assert held < 2.5 * len(piece)
 
     def test_record_nested_past_the_recursion_limit_is_read_whole(self, monkeypatch, tmp_path):
         deep = "[" * 100000 + "]" * 100000
