@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import resource
@@ -379,16 +380,21 @@ def _ratio(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: Sequence[str]) -> _Parser:
+    """The parser of the command line ``argv``. Every subcommand is listed,
+    but only those that ``argv`` names get their arguments, as no other is
+    parsed."""
     parser = _Parser(prog="skel2box", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler: Callable[..., dict], help: str, *settings: str) -> _Parser:
-        """Subcommand ``name``. With ``settings``, the PipelineConfig fields it
-        reads, it takes ``--config`` and one flag per field: the field name
-        dashed, ``distance_limit_m`` without its unit (``--distance-limit``)."""
+    def add(name: str, handler: Callable, help: str, *settings: str) -> Optional[_Parser]:
+        """Subcommand ``name``, or None unless ``argv`` names it. With ``settings``, the
+        PipelineConfig fields it reads, it takes ``--config`` and one flag per field: the
+        field name dashed, ``distance_limit_m`` without its unit (``--distance-limit``)."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
+        if name not in argv:
+            return None
         if settings:
             p.add_argument("--config", help="JSON file with PipelineConfig overrides")
         for field in settings:
@@ -396,78 +402,85 @@ def _build_parser() -> _Parser:
             p.add_argument(flag, dest=field, type=int if field == "joints_per_skeleton" else float)
         return p
 
-    p = add("calibrate", _cmd_calibrate, "fit alpha from height samples")
-    p.add_argument("--samples", required=True, help="CSV of h_s_px,z_m,h_true_px rows")
-    p.add_argument("--out", help="where to write the calibration JSON")
+    if p := add("calibrate", _cmd_calibrate, "fit alpha from height samples"):
+        p.add_argument("--samples", required=True, help="CSV of h_s_px,z_m,h_true_px rows")
+        p.add_argument("--out", help="where to write the calibration JSON")
 
-    p = add(
+    if p := add(
         "synthesize", _cmd_synthesize, "skeletons to detection boxes",
         "image_w", "image_h", "joints_per_skeleton", "alpha",
-    )
-    p.add_argument("--jta", required=True, help="JTA-style JSON joint dump")
-    p.add_argument("--video-id", help="video id (default: input file stem)")
-    p.add_argument("--alpha-file", help="calibration JSON produced by 'calibrate'")
-    p.add_argument("--dataset-id", help="dataset id stored in the output manifest")
-    p.add_argument("--out-coco", required=True, help="COCO ground-truth output path")
-    p.add_argument("--out-mot", help="optional MOT ground-truth output path")
-    p.add_argument("--no-clamp", action="store_true", help="keep boxes beyond image borders")
+    ):
+        p.add_argument("--jta", required=True, help="JTA-style JSON joint dump")
+        p.add_argument("--video-id", help="video id (default: input file stem)")
+        p.add_argument("--alpha-file", help="calibration JSON produced by 'calibrate'")
+        p.add_argument("--dataset-id", help="dataset id stored in the output manifest")
+        p.add_argument("--out-coco", required=True, help="COCO ground-truth output path")
+        p.add_argument("--out-mot", help="optional MOT ground-truth output path")
+        p.add_argument("--no-clamp", action="store_true", help="keep boxes beyond image borders")
 
-    p = add("histogram", _cmd_histogram, "distance histogram CSV")
-    p.add_argument("--gt", required=True, help="COCO ground-truth input")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--bin-width", type=float, default=1.0)
+    if p := add("histogram", _cmd_histogram, "distance histogram CSV"):
+        p.add_argument("--gt", required=True, help="COCO ground-truth input")
+        p.add_argument("--out", required=True, help="CSV output path")
+        p.add_argument("--bin-width", type=float, default=1.0)
 
-    p = add("prune", _cmd_prune, "drop annotations beyond a distance", "distance_limit_m")
-    p.add_argument("--gt", required=True, help="COCO ground-truth input")
-    p.add_argument("--out", required=True, help="pruned COCO output path")
+    if p := add("prune", _cmd_prune, "drop annotations beyond a distance", "distance_limit_m"):
+        p.add_argument("--gt", required=True, help="COCO ground-truth input")
+        p.add_argument("--out", required=True, help="pruned COCO output path")
 
-    p = add("distance-limit", _cmd_distance_limit, "derive a distance limit from box heights")
-    p.add_argument("--gt", required=True, help="COCO ground-truth input")
-    p.add_argument("--h-min", type=float, required=True, help="minimum usable box height (px)")
-    p.add_argument("--bin-width", type=float, default=1.0)
-    p.add_argument("--min-bin-count", type=int, default=10)
-    p.add_argument("--out", help="optional JSON output path")
+    if p := add("distance-limit", _cmd_distance_limit, "derive a distance limit from box heights"):
+        p.add_argument("--gt", required=True, help="COCO ground-truth input")
+        p.add_argument("--h-min", type=float, required=True, help="minimum usable box height (px)")
+        p.add_argument("--bin-width", type=float, default=1.0)
+        p.add_argument("--min-bin-count", type=int, default=10)
+        p.add_argument("--out", help="optional JSON output path")
 
     # The image size is read for MOT input only: a COCO input carries its own.
-    p = add("convert", _cmd_convert, "convert between COCO and MOT", "image_w", "image_h")
-    p.add_argument("--in", dest="infile", required=True, help="input annotation file")
-    p.add_argument("--from", dest="from_fmt", required=True, choices=["coco", "mot"])
-    p.add_argument("--to", dest="to_fmt", required=True, choices=["coco", "mot"])
-    p.add_argument("--out", required=True)
-    p.add_argument("--video-id", help="video id for MOT input, or selector for MOT output")
-    p.add_argument("--dataset-id", help="dataset id for COCO output built from MOT input")
+    if p := add("convert", _cmd_convert, "convert between COCO and MOT", "image_w", "image_h"):
+        p.add_argument("--in", dest="infile", required=True, help="input annotation file")
+        p.add_argument("--from", dest="from_fmt", required=True, choices=["coco", "mot"])
+        p.add_argument("--to", dest="to_fmt", required=True, choices=["coco", "mot"])
+        p.add_argument("--out", required=True)
+        p.add_argument("--video-id", help="video id for MOT input, or selector for MOT output")
+        p.add_argument("--dataset-id", help="dataset id for COCO output built from MOT input")
 
-    p = add("evaluate", _cmd_evaluate, "score detections against GT", "score_floor", "iou_thr")
-    p.add_argument("--gt", required=True, help="COCO ground-truth input")
-    p.add_argument("--det", required=True, help="detection file")
-    p.add_argument(
-        "--det-format", choices=["coco_results", "mot_det"], default="coco_results"
-    )
-    p.add_argument("--video-id", help="video id; required for --det-format mot_det")
-    p.add_argument("--out", help="optional JSON report path")
+    if p := add("evaluate", _cmd_evaluate, "score detections against GT", "score_floor", "iou_thr"):
+        p.add_argument("--gt", required=True, help="COCO ground-truth input")
+        p.add_argument("--det", required=True, help="detection file")
+        p.add_argument(
+            "--det-format", choices=["coco_results", "mot_det"], default="coco_results"
+        )
+        p.add_argument("--video-id", help="video id; required for --det-format mot_det")
+        p.add_argument("--out", help="optional JSON report path")
 
-    p = add("plan-batches", _cmd_plan_batches, "mixed-batch training plan")
-    p.add_argument("--n-synthetic", type=int, required=True)
-    p.add_argument("--n-real", type=int, required=True)
-    p.add_argument("--batch-size", type=int, required=True)
-    p.add_argument("--ratio", type=_ratio, default=DEFAULT_RATIO)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--out", required=True)
+    if p := add("plan-batches", _cmd_plan_batches, "mixed-batch training plan"):
+        p.add_argument("--n-synthetic", type=int, required=True)
+        p.add_argument("--n-real", type=int, required=True)
+        p.add_argument("--batch-size", type=int, required=True)
+        p.add_argument("--ratio", type=_ratio, default=DEFAULT_RATIO)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--epochs", type=int, default=1)
+        p.add_argument("--out", required=True)
 
-    p = add("plan-finetune", _cmd_plan_finetune, "two-phase fine-tune plan")
-    p.add_argument("--phase1-epochs", type=int, required=True)
-    p.add_argument("--phase2-epochs", type=int, required=True)
-    p.add_argument("--out", required=True)
+    if p := add("plan-finetune", _cmd_plan_finetune, "two-phase fine-tune plan"):
+        p.add_argument("--phase1-epochs", type=int, required=True)
+        p.add_argument("--phase2-epochs", type=int, required=True)
+        p.add_argument("--out", required=True)
 
     return parser
 
 
 def run(argv: Sequence[str]) -> int:
-    """Execute one subcommand; returns the process exit code."""
-    parser = _build_parser()
+    """Execute one subcommand; returns the process exit code.
+
+    The cyclic collector is off for the run, then left as it was found: the
+    data a run parses hold no reference cycles, yet their objects set off
+    hundreds of collector passes, a tenth of an ``evaluate`` run.
+    """
+    argv = list(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser(argv).parse_args(argv)
         config = _resolve_config(args)
         summary = args.handler(args, config)
     except _UsageError as exc:
@@ -476,6 +489,9 @@ def run(argv: Sequence[str]) -> int:
     except (Skel2BoxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     # Also the largest child, such as a worker parsing a joint dump, all ended by now.
     scopes = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
     peak_rss_mb = round(max(resource.getrusage(s).ru_maxrss for s in scopes) / 1024, 1)

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from . import DEFAULT_IOU_THRESHOLD, DEFAULT_SCORE_FLOOR
@@ -92,11 +94,12 @@ def match_frame(
     highest IoU, provided that IoU reaches ``iou_thr``; lower-index ground
     truth wins IoU ties. Outcomes are returned in detection input order.
 
-    Cost: at most D·G box pairs for D detections and G ground-truth boxes.
-    Box corners and areas are computed once per box, only still-unmatched
-    ground truth is scanned, and a pair without overlap is dropped before
-    the division. Each IoU is computed with the same float expressions as
-    :func:`iou`, so every ``iou_at_match`` equals ``iou(det.box, gt)``.
+    Cost: at most D·G box pairs for D detections and G ground-truth boxes,
+    far fewer in practice. With ground truth sorted by ``x``, a detection
+    spanning ``[dx1, dx2)`` scans only the unmatched boxes whose ``x`` lies
+    in ``[dx1 - widest, dx2)``, as no other box overlaps it in x. Each IoU
+    is computed with the same float expressions as :func:`iou`, so every
+    ``iou_at_match`` equals ``iou(det.box, gt)``.
 
     Raises:
         InvalidArgument: a detection is processed while some ground truth
@@ -107,19 +110,33 @@ def match_frame(
     if detections and any(b.w <= 0 or b.h <= 0 for b in gts):
         raise InvalidArgument("iou needs boxes with positive area")
     order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
-    corners = [(b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h) for b in gts]
-    unmatched = list(range(len(gts)))
+    corners = sorted(
+        ((b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h, i) for i, b in enumerate(gts)),
+        key=itemgetter(0),
+    )
+    lefts = [c[0] for c in corners]
+    # A NaN x leaves ``lefts`` unsorted, so then every box is scanned.
+    windowed = not math.isnan(sum(lefts))
+    widest = max((b.w for b in gts), default=0.0)
+    matched = [False] * len(gts)
+    unmatched = len(gts)
     outcomes: list = [None] * len(detections)  # Every slot is filled below.
     for det_index in order:
-        best_gt = None
+        best_gt = -1
         best_iou = 0.0
         if unmatched:
             box = detections[det_index].box
             if box.w <= 0 or box.h <= 0:
                 raise InvalidArgument("iou needs boxes with positive area")
             dx1, dy1, dx2, dy2, darea = box.x, box.y, box.x + box.w, box.y + box.h, box.w * box.h
-            for gt_index in unmatched:
-                gx1, gy1, gx2, gy2, garea = corners[gt_index]
+            window = corners
+            if windowed:
+                # One ulp of slack below dx1 - widest, for its rounding.
+                start = bisect_left(lefts, math.nextafter(dx1 - widest, -math.inf))
+                window = corners[start:bisect_left(lefts, dx2, start)]
+            for gx1, gy1, gx2, gy2, garea, gt_index in window:
+                if matched[gt_index]:
+                    continue
                 # min(a.x2, b.x2) - max(a.x, b.x) of iou(), operands in the same order
                 inter_w = (gx2 if gx2 < dx2 else dx2) - (gx1 if gx1 > dx1 else dx1)
                 if inter_w <= 0:
@@ -129,11 +146,15 @@ def match_frame(
                     continue
                 inter = inter_w * inter_h
                 overlap = inter / (darea + garea - inter)
-                if overlap >= iou_thr and overlap > best_iou:
+                # The window is in x order, so the lower index wins a tie explicitly.
+                if overlap >= iou_thr and (
+                    overlap > best_iou or (overlap == best_iou and gt_index < best_gt)
+                ):
                     best_gt = gt_index
                     best_iou = overlap
-        if best_gt is not None:
-            unmatched.remove(best_gt)
+        if best_gt >= 0:
+            matched[best_gt] = True
+            unmatched -= 1
             outcomes[det_index] = MatchOutcome(det_index, best_gt, best_iou)
         else:
             outcomes[det_index] = MatchOutcome(det_index)
@@ -156,7 +177,7 @@ def pr_curve(
     if n_gt == 0:
         return PRCurve(points=(), n_gt=0)
     kept = [(score, outcome) for score, outcome in scored_outcomes if score > score_floor]
-    kept.sort(key=lambda pair: -pair[0])
+    kept.sort(key=itemgetter(0), reverse=True)
     points = []
     tp = 0
     fp = 0
@@ -248,7 +269,7 @@ def evaluate(
     for key in sorted(det_by_frame):
         frame_dets = det_by_frame[key]
         outcomes = match_frame(frame_dets, gt_by_frame[key], iou_thr)
-        scored.extend((frame_dets[o.detection_index].score, o) for o in outcomes)
+        scored.extend(zip([d.score for d in frame_dets], outcomes))
 
     n_gt = len(ground_truth)
     pr = pr_curve(scored, n_gt, score_floor)

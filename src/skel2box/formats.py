@@ -124,6 +124,9 @@ def load_json(source: str, *, strict: bool = True) -> Any:
     except (ValueError, RecursionError) as exc:
         if not strict:
             return None
+        if type(exc) is ValueError:  # The digit limit, worded differently by each interpreter
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"malformed JSON: an integer has more than {limit} digits") from exc
         raise ParseError(f"malformed JSON: {exc}") from exc
 
 
@@ -201,8 +204,19 @@ def _frame(value: Any, location: str) -> int:
 
 
 def _box(values: Sequence[Any], location: str) -> BBox:
-    """A box ``x, y, w, h``: finite numbers, with positive width and height."""
-    x, y, w, h = (_require_finite(v, "box field", location) for v in values)
+    """A box ``x, y, w, h``: finite numbers, with positive width and height.
+    Every reader's box check: one inlined test of all four values, then
+    :func:`_require_finite` only to name the value that fails."""
+    x, y, w, h = values
+    if not (
+        type(x) in (int, float) and abs(x) <= _FLOAT_MAX
+        and type(y) in (int, float) and abs(y) <= _FLOAT_MAX
+        and type(w) in (int, float) and abs(w) <= _FLOAT_MAX
+        and type(h) in (int, float) and abs(h) <= _FLOAT_MAX
+    ):
+        for value in values:
+            _require_finite(value, "box field", location)
+    x, y, w, h = float(x), float(y), float(w), float(h)
     if w <= 0 or h <= 0:
         raise ParseError(
             f"box width and height must be positive, got {w!r} and {h!r}", location=location

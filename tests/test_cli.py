@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -1208,6 +1209,67 @@ class TestInfrastructure:
         summary, parent_mb = proc.stdout.splitlines()
         assert float(parent_mb) < 64 <= json.loads(summary)["peak_rss_mb"]
         assert b"peak_rss" not in out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["--help"], ["frobnicate"], *([c, "--help"] for c in COMMANDS)]
+    )
+    def test_parser_of_one_subcommand_says_what_all_nine_say(self, capsys, monkeypatch, argv):
+        def outcome():
+            try:
+                code = cli.run(argv)
+            except SystemExit as exc:
+                code = f"exit {exc.code}"
+            return code, *capsys.readouterr()
+
+        named_only = outcome()
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda _: build(COMMANDS))
+        assert outcome() == named_only
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("ending", [0, 1, 2, "help"])
+    def test_run_leaves_the_collector_as_it_found_it(self, tmp_path, capsys, collecting, ending):
+        finetune = ("plan-finetune", "--phase1-epochs", 1, "--phase2-epochs", 1, "--out")
+        argv = {
+            0: (*finetune, tmp_path / "p.json"),
+            1: ("frobnicate",),
+            2: (*finetune, tmp_path / "no" / "p.json"),
+            "help": ("evaluate", "--help"),
+        }[ending]
+        was_collecting = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if ending == "help":
+                with pytest.raises(SystemExit):
+                    run_cli(capsys, *argv)
+            else:
+                assert run_cli(capsys, *argv)[0] == ending
+            assert gc.isenabled() == collecting
+        finally:
+            (gc.enable if was_collecting else gc.disable)()
+
+    def test_evaluate_leaves_no_cycles_that_grow_with_its_input(self, tmp_path, capsys):
+        # run() turns the collector off because the data it parses hold no
+        # reference cycles: one collection after it frees as much for 200
+        # frames as for 2.
+        def freed(frames):
+            anns = [annotation("v", f, p, 10.0 + 40 * p, 20, 30, 40, 5.0)
+                    for f in range(1, frames + 1) for p in range(5)]
+            gt = coco_file(tmp_path, anns, name=f"gt{frames}.json")
+            dets = [formats.Detection(a.video_id, a.frame_id, a.box, 0.9) for a in anns]
+            frame_ids = parse_coco_gt(gt.read_text()).image_id_by_frame()
+            det = tmp_path / f"det{frames}.json"
+            det.write_text(emit_detections(dets, "coco_results", image_id_of_frame=frame_ids))
+            gc.collect()
+            gc.disable()
+            try:
+                assert summary_of(capsys, "evaluate", "--gt", gt, "--det", det)["n_det"] > 0
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        freed(2)  # The first run may import modules and fill caches.
+        assert freed(2) == freed(200)
 
     def test_module_entry_point(self, tmp_path):
         samples = tmp_path / "samples.csv"

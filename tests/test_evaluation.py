@@ -90,6 +90,35 @@ def crowded_frame(rng):
     return dets[:n_det], gts[:n_gt], ties
 
 
+def far_frame(rng):
+    """A crowded frame moved right by 1e15, where floats are 1/8 apart: the
+    1/8 px grid of the ties stays exact, while most ``x + w`` round."""
+    dets, gts, ties = crowded_frame(rng)
+    dets = [det(BBox(d.box.x + 1e15, d.box.y, d.box.w, d.box.h), d.score) for d in dets]
+    return dets, [BBox(b.x + 1e15, b.y, b.w, b.h) for b in gts], ties
+
+
+def window_edge_frame(rng):
+    """A crowded frame plus the cases at the edges of the x-window that
+    ``match_frame`` scans for each detection: detections that start exactly
+    where a box ends, the widest box far left of every detection, a wide box
+    that reaches in from far left with a detection as wide, and a tie whose
+    higher ground-truth index has the lower ``x``."""
+    dets, gts, ties = crowded_frame(rng)
+    for box in rng.sample(gts, 5):
+        dets.append(det(BBox(box.x2, box.y, box.w, box.h), rng.choice(SCORE_POOL)))
+    gts.append(BBox(-3e6, 500.0, 2e6, 40.0))
+    dets.append(det(BBox(-1e6, 500.0, 30.0, 40.0), 0.9))  # starts where the widest ends
+    gts.append(BBox(-1e6, 100.0, 1e6 + 60.5, 50.0))
+    dets.append(det(BBox(-1e6 + 3, 100.0, 1e6 + 50, 48.0), rng.choice(SCORE_POOL)))
+    w8, s8 = rng.randint(64, 960), rng.randint(1, 16)
+    x8, y8 = rng.randint(0, 14000), rng.randint(0, 8000)
+    ties.append((len(dets), len(gts), len(gts) + 1))
+    gts += [BBox((x8 + s8) / 8, y8 / 8, w8 / 8, 30.0), BBox((x8 - s8) / 8, y8 / 8, w8 / 8, 30.0)]
+    dets.append(det(BBox(x8 / 8, y8 / 8, w8 / 8, 30.0), 1.0))
+    return dets, gts, ties
+
+
 class TestIou:
     def test_identity(self):
         box = BBox(3, 4, 10, 12)
@@ -153,6 +182,13 @@ class TestMatchFrame:
         (outcome,) = match_frame([det(BBox(0, 0, 10, 10), 0.9)], twins)
         assert outcome.matched_gt == 0
 
+    def test_nan_x_is_scored_as_iou_scores_it(self):
+        # A NaN x has no place in the x order, so that frame scans every box.
+        box = BBox(0, 0, 10, 10)
+        gts = [BBox(50, 0, 10, 10), BBox(math.nan, 0, 10, 10)]
+        (outcome,) = match_frame([det(box, 0.9)], gts)
+        assert outcome == MatchOutcome(0, 1, iou(box, gts[1]))
+
     def test_iou_threshold_boundary(self):
         gt_boxes = [BBox(0, 0, 7499.5, 1)]
         (outcome,) = match_frame([det(BBox(2500.5, 0, 7499.5, 1), 0.9)], gt_boxes)
@@ -177,8 +213,9 @@ class TestMatchFrame:
     def test_matches_brute_force_on_crowded_frames(self):
         rng = random.Random(2025)
         tied_matches = 0
-        for _ in range(120):
-            dets, gts, ties = crowded_frame(rng)
+        reversed_ties = 0
+        for make in [crowded_frame] * 120 + [far_frame, window_edge_frame] * 30:
+            dets, gts, ties = make(rng)
             iou_thr = rng.choice([0.3, 0.5, 0.5, 0.75])
             outcomes = match_frame(dets, gts, iou_thr)
             assert [o.detection_index for o in outcomes] == list(range(len(dets)))
@@ -190,7 +227,11 @@ class TestMatchFrame:
             tied_matches += sum(
                 outcomes[d].matched_gt == lower for d, lower, _ in ties if lower < len(gts) - 1
             )
-        assert tied_matches > 0
+            reversed_ties += sum(
+                outcomes[d].matched_gt == lower and gts[higher].x < gts[lower].x
+                for d, lower, higher in ties if higher < len(gts)
+            )
+        assert tied_matches > 0 and reversed_ties > 0
 
     @pytest.mark.parametrize(
         "dets, gts",
