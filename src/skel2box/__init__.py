@@ -11,17 +11,24 @@ is imported from its module when it is first used (PEP 562).
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
-# Defaults that the library modules and the command line's settings share.
-# They live here, which every import of the package runs, so the command
-# line can read them without loading the modules that use them.
+# Defaults and the number rule that the library modules and the command line's
+# settings share. They live here, which every import of the package runs, so
+# the command line can read them without loading the modules that use them.
 DEFAULT_JOINTS_PER_SKELETON = 22
 DEFAULT_DISTANCE_LIMIT_M = 40.0
 DEFAULT_IOU_THRESHOLD = 0.5
 DEFAULT_SCORE_FLOOR = 0.05
 DEFAULT_RATIO = (2, 1)
+
+
+def is_finite_number(value: object) -> bool:
+    """True for an ``int`` or ``float`` within float range: not a bool, NaN or infinity."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
 
 _NAMES_BY_MODULE = {
     "calibration": "CalibrationResult CalibrationSample fit_alpha load_calibration_samples",

@@ -20,8 +20,9 @@ import math
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
+from . import is_finite_number
 from .errors import EmptyInput, ParseError
-from .formats import csv_rows, is_finite_number, load_json
+from .formats import csv_rows, load_json
 
 log = logging.getLogger(__name__)
 

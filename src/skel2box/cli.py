@@ -21,7 +21,7 @@ import os
 import resource
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
@@ -31,6 +31,7 @@ from . import (
     DEFAULT_JOINTS_PER_SKELETON,
     DEFAULT_RATIO,
     DEFAULT_SCORE_FLOOR,
+    is_finite_number,
 )
 from .errors import InvalidConfig, JoinError, MixedVideos, ParseError, Skel2BoxError
 
@@ -61,12 +62,11 @@ class PipelineConfig:
         """Check every field, whatever its source: a real, finite number
         (``joints_per_skeleton`` an ``int``, ``alpha`` possibly unset), then
         within its range."""
-        from . import formats
         for name in _CONFIG_FIELDS:
             value = getattr(self, name)
             if name == "joints_per_skeleton" and type(value) is not int:
                 raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-            if not formats.is_finite_number(value) and not (name == "alpha" and value is None):
+            if not is_finite_number(value) and not (name == "alpha" and value is None):
                 raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
         if self.image_w <= 0 or self.image_h <= 0:
             raise InvalidConfig("image dimensions must be positive")
@@ -124,21 +124,22 @@ def _write_atomic(path: str, text: str) -> None:
     target = Path(path)
     if not text.endswith("\n"):
         text += "\n"
-    fd, tmp_name = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=target.name + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            # The mode a plain open() gives, not the 0o600 of mkstemp.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp_name, 0o666 & ~umask)
-            fh.write(text)
-        os.replace(tmp_name, str(target))
-    except BaseException:
+        fd, tmp_name = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=target.name + ".")
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                # The mode a plain open() gives, not the 0o600 of mkstemp.
+                umask = os.umask(0)
+                os.umask(umask)
+                os.chmod(tmp_name, 0o666 & ~umask)
+                fh.write(text)
+            os.replace(tmp_name, str(target))
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp_name)
+            raise
+    except OSError as exc:  # Named by the path as given, not by mkstemp's random name.
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
 
 
 @contextmanager

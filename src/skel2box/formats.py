@@ -23,11 +23,11 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import cycle
-from operator import itemgetter
+from itertools import cycle, repeat
+from operator import itemgetter, mod
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
-from . import DEFAULT_JOINTS_PER_SKELETON
+from . import DEFAULT_JOINTS_PER_SKELETON, is_finite_number
 from .errors import IncompleteSkeleton, JoinError, MixedVideos, ParseError
 from .geometry import AnnotatedBox, BBox, SkeletonInstance, check_distance, sort_key
 
@@ -128,11 +128,6 @@ def load_json(source: str, *, strict: bool = True) -> Any:
             limit = sys.get_int_max_str_digits()
             raise ParseError(f"malformed JSON: an integer has more than {limit} digits") from exc
         raise ParseError(f"malformed JSON: {exc}") from exc
-
-
-def is_finite_number(value: Any) -> bool:
-    """True for an ``int`` or ``float`` within float range: not a bool, NaN or infinity."""
-    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
 
 
 def _require_int(value: Any, what: str, location: str) -> int:
@@ -251,46 +246,52 @@ def _image_size(value: Any, what: str, location: str) -> float:
 # JTA skeleton dumps
 # ---------------------------------------------------------------------------
 
-def _jta_fields(rec: Any, idx: int) -> tuple:
-    """Check one JTA record field by field and return its normalised fields.
-
-    This is the only source of JTA record errors. It accepts what
-    :func:`_fast_jta` does not: integral floats and booleans as ids
-    and flags, integers as coordinates.
-    """
+def _jta_fields(rec: Any, idx: int) -> None:
+    """Check one JTA record field by field: the words of the error of a record
+    that :func:`_jta_rows` refuses."""
     loc = f"record {idx}"
     if not isinstance(rec, list) or len(rec) != _JTA_ARITY:
         raise ParseError(f"expected an array of {_JTA_ARITY} fields, got {rec!r}", location=loc)
-    frame_id = _frame(rec[0], loc)
+    _frame(rec[0], loc)
     pedestrian_id = _require_int(rec[1], "pedestrian_id", loc)
     joint_id = _require_int(rec[2], "joint_id", loc)
     if pedestrian_id < 0 or joint_id < 0:
         raise ParseError("pedestrian and joint ids must be non-negative", location=loc)
-    coords = [_require_finite(rec[i], f"field {i}", loc) for i in range(3, 8)]
+    for i in range(3, 8):
+        _require_finite(rec[i], f"field {i}", loc)
     occluded = _require_int(rec[8], "occluded", loc)
     self_occluded = _require_int(rec[9], "self_occluded", loc)
     if occluded not in (0, 1) or self_occluded not in (0, 1):
         raise ParseError("occlusion flags must be 0 or 1", location=loc)
-    return (frame_id, pedestrian_id, joint_id, *coords, occluded, self_occluded)
 
 
-def _fast_jta(rec: Any) -> bool:
-    """True for a record of the shape real dumps use: no field-by-field check needed."""
-    if type(rec) is not list or len(rec) != _JTA_ARITY:
-        return False
-    frame, ped, joint, x, y, x3, y3, z3, occ, self_occ = rec
-    inf = math.inf
-    return (
-        type(frame) is int and type(ped) is int and type(joint) is int
-        and frame >= 1 and ped >= 0 and joint >= 0
-        and type(x) is float and type(y) is float and type(x3) is float
-        and type(y3) is float and type(z3) is float
-        # Also false for NaN, which json.loads accepts.
-        and -inf < x < inf and -inf < y < inf and -inf < x3 < inf
-        and -inf < y3 < inf and -inf < z3 < inf
-        and type(occ) is int and type(self_occ) is int
-        and 0 <= occ <= 1 and 0 <= self_occ <= 1
-    )
+def _jta_rows(records: Any) -> Optional[list]:
+    """``records``, ids and flags as ints and coordinates as floats, or None if one
+    breaks the record rule that :func:`_jta_fields` words; checked by column."""
+    if type(records) is not list or {*map(type, records)} - {list}:
+        return None
+    if {*map(len, records)} - {_JTA_ARITY}:
+        return None
+    columns = [*zip(*records)]
+    for i, column in enumerate(columns):
+        kinds = {*map(type, column)}
+        if not 3 <= i < 8:  # An id or flag, as an int; v % 1 is 0 for an integral v.
+            if kinds != {int}:
+                if kinds - {int, float, bool} or any(map(mod, column, repeat(1))):
+                    return None
+                columns[i] = column = [*map(int, column)]
+            # Frames start at 1, pedestrian and joint ids at 0, and flags are 0 or 1.
+            if min(column) < (1 if i == 0 else 0) or i > 7 and max(column) > 1:
+                return None
+        # A coordinate, as a float; value by value unless all floats of a finite sum.
+        elif kinds - {int, float} or (kinds != {float} or not math.isfinite(sum(column))) and (
+            not all(map(_FLOAT_MAX.__ge__, map(abs, column)))
+        ):
+            return None
+        elif int in kinds:
+            columns[i] = [*map(float, column)]
+    # A respelled column is a list, and one left as it was a tuple.
+    return [*zip(*columns)] if list in map(type, columns) else records
 
 
 def _jta_columns(rows: list, joint_ids: tuple) -> Optional[tuple]:
@@ -318,11 +319,10 @@ def _jta_pieces(blocks: Iterable[str]) -> Iterator[str]:
     yield head + tail
 
 
-def _jta_groups(piece: str, joint_ids: tuple) -> Optional[list]:
-    """``(key, group)`` per (frame, pedestrian) of a piece: a complete group's
-    columns (a tuple), any other's records (a list); None for a misfit piece."""
-    records = load_json(piece, strict=False)
-    if type(records) is not list or not all(map(_fast_jta, records)):
+def _jta_groups(records: Any, joint_ids: tuple) -> Optional[list]:
+    """``(key, group)`` per (frame, pedestrian) of parsed records: a complete group's
+    columns (a tuple), any other's records (a list); None if they break the rule."""
+    if (records := _jta_rows(records)) is None:
         return None
     groups: dict[tuple[int, int], list] = {}
     for rec in records:
@@ -395,11 +395,14 @@ def _stream_jta(
     blocks: Iterable[str], video_id: str, joint_ids: tuple, workers: int
 ) -> Optional[list]:
     """The skeletons of a dump read block by block, its pieces' groups joined;
-    None for anything the whole-document code must decide."""
+    None for a dump with an error, which the whole read words."""
     split: dict[tuple[int, int], list] = {}
     done: dict[tuple[int, int], SkeletonInstance] = {}
-    function = partial(_jta_groups, joint_ids=joint_ids)
-    results = _map_pieces(function, _jta_pieces(blocks), workers)
+
+    def parse(piece: str) -> Optional[list]:
+        return _jta_groups(load_json(piece, strict=False), joint_ids)
+
+    results = _map_pieces(parse, _jta_pieces(blocks), workers)
     try:
         for groups in results:
             if groups is None:
@@ -442,11 +445,10 @@ def parse_jta(
     is read in blocks, cut after each block's last record that a comma
     follows within it and parsed piece by piece, by a forked worker per
     usable core if the dump is large, so the whole record array never
-    exists (README, Joint dumps). A record not of the shape real dumps use
-    (JSON integer ids and flags, finite JSON float coordinates) sends the
-    dump, read again whole, through :func:`_jta_fields` and the group
-    checks, so it parses, or fails with the same message and location, as
-    if there were no stream.
+    exists (README, Joint dumps). Each piece's records pass one rule,
+    :func:`_jta_rows`. A dump that breaks it, or whose groups do not join, is
+    read again whole only to raise its first error, worded by
+    :func:`_jta_fields` and the group checks as if there were no stream.
 
     Raises:
         ParseError: malformed JSON, wrong record arity, or bad field values,
@@ -471,30 +473,18 @@ def parse_jta(
         source.seek(0)
         source = source.read()
 
+    # The stream refused the dump: read it whole to word its first error.
     records = load_json(source)
     if not isinstance(records, list):
         raise ParseError("expected a top-level JSON array of joint records")
-    grouped: dict[tuple[int, int], list[Sequence]] = {}
-    for idx, rec in enumerate(records):
-        if not _fast_jta(rec):
-            rec = _jta_fields(rec, idx)
-        grouped.setdefault((rec[0], rec[1]), []).append(rec)
-    # With the array gone, each group's rows are freed once its skeleton is built.
-    del records
-
-    skeletons = []
-    for key in sorted(grouped):
-        rows = grouped.pop(key)
-        columns = _jta_columns(rows, joint_ids)
-        if columns is None:
-            problem = (
-                f"expected {joints_per_skeleton} joints, got {len(rows)}"
-                if len(rows) != joints_per_skeleton
-                else f"joint ids do not cover 0..{joints_per_skeleton - 1}"
-            )
-            raise IncompleteSkeleton(problem, frame_id=key[0], pedestrian_id=key[1])
-        skeletons.append(SkeletonInstance(video_id, *key, *columns))
-    return skeletons
+    groups = _jta_groups(records, joint_ids)
+    for idx, rec in enumerate(records if groups is None else ()):
+        _jta_fields(rec, idx)
+    key, rows = min((key, group) for key, group in groups if type(group) is list)
+    problem = f"expected {joints_per_skeleton} joints, got {len(rows)}"
+    if len(rows) == joints_per_skeleton:
+        problem = f"joint ids do not cover 0..{joints_per_skeleton - 1}"
+    raise IncompleteSkeleton(problem, frame_id=key[0], pedestrian_id=key[1])
 
 
 # ---------------------------------------------------------------------------

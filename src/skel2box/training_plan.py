@@ -18,7 +18,6 @@ from typing import Iterator, Union
 
 from . import DEFAULT_RATIO
 from .errors import InvalidConfig, ParseError
-from .formats import load_json
 
 SYNTHETIC = "syn"
 REAL = "real"
@@ -212,6 +211,7 @@ def parse_plan(source: str) -> Union[BatchPlan, FineTunePlan]:
         ParseError: malformed JSON or a malformed part of the plan.
         InvalidConfig: a config that breaks the rules of its planner.
     """
+    from .formats import load_json  # Here, so that planning loads no module it does not use.
     doc = load_json(source)
     if not isinstance(doc, dict) or "kind" not in doc or "config" not in doc:
         raise ParseError("expected a plan document with 'kind' and 'config'")

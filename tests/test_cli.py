@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import json
@@ -1158,6 +1159,21 @@ class TestInfrastructure:
         finally:
             os.umask(previous)
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize(
+        "out, code", [("missing/gt.json", errno.ENOENT), ("isdir.json", errno.EISDIR)]
+    )
+    def test_write_error_names_the_path_as_given(self, monkeypatch, tmp_path, capsys, out, code):
+        # Not the random name of the temporary file, so the message is the same on every run.
+        jta_file(tmp_path, [(1, 1, 10.0, 20.0, 30.0, 60.0, 10.0)])
+        (tmp_path / "isdir.json").mkdir()
+        monkeypatch.chdir(tmp_path)
+        result = run_cli(
+            capsys, "synthesize", "--jta", "clip.json", "--alpha", 100, "--out-coco", out
+        )
+        assert result == (2, "", f"error: [Errno {code}] {os.strerror(code)}: {out!r}\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["clip.json", "isdir.json"]
+        assert list((tmp_path / "isdir.json").iterdir()) == []
 
     def test_out_naming_a_directory_leaves_no_temporary_file(self, tmp_path, capsys):
         target = tmp_path / "taken"

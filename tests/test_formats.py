@@ -43,7 +43,7 @@ def jta_records(frame, ped, n_joints=22, base=(100.0, 200.0), z=10.0):
     return rows
 
 
-# Record 2 of jta_records(1, 1): the shape that takes parse_jta's fast check.
+# Record 2 of jta_records(1, 1), in the spelling parse_jta normalises to.
 JTA_RECORD = [1, 1, 2, 102.0, 204.0, 0.0, 0.0, 10.0, 0, 0]
 
 
@@ -60,6 +60,9 @@ JTA_RECORD_CASES = {
     "bool flag": (with_field(8, True), with_field(8, 1)),
     "float id": (with_field(0, 1.0), JTA_RECORD),
     "int coordinate": (with_field(3, 102), JTA_RECORD),
+    "-0.0 as pedestrian": (with_field(1, -0.0), with_field(1, 0)),
+    "1e300 as frame": (with_field(0, 1e300), with_field(0, int(1e300))),
+    "1.0 as a flag": (with_field(9, 1.0), with_field(9, 1)),
     "NaN": (with_field(3, math.nan), "field 3 must be a finite number, got nan"),
     "Infinity": (with_field(4, math.inf), "field 4 must be a finite number, got inf"),
     "-Infinity": (with_field(7, -math.inf), "field 7 must be a finite number, got -inf"),
@@ -69,6 +72,8 @@ JTA_RECORD_CASES = {
         with_field(3, 10**400), f"field 3 must be a finite number, got {10**400}"
     ),
     "string id": (with_field(0, "1"), "frame must be an integer, got '1'"),
+    "1.5 as an id": (with_field(2, 1.5), "joint_id must be an integer, got 1.5"),
+    "bool coordinate": (with_field(3, True), "field 3 must be a finite number, got True"),
     "negative frame": (
         with_field(0, -1), "frame must be at least 1 (frames are 1-based), got -1"
     ),
@@ -178,15 +183,18 @@ class TestParseJta:
     @pytest.mark.parametrize(
         "record, outcome", JTA_RECORD_CASES.values(), ids=JTA_RECORD_CASES.keys()
     )
-    def test_fast_and_field_checks_agree(self, record, outcome):
+    def test_fast_and_field_checks_agree(self, monkeypatch, tmp_path, record, outcome):
         rows = jta_records(1, 1)
         rows[2] = record
         if isinstance(outcome, list):
-            want = jta_records(1, 1)
-            want[2] = outcome
+            # The group of the record as it normalises, so that the dump is valid.
+            rows, want = jta_records(*outcome[:2]), jta_records(*outcome[:2])
+            rows[2], want[2] = record, outcome
+            path = tmp_path / "dump.json"
+            path.write_text(json.dumps(rows), encoding="utf-8")
+            got = TestStreamedJta.streamed(monkeypatch, path, formats._JTA_BLOCK)
             # repr tells 1 from True and 102 from 102.0, which == does not.
-            got = parse_jta(json.dumps(rows), "v")
-            assert repr(got) == repr(parse_jta(json.dumps(want), "v"))
+            assert got == (repr(parse_jta(json.dumps(want), "v")), False)
         else:
             with pytest.raises(ParseError) as exc_info:
                 parse_jta(json.dumps(rows), "v")
@@ -223,6 +231,29 @@ def set_field(index, field, value):
     return edit
 
 
+def respell(spell, fields):
+    """An edit that spells ``fields`` of every record as ``spell`` of its value."""
+    def edit(rows):
+        for row in rows:
+            for field in fields:
+                row[field] = spell(row[field])
+    return edit
+
+
+def booleans(rows):
+    """An edit to pedestrians 0 and 1: their ids and flags as booleans, some true."""
+    for index, row in enumerate(rows):
+        row[1], row[8], row[9] = bool(row[1]), index % 3 == 0, index % 5 == 0
+
+
+def canonical(text):
+    """The dump ``text`` respelled with JSON integer ids and flags and float coordinates."""
+    return json.dumps([
+        [*map(int, rec[:3]), *map(float, rec[3:8]), *map(int, rec[8:])]
+        for rec in json.loads(text)
+    ])
+
+
 # Dumps that parse_jta streams, and whether the stream must hand each over to
 # the whole-document code.
 STREAM_CASES = {
@@ -246,10 +277,26 @@ STREAM_CASES = {
     "a whole group again after it was built": (jta_dump((1, 1), (2, 1), (1, 1)), True),
     "missing joint": (jta_dump((1, 1), (2, 1), edit=lambda rows: rows.pop(30)), True),
     "integral-float id late in the file": (
-        jta_dump((1, 1), (2, 1), (3, 1), edit=set_field(-1, 0, 3.0)), True
+        jta_dump((1, 1), (2, 1), (3, 1), edit=set_field(-1, 0, 3.0)), False
+    ),
+    "every value a float": (
+        jta_dump((1, 1), (1, 2), (2, 1), edit=respell(float, range(10))), False
+    ),
+    "booleans as flags and ids": (jta_dump((1, 0), (1, 1), (2, 1), edit=booleans), False),
+    "integer coordinates": (
+        jta_dump((1, 1), (1, 2), (2, 1), edit=respell(int, range(3, 8))), False
     ),
     "NaN late in the file": (jta_dump((1, 1), (2, 1), edit=set_field(-1, 7, math.nan)), True),
+    "an integer coordinate beyond float range late in the file": (
+        jta_dump((1, 1), (2, 1), edit=set_field(-1, 4, 10**400)), True
+    ),
 }
+
+# The cases that respell a valid dump, each of which parses as its canonical spelling.
+RESPELLED = [
+    "integral-float id late in the file", "every value a float", "booleans as flags and ids",
+    "integer coordinates",
+]
 
 
 def jta_outcome(parse):
@@ -343,24 +390,32 @@ class TestStreamedJta:
         monkeypatch.setattr(formats, "_JTA_BLOCK", 5)
         assert repr(parse_jta(text, "v")) == repr(whole)
 
-    def test_integral_float_parses_as_canonical(self):
-        text, _ = STREAM_CASES["integral-float id late in the file"]
-        assert repr(parse_jta(text, "v")) == repr(parse_jta(jta_dump((1, 1), (2, 1), (3, 1)), "v"))
+    @pytest.mark.parametrize("case", RESPELLED)
+    def test_respelled_dump_parses_as_canonical(self, case):
+        text, _ = STREAM_CASES[case]
+        assert canonical(text) != text
+        assert repr(parse_jta(text, "v")) == repr(parse_jta(canonical(text), "v"))
 
     @pytest.mark.parametrize(
-        "separator", ["], [", "] , [", "]\n,\n["], ids=["plain", "spaced", "newlines"]
+        "separator, spell",
+        [("], [", int), ("] , [", int), ("]\n,\n[", int), ("], [", float)],
+        ids=["plain", "spaced", "newlines", "float-spelled"],
     )
-    def test_streaming_holds_little_beyond_its_skeletons(self, monkeypatch, tmp_path, separator):
+    def test_streaming_holds_little_beyond_its_skeletons(
+        self, monkeypatch, tmp_path, separator, spell
+    ):
         # About 2 MB in 64 KiB blocks: 30 blocks, as a 30 MB dump has in the
         # default 1 MiB blocks. The skeletons keep 5 of each record's 10 values,
         # so the stream's peak is measured beyond the skeletons it returns.
+        # ``spell`` writes the ids and flags.
         rng = random.Random(3)
         rows = []
         for frame in range(1, 40):
             for ped in range(20):
                 rows += [
-                    [frame, ped, j, rng.uniform(0, 1920), rng.uniform(0, 1080),
-                     rng.uniform(-5, 5), rng.uniform(-2, 2), rng.uniform(3, 90), 0, 0]
+                    [spell(frame), spell(ped), spell(j), rng.uniform(0, 1920),
+                     rng.uniform(0, 1080), rng.uniform(-5, 5), rng.uniform(-2, 2),
+                     rng.uniform(3, 90), spell(0), spell(0)]
                     for j in range(22)
                 ]
         text = json.dumps(rows).replace("], [", separator)

@@ -98,7 +98,10 @@ class TestImportsPerPath:
     @pytest.mark.parametrize(
         "command, used, unused",
         [
-            ("plan-finetune", "training_plan", {"evaluation", "sanitize", "calibration"}),
+            (
+                "plan-finetune", "training_plan",
+                {"evaluation", "sanitize", "calibration", "formats", "geometry"},
+            ),
             ("evaluate", "evaluation", {"sanitize", "calibration", "training_plan"}),
         ],
     )
