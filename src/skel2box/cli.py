@@ -337,6 +337,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> dict:
         "ap_101point": report.ap_101point,
         "n_gt": report.n_gt,
         "n_det": report.n_det,
+        "n_floor_dropped": sum(not d.score > config.score_floor for d in detections),
         "out": args.out,
     }
 

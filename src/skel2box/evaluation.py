@@ -24,7 +24,7 @@ from .formats import Detection, json_number
 from .geometry import AnnotatedBox, BBox
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchOutcome:
     """Result of matching one detection within its frame."""
 
@@ -109,7 +109,7 @@ def match_frame(
     # The first detection processed scans every ground-truth box.
     if detections and any(b.w <= 0 or b.h <= 0 for b in gts):
         raise InvalidArgument("iou needs boxes with positive area")
-    order = sorted(range(len(detections)), key=lambda i: -detections[i].score)
+    order = sorted(range(len(detections)), key=[-d.score for d in detections].__getitem__)
     corners = sorted(
         ((b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h, i) for i, b in enumerate(gts)),
         key=itemgetter(0),
@@ -249,10 +249,7 @@ def evaluate(
     raise JoinError; frames with ground truth but no detections still count
     toward n_gt. n_det counts all input detections, before the score floor.
     """
-    gt_by_frame: dict[tuple[str, int], list[BBox]] = {}
-    if frames is not None:
-        for key in frames:
-            gt_by_frame.setdefault(key, [])
+    gt_by_frame: dict[tuple[str, int], list[BBox]] = {key: [] for key in frames or ()}
     for ann in ground_truth:
         gt_by_frame.setdefault((ann.video_id, ann.frame_id), []).append(ann.box)
 

@@ -23,8 +23,8 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import cycle, repeat
-from operator import itemgetter, mod
+from itertools import compress, cycle, repeat
+from operator import attrgetter, itemgetter, mod
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from . import DEFAULT_JOINTS_PER_SKELETON, is_finite_number
@@ -55,7 +55,7 @@ _FLOAT_MAX = sys.float_info.max
 MAX_FRAMES = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One detector proposal: box plus confidence score in [0, 1]."""
 
@@ -84,7 +84,7 @@ class DatasetManifest:
                 raise ParseError(f"video {video!r} puts the frame table over {MAX_FRAMES} frames")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameRef:
     """One COCO image entry resolved to (video, frame)."""
 
@@ -106,6 +106,14 @@ class CocoGroundTruth:
 
     def image_id_by_frame(self) -> dict[tuple[str, int], int]:
         return {(ref.video_id, ref.frame_id): ref.image_id for ref in self.images}
+
+
+# The orders of MOT rows and of detections, as geometry.sort_key is the order of COCO.
+_mot_order = attrgetter("frame_id", "pedestrian_id")
+
+
+def _detection_order(det: Detection) -> tuple[str, int, float]:
+    return (det.video_id, det.frame_id, -det.score)
 
 
 def json_number(value: float) -> Any:
@@ -198,32 +206,21 @@ def _frame(value: Any, location: str) -> int:
     return frame_id
 
 
-def _box(values: Sequence[Any], location: str) -> BBox:
-    """A box ``x, y, w, h``: finite numbers, with positive width and height.
-    Every reader's box check: one inlined test of all four values, then
-    :func:`_require_finite` only to name the value that fails."""
-    x, y, w, h = values
-    if not (
-        type(x) in (int, float) and abs(x) <= _FLOAT_MAX
-        and type(y) in (int, float) and abs(y) <= _FLOAT_MAX
-        and type(w) in (int, float) and abs(w) <= _FLOAT_MAX
-        and type(h) in (int, float) and abs(h) <= _FLOAT_MAX
-    ):
-        for value in values:
-            _require_finite(value, "box field", location)
-    x, y, w, h = float(x), float(y), float(w), float(h)
+def _box(values: Any, location: str) -> BBox:
+    """A box: an array ``[x, y, w, h]`` of finite numbers, with positive width and
+    height, by :func:`_float_column`, then :func:`_require_finite` only to name
+    the value that fails. :func:`_coco_boxes` checks the same rule by column."""
+    if not isinstance(values, list) or len(values) != 4:
+        raise ParseError(f"bbox must be [x, y, w, h], got {values!r}", location=location)
+    checked = _float_column(values)
+    for value in values if checked is None else ():
+        _require_finite(value, "box field", location)
+    x, y, w, h = checked
     if w <= 0 or h <= 0:
         raise ParseError(
             f"box width and height must be positive, got {w!r} and {h!r}", location=location
         )
     return BBox(x, y, w, h)
-
-
-def _coco_box(bbox: Any, location: str) -> BBox:
-    """A COCO ``bbox``: an array ``[x, y, w, h]`` that is a :func:`_box`."""
-    if not isinstance(bbox, list) or len(bbox) != 4:
-        raise ParseError(f"bbox must be [x, y, w, h], got {bbox!r}", location=location)
-    return _box(bbox, location)
 
 
 def _clamp_score(value: Any, location: str) -> float:
@@ -232,6 +229,34 @@ def _clamp_score(value: Any, location: str) -> float:
     if -_SCORE_SLACK <= score <= 1.0 + _SCORE_SLACK:
         return min(max(score, 0.0), 1.0)
     raise ParseError(f"score {score!r} outside [0, 1]", location=location)
+
+
+def _int_column(column: Sequence) -> Optional[Sequence]:
+    """``column`` as ints, or None unless :func:`_require_int` takes every value."""
+    kinds = {*map(type, column)}  # v % 1 is 0 for an integral v, NaN for one not finite.
+    if kinds - {int, float, bool} or kinds != {int} and any(map(mod, column, repeat(1))):
+        return None
+    return column if kinds == {int} else [*map(int, column)]
+
+
+def _float_column(column: Sequence) -> Optional[Sequence]:
+    """``column`` as floats, or None unless :func:`_require_finite` takes every value."""
+    kinds = {*map(type, column)}
+    if kinds - {int, float} or (kinds != {float} or not math.isfinite(sum(column))) and (
+        not all(map(_FLOAT_MAX.__ge__, map(abs, column)))
+    ):
+        return None
+    return [*map(float, column)] if int in kinds else column
+
+
+def _coco_boxes(bboxes: list) -> Optional[list]:
+    """The BBox of each of (one or more) ``bboxes``, or None unless :func:`_box` takes all."""
+    if {*map(type, bboxes)} - {list} or {*map(len, bboxes)} - {4}:
+        return None
+    columns = [*map(_float_column, zip(*bboxes))]
+    if None in columns or min(columns[2]) <= 0 or min(columns[3]) <= 0:
+        return None
+    return [*map(BBox, *columns)]
 
 
 def _image_size(value: Any, what: str, location: str) -> float:
@@ -274,22 +299,13 @@ def _jta_rows(records: Any) -> Optional[list]:
         return None
     columns = [*zip(*records)]
     for i, column in enumerate(columns):
-        kinds = {*map(type, column)}
-        if not 3 <= i < 8:  # An id or flag, as an int; v % 1 is 0 for an integral v.
-            if kinds != {int}:
-                if kinds - {int, float, bool} or any(map(mod, column, repeat(1))):
-                    return None
-                columns[i] = column = [*map(int, column)]
-            # Frames start at 1, pedestrian and joint ids at 0, and flags are 0 or 1.
-            if min(column) < (1 if i == 0 else 0) or i > 7 and max(column) > 1:
-                return None
-        # A coordinate, as a float; value by value unless all floats of a finite sum.
-        elif kinds - {int, float} or (kinds != {float} or not math.isfinite(sum(column))) and (
-            not all(map(_FLOAT_MAX.__ge__, map(abs, column)))
-        ):
+        coordinate = 3 <= i < 8  # A float; an id or flag is an int.
+        columns[i] = column = (_float_column if coordinate else _int_column)(column)
+        if column is None:
             return None
-        elif int in kinds:
-            columns[i] = [*map(float, column)]
+        # Frames start at 1, pedestrian and joint ids at 0, and flags are 0 or 1.
+        if not coordinate and (min(column) < (1 if i == 0 else 0) or i > 7 and max(column) > 1):
+            return None
     # A respelled column is a list, and one left as it was a tuple.
     return [*zip(*columns)] if list in map(type, columns) else records
 
@@ -622,6 +638,41 @@ def _manifest_videos(videos: Any, images: Sequence[FrameRef]) -> tuple[tuple[str
     return tuple(counts.items())
 
 
+def _coco_annotation(ann: Any, idx: int, frame_of: Mapping[int, tuple[str, int]]) -> None:
+    """Word the first error of an annotation that :func:`_coco_annotations` refuses."""
+    loc = f"annotation {idx}"
+    if not isinstance(ann, dict):
+        raise ParseError(f"expected an object, got {ann!r}", location=loc)
+    image_id = _require_int(ann.get("image_id"), "image_id", loc)
+    if image_id not in frame_of:
+        raise JoinError(f"annotation references unknown image id {image_id}", location=loc)
+    _box(ann.get("bbox"), loc)
+    _require_int(ann.get("pedestrian_id", ann.get("id", idx + 1)), "pedestrian_id", loc)
+    if "distance_m" in ann:
+        check_distance(_require_finite(ann["distance_m"], "distance_m", loc), loc)
+
+
+def _coco_annotations(anns: list, frame_of: Mapping[int, tuple[str, int]]) -> Optional[list]:
+    """``anns`` as AnnotatedBoxes, or None if one breaks the rule :func:`_coco_annotation` words."""
+    if not anns or {*map(type, anns)} - {dict}:
+        return None if anns else []
+    image_ids = _int_column([*map(dict.get, anns, repeat("image_id"))])
+    if image_ids is None or not frame_of.keys() >= {*image_ids}:
+        return None
+    boxes = _coco_boxes([*map(dict.get, anns, repeat("bbox"))])
+    pedestrian_ids = [*map(dict.get, anns, repeat("pedestrian_id"))]
+    if None in pedestrian_ids:  # Absent, it is the annotation id, else the 1-based index.
+        pedestrian_ids = [a.get("pedestrian_id", a.get("id", i)) for i, a in enumerate(anns, 1)]
+    pedestrian_ids = _int_column(pedestrian_ids)
+    distances = _float_column([ann["distance_m"] for ann in anns if "distance_m" in ann])
+    if None in (boxes, pedestrian_ids, distances) or distances and min(distances) <= 0:
+        return None
+    if len(distances) < len(anns):  # An absent distance is unknown: infinite.
+        distances = [*map(float, map(dict.get, anns, repeat("distance_m"), repeat(math.inf)))]
+    videos, frames = zip(*map(frame_of.__getitem__, image_ids))
+    return [*map(AnnotatedBox, videos, frames, pedestrian_ids, boxes, distances)]
+
+
 def parse_coco_gt(source: str) -> CocoGroundTruth:
     """Parse a COCO ground-truth document (ours or foreign).
 
@@ -660,24 +711,9 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
         frame_of[image_id] = (video_id, frame_id)
         images.append(FrameRef(image_id=image_id, video_id=video_id, frame_id=frame_id))
 
-    annotations: list[AnnotatedBox] = []
-    for idx, ann in enumerate(doc["annotations"]):
-        loc = f"annotation {idx}"
-        if not isinstance(ann, dict):
-            raise ParseError(f"expected an object, got {ann!r}", location=loc)
-        image_id = _require_int(ann.get("image_id"), "image_id", loc)
-        if image_id not in frame_of:
-            raise JoinError(f"annotation references unknown image id {image_id}", location=loc)
-        video_id, frame_id = frame_of[image_id]
-        box = _coco_box(ann.get("bbox"), loc)
-        pedestrian_id = _require_int(
-            ann.get("pedestrian_id", ann.get("id", idx + 1)), "pedestrian_id", loc
-        )
-        if "distance_m" in ann:
-            distance = check_distance(_require_finite(ann["distance_m"], "distance_m", loc), loc)
-        else:
-            distance = math.inf
-        annotations.append(AnnotatedBox(video_id, frame_id, pedestrian_id, box, distance))
+    annotations = _coco_annotations(doc["annotations"], frame_of)
+    for idx, ann in enumerate(doc["annotations"] if annotations is None else ()):
+        _coco_annotation(ann, idx, frame_of)
     annotations.sort(key=sort_key)
 
     info = doc.get("info")
@@ -700,7 +736,7 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
             image_h=_image_size(first.get("height", 0), "height", "image 0"),
             dataset_id=_info_value(info, "dataset_id", "", _require_str),
         )
-    images.sort(key=lambda ref: (ref.video_id, ref.frame_id))
+    images.sort(key=attrgetter("video_id", "frame_id"))
 
     return CocoGroundTruth(
         annotations=tuple(annotations), manifest=manifest, images=tuple(images)
@@ -730,7 +766,7 @@ def emit_mot(annotations: Sequence[AnnotatedBox]) -> str:
     _one_video(annotations)
     return "".join(
         csv_row(a.frame_id, a.pedestrian_id, a.box.x, a.box.y, a.box.w, a.box.h, 1, 1, 1)
-        for a in sorted(annotations, key=lambda a: (a.frame_id, a.pedestrian_id))
+        for a in sorted(annotations, key=_mot_order)
     )
 
 
@@ -755,7 +791,7 @@ def parse_mot_gt(source: str, video_id: str) -> tuple[list[AnnotatedBox], int]:
             continue
         box = _box(values[2:6], loc)
         annotations.append(AnnotatedBox(video_id, frame_id, pedestrian_id, box, math.inf))
-    annotations.sort(key=lambda a: (a.frame_id, a.pedestrian_id))
+    annotations.sort(key=_mot_order)
     return annotations, skipped
 
 
@@ -774,57 +810,84 @@ def parse_detections(
 
     ``coco_results`` needs ``frame_of_image`` (image id -> (video, frame),
     from the ground-truth document) to resolve frames; ``mot_det`` needs the
-    ``video_id`` the file belongs to. All records are returned regardless of
-    score; the confidence floor is an evaluation concern. Output is sorted
-    by (video, frame, descending score).
+    ``video_id`` the file belongs to, and keeps to the frames of a given index.
+    All records are returned regardless of score; the confidence floor is an
+    evaluation concern. Output is sorted by (video, frame, descending score).
 
     Raises:
         ParseError: malformed records, or a score outside [0, 1] beyond
             clamping slack.
-        JoinError: a coco_results record references an unknown image id.
+        JoinError: a coco_results record references an unknown image id, or
+            a mot_det line a frame that ``frame_of_image`` does not hold.
     """
     if fmt == "coco_results":
         if frame_of_image is None:
             raise ParseError("coco_results parsing needs an image-id index from the ground truth")
-        detections = _parse_coco_results(source, frame_of_image)
+        records = load_json(source)
+        if not isinstance(records, list):
+            raise ParseError("expected a top-level JSON array of detection records")
+        detections = _coco_detections(records, frame_of_image)
+        for idx, rec in enumerate(records if detections is None else ()):
+            _coco_detection(rec, idx, frame_of_image)
+        del records  # Freed before the sort, whose keys would add to its peak.
     elif fmt == "mot_det":
         if video_id is None:
             raise ParseError("mot_det parsing needs the video id")
-        detections = _parse_mot_det(source, video_id)
+        frames = None if frame_of_image is None else {*frame_of_image.values()}
+        detections = _parse_mot_det(source, video_id, frames)
     else:
         raise ParseError(f"unknown detection format {fmt!r}")
-    detections.sort(key=lambda d: (d.video_id, d.frame_id, -d.score))
+    detections.sort(key=_detection_order)
     return detections
 
 
-def _parse_coco_results(
-    source: str, frame_of_image: Mapping[int, tuple[str, int]]
-) -> list[Detection]:
-    records = load_json(source)
-    if not isinstance(records, list):
-        raise ParseError("expected a top-level JSON array of detection records")
-    detections = []
-    for idx, rec in enumerate(records):
-        loc = f"record {idx}"
-        if not isinstance(rec, dict):
-            raise ParseError(f"expected an object, got {rec!r}", location=loc)
-        image_id = _require_int(rec.get("image_id"), "image_id", loc)
-        if image_id not in frame_of_image:
-            raise JoinError(f"detection references unknown image id {image_id}", location=loc)
-        category = _require_int(rec.get("category_id", PEDESTRIAN_CATEGORY_ID), "category_id", loc)
-        if category != PEDESTRIAN_CATEGORY_ID:
-            continue
-        box = _coco_box(rec.get("bbox"), loc)
-        score = _clamp_score(rec.get("score"), loc)
-        video_id, frame_id = frame_of_image[image_id]
-        detections.append(Detection(video_id, frame_id, box, score))
-    return detections
+def _coco_detection(rec: Any, idx: int, frame_of: Mapping[int, tuple[str, int]]) -> None:
+    """Word the first error of a record that :func:`_coco_detections` refuses."""
+    loc = f"record {idx}"
+    if not isinstance(rec, dict):
+        raise ParseError(f"expected an object, got {rec!r}", location=loc)
+    image_id = _require_int(rec.get("image_id"), "image_id", loc)
+    if image_id not in frame_of:
+        raise JoinError(f"detection references unknown image id {image_id}", location=loc)
+    category = _require_int(rec.get("category_id", PEDESTRIAN_CATEGORY_ID), "category_id", loc)
+    if category == PEDESTRIAN_CATEGORY_ID:
+        _box(rec.get("bbox"), loc)
+        _clamp_score(rec.get("score"), loc)
 
 
-def _parse_mot_det(source: str, video_id: str) -> list[Detection]:
+def _coco_detections(records: list, frame_of: Mapping[int, tuple[str, int]]) -> Optional[list]:
+    """The pedestrians of ``records``, or None if one breaks what :func:`_coco_detection` words."""
+    if {*map(type, records)} - {dict}:
+        return None
+    image_ids = _int_column([*map(dict.get, records, repeat("image_id"))])
+    categories = [*map(dict.get, records, repeat("category_id"), repeat(PEDESTRIAN_CATEGORY_ID))]
+    categories = _int_column(categories)
+    if None in (image_ids, categories) or not frame_of.keys() >= {*image_ids}:
+        return None
+    if {*categories} != {PEDESTRIAN_CATEGORY_ID}:  # Other categories go unchecked, then dropped.
+        keep = [*map(PEDESTRIAN_CATEGORY_ID.__eq__, categories)]
+        records, image_ids = [*compress(records, keep)], [*compress(image_ids, keep)]
+        if not records:
+            return []
+    boxes = _coco_boxes([*map(dict.get, records, repeat("bbox"))])
+    scores = _float_column([*map(dict.get, records, repeat("score"))])
+    if boxes is None or scores is None:
+        return None
+    low, high = min(scores), max(scores)
+    if low < -_SCORE_SLACK or high > 1.0 + _SCORE_SLACK:
+        return None
+    if low < 0 or high > 1:  # Within the slack of [0, 1]: clamped as _clamp_score clamps.
+        scores = [*map(min, map(max, scores, repeat(0.0)), repeat(1.0))]
+    videos, frames = zip(*map(frame_of.__getitem__, image_ids))
+    return [*map(Detection, videos, frames, boxes, scores)]
+
+
+def _parse_mot_det(source: str, video_id: str, frames: Optional[set]) -> list[Detection]:
     detections = []
     for loc, values in csv_rows(source, 7, 10):
         frame_id = _frame(values[0], loc)
+        if frames is not None and (video_id, frame_id) not in frames:
+            raise JoinError(f"detection on ({video_id}, {frame_id}) has no ground-truth frame", loc)
         box = _box(values[2:6], loc)
         score = _clamp_score(values[6], loc)
         detections.append(Detection(video_id, frame_id, box, score))
@@ -842,7 +905,7 @@ def emit_detections(
     Output order matches what :func:`parse_detections` produces, so
     emit/parse pairs are identity and re-emission is byte-identical.
     """
-    ordered = sorted(detections, key=lambda d: (d.video_id, d.frame_id, -d.score))
+    ordered = sorted(detections, key=_detection_order)
     if fmt == "coco_results":
         if image_id_of_frame is None:
             raise ParseError("coco_results emission needs an image-id index")

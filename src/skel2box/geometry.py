@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .errors import InvalidArgument
@@ -41,7 +42,7 @@ class SkeletonInstance:
         return tuple(zip(self.x_px, self.y_px, self.x3d_m, self.y3d_m, self.z3d_m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BBox:
     """Axis-aligned box: top-left corner (x, y) plus width and height, in pixels."""
 
@@ -67,7 +68,7 @@ class BBox:
         return self.w / self.h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedBox:
     """Synthesized ground truth for one pedestrian in one frame.
 
@@ -231,7 +232,5 @@ def _check_image_size(image_w: float, image_h: float) -> None:
         raise InvalidArgument(f"image dimensions must be positive, got {image_w}x{image_h}")
 
 
-def sort_key(annotation: AnnotatedBox) -> tuple[str, int, int]:
-    """Canonical dataset ordering used by all emitters."""
-    return (annotation.video_id, annotation.frame_id, annotation.pedestrian_id)
+sort_key = attrgetter("video_id", "frame_id", "pedestrian_id")  # Canonical, used by all emitters.
 

@@ -716,6 +716,36 @@ class TestEvaluate:
         report = json.loads(out.read_text())
         assert set(report) == {"ap_allpoint", "ap_101point", "n_gt", "n_det", "pr"}
 
+    @pytest.mark.parametrize("flags, dropped", [((), 3), (("--score-floor", "0.5"), 5)])
+    def test_summary_counts_detections_below_the_floor(self, tmp_path, capsys, flags, dropped):
+        gt_path, _ = self.make_pair(tmp_path)
+        det = tmp_path / "det.json"
+        # The floor is strict: a score equal to it is dropped too.
+        scores = [1.0, 0.5, 0.05000000000000001, 0.05, 0.01, 0.0]
+        det.write_text(json.dumps(
+            [{"image_id": 1, "bbox": [10, 20, 30, 40], "score": score} for score in scores]
+        ))
+        out = tmp_path / "report.json"
+        summary = summary_of(
+            capsys, "evaluate", "--gt", gt_path, "--det", det, "--out", out, *flags
+        )
+        assert (summary["n_det"], summary["n_floor_dropped"]) == (6, dropped)
+        report = json.loads(out.read_text())
+        assert set(report) == {"ap_allpoint", "ap_101point", "n_gt", "n_det", "pr"}
+
+    def test_mot_det_frame_without_ground_truth_names_file_and_line(self, tmp_path, capsys):
+        gt = coco_file(tmp_path, [annotation("v", 1, 1, 10, 20, 30, 40, 5.0)])
+        det = tmp_path / "det.txt"
+        det.write_text("1,-1,1,1,10,10,0.9\n7,-1,1,1,10,10,0.8\n")
+        out = tmp_path / "report.json"
+        code, stdout, err = run_cli(
+            capsys, "evaluate", "--gt", gt, "--det", det, "--det-format", "mot_det",
+            "--video-id", "v", "--out", out,
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {det}: detection on (v, 7) has no ground-truth frame (line 2)\n"
+        assert not out.exists()
+
     def test_mot_det_requires_video_id(self, tmp_path, capsys):
         gt_path, _ = self.make_pair(tmp_path)
         det = tmp_path / "det.txt"

@@ -1,7 +1,10 @@
+import copy
+import dataclasses
 import json
 import math
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -21,6 +24,7 @@ from skel2box import (
     IncompleteSkeleton,
     InvalidArgument,
     JoinError,
+    MatchOutcome,
     MixedVideos,
     ParseError,
     emit_coco,
@@ -1138,3 +1142,287 @@ class TestDetections:
         detections = [Detection("a", 1, BBox(0, 0, 1, 1), 0.5), Detection("b", 1, BBox(0, 0, 1, 1), 0.5)]
         with pytest.raises(MixedVideos):
             emit_detections(detections, "mot_det")
+
+    def test_mot_det_frame_outside_the_index_is_located(self):
+        text = "1,-1,1,1,10,10,0.9\n7,-1,1,1,10,10,0.8\n"
+        with pytest.raises(JoinError) as exc_info:
+            parse_detections(text, "mot_det", video_id="v", frame_of_image={1: ("v", 1)})
+        assert str(exc_info.value) == "detection on (v, 7) has no ground-truth frame (line 2)"
+        assert exc_info.value.location == "line 2"
+        # Without an index every frame is taken; evaluate() then checks the frames itself.
+        assert len(parse_detections(text, "mot_det", video_id="v")) == 2
+
+
+ABSENT = object()
+
+
+def with_key(record, key, value):
+    """``record`` with ``key`` set to ``value``, or without it for ``ABSENT``."""
+    record = dict(record)
+    if value is ABSENT:
+        del record[key]
+    else:
+        record[key] = value
+    return record
+
+
+# One annotation as emit_coco writes it, on image 1 of a one-image document.
+COCO_ANNOTATION = {
+    "id": 4, "image_id": 1, "category_id": 1, "bbox": [10, 20.5, 30, 40.25], "area": 1211.5,
+    "iscrowd": 0, "pedestrian_id": 7, "distance_m": 12.5,
+}
+# One coco_results record on image 1.
+COCO_RESULT = {"image_id": 1, "category_id": 1, "bbox": [10, 20.5, 30, 40.25], "score": 0.75}
+
+
+def bbox_cases(record):
+    return {
+        "int and float bbox values": (record, None),
+        "bool bbox value": (
+            with_key(record, "bbox", [10, True, 30, 40]),
+            "box field must be a finite number, got True",
+        ),
+        "NaN bbox value": (
+            with_key(record, "bbox", [10, 20, math.nan, 40]),
+            "box field must be a finite number, got nan",
+        ),
+        "1e309 spelled as an int": (
+            with_key(record, "bbox", [10, 10**309, 30, 40]),
+            f"box field must be a finite number, got {10**309}",
+        ),
+        "zero width": (
+            with_key(record, "bbox", [10, 20, 0, 40]),
+            "box width and height must be positive, got 0.0 and 40.0",
+        ),
+        "three bbox values": (
+            with_key(record, "bbox", [10, 20, 30]), "bbox must be [x, y, w, h], got [10, 20, 30]"
+        ),
+    }
+
+
+# A one-record variant and its outcome: None if it parses, else the message it fails with.
+COCO_ANNOTATION_CASES = {
+    **bbox_cases(COCO_ANNOTATION),
+    "image_id 1.0": (with_key(COCO_ANNOTATION, "image_id", 1.0), None),
+    "image_id true": (with_key(COCO_ANNOTATION, "image_id", True), None),
+    "image_id 1.5": (
+        with_key(COCO_ANNOTATION, "image_id", 1.5), "image_id must be an integer, got 1.5"
+    ),
+    "unknown image_id": (
+        with_key(COCO_ANNOTATION, "image_id", 2), "annotation references unknown image id 2"
+    ),
+    "pedestrian_id 1.0": (with_key(COCO_ANNOTATION, "pedestrian_id", 1.0), None),
+    "pedestrian_id true": (with_key(COCO_ANNOTATION, "pedestrian_id", True), None),
+    "pedestrian_id 1.5": (
+        with_key(COCO_ANNOTATION, "pedestrian_id", 1.5), "pedestrian_id must be an integer, got 1.5"
+    ),
+    "pedestrian_id null": (
+        with_key(COCO_ANNOTATION, "pedestrian_id", None),
+        "pedestrian_id must be an integer, got None",
+    ),
+    "no pedestrian_id, with id": (with_key(COCO_ANNOTATION, "pedestrian_id", ABSENT), None),
+    "no pedestrian_id, no id": (
+        with_key(with_key(COCO_ANNOTATION, "pedestrian_id", ABSENT), "id", ABSENT), None
+    ),
+    "no pedestrian_id, id 1.5": (
+        with_key(with_key(COCO_ANNOTATION, "pedestrian_id", ABSENT), "id", 1.5),
+        "pedestrian_id must be an integer, got 1.5",
+    ),
+    "distance_m absent": (with_key(COCO_ANNOTATION, "distance_m", ABSENT), None),
+    "distance_m as an int": (with_key(COCO_ANNOTATION, "distance_m", 12), None),
+    "distance_m null": (
+        with_key(COCO_ANNOTATION, "distance_m", None),
+        "distance_m must be a finite number, got None",
+    ),
+    "distance_m 0": (
+        with_key(COCO_ANNOTATION, "distance_m", 0), "distance must be finite and positive, got 0.0"
+    ),
+    "distance_m Infinity": (
+        with_key(COCO_ANNOTATION, "distance_m", math.inf),
+        "distance_m must be a finite number, got inf",
+    ),
+    "not an object": ([COCO_ANNOTATION], f"expected an object, got {[COCO_ANNOTATION]!r}"),
+}
+
+COCO_RESULT_CASES = {
+    **bbox_cases(COCO_RESULT),
+    "image_id 1.0": (with_key(COCO_RESULT, "image_id", 1.0), None),
+    "image_id true": (with_key(COCO_RESULT, "image_id", True), None),
+    "image_id 1.5": (
+        with_key(COCO_RESULT, "image_id", 1.5), "image_id must be an integer, got 1.5"
+    ),
+    "unknown image_id": (
+        with_key(COCO_RESULT, "image_id", 2), "detection references unknown image id 2"
+    ),
+    "category_id 1.0": (with_key(COCO_RESULT, "category_id", 1.0), None),
+    "category_id true": (with_key(COCO_RESULT, "category_id", True), None),
+    "category_id 1.5": (
+        with_key(COCO_RESULT, "category_id", 1.5), "category_id must be an integer, got 1.5"
+    ),
+    "no category_id": (with_key(COCO_RESULT, "category_id", ABSENT), None),
+    "category_id null": (
+        with_key(COCO_RESULT, "category_id", None), "category_id must be an integer, got None"
+    ),
+    "category_id 2 with a bad bbox": (
+        with_key(with_key(COCO_RESULT, "category_id", 2), "bbox", "x"), None
+    ),
+    "category_id 2 on an unknown image": (
+        with_key(with_key(COCO_RESULT, "category_id", 2), "image_id", 2),
+        "detection references unknown image id 2",
+    ),
+    "score 1 + 1e-10": (with_key(COCO_RESULT, "score", 1 + 1e-10), None),
+    "score -1e-10": (with_key(COCO_RESULT, "score", -1e-10), None),
+    "score -0.0": (with_key(COCO_RESULT, "score", -0.0), None),
+    "score as an int": (with_key(COCO_RESULT, "score", 1), None),
+    "score 1.1": (with_key(COCO_RESULT, "score", 1.1), "score 1.1 outside [0, 1]"),
+    "score -0.2": (with_key(COCO_RESULT, "score", -0.2), "score -0.2 outside [0, 1]"),
+    "score NaN": (
+        with_key(COCO_RESULT, "score", math.nan), "score must be a finite number, got nan"
+    ),
+    "score null": (with_key(COCO_RESULT, "score", None), "score must be a finite number, got None"),
+    "not an object": ("x", "expected an object, got 'x'"),
+}
+
+FRAME_OF = {1: ("v", 3)}
+
+
+def reference_annotation(ann, idx):
+    """One annotation the reader accepts, built record by record, independently of it."""
+    video, frame = FRAME_OF[int(ann["image_id"])]
+    x, y, w, h = map(float, ann["bbox"])
+    pedestrian_id = int(ann.get("pedestrian_id", ann.get("id", idx + 1)))
+    return AnnotatedBox(
+        video, frame, pedestrian_id, BBox(x, y, w, h), float(ann.get("distance_m", math.inf))
+    )
+
+
+def reference_detections(rec):
+    """The detections of one record the reader accepts, built independently of it."""
+    if int(rec.get("category_id", 1)) != 1:
+        return []
+    video, frame = FRAME_OF[int(rec["image_id"])]
+    x, y, w, h = map(float, rec["bbox"])
+    return [Detection(video, frame, BBox(x, y, w, h), min(max(float(rec["score"]), 0.0), 1.0))]
+
+
+def coco_document(annotations):
+    images = [{"id": 1, "file_name": "v/000003.jpg"}]
+    return json.dumps({"images": images, "annotations": annotations})
+
+
+class TestCocoRecordRules:
+    """Each COCO reader checks its records a column at a time, by one rule, and
+    words the first error record by record. The rule must take exactly the
+    records the wording passes, and build what the wording describes."""
+
+    @staticmethod
+    def outcome(rule, word, record):
+        """(what the rule gives, whether the wording of the record raises)."""
+        try:
+            word(record, 0, FRAME_OF)
+        except (ParseError, JoinError, InvalidArgument):
+            return rule([record], FRAME_OF), True
+        return rule([record], FRAME_OF), False
+
+    @pytest.mark.parametrize(
+        "record, message", COCO_ANNOTATION_CASES.values(), ids=COCO_ANNOTATION_CASES.keys()
+    )
+    def test_annotation_rule_and_wording_agree(self, record, message):
+        built, worded = self.outcome(formats._coco_annotations, formats._coco_annotation, record)
+        assert (built is None, worded) == (message is not None,) * 2
+        text = coco_document([record])
+        if message is None:
+            want = [reference_annotation(record, 0)]
+            # repr tells 1 from True and 1.0, which == does not.
+            assert repr(built) == repr(want)
+            assert repr(list(parse_coco_gt(text).annotations)) == repr(want)
+        else:
+            with pytest.raises((ParseError, JoinError, InvalidArgument)) as exc_info:
+                parse_coco_gt(text)
+            assert str(exc_info.value) == f"{message} (annotation 0)"
+            assert exc_info.value.location == "annotation 0"
+
+    @pytest.mark.parametrize(
+        "record, message", COCO_RESULT_CASES.values(), ids=COCO_RESULT_CASES.keys()
+    )
+    def test_detection_rule_and_wording_agree(self, record, message):
+        built, worded = self.outcome(formats._coco_detections, formats._coco_detection, record)
+        assert (built is None, worded) == (message is not None,) * 2
+        text = json.dumps([record])
+        if message is None:
+            want = reference_detections(record)
+            assert repr(built) == repr(want)
+            parsed = parse_detections(text, "coco_results", frame_of_image=FRAME_OF)
+            assert repr(parsed) == repr(want)
+        else:
+            with pytest.raises((ParseError, JoinError)) as exc_info:
+                parse_detections(text, "coco_results", frame_of_image=FRAME_OF)
+            assert str(exc_info.value) == f"{message} (record 0)"
+            assert exc_info.value.location == "record 0"
+
+    def test_first_error_is_in_record_order(self):
+        # Record 1's image id is checked before record 0's distance, in any column order.
+        annotations = [
+            with_key(COCO_ANNOTATION, "distance_m", 0),
+            with_key(COCO_ANNOTATION, "image_id", 2),
+        ]
+        with pytest.raises(InvalidArgument, match=r"\(annotation 0\)$"):
+            parse_coco_gt(coco_document(annotations))
+        records = [with_key(COCO_RESULT, "score", 2.0), with_key(COCO_RESULT, "image_id", 2)]
+        with pytest.raises(ParseError, match=r"^score 2.0 outside \[0, 1\] \(record 0\)$"):
+            parse_detections(json.dumps(records), "coco_results", frame_of_image=FRAME_OF)
+
+    def test_mixed_records_parse_as_each_alone(self):
+        variants = [r for r, message in COCO_ANNOTATION_CASES.values() if message is None]
+        want = sorted(
+            (reference_annotation(r, idx) for idx, r in enumerate(variants)),
+            key=lambda a: (a.video_id, a.frame_id, a.pedestrian_id),
+        )
+        assert repr(list(parse_coco_gt(coco_document(variants)).annotations)) == repr(want)
+        variants = [r for r, message in COCO_RESULT_CASES.values() if message is None]
+        want = [d for r in variants for d in reference_detections(r)]
+        want.sort(key=lambda d: -d.score)
+        parsed = parse_detections(json.dumps(variants), "coco_results", frame_of_image=FRAME_OF)
+        assert repr(parsed) == repr(want)
+
+
+SLOTTED_RECORDS = {
+    "BBox": (BBox(1.0, 2.5, 3.0, 4.0), "BBox(x=1.0, y=2.5, w=3.0, h=4.0)"),
+    "AnnotatedBox": (
+        AnnotatedBox("v", 3, 7, BBox(1.0, 2.5, 3.0, 4.0), 12.5),
+        "AnnotatedBox(video_id='v', frame_id=3, pedestrian_id=7, "
+        "box=BBox(x=1.0, y=2.5, w=3.0, h=4.0), distance_m=12.5)",
+    ),
+    "Detection": (
+        Detection("v", 3, BBox(1.0, 2.5, 3.0, 4.0), 0.75),
+        "Detection(video_id='v', frame_id=3, box=BBox(x=1.0, y=2.5, w=3.0, h=4.0), score=0.75)",
+    ),
+    "FrameRef": (FrameRef(9, "v", 3), "FrameRef(image_id=9, video_id='v', frame_id=3)"),
+    "MatchOutcome": (
+        MatchOutcome(2, 5, 0.625),
+        "MatchOutcome(detection_index=2, matched_gt=5, iou_at_match=0.625)",
+    ),
+}
+
+
+@pytest.mark.parametrize("value, text", SLOTTED_RECORDS.values(), ids=SLOTTED_RECORDS.keys())
+def test_slotted_record_types_behave_as_frozen_dataclasses(value, text):
+    cls = type(value)
+    names = [field.name for field in dataclasses.fields(cls)]
+    assert cls.__slots__ == tuple(names) and not hasattr(value, "__dict__")
+    twin = cls(*(getattr(value, name) for name in names))
+    assert twin == value and twin is not value and hash(twin) == hash(value)
+    assert repr(value) == text
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, names[0], 0)
+    # A name that is no field is refused too, with the TypeError of the frozen
+    # __setattr__ of a class that slots=True rebuilt (as for SkeletonInstance).
+    with pytest.raises(TypeError):
+        setattr(value, "other", 0)
+    changed = dataclasses.replace(value, **{names[-1]: None})
+    assert getattr(changed, names[-1]) is None and changed != value
+    assert dataclasses.replace(value) == value
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert (back, repr(back), type(back)) == (value, text, cls)
+    assert copy.deepcopy(value) == value and repr(copy.deepcopy(value)) == text
