@@ -2,10 +2,11 @@
 
 Subcommands: calibrate, synthesize, histogram, prune, distance-limit,
 convert, evaluate, plan-batches, plan-finetune. Every run prints a one-line
-JSON summary on stdout and writes output files atomically (temp file plus
-rename), so a failed run never leaves a partial file behind. Each handler
-imports the package modules it calls, so a run loads only those, and
-``--help`` none but ``errors``.
+JSON summary on stdout. A handler returns its summary and its outputs, each
+text not yet made, and ``run`` writes a command's files all together or not
+at all: a run that fails before its renames leaves no file and replaces
+none. Each handler imports the package modules it calls, so a run loads
+only those, and ``--help`` none but ``errors``.
 
 Exit codes: 0 success, 1 usage error, 2 data error (parse or validation
 failures, reported on stderr with file and record locations).
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import gc
 import json
 import os
@@ -22,6 +24,7 @@ import resource
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
@@ -39,6 +42,8 @@ DEFAULT_IMAGE_W = 1920.0
 DEFAULT_IMAGE_H = 1080.0
 
 _T = TypeVar("_T")
+# Summary key of each output -> (its path, or None when not asked for; the maker of its text)
+_Outputs = dict[str, tuple[Optional[str], Callable[[], str]]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,26 +125,39 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**values).validate()
 
 
-def _write_atomic(path: str, text: str) -> None:
-    target = Path(path)
-    if not text.endswith("\n"):
-        text += "\n"
+def _write_outputs(outputs: _Outputs) -> None:
+    """Write every output whose path is given, all or none. Each text is made
+    in turn and written to a temporary file beside its target, and no target
+    is replaced until all are written; a failure removes every temporary file.
+    A directory target is refused before anything is written. A file ends with
+    a newline, written apart so the text is never copied, and gets the mode a
+    plain ``open`` gives, not the 0o600 of mkstemp."""
+    given = [(path, make) for path, make in outputs.values() if path is not None]
+    if taken := [path for path, _ in given if os.path.isdir(path)]:
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), taken[0])
+    os.umask(umask := os.umask(0))  # Read the umask, and put it back.
+    temporaries: list[str] = []
     try:
-        fd, tmp_name = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=target.name + ".")
-        try:
+        for path, make in given:
+            target = Path(path)
+            fd, tmp_name = tempfile.mkstemp(dir=str(target.parent), prefix=target.name + ".")
+            temporaries.append(tmp_name)
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # The mode a plain open() gives, not the 0o600 of mkstemp.
-                umask = os.umask(0)
-                os.umask(umask)
                 os.chmod(tmp_name, 0o666 & ~umask)
+                text = make()
                 fh.write(text)
-            os.replace(tmp_name, str(target))
-        except BaseException:
+                if not text.endswith("\n"):
+                    fh.write("\n")
+                del text
+        for tmp_name, (path, _) in zip(temporaries, given):
+            os.replace(tmp_name, Path(path))
+    except BaseException as exc:
+        for tmp_name in temporaries:
             with suppress(OSError):
                 os.unlink(tmp_name)
-            raise
-    except OSError as exc:  # Named by the path as given, not by mkstemp's random name.
-        raise type(exc)(exc.errno, exc.strerror, path) from exc
+        if isinstance(exc, OSError):  # Named by the path as given, not by mkstemp's random name.
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
+        raise
 
 
 @contextmanager
@@ -167,20 +185,15 @@ def _parse_file(path: str, parse: Callable[..., _T], *args: Any, **kwargs: Any) 
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_calibrate(args: argparse.Namespace, config: PipelineConfig) -> dict:
+def _cmd_calibrate(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict, _Outputs]:
     from . import calibration
     samples = _parse_file(args.samples, calibration.load_calibration_samples)
     with _reading(args.samples):
         result = calibration.fit_alpha(samples)
-    if args.out:
-        _write_atomic(args.out, result.to_json())
-    return {
-        **dataclasses.asdict(result),
-        "out": args.out,
-    }
+    return dataclasses.asdict(result), {"out": (args.out, result.to_json)}
 
 
-def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> dict:
+def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict, _Outputs]:
     from . import formats, geometry
     if config.alpha is None:
         raise _UsageError("an alpha value is required (--alpha, --alpha-file, or config file)")
@@ -203,52 +216,42 @@ def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> dict:
             image_h=config.image_h,
             alpha_used=config.alpha,
         )
-    del skeletons  # The emitters read only the annotations.
-    _write_atomic(args.out_coco, formats.emit_coco(result.annotations, manifest))
-    if args.out_mot:
-        _write_atomic(args.out_mot, formats.emit_mot(result.annotations))
     return {
         "video_id": video_id,
         "alpha": config.alpha,
         "n_annotations": len(result.annotations),
         "n_skipped": result.skipped_count,
-        "out_coco": args.out_coco,
-        "out_mot": args.out_mot,
+    }, {
+        "out_coco": (args.out_coco, partial(formats.emit_coco, result.annotations, manifest)),
+        "out_mot": (args.out_mot, partial(formats.emit_mot, result.annotations)),
     }
 
 
-def _cmd_histogram(args: argparse.Namespace, config: PipelineConfig) -> dict:
+def _cmd_histogram(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict, _Outputs]:
     from . import formats, sanitize
     with _reading("--bin-width"):
         sanitize.check_bin_width(args.bin_width)
     gt = _parse_file(args.gt, formats.parse_coco_gt)
     with _reading(args.gt):
         hist = sanitize.distance_histogram(gt.annotations, bin_width_m=args.bin_width)
-    _write_atomic(args.out, hist.to_csv())
     return {
         "n_annotations": len(gt.annotations),
         "bin_width_m": args.bin_width,
         "n_bins": len(hist.counts),
-        "out": args.out,
-    }
+    }, {"out": (args.out, hist.to_csv)}
 
 
-def _cmd_prune(args: argparse.Namespace, config: PipelineConfig) -> dict:
+def _cmd_prune(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict, _Outputs]:
     from . import formats, sanitize
     gt = _parse_file(args.gt, formats.parse_coco_gt)
     with _reading(args.gt):
         kept, pruned = sanitize.prune_by_distance(gt.annotations, limit_m=config.distance_limit_m)
     manifest = dataclasses.replace(gt.manifest, distance_limit_m=config.distance_limit_m)
-    _write_atomic(args.out, formats.emit_coco(kept, manifest))
-    return {
-        "distance_limit_m": config.distance_limit_m,
-        "kept": len(kept),
-        "pruned": pruned,
-        "out": args.out,
-    }
+    summary = {"distance_limit_m": config.distance_limit_m, "kept": len(kept), "pruned": pruned}
+    return summary, {"out": (args.out, partial(formats.emit_coco, kept, manifest))}
 
 
-def _cmd_distance_limit(args: argparse.Namespace, config: PipelineConfig) -> dict:
+def _cmd_distance_limit(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict, _Outputs]:
     from . import formats, sanitize
     with _reading("--bin-width"):
         sanitize.check_bin_width(args.bin_width)
@@ -262,16 +265,11 @@ def _cmd_distance_limit(args: argparse.Namespace, config: PipelineConfig) -> dic
             bin_width_m=args.bin_width,
             min_bin_count=args.min_bin_count,
         )
-    if args.out:
-        _write_atomic(args.out, json.dumps({"distance_limit_m": limit}))
-    return {
-        "h_min_px": args.h_min,
-        "distance_limit_m": limit,
-        "out": args.out,
-    }
+    summary = {"h_min_px": args.h_min, "distance_limit_m": limit}
+    return summary, {"out": (args.out, partial(json.dumps, {"distance_limit_m": limit}))}
 
 
-def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> dict:
+def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict, _Outputs]:
     from . import formats
     skipped = 0
     if args.from_fmt == "coco":
@@ -296,22 +294,21 @@ def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> dict:
                     image_w=config.image_w,
                     image_h=config.image_h,
                 )
-        _write_atomic(args.out, formats.emit_coco(annotations, manifest))
+        text = partial(formats.emit_coco, annotations, manifest)
     else:
         videos = sorted({a.video_id for a in annotations})
         if len(videos) > 1:
             raise MixedVideos(f"{args.infile}: holds videos {videos}; pick one with --video-id")
-        _write_atomic(args.out, formats.emit_mot(annotations))
+        text = partial(formats.emit_mot, annotations)
     return {
         "from": args.from_fmt,
         "to": args.to_fmt,
         "n_annotations": len(annotations),
         "n_skipped": skipped,
-        "out": args.out,
-    }
+    }, {"out": (args.out, text)}
 
 
-def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> dict:
+def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict, _Outputs]:
     from . import evaluation, formats
     gt = _parse_file(args.gt, formats.parse_coco_gt)
     if args.det_format == "mot_det" and not args.video_id:
@@ -330,42 +327,33 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> dict:
         score_floor=config.score_floor,
         frames=[(ref.video_id, ref.frame_id) for ref in gt.images],
     )
-    if args.out:
-        _write_atomic(args.out, report.to_json())
     return {
         "ap_allpoint": report.ap_allpoint,
         "ap_101point": report.ap_101point,
         "n_gt": report.n_gt,
         "n_det": report.n_det,
         "n_floor_dropped": sum(not d.score > config.score_floor for d in detections),
-        "out": args.out,
-    }
+    }, {"out": (args.out, report.to_json)}
 
 
-def _cmd_plan_batches(args: argparse.Namespace, config: PipelineConfig) -> dict:
+def _cmd_plan_batches(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict, _Outputs]:
     from . import training_plan
     fields = dataclasses.fields(training_plan.MixConfig)
     mix = training_plan.MixConfig(**{field.name: getattr(args, field.name) for field in fields})
     plan = training_plan.plan_mixed_batches(mix)
-    _write_atomic(args.out, training_plan.serialize_plan(plan))
     return {
         "epochs": mix.epochs,
         "batches_per_epoch": len(plan.epochs[0]) if plan.epochs else 0,
         "batch_size": mix.batch_size,
         "ratio": list(mix.ratio),
-        "out": args.out,
-    }
+    }, {"out": (args.out, partial(training_plan.serialize_plan, plan))}
 
 
-def _cmd_plan_finetune(args: argparse.Namespace, config: PipelineConfig) -> dict:
+def _cmd_plan_finetune(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict, _Outputs]:
     from . import training_plan
     plan = training_plan.plan_finetune(args.phase1_epochs, args.phase2_epochs)
-    _write_atomic(args.out, training_plan.serialize_plan(plan))
-    return {
-        "phase1_epochs": plan.phase1_epochs,
-        "phase2_epochs": plan.phase2_epochs,
-        "out": args.out,
-    }
+    summary = {"phase1_epochs": plan.phase1_epochs, "phase2_epochs": plan.phase2_epochs}
+    return summary, {"out": (args.out, partial(training_plan.serialize_plan, plan))}
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +472,8 @@ def run(argv: Sequence[str]) -> int:
     try:
         args = _build_parser(argv).parse_args(argv)
         config = _resolve_config(args)
-        summary = args.handler(args, config)
+        summary, outputs = args.handler(args, config)
+        _write_outputs(outputs)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -497,7 +486,8 @@ def run(argv: Sequence[str]) -> int:
     # Also the largest child, such as a worker parsing a joint dump, all ended by now.
     scopes = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
     peak_rss_mb = round(max(resource.getrusage(s).ru_maxrss for s in scopes) / 1024, 1)
-    print(json.dumps({"command": args.command, **summary, "peak_rss_mb": peak_rss_mb}))
+    paths = {key: path for key, (path, _) in outputs.items()}
+    print(json.dumps({"command": args.command, **summary, **paths, "peak_rss_mb": peak_rss_mb}))
     return 0
 
 

@@ -133,9 +133,12 @@ def load_json(source: str, *, strict: bool = True) -> Any:
         if not strict:
             return None
         if type(exc) is ValueError:  # The digit limit, worded differently by each interpreter
-            limit = sys.get_int_max_str_digits()
-            raise ParseError(f"malformed JSON: an integer has more than {limit} digits") from exc
-        raise ParseError(f"malformed JSON: {exc}") from exc
+            problem = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+        elif isinstance(exc, RecursionError):  # Likewise, and apart for arrays and objects
+            problem = "maximum recursion depth exceeded by nested arrays or objects"
+        else:
+            problem = str(exc)
+        raise ParseError(f"malformed JSON: {problem}") from exc
 
 
 def _require_int(value: Any, what: str, location: str) -> int:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import resource
 import stat
 import subprocess
@@ -28,6 +29,7 @@ from skel2box import (
     plan_finetune,
     plan_mixed_batches,
 )
+from skel2box.errors import ParseError
 from test_formats import STREAM_CASES
 
 SAMPLES_CSV = "h_s_px,z_m,h_true_px\n50,10,60\n100,5,120\n80,20,85\n40,25,44\n"
@@ -261,6 +263,56 @@ class TestSynthesize:
         assert code == 2
         assert "frames are 1-based" in err and "(record 0)" in err
         assert not out.exists()
+
+
+class TestAllOrNothing:
+    """A command's files are written all together or not at all."""
+
+    def synthesize(self, monkeypatch, tmp_path, capsys, mot):
+        """Run synthesize in ``tmp_path`` onto a ``gt.json`` that holds earlier bytes."""
+        jta_file(tmp_path, [(1, 1, 10.0, 20.0, 30.0, 60.0, 10.0)])
+        (tmp_path / "gt.json").write_text("earlier")
+        (tmp_path / "taken").mkdir()
+        monkeypatch.chdir(tmp_path)
+        return run_cli(
+            capsys, "synthesize", "--jta", "clip.json", "--alpha", 100,
+            "--out-coco", "gt.json", "--out-mot", mot,
+        )
+
+    def assert_untouched(self, tmp_path):
+        assert (tmp_path / "gt.json").read_text() == "earlier"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["clip.json", "gt.json", "taken"]
+        assert list((tmp_path / "taken").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "mot, code", [("nodir/gt.txt", errno.ENOENT), ("taken", errno.EISDIR)],
+        ids=["missing directory", "existing directory"],
+    )
+    def test_failed_output_replaces_no_other(self, monkeypatch, tmp_path, capsys, mot, code):
+        result = self.synthesize(monkeypatch, tmp_path, capsys, mot)
+        assert result == (2, "", f"error: [Errno {code}] {os.strerror(code)}: {mot!r}\n")
+        self.assert_untouched(tmp_path)
+
+    def test_failed_text_removes_the_written_ones(self, monkeypatch, tmp_path, capsys):
+        # The COCO text is already in its temporary file when the MOT text fails.
+        def fail(annotations):
+            raise ParseError("no MOT text")
+
+        monkeypatch.setattr(formats, "emit_mot", fail)
+        result = self.synthesize(monkeypatch, tmp_path, capsys, "gt.txt")
+        assert result == (2, "", "error: no MOT text\n")
+        self.assert_untouched(tmp_path)
+
+    def test_output_not_asked_for_is_never_made(self, monkeypatch, tmp_path, capsys):
+        def fail(annotations):
+            raise AssertionError("the MOT text was made")
+
+        monkeypatch.setattr(formats, "emit_mot", fail)
+        jta = jta_file(tmp_path, [(1, 1, 10.0, 20.0, 30.0, 60.0, 10.0)])
+        out = tmp_path / "gt.json"
+        summary = summary_of(capsys, "synthesize", "--jta", jta, "--alpha", 100, "--out-coco", out)
+        assert summary["out_mot"] is None
+        assert parse_coco_gt(out.read_text()).annotations
 
 
 def golden_jta_records():
@@ -907,6 +959,22 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text", ["[" * 100000 + "]" * 100000, '{"a":' * 100000 + "1" + "}" * 100000],
+        ids=["arrays", "objects"],
+    )
+    def test_nesting_past_the_recursion_limit_is_worded_by_the_package(
+        self, tmp_path, capsys, text
+    ):
+        # The interpreter names the kind of value it was decoding; the package does not.
+        bad = tmp_path / "deep.json"
+        bad.write_text(text)
+        out = tmp_path / "o.json"
+        result = run_cli(capsys, *json_reader_argv(tmp_path, "coco_gt", bad, out))
+        problem = "maximum recursion depth exceeded by nested arrays or objects"
+        assert result == (2, "", f"error: {bad}: malformed JSON: {problem}\n")
+        assert not out.exists()
+
 
 class TestPlans:
     def test_plan_batches_matches_library(self, tmp_path, capsys):
@@ -996,6 +1064,27 @@ REMOVED = [(c, f) for c in COMMANDS for f in SETTING_FLAGS if (c, f) not in ACCE
 VALID_SETTING = {
     "--image-w": "1920", "--image-h": "1080", "--joints-per-skeleton": "22", "--alpha": "100",
     "--distance-limit": "40", "--score-floor": "0.05", "--iou-thr": "0.5",
+}
+# The summary line of each command_argv run without its peak_rss_mb; OUT stands
+# for the output path. cli.run puts the output keys after the handler's own.
+SUMMARY_LINES = {
+    "calibrate": '{"command": "calibrate", "alpha": 100.0, "n_samples": 4, "rmse_px": 0.0, '
+                 '"max_abs_residual_px": 0.0, "out": OUT}',
+    "synthesize": '{"command": "synthesize", "video_id": "clip", "alpha": 100.0, '
+                  '"n_annotations": 1, "n_skipped": 0, "out_coco": OUT, "out_mot": null}',
+    "histogram": '{"command": "histogram", "n_annotations": 1, "bin_width_m": 1.0, "n_bins": 6, '
+                 '"out": OUT}',
+    "prune": '{"command": "prune", "distance_limit_m": 40.0, "kept": 1, "pruned": 0, "out": OUT}',
+    "distance-limit": '{"command": "distance-limit", "h_min_px": 10.0, "distance_limit_m": 5.0, '
+                      '"out": OUT}',
+    "convert": '{"command": "convert", "from": "mot", "to": "coco", "n_annotations": 1, '
+               '"n_skipped": 0, "out": OUT}',
+    "evaluate": '{"command": "evaluate", "ap_allpoint": 1.0, "ap_101point": 1.0, "n_gt": 1, '
+                '"n_det": 1, "n_floor_dropped": 0, "out": OUT}',
+    "plan-batches": '{"command": "plan-batches", "epochs": 1, "batches_per_epoch": 3, '
+                    '"batch_size": 3, "ratio": [2, 1], "out": OUT}',
+    "plan-finetune": '{"command": "plan-finetune", "phase1_epochs": 1, "phase2_epochs": 1, '
+                     '"out": OUT}',
 }
 # PipelineConfig field -> (a subcommand that reads it, its flag)
 FIELDS = {
@@ -1224,6 +1313,15 @@ class TestInfrastructure:
         assert list(summary)[-1] == "peak_rss_mb"
         assert 0 < summary["peak_rss_mb"] <= round(after_mb, 1)
         assert b"peak_rss" not in out.read_bytes()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_summary_line_is_pinned(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *command_argv(tmp_path, command, out))
+        assert (code, err) == (0, "")
+        line, peak = stdout.rsplit(', "peak_rss_mb": ', 1)
+        assert re.fullmatch(r"[0-9]+\.[0-9]\}\n", peak)
+        assert line + "}" == SUMMARY_LINES[command].replace("OUT", json.dumps(str(out)))
 
     def test_peak_rss_counts_the_workers(self, tmp_path):
         # Each worker that parses pieces of the dump holds 64 MiB, more than
