@@ -129,12 +129,13 @@ def _write_outputs(outputs: _Outputs) -> None:
     """Write every output whose path is given, all or none. Each text is made
     in turn and written to a temporary file beside its target, and no target
     is replaced until all are written; a failure removes every temporary file.
-    A directory target is refused before anything is written. A file ends with
-    a newline, written apart so the text is never copied, and gets the mode a
-    plain ``open`` gives, not the 0o600 of mkstemp."""
+    A directory or empty target is refused before anything is written. A file
+    ends with a newline, written apart so the text is never copied, and gets
+    the mode a plain ``open`` gives, not the 0o600 of mkstemp."""
     given = [(path, make) for path, make in outputs.values() if path is not None]
-    if taken := [path for path, _ in given if os.path.isdir(path)]:
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), taken[0])
+    if taken := [path for path, _ in given if not path or os.path.isdir(path)]:
+        code = errno.EISDIR if taken[0] else errno.ENOENT  # As open("") refuses "".
+        raise OSError(code, os.strerror(code), taken[0])
     os.umask(umask := os.umask(0))  # Read the umask, and put it back.
     temporaries: list[str] = []
     try:
@@ -310,9 +311,9 @@ def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict
 
 def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict, _Outputs]:
     from . import evaluation, formats
-    gt = _parse_file(args.gt, formats.parse_coco_gt)
     if args.det_format == "mot_det" and not args.video_id:
         raise _UsageError("--video-id is required with --det-format mot_det")
+    gt = _parse_file(args.gt, formats.parse_coco_gt)
     detections = _parse_file(
         args.det,
         formats.parse_detections,

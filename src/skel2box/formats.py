@@ -35,6 +35,8 @@ PEDESTRIAN_CATEGORY_ID = 1
 
 # One JTA record: [frame, pedestrian, joint, x2d, y2d, x3d, y3d, z3d, occluded, self_occluded]
 _JTA_ARITY = 10
+_JTA_NAMES = ("frame", "pedestrian_id", "joint_id", *(f"field {i}" for i in range(3, 8)),
+              "occluded", "self_occluded")  # Each field's name in its errors.
 
 # Characters per block when parse_jta streams a dump.
 _JTA_BLOCK = 1 << 19
@@ -211,8 +213,8 @@ def _frame(value: Any, location: str) -> int:
 
 def _box(values: Any, location: str) -> BBox:
     """A box: an array ``[x, y, w, h]`` of finite numbers, with positive width and
-    height, by :func:`_float_column`, then :func:`_require_finite` only to name
-    the value that fails. :func:`_coco_boxes` checks the same rule by column."""
+    height, by :func:`_float_column`, then :func:`_require_finite` only to name the
+    value that fails. :func:`_coco_boxes` checks it by column; this words its refusals."""
     if not isinstance(values, list) or len(values) != 4:
         raise ParseError(f"bbox must be [x, y, w, h], got {values!r}", location=location)
     checked = _float_column(values)
@@ -262,6 +264,21 @@ def _coco_boxes(bboxes: list) -> Optional[list]:
     return [*map(BBox, *columns)]
 
 
+def _refuse(at: Optional[str], check: Callable[..., Any], *values: Any) -> None:
+    """None, a column rule's refusal; given ``at``, ``check(*values, at)`` words it."""
+    if at:
+        check(*values, at)
+
+
+def _raise_first(rule: Callable[..., Any], records: list, where: str, *args: Any) -> None:
+    """Raise the error of the first of ``records`` that ``rule`` refuses, at ``{where} N``:
+    the rule runs on runs of 1,000 records, then at each record of the first it refuses."""
+    for start in range(0, len(records), 1000):
+        if rule(run := records[start : start + 1000], *args) is None:
+            for idx, record in enumerate(run, start):
+                rule([record], *args, at=f"{where} {idx}")
+
+
 def _image_size(value: Any, what: str, location: str) -> float:
     """An image width or height: finite and at least 0, where 0 means unknown."""
     size = _require_finite(value, what, location)
@@ -274,40 +291,32 @@ def _image_size(value: Any, what: str, location: str) -> float:
 # JTA skeleton dumps
 # ---------------------------------------------------------------------------
 
-def _jta_fields(rec: Any, idx: int) -> None:
-    """Check one JTA record field by field: the words of the error of a record
-    that :func:`_jta_rows` refuses."""
-    loc = f"record {idx}"
-    if not isinstance(rec, list) or len(rec) != _JTA_ARITY:
-        raise ParseError(f"expected an array of {_JTA_ARITY} fields, got {rec!r}", location=loc)
-    _frame(rec[0], loc)
-    pedestrian_id = _require_int(rec[1], "pedestrian_id", loc)
-    joint_id = _require_int(rec[2], "joint_id", loc)
-    if pedestrian_id < 0 or joint_id < 0:
-        raise ParseError("pedestrian and joint ids must be non-negative", location=loc)
-    for i in range(3, 8):
-        _require_finite(rec[i], f"field {i}", loc)
-    occluded = _require_int(rec[8], "occluded", loc)
-    self_occluded = _require_int(rec[9], "self_occluded", loc)
-    if occluded not in (0, 1) or self_occluded not in (0, 1):
-        raise ParseError("occlusion flags must be 0 or 1", location=loc)
-
-
-def _jta_rows(records: Any) -> Optional[list]:
-    """``records``, ids and flags as ints and coordinates as floats, or None if one
-    breaks the record rule that :func:`_jta_fields` words; checked by column."""
-    if type(records) is not list or {*map(type, records)} - {list}:
+def _jta_rows(records: Any, at: Optional[str] = None) -> Optional[list]:
+    """``records``, ids and flags as ints and coordinates as floats, or None if one breaks
+    the JTA record rule, checked by column in field order; given ``at``, raises instead."""
+    if type(records) is not list:
         return None
-    if {*map(len, records)} - {_JTA_ARITY}:
+    if {*map(type, records)} - {list} or {*map(len, records)} - {_JTA_ARITY}:
+        if at:
+            raise ParseError(f"expected an array of {_JTA_ARITY} fields, got {records[0]!r}", at)
         return None
     columns = [*zip(*records)]
     for i, column in enumerate(columns):
         coordinate = 3 <= i < 8  # A float; an id or flag is an int.
         columns[i] = column = (_float_column if coordinate else _int_column)(column)
-        if column is None:
+        if column is None or i == 0 and min(column) < 1:  # Frames start at 1.
+            if i == 0:
+                return _refuse(at, _frame, records[0][0])
+            check = _require_finite if coordinate else _require_int
+            return _refuse(at, check, records[0][i], _JTA_NAMES[i])
+        # Pedestrian and joint ids start at 0, and flags are 0 or 1, once both are integers.
+        if i == 2 and min(min(columns[1]), min(column)) < 0:
+            if at:
+                raise ParseError("pedestrian and joint ids must be non-negative", location=at)
             return None
-        # Frames start at 1, pedestrian and joint ids at 0, and flags are 0 or 1.
-        if not coordinate and (min(column) < (1 if i == 0 else 0) or i > 7 and max(column) > 1):
+        if i == 9 and any(min(flags) < 0 or max(flags) > 1 for flags in columns[8:]):
+            if at:
+                raise ParseError("occlusion flags must be 0 or 1", location=at)
             return None
     # A respelled column is a list, and one left as it was a tuple.
     return [*zip(*columns)] if list in map(type, columns) else records
@@ -466,8 +475,8 @@ def parse_jta(
     usable core if the dump is large, so the whole record array never
     exists (README, Joint dumps). Each piece's records pass one rule,
     :func:`_jta_rows`. A dump that breaks it, or whose groups do not join, is
-    read again whole only to raise its first error, worded by
-    :func:`_jta_fields` and the group checks as if there were no stream.
+    read again whole only to raise its first error as if there were no stream:
+    the rule words its first bad record, else the group checks its first bad group.
 
     Raises:
         ParseError: malformed JSON, wrong record arity, or bad field values,
@@ -496,9 +505,8 @@ def parse_jta(
     records = load_json(source)
     if not isinstance(records, list):
         raise ParseError("expected a top-level JSON array of joint records")
-    groups = _jta_groups(records, joint_ids)
-    for idx, rec in enumerate(records if groups is None else ()):
-        _jta_fields(rec, idx)
+    if (groups := _jta_groups(records, joint_ids)) is None:
+        _raise_first(_jta_rows, records, "record")
     key, rows = min((key, group) for key, group in groups if type(group) is list)
     problem = f"expected {joints_per_skeleton} joints, got {len(rows)}"
     if len(rows) == joints_per_skeleton:
@@ -641,39 +649,37 @@ def _manifest_videos(videos: Any, images: Sequence[FrameRef]) -> tuple[tuple[str
     return tuple(counts.items())
 
 
-def _coco_annotation(ann: Any, idx: int, frame_of: Mapping[int, tuple[str, int]]) -> None:
-    """Word the first error of an annotation that :func:`_coco_annotations` refuses."""
-    loc = f"annotation {idx}"
-    if not isinstance(ann, dict):
-        raise ParseError(f"expected an object, got {ann!r}", location=loc)
-    image_id = _require_int(ann.get("image_id"), "image_id", loc)
-    if image_id not in frame_of:
-        raise JoinError(f"annotation references unknown image id {image_id}", location=loc)
-    _box(ann.get("bbox"), loc)
-    _require_int(ann.get("pedestrian_id", ann.get("id", idx + 1)), "pedestrian_id", loc)
-    if "distance_m" in ann:
-        check_distance(_require_finite(ann["distance_m"], "distance_m", loc), loc)
-
-
-def _coco_annotations(anns: list, frame_of: Mapping[int, tuple[str, int]]) -> Optional[list]:
-    """``anns`` as AnnotatedBoxes, or None if one breaks the rule :func:`_coco_annotation` words."""
+def _coco_annotations(
+    anns: list, frame_of: Mapping[int, tuple[str, int]], at: Optional[str] = None
+) -> Optional[list]:
+    """``anns`` as AnnotatedBoxes, or None if one breaks the COCO annotation rule,
+    checked by column in field order; given ``at``, raises instead."""
     if not anns or {*map(type, anns)} - {dict}:
+        if anns and at:
+            raise ParseError(f"expected an object, got {anns[0]!r}", location=at)
         return None if anns else []
     image_ids = _int_column([*map(dict.get, anns, repeat("image_id"))])
     if image_ids is None or not frame_of.keys() >= {*image_ids}:
+        if at:
+            image_id = _require_int(anns[0].get("image_id"), "image_id", at)
+            raise JoinError(f"annotation references unknown image id {image_id}", location=at)
         return None
-    boxes = _coco_boxes([*map(dict.get, anns, repeat("bbox"))])
+    if (boxes := _coco_boxes([*map(dict.get, anns, repeat("bbox"))])) is None:
+        return _refuse(at, _box, anns[0].get("bbox"))
     pedestrian_ids = [*map(dict.get, anns, repeat("pedestrian_id"))]
     if None in pedestrian_ids:  # Absent, it is the annotation id, else the 1-based index.
         pedestrian_ids = [a.get("pedestrian_id", a.get("id", i)) for i, a in enumerate(anns, 1)]
-    pedestrian_ids = _int_column(pedestrian_ids)
+    if (ids := _int_column(pedestrian_ids)) is None:
+        return _refuse(at, _require_int, pedestrian_ids[0], "pedestrian_id")
     distances = _float_column([ann["distance_m"] for ann in anns if "distance_m" in ann])
-    if None in (boxes, pedestrian_ids, distances) or distances and min(distances) <= 0:
+    if distances is None or distances and min(distances) <= 0:
+        if at:
+            check_distance(_require_finite(anns[0]["distance_m"], "distance_m", at), at)
         return None
     if len(distances) < len(anns):  # An absent distance is unknown: infinite.
         distances = [*map(float, map(dict.get, anns, repeat("distance_m"), repeat(math.inf)))]
     videos, frames = zip(*map(frame_of.__getitem__, image_ids))
-    return [*map(AnnotatedBox, videos, frames, pedestrian_ids, boxes, distances)]
+    return [*map(AnnotatedBox, videos, frames, ids, boxes, distances)]
 
 
 def parse_coco_gt(source: str) -> CocoGroundTruth:
@@ -714,9 +720,8 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
         frame_of[image_id] = (video_id, frame_id)
         images.append(FrameRef(image_id=image_id, video_id=video_id, frame_id=frame_id))
 
-    annotations = _coco_annotations(doc["annotations"], frame_of)
-    for idx, ann in enumerate(doc["annotations"] if annotations is None else ()):
-        _coco_annotation(ann, idx, frame_of)
+    if (annotations := _coco_annotations(doc["annotations"], frame_of)) is None:
+        _raise_first(_coco_annotations, doc["annotations"], "annotation", frame_of)
     annotations.sort(key=sort_key)
 
     info = doc.get("info")
@@ -829,9 +834,8 @@ def parse_detections(
         records = load_json(source)
         if not isinstance(records, list):
             raise ParseError("expected a top-level JSON array of detection records")
-        detections = _coco_detections(records, frame_of_image)
-        for idx, rec in enumerate(records if detections is None else ()):
-            _coco_detection(rec, idx, frame_of_image)
+        if (detections := _coco_detections(records, frame_of_image)) is None:
+            _raise_first(_coco_detections, records, "record", frame_of_image)
         del records  # Freed before the sort, whose keys would add to its peak.
     elif fmt == "mot_det":
         if video_id is None:
@@ -844,41 +848,35 @@ def parse_detections(
     return detections
 
 
-def _coco_detection(rec: Any, idx: int, frame_of: Mapping[int, tuple[str, int]]) -> None:
-    """Word the first error of a record that :func:`_coco_detections` refuses."""
-    loc = f"record {idx}"
-    if not isinstance(rec, dict):
-        raise ParseError(f"expected an object, got {rec!r}", location=loc)
-    image_id = _require_int(rec.get("image_id"), "image_id", loc)
-    if image_id not in frame_of:
-        raise JoinError(f"detection references unknown image id {image_id}", location=loc)
-    category = _require_int(rec.get("category_id", PEDESTRIAN_CATEGORY_ID), "category_id", loc)
-    if category == PEDESTRIAN_CATEGORY_ID:
-        _box(rec.get("bbox"), loc)
-        _clamp_score(rec.get("score"), loc)
-
-
-def _coco_detections(records: list, frame_of: Mapping[int, tuple[str, int]]) -> Optional[list]:
-    """The pedestrians of ``records``, or None if one breaks what :func:`_coco_detection` words."""
+def _coco_detections(
+    records: list, frame_of: Mapping[int, tuple[str, int]], at: Optional[str] = None
+) -> Optional[list]:
+    """The pedestrians of ``records``, or None if one breaks the ``coco_results`` record
+    rule, checked by column in field order; given ``at``, raises instead."""
     if {*map(type, records)} - {dict}:
+        if at:
+            raise ParseError(f"expected an object, got {records[0]!r}", location=at)
         return None
     image_ids = _int_column([*map(dict.get, records, repeat("image_id"))])
-    categories = [*map(dict.get, records, repeat("category_id"), repeat(PEDESTRIAN_CATEGORY_ID))]
-    categories = _int_column(categories)
-    if None in (image_ids, categories) or not frame_of.keys() >= {*image_ids}:
+    if image_ids is None or not frame_of.keys() >= {*image_ids}:
+        if at:
+            image_id = _require_int(records[0].get("image_id"), "image_id", at)
+            raise JoinError(f"detection references unknown image id {image_id}", location=at)
         return None
-    if {*categories} != {PEDESTRIAN_CATEGORY_ID}:  # Other categories go unchecked, then dropped.
-        keep = [*map(PEDESTRIAN_CATEGORY_ID.__eq__, categories)]
+    categories = [*map(dict.get, records, repeat("category_id"), repeat(PEDESTRIAN_CATEGORY_ID))]
+    if (checked := _int_column(categories)) is None:
+        return _refuse(at, _require_int, categories[0], "category_id")
+    if {*checked} != {PEDESTRIAN_CATEGORY_ID}:  # Other categories go unchecked, then dropped.
+        keep = [*map(PEDESTRIAN_CATEGORY_ID.__eq__, checked)]
         records, image_ids = [*compress(records, keep)], [*compress(image_ids, keep)]
         if not records:
             return []
-    boxes = _coco_boxes([*map(dict.get, records, repeat("bbox"))])
-    scores = _float_column([*map(dict.get, records, repeat("score"))])
-    if boxes is None or scores is None:
-        return None
-    low, high = min(scores), max(scores)
-    if low < -_SCORE_SLACK or high > 1.0 + _SCORE_SLACK:
-        return None
+    if (boxes := _coco_boxes([*map(dict.get, records, repeat("bbox"))])) is None:
+        return _refuse(at, _box, records[0].get("bbox"))
+    if (scores := _float_column([*map(dict.get, records, repeat("score"))])) is not None:
+        low, high = min(scores), max(scores)
+    if scores is None or low < -_SCORE_SLACK or high > 1.0 + _SCORE_SLACK:
+        return _refuse(at, _clamp_score, records[0].get("score"))
     if low < 0 or high > 1:  # Within the slack of [0, 1]: clamped as _clamp_score clamps.
         scores = [*map(min, map(max, scores, repeat(0.0)), repeat(1.0))]
     videos, frames = zip(*map(frame_of.__getitem__, image_ids))

@@ -285,8 +285,8 @@ class TestAllOrNothing:
         assert list((tmp_path / "taken").iterdir()) == []
 
     @pytest.mark.parametrize(
-        "mot, code", [("nodir/gt.txt", errno.ENOENT), ("taken", errno.EISDIR)],
-        ids=["missing directory", "existing directory"],
+        "mot, code", [("nodir/gt.txt", errno.ENOENT), ("taken", errno.EISDIR), ("", errno.ENOENT)],
+        ids=["missing directory", "existing directory", "empty path"],
     )
     def test_failed_output_replaces_no_other(self, monkeypatch, tmp_path, capsys, mot, code):
         result = self.synthesize(monkeypatch, tmp_path, capsys, mot)
@@ -798,6 +798,14 @@ class TestEvaluate:
         assert err == f"error: {det}: detection on (v, 7) has no ground-truth frame (line 2)\n"
         assert not out.exists()
 
+    def test_mot_det_without_video_id_is_a_usage_error_before_any_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, stdout, err = run_cli(
+            capsys, "evaluate", "--gt", missing, "--det", missing, "--det-format", "mot_det"
+        )
+        assert (code, stdout) == (1, "")
+        assert err == "usage error: --video-id is required with --det-format mot_det\n"
+
     def test_mot_det_requires_video_id(self, tmp_path, capsys):
         gt_path, _ = self.make_pair(tmp_path)
         det = tmp_path / "det.txt"
@@ -1293,6 +1301,16 @@ class TestInfrastructure:
         assert result == (2, "", f"error: [Errno {code}] {os.strerror(code)}: {out!r}\n")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["clip.json", "isdir.json"]
         assert list((tmp_path / "isdir.json").iterdir()) == []
+
+    def test_empty_out_path_is_refused_before_anything_is_written(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        result = run_cli(
+            capsys, "plan-finetune", "--phase1-epochs", 1, "--phase2-epochs", 1, "--out", ""
+        )
+        assert result == (2, "", f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_naming_a_directory_leaves_no_temporary_file(self, tmp_path, capsys):
         target = tmp_path / "taken"

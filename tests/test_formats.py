@@ -51,9 +51,11 @@ def jta_records(frame, ped, n_joints=22, base=(100.0, 200.0), z=10.0):
 JTA_RECORD = [1, 1, 2, 102.0, 204.0, 0.0, 0.0, 10.0, 0, 0]
 
 
-def with_field(field, value):
+def with_field(field, value, *more):
+    """JTA_RECORD with ``field`` set to ``value``, and each further (field, value) pair."""
     record = list(JTA_RECORD)
-    record[field] = value
+    for field, value in [(field, value), *zip(more[::2], more[1::2])]:
+        record[field] = value
     return record
 
 
@@ -92,6 +94,19 @@ JTA_RECORD_CASES = {
         "expected an array of 10 fields, got [1, 1, 2, 102.0, 204.0, 0.0, 0.0, 10.0, 0, 0, 0]",
     ),
     "not a list": ({"frame": 1}, "expected an array of 10 fields, got {'frame': 1}"),
+    # Two bad fields: the error is the first check's in field order.
+    "negative pedestrian, joint 1.5": (
+        with_field(1, -1, 2, 1.5), "joint_id must be an integer, got 1.5"
+    ),
+    "frame 0, pedestrian 'x'": (
+        with_field(0, 0, 1, "x"), "frame must be at least 1 (frames are 1-based), got 0"
+    ),
+    "flag 2, NaN coordinate": (
+        with_field(9, 2, 3, math.nan), "field 3 must be a finite number, got nan"
+    ),
+    "occluded 2, self_occluded 1.5": (
+        with_field(8, 2, 9, 1.5), "self_occluded must be an integer, got 1.5"
+    ),
 }
 
 
@@ -204,6 +219,15 @@ class TestParseJta:
                 parse_jta(json.dumps(rows), "v")
             assert str(exc_info.value) == f"{outcome} (record 2)"
             assert exc_info.value.location == "record 2"
+
+    def test_first_bad_record_is_in_record_order(self):
+        rows = jta_records(1, 1)
+        rows[7][0] = 0
+        rows[5][3] = math.nan
+        with pytest.raises(ParseError) as exc_info:
+            parse_jta(json.dumps(rows), "v")
+        assert str(exc_info.value) == "field 3 must be a finite number, got nan (record 5)"
+        assert exc_info.value.location == "record 5"
 
     @pytest.mark.parametrize("frame", [0, 0.0, False])
     def test_frame_zero_rejected(self, frame):
@@ -1242,6 +1266,19 @@ COCO_ANNOTATION_CASES = {
         "distance_m must be a finite number, got inf",
     ),
     "not an object": ([COCO_ANNOTATION], f"expected an object, got {[COCO_ANNOTATION]!r}"),
+    # Two bad keys: the error is the first check's, image, bbox, pedestrian_id, distance_m.
+    "unknown image_id, bad bbox": (
+        with_key(with_key(COCO_ANNOTATION, "image_id", 2), "bbox", "x"),
+        "annotation references unknown image id 2",
+    ),
+    "bad bbox, pedestrian_id 1.5": (
+        with_key(with_key(COCO_ANNOTATION, "bbox", "x"), "pedestrian_id", 1.5),
+        "bbox must be [x, y, w, h], got 'x'",
+    ),
+    "pedestrian_id 1.5, distance_m 0": (
+        with_key(with_key(COCO_ANNOTATION, "pedestrian_id", 1.5), "distance_m", 0),
+        "pedestrian_id must be an integer, got 1.5",
+    ),
 }
 
 COCO_RESULT_CASES = {
@@ -1281,6 +1318,15 @@ COCO_RESULT_CASES = {
     ),
     "score null": (with_key(COCO_RESULT, "score", None), "score must be a finite number, got None"),
     "not an object": ("x", "expected an object, got 'x'"),
+    # Two bad keys: the error is the first check's, image, category, bbox, score.
+    "category_id 1.5, bad bbox": (
+        with_key(with_key(COCO_RESULT, "category_id", 1.5), "bbox", "x"),
+        "category_id must be an integer, got 1.5",
+    ),
+    "bad bbox, score 2": (
+        with_key(with_key(COCO_RESULT, "bbox", "x"), "score", 2.0),
+        "bbox must be [x, y, w, h], got 'x'",
+    ),
 }
 
 FRAME_OF = {1: ("v", 3)}
@@ -1311,15 +1357,16 @@ def coco_document(annotations):
 
 
 class TestCocoRecordRules:
-    """Each COCO reader checks its records a column at a time, by one rule, and
-    words the first error record by record. The rule must take exactly the
-    records the wording passes, and build what the wording describes."""
+    """Each COCO reader checks its records a column at a time, by one rule, which
+    given a location also words the error of a record that it refuses. Without
+    the location the rule must refuse exactly the records that it words, and
+    build what the per-record reference in this test builds."""
 
     @staticmethod
-    def outcome(rule, word, record):
-        """(what the rule gives, whether the wording of the record raises)."""
+    def outcome(rule, record):
+        """(what the rule gives, whether the rule given a location raises)."""
         try:
-            word(record, 0, FRAME_OF)
+            rule([record], FRAME_OF, at="record 0")
         except (ParseError, JoinError, InvalidArgument):
             return rule([record], FRAME_OF), True
         return rule([record], FRAME_OF), False
@@ -1328,7 +1375,7 @@ class TestCocoRecordRules:
         "record, message", COCO_ANNOTATION_CASES.values(), ids=COCO_ANNOTATION_CASES.keys()
     )
     def test_annotation_rule_and_wording_agree(self, record, message):
-        built, worded = self.outcome(formats._coco_annotations, formats._coco_annotation, record)
+        built, worded = self.outcome(formats._coco_annotations, record)
         assert (built is None, worded) == (message is not None,) * 2
         text = coco_document([record])
         if message is None:
@@ -1346,7 +1393,7 @@ class TestCocoRecordRules:
         "record, message", COCO_RESULT_CASES.values(), ids=COCO_RESULT_CASES.keys()
     )
     def test_detection_rule_and_wording_agree(self, record, message):
-        built, worded = self.outcome(formats._coco_detections, formats._coco_detection, record)
+        built, worded = self.outcome(formats._coco_detections, record)
         assert (built is None, worded) == (message is not None,) * 2
         text = json.dumps([record])
         if message is None:
@@ -1384,6 +1431,43 @@ class TestCocoRecordRules:
         want.sort(key=lambda d: -d.score)
         parsed = parse_detections(json.dumps(variants), "coco_results", frame_of_image=FRAME_OF)
         assert repr(parsed) == repr(want)
+
+
+# Per reader: a good record, a bad one, the bad one's error, and how a record is located.
+RUN_CASES = {
+    "parse_jta": (
+        JTA_RECORD, with_field(3, None), "field 3 must be a finite number, got None", "record"
+    ),
+    "parse_coco_gt": (
+        COCO_ANNOTATION, with_key(COCO_ANNOTATION, "bbox", [1, 2, 3]),
+        "bbox must be [x, y, w, h], got [1, 2, 3]", "annotation",
+    ),
+    "parse_detections": (
+        COCO_RESULT, with_key(COCO_RESULT, "score", 2.0), "score 2.0 outside [0, 1]", "record"
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [999, 1000, 1001, 2499])
+@pytest.mark.parametrize("reader", RUN_CASES)
+def test_first_bad_record_is_located_across_runs(reader, bad):
+    # A reader whose rule refuses a document runs the rule on runs of 1,000
+    # records, then on each record of the first run it refuses. The last
+    # record is bad too, so a later run that is refused must not matter.
+    good, wrong, message, where = RUN_CASES[reader]
+    records = [good] * 2500
+    records[bad] = records[-1] = wrong
+    parse = {
+        "parse_jta": lambda: parse_jta(json.dumps(records), "v"),
+        "parse_coco_gt": lambda: parse_coco_gt(coco_document(records)),
+        "parse_detections": lambda: parse_detections(
+            json.dumps(records), "coco_results", frame_of_image=FRAME_OF
+        ),
+    }[reader]
+    with pytest.raises(ParseError) as exc_info:
+        parse()
+    assert str(exc_info.value) == f"{message} ({where} {bad})"
+    assert exc_info.value.location == f"{where} {bad}"
 
 
 SLOTTED_RECORDS = {
