@@ -140,11 +140,12 @@ def load_calibration_samples(source: str) -> list[CalibrationSample]:
     """Read samples from CSV with header ``h_s_px,z_m,h_true_px``.
 
     The file is read by :func:`formats.csv_rows`: blank lines are skipped,
-    and line numbers in errors are 1-based and count the header line.
+    line numbers in errors are 1-based and count the header line, and a line
+    that does not parse is the error before any sample's values are checked.
     """
     samples = []
-    for loc, values in csv_rows(source, 3, 3, header=SAMPLE_CSV_HEADER):
+    for line_no, values in zip(*csv_rows(source, 3, 3, header=SAMPLE_CSV_HEADER)):
         sample = CalibrationSample(*values)
-        _check_sample(sample, location=loc)
+        _check_sample(sample, location=f"line {line_no}")
         samples.append(sample)
     return samples

@@ -129,13 +129,17 @@ def _write_outputs(outputs: _Outputs) -> None:
     """Write every output whose path is given, all or none. Each text is made
     in turn and written to a temporary file beside its target, and no target
     is replaced until all are written; a failure removes every temporary file.
-    A directory or empty target is refused before anything is written. A file
-    ends with a newline, written apart so the text is never copied, and gets
-    the mode a plain ``open`` gives, not the 0o600 of mkstemp."""
+    Before anything is written, a target that is empty, a directory or ends in
+    a separator is refused as ``open`` refuses it, and two on one file as a
+    usage error. A file ends with a newline, written apart so the text is never
+    copied, and gets the mode a plain ``open`` gives, not the 0o600 of mkstemp."""
     given = [(path, make) for path, make in outputs.values() if path is not None]
-    if taken := [path for path, _ in given if not path or os.path.isdir(path)]:
+    if taken := [p for p, _ in given if not p or p.endswith(os.sep) or os.path.isdir(p)]:
         code = errno.EISDIR if taken[0] else errno.ENOENT  # As open("") refuses "".
         raise OSError(code, os.strerror(code), taken[0])
+    files = [os.path.realpath(path) for path, _ in given]
+    if twice := [path for (path, _), file in zip(given, files) if files.count(file) > 1]:
+        raise _UsageError(f"two outputs are one file: {twice[0]!r} and {twice[1]!r}")
     os.umask(umask := os.umask(0))  # Read the umask, and put it back.
     temporaries: list[str] = []
     try:

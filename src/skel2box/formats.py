@@ -27,7 +27,7 @@ from itertools import compress, cycle, repeat
 from operator import attrgetter, itemgetter, mod
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
-from . import DEFAULT_JOINTS_PER_SKELETON, is_finite_number
+from . import DEFAULT_JOINTS_PER_SKELETON
 from .errors import IncompleteSkeleton, JoinError, MixedVideos, ParseError
 from .geometry import AnnotatedBox, BBox, SkeletonInstance, check_distance, sort_key
 
@@ -143,20 +143,8 @@ def load_json(source: str, *, strict: bool = True) -> Any:
         raise ParseError(f"malformed JSON: {problem}") from exc
 
 
-def _require_int(value: Any, what: str, location: str) -> int:
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ParseError(f"{what} must be an integer, got {value!r}", location=location)
-
-
 def _require_finite(value: Any, what: str, location: str) -> float:
-    if not is_finite_number(value):
-        raise ParseError(f"{what} must be a finite number, got {value!r}", location=location)
-    return float(value)
+    return _floats([value], what, location)[0]
 
 
 def _require_str(value: Any, what: str, location: str) -> str:
@@ -165,11 +153,11 @@ def _require_str(value: Any, what: str, location: str) -> str:
     return value
 
 
-def csv_rows(source: str, fewest: int, most: int, header: Sequence[str] = ()) -> Iterator[tuple]:
-    """``(location, values)`` of each line of ``source`` that is not blank:
-    ``fewest`` to ``most`` comma-separated numbers, none quoted. Lines split
-    as :meth:`str.splitlines` splits and are located as ``line N``, 1-based.
-    A given ``header`` must be the first line, which is not yielded.
+def csv_rows(source: str, fewest: int, most: int, header: Sequence[str] = ()) -> tuple[list, list]:
+    """The line numbers and values of each line of ``source`` that is not blank:
+    ``fewest`` to ``most`` comma-separated numbers, none quoted, all read before
+    a reader checks one. Lines split as :meth:`str.splitlines` splits and are
+    located as ``line N``, 1-based. A given ``header`` must be the first line.
     """
     arity = str(fewest) if fewest == most else f"{fewest}-{most}"
     lines = enumerate(source.splitlines(), start=1)
@@ -180,19 +168,19 @@ def csv_rows(source: str, fewest: int, most: int, header: Sequence[str] = ()) ->
             raise ParseError(f"empty file, expected header {expected}")
         if tuple(field.strip() for field in first.split(",")) != tuple(header):
             raise ParseError(f"bad header {first!r}, expected {expected}", location="line 1")
+    numbers, rows = [], []
     for line_no, line in lines:
-        line = line.strip()
-        if not line:
+        if not (line := line.strip()):
             continue
-        loc = f"line {line_no}"
         fields = line.split(",")
         if not fewest <= len(fields) <= most:
-            raise ParseError(f"expected {arity} fields, got {len(fields)}", location=loc)
+            raise ParseError(f"expected {arity} fields, got {len(fields)}", f"line {line_no}")
         try:
-            values = [float(f) for f in fields]
+            rows.append([*map(float, fields)])
         except ValueError as exc:
-            raise ParseError(f"non-numeric field: {exc}", location=loc) from exc
-        yield loc, values
+            raise ParseError(f"non-numeric field: {exc}", location=f"line {line_no}") from exc
+        numbers.append(line_no)
+    return numbers, rows
 
 
 def csv_row(*values: float) -> str:
@@ -201,82 +189,78 @@ def csv_row(*values: float) -> str:
     return ",".join(str(int(v)) if v == int(v) else repr(v) for v in values) + "\n"
 
 
-def _frame(value: Any, location: str) -> int:
-    """A frame number: an integer of at least 1."""
-    frame_id = _require_int(value, "frame", location)
-    if frame_id < 1:
-        raise ParseError(
-            f"frame must be at least 1 (frames are 1-based), got {frame_id}", location=location
-        )
-    return frame_id
+# One function per kind of value checks a column of them: it gives the column
+# checked, or None if a value breaks the rule; given ``at`` and one value, it
+# raises that value's error, located there, instead.
 
-
-def _box(values: Any, location: str) -> BBox:
-    """A box: an array ``[x, y, w, h]`` of finite numbers, with positive width and
-    height, by :func:`_float_column`, then :func:`_require_finite` only to name the
-    value that fails. :func:`_coco_boxes` checks it by column; this words its refusals."""
-    if not isinstance(values, list) or len(values) != 4:
-        raise ParseError(f"bbox must be [x, y, w, h], got {values!r}", location=location)
-    checked = _float_column(values)
-    for value in values if checked is None else ():
-        _require_finite(value, "box field", location)
-    x, y, w, h = checked
-    if w <= 0 or h <= 0:
-        raise ParseError(
-            f"box width and height must be positive, got {w!r} and {h!r}", location=location
-        )
-    return BBox(x, y, w, h)
-
-
-def _clamp_score(value: Any, location: str) -> float:
-    """A finite score within [0, 1], or within ``_SCORE_SLACK`` of it and clamped."""
-    score = _require_finite(value, "score", location)
-    if -_SCORE_SLACK <= score <= 1.0 + _SCORE_SLACK:
-        return min(max(score, 0.0), 1.0)
-    raise ParseError(f"score {score!r} outside [0, 1]", location=location)
-
-
-def _int_column(column: Sequence) -> Optional[Sequence]:
-    """``column`` as ints, or None unless :func:`_require_int` takes every value."""
+def _ints(column: Sequence, what: str, at: Optional[str] = None) -> Optional[Sequence]:
+    """``column`` as ints: integers, booleans and integral floats."""
     kinds = {*map(type, column)}  # v % 1 is 0 for an integral v, NaN for one not finite.
     if kinds - {int, float, bool} or kinds != {int} and any(map(mod, column, repeat(1))):
+        if at:
+            raise ParseError(f"{what} must be an integer, got {column[0]!r}", location=at)
         return None
     return column if kinds == {int} else [*map(int, column)]
 
 
-def _float_column(column: Sequence) -> Optional[Sequence]:
-    """``column`` as floats, or None unless :func:`_require_finite` takes every value."""
+def _floats(column: Sequence, what: str, at: Optional[str] = None) -> Optional[Sequence]:
+    """``column`` as floats: ints and floats within float range, not NaN."""
     kinds = {*map(type, column)}
-    if kinds - {int, float} or (kinds != {float} or not math.isfinite(sum(column))) and (
-        not all(map(_FLOAT_MAX.__ge__, map(abs, column)))
-    ):
+    finite = kinds == {float} and math.isfinite(sum(column))  # Else each value is checked.
+    if kinds - {int, float} or not finite and not all(map(_FLOAT_MAX.__ge__, map(abs, column))):
+        if at:
+            raise ParseError(f"{what} must be a finite number, got {column[0]!r}", location=at)
         return None
     return [*map(float, column)] if int in kinds else column
 
 
-def _coco_boxes(bboxes: list) -> Optional[list]:
-    """The BBox of each of (one or more) ``bboxes``, or None unless :func:`_box` takes all."""
-    if {*map(type, bboxes)} - {list} or {*map(len, bboxes)} - {4}:
+def _frames(column: Sequence, at: Optional[str] = None) -> Optional[Sequence]:
+    """``column`` as frame numbers: integers of at least 1."""
+    if (frames := _ints(column, "frame", at)) is not None and min(frames) < 1:
+        if at:
+            raise ParseError(f"frame must be at least 1 (frames are 1-based), got {frames[0]}", at)
         return None
-    columns = [*map(_float_column, zip(*bboxes))]
-    if None in columns or min(columns[2]) <= 0 or min(columns[3]) <= 0:
+    return frames
+
+
+def _boxes(column: Sequence, at: Optional[str] = None) -> Optional[list]:
+    """The BBox of each array ``[x, y, w, h]``: finite numbers, ``w`` and ``h`` positive."""
+    if {*map(type, column)} - {list} or {*map(len, column)} - {4}:
+        if at:
+            raise ParseError(f"bbox must be [x, y, w, h], got {column[0]!r}", location=at)
+        return None
+    _, _, ws, hs = columns = [_floats(values, "box field", at) for values in zip(*column)]
+    if None in columns:
+        return None
+    if min(ws) <= 0 or min(hs) <= 0:
+        if at:
+            message = f"box width and height must be positive, got {ws[0]!r} and {hs[0]!r}"
+            raise ParseError(message, location=at)
         return None
     return [*map(BBox, *columns)]
 
 
-def _refuse(at: Optional[str], check: Callable[..., Any], *values: Any) -> None:
-    """None, a column rule's refusal; given ``at``, ``check(*values, at)`` words it."""
-    if at:
-        check(*values, at)
+def _scores(column: Sequence, at: Optional[str] = None) -> Optional[Sequence]:
+    """``column`` as scores: finite and in [0, 1], or within ``_SCORE_SLACK`` of it and clamped."""
+    if (scores := _floats(column, "score", at)) is None:
+        return None
+    low, high = min(scores), max(scores)
+    if low < -_SCORE_SLACK or high > 1.0 + _SCORE_SLACK:
+        if at:
+            raise ParseError(f"score {scores[0]!r} outside [0, 1]", location=at)
+        return None
+    if low < 0 or high > 1:
+        scores = [*map(min, map(max, scores, repeat(0.0)), repeat(1.0))]
+    return scores
 
 
-def _raise_first(rule: Callable[..., Any], records: list, where: str, *args: Any) -> None:
-    """Raise the error of the first of ``records`` that ``rule`` refuses, at ``{where} N``:
-    the rule runs on runs of 1,000 records, then at each record of the first it refuses."""
+def _raise_first(rule: Callable, records: list, locate: Callable[[int], str], *args: Any) -> None:
+    """Raise the error of the first of ``records`` that ``rule`` refuses, at ``locate(N)`` for
+    record N: the rule runs on runs of 1,000 records, then at each record of the first refused."""
     for start in range(0, len(records), 1000):
         if rule(run := records[start : start + 1000], *args) is None:
             for idx, record in enumerate(run, start):
-                rule([record], *args, at=f"{where} {idx}")
+                rule([record], *args, at=locate(idx))
 
 
 def _image_size(value: Any, what: str, location: str) -> float:
@@ -302,13 +286,11 @@ def _jta_rows(records: Any, at: Optional[str] = None) -> Optional[list]:
         return None
     columns = [*zip(*records)]
     for i, column in enumerate(columns):
-        coordinate = 3 <= i < 8  # A float; an id or flag is an int.
-        columns[i] = column = (_float_column if coordinate else _int_column)(column)
-        if column is None or i == 0 and min(column) < 1:  # Frames start at 1.
-            if i == 0:
-                return _refuse(at, _frame, records[0][0])
-            check = _require_finite if coordinate else _require_int
-            return _refuse(at, check, records[0][i], _JTA_NAMES[i])
+        # A frame is at least 1, a coordinate is a float, and an id or flag is an int.
+        check = partial(_floats if 3 <= i < 8 else _ints, what=_JTA_NAMES[i]) if i else _frames
+        if (column := check(column, at=at)) is None:
+            return None
+        columns[i] = column
         # Pedestrian and joint ids start at 0, and flags are 0 or 1, once both are integers.
         if i == 2 and min(min(columns[1]), min(column)) < 0:
             if at:
@@ -506,7 +488,7 @@ def parse_jta(
     if not isinstance(records, list):
         raise ParseError("expected a top-level JSON array of joint records")
     if (groups := _jta_groups(records, joint_ids)) is None:
-        _raise_first(_jta_rows, records, "record")
+        _raise_first(_jta_rows, records, "record {}".format)
     key, rows = min((key, group) for key, group in groups if type(group) is list)
     problem = f"expected {joints_per_skeleton} joints, got {len(rows)}"
     if len(rows) == joints_per_skeleton:
@@ -598,7 +580,7 @@ def _parse_file_name(file_name: Any, location: str) -> tuple[str, int]:
         raise ParseError(
             f"cannot extract a frame number from file_name {file_name!r}", location=location
         )
-    return head, _frame(int(stem), location)
+    return head, _frames([int(stem)], location)[0]
 
 
 def _info_value(info: dict, key: str, default: Any, check: Callable[..., Any]) -> Any:
@@ -625,7 +607,7 @@ def _manifest_videos(videos: Any, images: Sequence[FrameRef]) -> tuple[tuple[str
             raise ParseError(
                 f"entry {idx} must be [video, frame count], got {entry!r}", location=loc
             )
-        name, count = entry[0], _require_int(entry[1], f"entry {idx} frame count", loc)
+        name, count = entry[0], _ints([entry[1]], f"entry {idx} frame count", loc)[0]
         if not isinstance(name, str) or count < 1:
             raise ParseError(
                 f"entry {idx} must be [name, frame count >= 1], got {[name, count]!r}",
@@ -658,23 +640,22 @@ def _coco_annotations(
         if anns and at:
             raise ParseError(f"expected an object, got {anns[0]!r}", location=at)
         return None if anns else []
-    image_ids = _int_column([*map(dict.get, anns, repeat("image_id"))])
+    image_ids = _ints([*map(dict.get, anns, repeat("image_id"))], "image_id", at)
     if image_ids is None or not frame_of.keys() >= {*image_ids}:
         if at:
-            image_id = _require_int(anns[0].get("image_id"), "image_id", at)
-            raise JoinError(f"annotation references unknown image id {image_id}", location=at)
+            raise JoinError(f"annotation references unknown image id {image_ids[0]}", at)
         return None
-    if (boxes := _coco_boxes([*map(dict.get, anns, repeat("bbox"))])) is None:
-        return _refuse(at, _box, anns[0].get("bbox"))
+    if (boxes := _boxes([*map(dict.get, anns, repeat("bbox"))], at)) is None:
+        return None
     pedestrian_ids = [*map(dict.get, anns, repeat("pedestrian_id"))]
     if None in pedestrian_ids:  # Absent, it is the annotation id, else the 1-based index.
         pedestrian_ids = [a.get("pedestrian_id", a.get("id", i)) for i, a in enumerate(anns, 1)]
-    if (ids := _int_column(pedestrian_ids)) is None:
-        return _refuse(at, _require_int, pedestrian_ids[0], "pedestrian_id")
-    distances = _float_column([ann["distance_m"] for ann in anns if "distance_m" in ann])
+    if (ids := _ints(pedestrian_ids, "pedestrian_id", at)) is None:
+        return None
+    distances = _floats([a["distance_m"] for a in anns if "distance_m" in a], "distance_m", at)
     if distances is None or distances and min(distances) <= 0:
         if at:
-            check_distance(_require_finite(anns[0]["distance_m"], "distance_m", at), at)
+            check_distance(distances[0], at)
         return None
     if len(distances) < len(anns):  # An absent distance is unknown: infinite.
         distances = [*map(float, map(dict.get, anns, repeat("distance_m"), repeat(math.inf)))]
@@ -713,7 +694,7 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
         loc = f"image {idx}"
         if not isinstance(img, dict):
             raise ParseError(f"expected an object, got {img!r}", location=loc)
-        image_id = _require_int(img.get("id"), "image id", loc)
+        image_id = _ints([img.get("id")], "image id", loc)[0]
         video_id, frame_id = _parse_file_name(img.get("file_name", ""), loc)
         if image_id in frame_of:
             raise ParseError(f"duplicate image id {image_id}", location=loc)
@@ -721,7 +702,7 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
         images.append(FrameRef(image_id=image_id, video_id=video_id, frame_id=frame_id))
 
     if (annotations := _coco_annotations(doc["annotations"], frame_of)) is None:
-        _raise_first(_coco_annotations, doc["annotations"], "annotation", frame_of)
+        _raise_first(_coco_annotations, doc["annotations"], "annotation {}".format, frame_of)
     annotations.sort(key=sort_key)
 
     info = doc.get("info")
@@ -788,19 +769,30 @@ def parse_mot_gt(source: str, video_id: str) -> tuple[list[AnnotatedBox], int]:
     Returns:
         (annotations sorted by (frame, id), skipped non-pedestrian row count)
     """
-    annotations: list[AnnotatedBox] = []
-    skipped = 0
-    for loc, values in csv_rows(source, 9, 9):
-        frame_id = _frame(values[0], loc)
-        pedestrian_id = _require_int(values[1], "id", loc)
-        class_id = _require_int(values[7], "class", loc)
-        if class_id != PEDESTRIAN_CATEGORY_ID:
-            skipped += 1
-            continue
-        box = _box(values[2:6], loc)
-        annotations.append(AnnotatedBox(video_id, frame_id, pedestrian_id, box, math.inf))
+    lines, rows = csv_rows(source, 9, 9)
+    if (annotations := _mot_rows(rows, video_id)) is None:
+        _raise_first(_mot_rows, rows, lambda idx: f"line {lines[idx]}", video_id)
     annotations.sort(key=_mot_order)
-    return annotations, skipped
+    return annotations, len(rows) - len(annotations)
+
+
+def _mot_rows(rows: list, video_id: str, at: Optional[str] = None) -> Optional[list]:
+    """The pedestrians of MOT ground-truth ``rows``, or None if one breaks the MOT
+    row rule, checked by column in field order; given ``at``, raises instead."""
+    if not rows:
+        return []
+    frames, ids, _, _, _, _, _, classes, _ = zip(*rows)
+    frames, ids, classes = _frames(frames, at), _ints(ids, "id", at), _ints(classes, "class", at)
+    if None in (frames, ids, classes):
+        return None
+    if {*classes} != {PEDESTRIAN_CATEGORY_ID}:  # Other classes go unchecked, then dropped.
+        keep = [*map(PEDESTRIAN_CATEGORY_ID.__eq__, classes)]
+        rows, frames, ids = ([*compress(column, keep)] for column in (rows, frames, ids))
+        if not rows:
+            return []
+    if (boxes := _boxes([*map(itemgetter(slice(2, 6)), rows)], at)) is None:
+        return None
+    return [*map(AnnotatedBox, repeat(video_id), frames, ids, boxes, repeat(math.inf))]
 
 
 # ---------------------------------------------------------------------------
@@ -835,13 +827,15 @@ def parse_detections(
         if not isinstance(records, list):
             raise ParseError("expected a top-level JSON array of detection records")
         if (detections := _coco_detections(records, frame_of_image)) is None:
-            _raise_first(_coco_detections, records, "record", frame_of_image)
+            _raise_first(_coco_detections, records, "record {}".format, frame_of_image)
         del records  # Freed before the sort, whose keys would add to its peak.
     elif fmt == "mot_det":
         if video_id is None:
             raise ParseError("mot_det parsing needs the video id")
-        frames = None if frame_of_image is None else {*frame_of_image.values()}
-        detections = _parse_mot_det(source, video_id, frames)
+        known = None if frame_of_image is None else {*frame_of_image.values()}
+        lines, rows = csv_rows(source, 7, 10)
+        if (detections := _mot_detections(rows, video_id, known)) is None:
+            _raise_first(_mot_detections, rows, lambda idx: f"line {lines[idx]}", video_id, known)
     else:
         raise ParseError(f"unknown detection format {fmt!r}")
     detections.sort(key=_detection_order)
@@ -857,42 +851,43 @@ def _coco_detections(
         if at:
             raise ParseError(f"expected an object, got {records[0]!r}", location=at)
         return None
-    image_ids = _int_column([*map(dict.get, records, repeat("image_id"))])
+    image_ids = _ints([*map(dict.get, records, repeat("image_id"))], "image_id", at)
     if image_ids is None or not frame_of.keys() >= {*image_ids}:
         if at:
-            image_id = _require_int(records[0].get("image_id"), "image_id", at)
-            raise JoinError(f"detection references unknown image id {image_id}", location=at)
+            raise JoinError(f"detection references unknown image id {image_ids[0]}", at)
         return None
     categories = [*map(dict.get, records, repeat("category_id"), repeat(PEDESTRIAN_CATEGORY_ID))]
-    if (checked := _int_column(categories)) is None:
-        return _refuse(at, _require_int, categories[0], "category_id")
+    if (checked := _ints(categories, "category_id", at)) is None:
+        return None
     if {*checked} != {PEDESTRIAN_CATEGORY_ID}:  # Other categories go unchecked, then dropped.
         keep = [*map(PEDESTRIAN_CATEGORY_ID.__eq__, checked)]
         records, image_ids = [*compress(records, keep)], [*compress(image_ids, keep)]
         if not records:
             return []
-    if (boxes := _coco_boxes([*map(dict.get, records, repeat("bbox"))])) is None:
-        return _refuse(at, _box, records[0].get("bbox"))
-    if (scores := _float_column([*map(dict.get, records, repeat("score"))])) is not None:
-        low, high = min(scores), max(scores)
-    if scores is None or low < -_SCORE_SLACK or high > 1.0 + _SCORE_SLACK:
-        return _refuse(at, _clamp_score, records[0].get("score"))
-    if low < 0 or high > 1:  # Within the slack of [0, 1]: clamped as _clamp_score clamps.
-        scores = [*map(min, map(max, scores, repeat(0.0)), repeat(1.0))]
+    boxes = _boxes([*map(dict.get, records, repeat("bbox"))], at)
+    if boxes is None or (scores := _scores([*map(dict.get, records, repeat("score"))], at)) is None:
+        return None
     videos, frames = zip(*map(frame_of.__getitem__, image_ids))
     return [*map(Detection, videos, frames, boxes, scores)]
 
 
-def _parse_mot_det(source: str, video_id: str, frames: Optional[set]) -> list[Detection]:
-    detections = []
-    for loc, values in csv_rows(source, 7, 10):
-        frame_id = _frame(values[0], loc)
-        if frames is not None and (video_id, frame_id) not in frames:
-            raise JoinError(f"detection on ({video_id}, {frame_id}) has no ground-truth frame", loc)
-        box = _box(values[2:6], loc)
-        score = _clamp_score(values[6], loc)
-        detections.append(Detection(video_id, frame_id, box, score))
-    return detections
+def _mot_detections(
+    rows: list, video_id: str, known: Optional[set], at: Optional[str] = None
+) -> Optional[list]:
+    """The detections of ``mot_det`` ``rows``, or None if one breaks the ``mot_det`` row rule
+    (on a frame of ``known``, if given), checked by column in field order; given ``at``, raises."""
+    if not rows:
+        return []
+    if (frames := _frames([*map(itemgetter(0), rows)], at)) is None:
+        return None
+    if known is not None and not known.issuperset(zip(repeat(video_id), frames)):
+        if at:
+            raise JoinError(f"detection on ({video_id}, {frames[0]}) has no ground-truth frame", at)
+        return None
+    boxes = _boxes([*map(itemgetter(slice(2, 6)), rows)], at)
+    if boxes is None or (scores := _scores([*map(itemgetter(6), rows)], at)) is None:
+        return None
+    return [*map(Detection, repeat(video_id), frames, boxes, scores)]
 
 
 def emit_detections(

@@ -1312,6 +1312,33 @@ class TestInfrastructure:
         assert result == (2, "", f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_path_ending_in_a_separator_is_refused_as_open_refuses_it(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # Path("newname/") is "newname", which would be written as a file.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(IsADirectoryError) as exc_info:
+            open("newname/", "w")
+        result = run_cli(
+            capsys, "plan-finetune", "--phase1-epochs", 1, "--phase2-epochs", 1, "--out", "newname/"
+        )
+        assert result == (2, "", f"error: {exc_info.value}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mot", ["gt", "./gt", "sub/../gt", "link"])
+    def test_two_outputs_on_one_file_are_a_usage_error(self, monkeypatch, tmp_path, capsys, mot):
+        jta_file(tmp_path, [(1, 1, 10.0, 20.0, 30.0, 60.0, 10.0)])
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to("gt")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        result = run_cli(
+            capsys, "synthesize", "--jta", "clip.json", "--alpha", 100,
+            "--out-coco", "gt", "--out-mot", mot,
+        )
+        assert result == (1, "", f"usage error: two outputs are one file: 'gt' and {mot!r}\n")
+        assert sorted(tmp_path.iterdir()) == before and not (tmp_path / "gt").exists()
+
     def test_out_naming_a_directory_leaves_no_temporary_file(self, tmp_path, capsys):
         target = tmp_path / "taken"
         target.mkdir()

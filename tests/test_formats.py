@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -30,6 +31,7 @@ from skel2box import (
     emit_coco,
     emit_detections,
     emit_mot,
+    load_calibration_samples,
     manifest_for_annotations,
     parse_coco_gt,
     parse_detections,
@@ -1445,6 +1447,11 @@ RUN_CASES = {
     "parse_detections": (
         COCO_RESULT, with_key(COCO_RESULT, "score", 2.0), "score 2.0 outside [0, 1]", "record"
     ),
+    "parse_mot_gt": (
+        "1,7,10,20,30,40,1,1,1", "1,7,10,20,nan,40,1,1,1",
+        "box field must be a finite number, got nan", "line",
+    ),
+    "mot_det": ("1,-1,10,20,30,40,0.5", "1,-1,10,20,30,40,2", "score 2.0 outside [0, 1]", "line"),
 }
 
 
@@ -1454,6 +1461,7 @@ def test_first_bad_record_is_located_across_runs(reader, bad):
     # A reader whose rule refuses a document runs the rule on runs of 1,000
     # records, then on each record of the first run it refuses. The last
     # record is bad too, so a later run that is refused must not matter.
+    # A CSV file has a blank line after each row, so row N is on line 2N + 1.
     good, wrong, message, where = RUN_CASES[reader]
     records = [good] * 2500
     records[bad] = records[-1] = wrong
@@ -1463,11 +1471,86 @@ def test_first_bad_record_is_located_across_runs(reader, bad):
         "parse_detections": lambda: parse_detections(
             json.dumps(records), "coco_results", frame_of_image=FRAME_OF
         ),
+        "parse_mot_gt": lambda: parse_mot_gt("\n\n".join(records), "v"),
+        "mot_det": lambda: parse_detections("\n\n".join(records), "mot_det", video_id="v"),
     }[reader]
     with pytest.raises(ParseError) as exc_info:
         parse()
-    assert str(exc_info.value) == f"{message} ({where} {bad})"
-    assert exc_info.value.location == f"{where} {bad}"
+    at = f"{where} {2 * bad + 1 if where == 'line' else bad}"
+    assert str(exc_info.value) == f"{message} ({at})"
+    assert exc_info.value.location == at
+
+
+def bad_frame_dump(early, late):
+    groups = ((1, ped) for ped in range(20))
+    return jta_dump(*groups, edit=set_field(1, 0, early))[:-1] + late + "]"  # Frame 0 is bad.
+
+
+def csv_lines(first, rest, late, header=()):
+    return "".join(f"{row}\n" for row in (*header, first, *[rest] * 5)) + late
+
+
+def pooled_jta(workers):
+    def parse(monkeypatch, tmp_path, text):
+        path = tmp_path / "dump.json"
+        path.write_text(text, encoding="utf-8")
+        return TestPooledJta.pooled(monkeypatch, path, 1500, workers, [])[0]
+
+    return parse
+
+
+def in_text(parse):
+    return lambda monkeypatch, tmp_path, text: jta_outcome(lambda: parse(text))
+
+
+# Per reader: its text with an early record good (1) or bad (0) and a late part
+# good ("") or unparsable ("x"), and how to read it. Each early value is as long
+# as the good one, so a JSON error is at the same character either way.
+PRECEDENCE_CASES = {
+    "jta streamed": (bad_frame_dump, pooled_jta(1)),
+    "jta streamed, 2 workers": (bad_frame_dump, pooled_jta(2)),
+    "jta read whole": (bad_frame_dump, in_text(lambda text: parse_jta(text, "v"))),
+    "coco_gt": (
+        lambda early, late: coco_document(
+            [with_key(COCO_ANNOTATION, "bbox", [10, 20, 30, early])] * 5
+        )[:-1] + late + "}",
+        in_text(parse_coco_gt),
+    ),
+    "coco_results": (
+        lambda early, late: json.dumps(
+            [with_key(COCO_RESULT, "score", 1.5 - early)] + [COCO_RESULT] * 5
+        )[:-1] + late + "]",
+        in_text(lambda text: parse_detections(text, "coco_results", frame_of_image=FRAME_OF)),
+    ),
+    "mot": (
+        lambda early, late: csv_lines(f"{early},7,10,20,30,40,1,1,1", "2,7,1,2,3,4,1,1,1", late),
+        in_text(lambda text: parse_mot_gt(text, "v")),
+    ),
+    "mot_det": (
+        lambda early, late: csv_lines(f"{early},-1,10,20,30,40,0.5", "2,-1,10,20,30,40,0.5", late),
+        in_text(lambda text: parse_detections(text, "mot_det", video_id="v")),
+    ),
+    "calibration": (
+        lambda early, late: csv_lines(
+            f"{early},10,110", "1,10,110", late, header=["h_s_px,z_m,h_true_px"]
+        ),
+        in_text(load_calibration_samples),
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", PRECEDENCE_CASES)
+def test_unparsable_input_is_the_error_before_any_bad_record(monkeypatch, tmp_path, reader):
+    # Every reader parses its whole input before it checks a record: JSON
+    # errors, and CSV lines that do not split into numbers, come first.
+    make, outcome = PRECEDENCE_CASES[reader]
+    read = partial(outcome, monkeypatch, tmp_path)
+    assert isinstance(read(make(1, "")), str)
+    bad_record = read(make(0, ""))
+    parse_failure = read(make(1, "x"))
+    assert isinstance(bad_record, tuple) and isinstance(parse_failure, tuple)
+    assert bad_record != parse_failure
+    assert read(make(0, "x")) == parse_failure
 
 
 SLOTTED_RECORDS = {
