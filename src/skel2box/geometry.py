@@ -11,9 +11,9 @@ fitted), then scaling the width so the aspect ratio is unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidArgument
 
@@ -22,19 +22,22 @@ from .errors import InvalidArgument
 class SkeletonInstance:
     """One pedestrian in one frame, identified by (video, frame, pedestrian).
 
-    The joints are stored as columns, one tuple per coordinate, each in
-    joint-id order: the screen position ``x_px``/``y_px`` and the
-    camera-space position ``x3d_m``/``y3d_m``/``z3d_m`` in metres.
+    The joints are stored as columns, one per coordinate, each in joint-id
+    order: the screen position ``x_px``/``y_px`` and the camera-space
+    position ``x3d_m``/``y3d_m``/``z3d_m`` in metres. ``parse_jta`` gives
+    each column as an ``array('d')``; the constructor keeps what it is
+    given. Equality compares the columns, and the hash is that of the
+    (video, frame, pedestrian) key alone, since an array is unhashable.
     """
 
     video_id: str
     frame_id: int
     pedestrian_id: int
-    x_px: tuple[float, ...]
-    y_px: tuple[float, ...]
-    x3d_m: tuple[float, ...]
-    y3d_m: tuple[float, ...]
-    z3d_m: tuple[float, ...]
+    x_px: Sequence[float] = field(hash=False)
+    y_px: Sequence[float] = field(hash=False)
+    x3d_m: Sequence[float] = field(hash=False)
+    y3d_m: Sequence[float] = field(hash=False)
+    z3d_m: Sequence[float] = field(hash=False)
 
     @property
     def joints(self) -> tuple[tuple[float, float, float, float, float], ...]:

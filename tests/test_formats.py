@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from array import array
 from functools import partial
 
 import pytest
@@ -28,6 +29,7 @@ from skel2box import (
     MatchOutcome,
     MixedVideos,
     ParseError,
+    SkeletonInstance,
     emit_coco,
     emit_detections,
     emit_mot,
@@ -124,8 +126,32 @@ class TestParseJta:
         assert len(skeletons) == 1
         skeleton = skeletons[0]
         assert (skeleton.video_id, skeleton.frame_id, skeleton.pedestrian_id) == ("vid3", 1, 7)
-        assert skeleton.x_px == tuple(100.0 + j for j in range(22))
+        assert skeleton.x_px == array("d", (100.0 + j for j in range(22)))
         assert skeleton.joints[3] == (103.0, 206.0, 0.0, 0.0, 10.0)
+
+    def test_parsed_skeletons_hash_by_their_key(self):
+        text = jta_dump((1, 1), (1, 2), (2, 1))
+        first, again = parse_jta(text, "v"), parse_jta(text, "v")
+        assert first == again and first[0] is not again[0]
+        assert [*map(hash, first)] == [*map(hash, again)]
+        assert len({*first, *again}) == 3
+        key = first[0].video_id, first[0].frame_id, first[0].pedestrian_id
+        assert hash(first[0]) == hash(dataclasses.replace(first[0], x_px=again[1].x_px))
+        assert hash(first[0]) == hash(SkeletonInstance(*key, *[()] * 5))
+
+    def test_a_parsed_skeleton_keeps_fewer_than_2000_bytes(self):
+        # 22 joints of five coordinates: 880 bytes as doubles, about 3,900
+        # as tuples of float objects.
+        text = jta_dump(*((frame, ped) for frame in range(1, 11) for ped in range(10)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            skeletons = parse_jta(text, "v")
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(skeletons) == 100
+        assert kept < 2000 * len(skeletons)
 
     def test_incomplete_skeleton(self):
         source = json.dumps(jta_records(1, 7)[:21])
@@ -502,6 +528,52 @@ class TestPooledJta:
         assert outcome == jta_outcome(lambda: parse_jta(text, "v"))
         assert fell_back == falls_back
         assert len(started) == (0 if workers == 1 else workers)
+
+    @pytest.mark.parametrize(
+        "case", ["records split across blocks", "shuffled, so groups span blocks"]
+    )
+    def test_columns_are_arrays_of_doubles_here_and_from_workers(self, monkeypatch, tmp_path, case):
+        # Groups whole in a piece are built by the process that parsed it,
+        # and groups split across pieces by the parent.
+        path = tmp_path / "dump.json"
+        path.write_text(STREAM_CASES[case][0], encoding="utf-8")
+        parses = []
+        for workers in (1, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(formats, "_jta_workers", lambda size: workers)
+                patch.setattr(formats, "_JTA_BLOCK", 1500)
+                with path.open(encoding="utf-8") as dump:
+                    parses.append(parse_jta(dump, "v"))
+        assert multiprocessing.active_children() == []
+        assert parses[0] == parses[1] and len(parses[0]) == 3
+        for skeleton in parses[0] + parses[1]:
+            for name in ("x_px", "y_px", "x3d_m", "y3d_m", "z3d_m"):
+                column = getattr(skeleton, name)
+                assert (type(column), column.typecode, len(column)) == (array, "d", 22)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    @pytest.mark.parametrize("comma", [",]", " , ]"])
+    def test_a_trailing_comma_is_malformed_json(self, monkeypatch, tmp_path, comma, block, workers):
+        # The stream cuts at the last "]," and must not read what is left as "[]".
+        text = jta_dump((1, 1), (2, 1))[:-1] + comma
+        with pytest.raises(json.JSONDecodeError) as whole:
+            json.loads(text)
+        path = tmp_path / "dump.json"
+        path.write_text(text, encoding="utf-8")
+        outcome, fell_back = self.pooled(monkeypatch, path, block, workers, [])
+        assert outcome == ("ParseError", f"malformed JSON: {whole.value}", None)
+        assert fell_back
+        assert jta_outcome(lambda: parse_jta(text, "v")) == outcome
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    def test_a_spaced_empty_array_is_no_skeleton(self, monkeypatch, tmp_path, block, workers):
+        text = " [ ] "  # It ends as a last piece without records does, but was never cut.
+        path = tmp_path / "dump.json"
+        path.write_text(text, encoding="utf-8")
+        assert self.pooled(monkeypatch, path, block, workers, []) == ("[]", False)
+        assert parse_jta(text, "v") == []
 
     def test_no_worker_outlives_an_error(self, monkeypatch, tmp_path):
         # A byte that is not UTF-8, past the 8 KiB that a text file decodes
