@@ -24,8 +24,8 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, cycle, repeat
-from operator import attrgetter, itemgetter, mod
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
+from operator import attrgetter, itemgetter, mod, mul
+from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence, TextIO
 
 from . import DEFAULT_JOINTS_PER_SKELETON
 from .errors import IncompleteSkeleton, JoinError, MixedVideos, ParseError
@@ -224,7 +224,8 @@ def _frames(column: Sequence, at: Optional[str] = None) -> Optional[Sequence]:
 
 
 def _boxes(column: Sequence, at: Optional[str] = None) -> Optional[list]:
-    """The BBox of each array ``[x, y, w, h]``: finite numbers, ``w`` and ``h`` positive."""
+    """The BBox of each array ``[x, y, w, h]``: finite numbers, ``w`` and ``h`` positive,
+    and ``w * h`` within float range, as the area that the emitters write."""
     if {*map(type, column)} - {list} or {*map(len, column)} - {4}:
         if at:
             raise ParseError(f"bbox must be [x, y, w, h], got {column[0]!r}", location=at)
@@ -235,6 +236,11 @@ def _boxes(column: Sequence, at: Optional[str] = None) -> Optional[list]:
     if min(ws) <= 0 or min(hs) <= 0:
         if at:
             message = f"box width and height must be positive, got {ws[0]!r} and {hs[0]!r}"
+            raise ParseError(message, location=at)
+        return None
+    if max(map(mul, ws, hs)) > _FLOAT_MAX:
+        if at:
+            message = f"box width times height must be finite, got {ws[0]!r} and {hs[0]!r}"
             raise ParseError(message, location=at)
         return None
     return [*map(BBox, *columns)]
@@ -254,13 +260,14 @@ def _scores(column: Sequence, at: Optional[str] = None) -> Optional[Sequence]:
     return scores
 
 
-def _raise_first(rule: Callable, records: list, locate: Callable[[int], str], *args: Any) -> None:
+def _raise_first(rule: Callable, records: list, locate: Callable, *args: Any) -> NoReturn:
     """Raise the error of the first of ``records`` that ``rule`` refuses, at ``locate(N)`` for
     record N: the rule runs on runs of 1,000 records, then at each record of the first refused."""
     for start in range(0, len(records), 1000):
         if rule(run := records[start : start + 1000], *args) is None:
             for idx, record in enumerate(run, start):
                 rule([record], *args, at=locate(idx))
+    raise AssertionError(f"{rule.__name__} refuses none of the records")
 
 
 def _image_size(value: Any, what: str, location: str) -> float:
@@ -409,10 +416,13 @@ def _map_pieces(function: Callable[[str], Any], pieces: Iterator[str], workers: 
 def _stream_jta(
     blocks: Iterable[str], video_id: str, joint_ids: tuple, workers: int
 ) -> Optional[list]:
-    """The skeletons of a dump read block by block, its pieces' groups joined;
-    None for a dump with an error, which the whole read words."""
+    """The skeletons of a dump read block by block, its pieces' groups joined. A bad
+    group is counted and read past, so that a later piece's error comes first; the
+    least bad key then raises. None for a piece's error, which the whole read words."""
+    joints = len(joint_ids)
     split: dict[tuple[int, int], list] = {}
     done: dict[tuple[int, int], SkeletonInstance] = {}
+    count: dict[tuple[int, int], int] = {}  # Each key's rows over the whole dump
 
     def parse(piece: str) -> Optional[list]:
         return _jta_groups(load_json(piece, strict=False), joint_ids)
@@ -423,21 +433,24 @@ def _stream_jta(
             if groups is None:
                 return None
             for key, group in groups:
-                if type(group) is list:
-                    rows = split.setdefault(key, [])
-                    rows += group
-                    if len(rows) < len(joint_ids):
-                        continue
-                    del split[key]
-                    group = len(rows) == len(joint_ids) and _jta_columns(rows, joint_ids)
-                if not group or key in done:
-                    return None
-                done[key] = SkeletonInstance(video_id, *key, *group)
+                n = count[key] = count.get(key, 0) + (len(group) if type(group) is list else joints)
+                if type(group) is list and n <= joints:
+                    split.setdefault(key, []).extend(group)
+                    group = n == joints and _jta_columns(split.pop(key), joint_ids)
+                if n == joints and group:
+                    done[key] = SkeletonInstance(video_id, *key, *group)
     except UnicodeDecodeError:
         return None
     finally:
         results.close()
-    return None if split else [done[key] for key in sorted(done)]
+    # A key is bad if it has too few rows or too many, or as many but not each joint id once.
+    if bad := [key for key, n in count.items() if n != joints or key not in done]:
+        key = min(bad)
+        problem = f"expected {joints} joints, got {count[key]}"
+        if count[key] == joints:
+            problem = f"joint ids do not cover 0..{joints - 1}"
+        raise IncompleteSkeleton(problem, frame_id=key[0], pedestrian_id=key[1])
+    return [done[key] for key in sorted(done)]
 
 
 def parse_jta(
@@ -461,9 +474,9 @@ def parse_jta(
     follows within it and parsed piece by piece, by a forked worker per
     usable core if the dump is large, so the whole record array never
     exists (README, Joint dumps). Each piece's records pass one rule,
-    :func:`_jta_rows`. A dump that breaks it, or whose groups do not join, is
-    read again whole only to raise its first error as if there were no stream:
-    the rule words its first bad record, else the group checks its first bad group.
+    :func:`_jta_rows`, and the stream words group errors. It refuses only a
+    dump that is not JSON, not an array, or holds a bad record, and a refused
+    piece's records are the whole array's, so the whole read then always raises.
 
     Raises:
         ParseError: malformed JSON, wrong record arity, or bad field values,
@@ -481,8 +494,7 @@ def parse_jta(
         size = source.seek(0, os.SEEK_END)
         source.seek(0)
         blocks = iter(partial(source.read, _JTA_BLOCK), "")
-    skeletons = _stream_jta(blocks, video_id, joint_ids, _jta_workers(size))
-    if skeletons is not None:
+    if (skeletons := _stream_jta(blocks, video_id, joint_ids, _jta_workers(size))) is not None:
         return skeletons
     if not isinstance(source, str):
         source.seek(0)
@@ -492,13 +504,7 @@ def parse_jta(
     records = load_json(source)
     if not isinstance(records, list):
         raise ParseError("expected a top-level JSON array of joint records")
-    if (groups := _jta_groups(records, joint_ids)) is None:
-        _raise_first(_jta_rows, records, "record {}".format)
-    key, rows = min((key, group) for key, group in groups if type(group) is list)
-    problem = f"expected {joints_per_skeleton} joints, got {len(rows)}"
-    if len(rows) == joints_per_skeleton:
-        problem = f"joint ids do not cover 0..{joints_per_skeleton - 1}"
-    raise IncompleteSkeleton(problem, frame_id=key[0], pedestrian_id=key[1])
+    _raise_first(_jta_rows, records, "record {}".format)
 
 
 # ---------------------------------------------------------------------------

@@ -99,15 +99,15 @@ def skeleton_enclosing_box(skeleton: SkeletonInstance) -> Optional[BBox]:
     """Minimum axis-aligned box enclosing all joint screen positions.
 
     Occluded joints are included: excluding them would shrink boxes for
-    partially hidden pedestrians. Returns None for a skeleton with no joints
-    or a hull of zero width or zero height.
+    partially hidden pedestrians. Returns None for a skeleton with no joints,
+    or a hull whose width or height is zero or beyond float range.
     """
     xs, ys = skeleton.x_px, skeleton.y_px
     if not xs:
         return None
     x1, x2 = min(xs), max(xs)
     y1, y2 = min(ys), max(ys)
-    if x2 - x1 <= 0 or y2 - y1 <= 0:
+    if not (0 < x2 - x1 < math.inf and 0 < y2 - y1 < math.inf):
         return None
     return BBox(x1, y1, x2 - x1, y2 - y1)
 

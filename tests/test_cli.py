@@ -30,7 +30,7 @@ from skel2box import (
     plan_mixed_batches,
 )
 from skel2box.errors import ParseError
-from test_formats import STREAM_CASES
+from test_formats import GROUP_ERRORS, STREAM_CASES
 
 SAMPLES_CSV = "h_s_px,z_m,h_true_px\n50,10,60\n100,5,120\n80,20,85\n40,25,44\n"
 # A JSON integer beyond float range, far below the 4300-digit limit.
@@ -154,11 +154,13 @@ class TestSynthesize:
             ({4: lambda joint: 200.0 + joint * 1e-5}, ["--alpha", 1e308]),
             # A hull 2e308 px wide.
             ({3: lambda joint: (-1e308, 1e308, 0.0)[min(joint, 2)]}, ["--alpha", 174]),
+            # A hull 2e308 px high.
+            ({4: lambda joint: (-1e308, 1e308, 0.0)[min(joint, 2)]}, ["--alpha", 174]),
             # Width and height are finite, their product is not.
             ({}, ["--alpha", 1e307, "--no-clamp"]),
         ],
         ids=["distance overflows", "subnormal distance", "flat skeleton, huge alpha",
-             "hull beyond float range", "area overflows"],
+             "hull beyond float range", "hull 2e308 px high", "area overflows"],
     )
     def test_box_beyond_float_range_is_skipped(self, tmp_path, capsys, fields, args):
         # Pedestrian 1's fields are set, per joint id, to the values ``fields`` gives.
@@ -404,6 +406,8 @@ class TestStreamedJoints:
         if code:
             assert (code, summary, written) == (2, None, None)
             assert err.startswith(f"error: {jta}: ")
+        if case in GROUP_ERRORS:
+            assert err == f"error: {jta}: {GROUP_ERRORS[case][1]}\n"
 
     def test_non_utf8_byte_past_the_first_block_is_located(self, tmp_path, capsys):
         rows = [[f, p, j, 100.0 + j, 200.0 + j, 0.5, 0.5, 10.0, 0, 0]
@@ -450,6 +454,17 @@ class TestHistogramAndPrune:
         pruned = parse_coco_gt(out.read_text())
         assert [a.pedestrian_id for a in pruned.annotations] == [1, 2]
         assert pruned.manifest.distance_limit_m == 40.0
+
+    def test_box_area_beyond_float_range_leaves_no_output(self, tmp_path, capsys):
+        gt = coco_file(tmp_path, [annotation("v", 1, 1, 0, 0, 10, 20, 39.0)])
+        doc = json.loads(gt.read_text())
+        doc["annotations"][0]["bbox"] = [10, 20, 1e200, 1e200]
+        gt.write_text(json.dumps(doc))
+        out = tmp_path / "pruned.json"
+        code, stdout, err = run_cli(capsys, "prune", "--gt", gt, "--out", out)
+        message = "box width times height must be finite, got 1e+200 and 1e+200 (annotation 0)"
+        assert (code, stdout, err) == (2, "", f"error: {gt}: {message}\n")
+        assert not out.exists()
 
     def test_limit_flag_beats_config_file(self, tmp_path, capsys):
         anns = [
@@ -674,6 +689,20 @@ class TestConvert:
         )
         assert code == 2
         assert "box field must be a finite number, got nan (line 2)" in err
+        assert not out.exists()
+
+    def test_box_area_beyond_float_range_leaves_no_output(self, tmp_path, capsys):
+        # Its area would be written as JSON, which cannot hold infinity.
+        mot = tmp_path / "big.txt"
+        mot.write_text("1,1,10,20,1e200,1e200,1,1,1\n")
+        out = tmp_path / "big.json"
+        code, stdout, err = run_cli(
+            capsys,
+            "convert", "--in", mot, "--from", "mot", "--to", "coco",
+            "--video-id", "v", "--out", out,
+        )
+        message = "box width times height must be finite, got 1e+200 and 1e+200 (line 1)"
+        assert (code, stdout, err) == (2, "", f"error: {mot}: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -328,10 +328,10 @@ STREAM_CASES = {
     "data after the array": (jta_dump((1, 1), (2, 1)) + ", [1]", True),
     "top-level object": ('{"records": ' + jta_dump((1, 1)) + ', "more": [1]}', True),
     "a joint of a group again after it was built": (
-        jta_dump((1, 1), (2, 1), edit=lambda rows: rows.append(list(rows[0]))), True
+        jta_dump((1, 1), (2, 1), edit=lambda rows: rows.append(list(rows[0]))), False
     ),
-    "a whole group again after it was built": (jta_dump((1, 1), (2, 1), (1, 1)), True),
-    "missing joint": (jta_dump((1, 1), (2, 1), edit=lambda rows: rows.pop(30)), True),
+    "a whole group again after it was built": (jta_dump((1, 1), (2, 1), (1, 1)), False),
+    "missing joint": (jta_dump((1, 1), (2, 1), edit=lambda rows: rows.pop(30)), False),
     "integral-float id late in the file": (
         jta_dump((1, 1), (2, 1), (3, 1), edit=set_field(-1, 0, 3.0)), False
     ),
@@ -345,6 +345,70 @@ STREAM_CASES = {
     "NaN late in the file": (jta_dump((1, 1), (2, 1), edit=set_field(-1, 7, math.nan)), True),
     "an integer coordinate beyond float range late in the file": (
         jta_dump((1, 1), (2, 1), edit=set_field(-1, 4, 10**400)), True
+    ),
+}
+
+# The cases whose groups do not join, which the stream words itself, and their errors.
+GROUP_ERRORS = {
+    "a joint of a group again after it was built": (
+        "IncompleteSkeleton", "expected 22 joints, got 23 (frame 1, pedestrian 1)",
+        "frame 1, pedestrian 1",
+    ),
+    "a whole group again after it was built": (
+        "IncompleteSkeleton", "expected 22 joints, got 44 (frame 1, pedestrian 1)",
+        "frame 1, pedestrian 1",
+    ),
+    "missing joint": (
+        "IncompleteSkeleton", "expected 22 joints, got 21 (frame 2, pedestrian 1)",
+        "frame 2, pedestrian 1",
+    ),
+}
+
+
+def drop(index):
+    """An edit that removes record ``index``."""
+    return lambda rows: rows.pop(index)
+
+
+def both(*edits):
+    """An edit that applies each of ``edits`` in turn."""
+    def edit(rows):
+        for each in edits:
+            each(rows)
+    return edit
+
+
+def json_error(text):
+    """The error of ``text``, which does not parse, as parse_jta words it."""
+    with pytest.raises(json.JSONDecodeError) as exc_info:
+        json.loads(text)
+    return "ParseError", f"malformed JSON: {exc_info.value}", None
+
+
+# Dumps with a bad group and another error, and the error that wins: a piece
+# that does not parse or holds a bad record, wherever it is, else the least
+# bad (frame, pedestrian), wherever its records are.
+GROUP_PRECEDENCE = {
+    "a missing joint early, NaN late": (
+        jta_dump((1, 1), (2, 1), (3, 1), edit=both(drop(5), set_field(-1, 7, math.nan))),
+        ("ParseError", "field 7 must be a finite number, got nan (record 64)", "record 64"),
+    ),
+    "a missing joint early, a syntax error late": (
+        jta_dump((1, 1), (2, 1), (3, 1), edit=drop(5))[:-1], None
+    ),
+    "a joint repeated late": (
+        jta_dump((1, 1), (2, 1), (3, 1), edit=lambda rows: rows.append(list(rows[0]))),
+        GROUP_ERRORS["a joint of a group again after it was built"],
+    ),
+    "wrong joint ids early, a smaller incomplete key later": (
+        jta_dump((2, 1), (1, 2), (3, 1), edit=both(set_field(0, 2, 1), drop(30))),
+        ("IncompleteSkeleton", "expected 22 joints, got 21 (frame 1, pedestrian 2)",
+         "frame 1, pedestrian 2"),
+    ),
+    "wrong joint ids on the least key": (
+        jta_dump((2, 1), (1, 2), (3, 1), edit=both(set_field(22, 2, 1), drop(50))),
+        ("IncompleteSkeleton", "joint ids do not cover 0..21 (frame 1, pedestrian 2)",
+         "frame 1, pedestrian 2"),
     ),
 }
 
@@ -393,7 +457,8 @@ class TestStreamedJta:
         path = tmp_path / "dump.json"
         path.write_text(text, encoding="utf-8")
         outcome, fell_back = self.streamed(monkeypatch, path, block)
-        assert outcome == jta_outcome(lambda: parse_jta(text, "v"))
+        whole = jta_outcome(lambda: parse_jta(text, "v"))
+        assert outcome == whole == GROUP_ERRORS.get(case, whole)
         assert fell_back == falls_back
 
     def test_separator_split_across_blocks_is_no_cut(self):
@@ -439,6 +504,13 @@ class TestStreamedJta:
         assert fell_back
         assert outcome == jta_outcome(lambda: parse_jta(text, "v"))
         assert outcome[1].startswith("malformed JSON: maximum recursion depth exceeded")
+
+    def test_the_whole_read_never_returns(self, monkeypatch):
+        # Were the stream to refuse a valid dump, the whole read would find no
+        # error to word, and must say so rather than return None.
+        monkeypatch.setattr(formats, "_jta_groups", lambda records, joint_ids: None)
+        with pytest.raises(AssertionError, match="^_jta_rows refuses none of the records$"):
+            parse_jta(jta_dump((1, 1), (2, 1)), "v")
 
     def test_string_source_is_streamed_too(self, monkeypatch):
         text, _ = STREAM_CASES["records split across blocks"]
@@ -525,9 +597,21 @@ class TestPooledJta:
         started = []
         # 1500-character pieces hold some groups whole and split others.
         outcome, fell_back = self.pooled(monkeypatch, path, 1500, workers, started)
-        assert outcome == jta_outcome(lambda: parse_jta(text, "v"))
+        whole = jta_outcome(lambda: parse_jta(text, "v"))
+        assert outcome == whole == GROUP_ERRORS.get(case, whole)
         assert fell_back == falls_back
         assert len(started) == (0 if workers == 1 else workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    @pytest.mark.parametrize("case", GROUP_PRECEDENCE)
+    def test_a_bad_group_is_worded_last(self, monkeypatch, tmp_path, case, block, workers):
+        text, outcome = GROUP_PRECEDENCE[case]
+        outcome = outcome or json_error(text)
+        path = tmp_path / "dump.json"
+        path.write_text(text, encoding="utf-8")
+        assert self.pooled(monkeypatch, path, block, workers, [])[0] == outcome
+        assert jta_outcome(lambda: parse_jta(text, "v")) == outcome
 
     @pytest.mark.parametrize(
         "case", ["records split across blocks", "shuffled, so groups span blocks"]
@@ -1292,6 +1376,11 @@ def bbox_cases(record):
             with_key(record, "bbox", [10, 20, 0, 40]),
             "box width and height must be positive, got 0.0 and 40.0",
         ),
+        "area beyond float range": (
+            with_key(record, "bbox", [10, 20, 1e200, 1e200]),
+            "box width times height must be finite, got 1e+200 and 1e+200",
+        ),
+        "largest area": (with_key(record, "bbox", [10, 20, 2.0, sys.float_info.max / 2]), None),
         "three bbox values": (
             with_key(record, "bbox", [10, 20, 30]), "bbox must be [x, y, w, h], got [10, 20, 30]"
         ),

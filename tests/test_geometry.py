@@ -51,6 +51,12 @@ class TestSkeletonEnclosingBox:
         assert skeleton_enclosing_box(make_skeleton([(5, 0), (5, 10)])) is None
         assert skeleton_enclosing_box(make_skeleton([(0, 7), (10, 7)])) is None
 
+    @pytest.mark.parametrize(
+        "points", [[(-1e308, 0), (1e308, 10)], [(0, -1e308), (10, 1e308)]], ids=["wide", "high"]
+    )
+    def test_hull_beyond_float_range_is_degenerate(self, points):
+        assert skeleton_enclosing_box(make_skeleton(points)) is None
+
     def test_no_joints(self):
         assert skeleton_enclosing_box(skeleton_of([])) is None
 

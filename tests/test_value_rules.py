@@ -112,6 +112,10 @@ RULES = {
         "zero_width": (
             [10.0, 20.0, 0.0, 40.0], "box width and height must be positive, got 0.0 and 40.0"
         ),
+        "area_overflow": (
+            [10.0, 20.0, 1e200, 1e200],
+            "box width times height must be finite, got 1e+200 and 1e+200",
+        ),
     }),
     "distance": (DISTANCE_READERS, {
         "0": (0.0, "distance must be finite and positive, got 0.0"),
