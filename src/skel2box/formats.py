@@ -20,7 +20,7 @@ import os
 import re
 import signal
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, cycle, repeat
@@ -28,7 +28,7 @@ from operator import attrgetter, itemgetter, mod, mul
 from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence, TextIO
 
 from . import DEFAULT_JOINTS_PER_SKELETON
-from .errors import IncompleteSkeleton, JoinError, MixedVideos, ParseError
+from .errors import IncompleteSkeleton, InvalidArgument, JoinError, MixedVideos, ParseError
 from .geometry import AnnotatedBox, BBox, SkeletonInstance, check_distance, sort_key
 
 PEDESTRIAN_CATEGORY_ID = 1
@@ -189,17 +189,45 @@ def csv_row(*values: float) -> str:
     return ",".join(str(int(v)) if v == int(v) else repr(v) for v in values) + "\n"
 
 
-# One function per kind of value checks a column of them: it gives the column
-# checked, or None if a value breaks the rule; given ``at`` and one value, it
-# raises that value's error, located there, instead.
+@contextmanager
+def _writing(records: Sequence, area: bool = False) -> Iterator[None]:
+    """Wraps the write of ``records``. Should it fail, raises InvalidArgument, worded by the
+    readers' value rules, at the first record it could not write: one whose box field or score
+    is a float that is not finite, or, if the writer gives box ``area``s, whose area is."""
+    try:
+        yield
+    except (ValueError, OverflowError):  # From json.dumps, or int() in csv_row
+        for rec in records:
+            box = rec.box
+            if isinstance(rec, Detection):
+                at, values = f"detection ({rec.video_id}, {rec.frame_id})", [("score", rec.score)]
+            else:
+                at, values = f"annotation ({rec.video_id}, {rec.frame_id}, {rec.pedestrian_id})", []
+            for what, value in [*zip(repeat("box field"), (box.x, box.y, box.w, box.h)), *values]:
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise InvalidArgument(f"{what} must be a finite number, got {value!r}", at)
+            if area and isinstance(size := box.w * box.h, float) and not math.isfinite(size):
+                message = f"box width times height must be finite, got {box.w!r} and {box.h!r}"
+                raise InvalidArgument(message, at)
+        raise  # No record holds it: a manifest value, say.
+
+
+# One function per kind of value checks a column of them, and one rule per kind
+# of record checks a list of them: each gives what it checked, or refuses it
+# through _refuse, which gives None, or given ``at``, raises the located error.
+
+def _refuse(at: Optional[str], error: type, message: str) -> None:
+    """None, the verdict of a rule that refuses a column; given ``at``, the one
+    record refused, raises ``error(message)`` located there instead."""
+    if at:
+        raise error(message, location=at)
+
 
 def _ints(column: Sequence, what: str, at: Optional[str] = None) -> Optional[Sequence]:
     """``column`` as ints: integers, booleans and integral floats."""
     kinds = {*map(type, column)}  # v % 1 is 0 for an integral v, NaN for one not finite.
     if kinds - {int, float, bool} or kinds != {int} and any(map(mod, column, repeat(1))):
-        if at:
-            raise ParseError(f"{what} must be an integer, got {column[0]!r}", location=at)
-        return None
+        return _refuse(at, ParseError, f"{what} must be an integer, got {column[0]!r}")
     return column if kinds == {int} else [*map(int, column)]
 
 
@@ -208,18 +236,15 @@ def _floats(column: Sequence, what: str, at: Optional[str] = None) -> Optional[S
     kinds = {*map(type, column)}
     finite = kinds == {float} and math.isfinite(sum(column))  # Else each value is checked.
     if kinds - {int, float} or not finite and not all(map(_FLOAT_MAX.__ge__, map(abs, column))):
-        if at:
-            raise ParseError(f"{what} must be a finite number, got {column[0]!r}", location=at)
-        return None
+        return _refuse(at, ParseError, f"{what} must be a finite number, got {column[0]!r}")
     return [*map(float, column)] if int in kinds else column
 
 
 def _frames(column: Sequence, at: Optional[str] = None) -> Optional[Sequence]:
     """``column`` as frame numbers: integers of at least 1."""
     if (frames := _ints(column, "frame", at)) is not None and min(frames) < 1:
-        if at:
-            raise ParseError(f"frame must be at least 1 (frames are 1-based), got {frames[0]}", at)
-        return None
+        message = f"frame must be at least 1 (frames are 1-based), got {frames[0]}"
+        return _refuse(at, ParseError, message)
     return frames
 
 
@@ -227,23 +252,17 @@ def _boxes(column: Sequence, at: Optional[str] = None) -> Optional[list]:
     """The BBox of each array ``[x, y, w, h]``: finite numbers, ``w`` and ``h`` positive,
     and ``w * h`` within float range, as the area that the emitters write."""
     if {*map(type, column)} - {list} or {*map(len, column)} - {4}:
-        if at:
-            raise ParseError(f"bbox must be [x, y, w, h], got {column[0]!r}", location=at)
-        return None
+        return _refuse(at, ParseError, f"bbox must be [x, y, w, h], got {column[0]!r}")
     _, _, ws, hs = columns = [_floats(values, "box field", at) for values in zip(*column)]
     if None in columns:
         return None
     if min(ws) <= 0 or min(hs) <= 0:
-        if at:
-            message = f"box width and height must be positive, got {ws[0]!r} and {hs[0]!r}"
-            raise ParseError(message, location=at)
-        return None
-    if max(map(mul, ws, hs)) > _FLOAT_MAX:
-        if at:
-            message = f"box width times height must be finite, got {ws[0]!r} and {hs[0]!r}"
-            raise ParseError(message, location=at)
-        return None
-    return [*map(BBox, *columns)]
+        problem = "width and height must be positive"
+    elif max(map(mul, ws, hs)) > _FLOAT_MAX:
+        problem = "width times height must be finite"
+    else:
+        return [*map(BBox, *columns)]
+    return _refuse(at, ParseError, f"box {problem}, got {ws[0]!r} and {hs[0]!r}")
 
 
 def _scores(column: Sequence, at: Optional[str] = None) -> Optional[Sequence]:
@@ -252,9 +271,7 @@ def _scores(column: Sequence, at: Optional[str] = None) -> Optional[Sequence]:
         return None
     low, high = min(scores), max(scores)
     if low < -_SCORE_SLACK or high > 1.0 + _SCORE_SLACK:
-        if at:
-            raise ParseError(f"score {scores[0]!r} outside [0, 1]", location=at)
-        return None
+        return _refuse(at, ParseError, f"score {scores[0]!r} outside [0, 1]")
     if low < 0 or high > 1:
         scores = [*map(min, map(max, scores, repeat(0.0)), repeat(1.0))]
     return scores
@@ -282,15 +299,12 @@ def _image_size(value: Any, what: str, location: str) -> float:
 # JTA skeleton dumps
 # ---------------------------------------------------------------------------
 
-def _jta_rows(records: Any, at: Optional[str] = None) -> Optional[list]:
+def _jta_rows(records: list, at: Optional[str] = None) -> Optional[list]:
     """``records``, ids and flags as ints and coordinates as floats, or None if one breaks
     the JTA record rule, checked by column in field order; given ``at``, raises instead."""
-    if type(records) is not list:
-        return None
     if {*map(type, records)} - {list} or {*map(len, records)} - {_JTA_ARITY}:
-        if at:
-            raise ParseError(f"expected an array of {_JTA_ARITY} fields, got {records[0]!r}", at)
-        return None
+        message = f"expected an array of {_JTA_ARITY} fields, got {records[0]!r}"
+        return _refuse(at, ParseError, message)
     columns = [*zip(*records)]
     for i, column in enumerate(columns):
         # A frame is at least 1, a coordinate is a float, and an id or flag is an int.
@@ -300,13 +314,9 @@ def _jta_rows(records: Any, at: Optional[str] = None) -> Optional[list]:
         columns[i] = column
         # Pedestrian and joint ids start at 0, and flags are 0 or 1, once both are integers.
         if i == 2 and min(min(columns[1]), min(column)) < 0:
-            if at:
-                raise ParseError("pedestrian and joint ids must be non-negative", location=at)
-            return None
+            return _refuse(at, ParseError, "pedestrian and joint ids must be non-negative")
         if i == 9 and any(min(flags) < 0 or max(flags) > 1 for flags in columns[8:]):
-            if at:
-                raise ParseError("occlusion flags must be 0 or 1", location=at)
-            return None
+            return _refuse(at, ParseError, "occlusion flags must be 0 or 1")
     # A respelled column is a list, and one left as it was a tuple.
     return [*zip(*columns)] if list in map(type, columns) else records
 
@@ -341,7 +351,7 @@ def _jta_pieces(blocks: Iterable[str]) -> Iterator[str]:
     yield "" if re.fullmatch(r"[ \t\n\r]*\][ \t\n\r]*", tail) else head + tail
 
 
-def _jta_groups(records: Any, joint_ids: tuple) -> Optional[list]:
+def _jta_groups(records: list, joint_ids: tuple) -> Optional[list]:
     """``(key, group)`` per (frame, pedestrian) of parsed records: a complete group's
     columns (a tuple), any other's records (a list); None if they break the rule."""
     if (records := _jta_rows(records)) is None:
@@ -425,7 +435,8 @@ def _stream_jta(
     count: dict[tuple[int, int], int] = {}  # Each key's rows over the whole dump
 
     def parse(piece: str) -> Optional[list]:
-        return _jta_groups(load_json(piece, strict=False), joint_ids)
+        records = load_json(piece, strict=False)  # None, too, if the piece is not JSON
+        return _jta_groups(records, joint_ids) if type(records) is list else None
 
     results = _map_pieces(parse, _jta_pieces(blocks), workers)
     try:
@@ -524,7 +535,8 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
 
     Raises:
         JoinError: an annotation's video/frame is not in the manifest.
-        InvalidArgument: a known (not infinite) distance is not positive.
+        InvalidArgument: a known (not infinite) distance is not positive, or
+            a box field is not finite or its area beyond float range.
     """
     frame_counts = dict(manifest.videos)
     images = []
@@ -542,8 +554,8 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
                 }
             )
 
-    coco_annotations = []
-    for ann in sorted(annotations, key=sort_key):
+    coco_annotations, ordered = [], sorted(annotations, key=sort_key)
+    for ann in ordered:
         key = (ann.video_id, ann.frame_id)
         if key not in image_ids:
             raise JoinError(
@@ -580,7 +592,8 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
         "annotations": coco_annotations,
         "categories": [{"id": PEDESTRIAN_CATEGORY_ID, "name": "pedestrian"}],
     }
-    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    with _writing(ordered, area=True):
+        return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
 def _parse_file_name(file_name: Any, location: str) -> tuple[str, int]:
@@ -642,25 +655,50 @@ def _manifest_videos(videos: Any, images: Sequence[FrameRef]) -> tuple[tuple[str
     return tuple(counts.items())
 
 
+def _pedestrians(
+    categories: Sequence, what: str, at: Optional[str], *columns: Sequence
+) -> Optional[Sequence]:
+    """``columns`` cut to the records whose category in ``categories`` is the pedestrian
+    one, or None if a category is not an integer. Other categories go unchecked."""
+    if (categories := _ints(categories, what, at)) is None:
+        return None
+    if {*categories} != {PEDESTRIAN_CATEGORY_ID}:
+        keep = [*map(PEDESTRIAN_CATEGORY_ID.__eq__, categories)]
+        return [[*compress(column, keep)] for column in columns]
+    return columns
+
+
+def _coco_categories(records: list, at: Optional[str], *columns: Sequence) -> Optional[Sequence]:
+    """``records`` and ``columns`` cut to the pedestrians by ``category_id``, 1 if absent."""
+    categories = [*map(dict.get, records, repeat("category_id"), repeat(PEDESTRIAN_CATEGORY_ID))]
+    return _pedestrians(categories, "category_id", at, records, *columns)
+
+
 def _coco_annotations(
     anns: list, frame_of: Mapping[int, tuple[str, int]], at: Optional[str] = None
 ) -> Optional[list]:
     """``anns`` as AnnotatedBoxes, or None if one breaks the COCO annotation rule,
     checked by column in field order; given ``at``, raises instead."""
-    if not anns or {*map(type, anns)} - {dict}:
-        if anns and at:
-            raise ParseError(f"expected an object, got {anns[0]!r}", location=at)
-        return None if anns else []
+    if not anns:
+        return []
+    if {*map(type, anns)} - {dict}:
+        return _refuse(at, ParseError, f"expected an object, got {anns[0]!r}")
     image_ids = _ints([*map(dict.get, anns, repeat("image_id"))], "image_id", at)
-    if image_ids is None or not frame_of.keys() >= {*image_ids}:
-        if at:
-            raise JoinError(f"annotation references unknown image id {image_ids[0]}", at)
+    if image_ids is None:
         return None
+    if not frame_of.keys() >= {*image_ids}:
+        return _refuse(at, JoinError, f"annotation references unknown image id {image_ids[0]}")
+    # Each annotation's 1-based index in the document goes along, as its fallback pedestrian id.
+    if (kept := _coco_categories(anns, at, image_ids, range(1, len(anns) + 1))) is None:
+        return None
+    anns, image_ids, numbers = kept
+    if not anns:
+        return []
     if (boxes := _boxes([*map(dict.get, anns, repeat("bbox"))], at)) is None:
         return None
     pedestrian_ids = [*map(dict.get, anns, repeat("pedestrian_id"))]
     if None in pedestrian_ids:  # Absent, it is the annotation id, else the 1-based index.
-        pedestrian_ids = [a.get("pedestrian_id", a.get("id", i)) for i, a in enumerate(anns, 1)]
+        pedestrian_ids = [a.get("pedestrian_id", a.get("id", i)) for i, a in zip(numbers, anns)]
     if (ids := _ints(pedestrian_ids, "pedestrian_id", at)) is None:
         return None
     distances = _floats([a["distance_m"] for a in anns if "distance_m" in a], "distance_m", at)
@@ -678,11 +716,14 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
     """Parse a COCO ground-truth document (ours or foreign).
 
     Frames are recovered from image ``file_name`` entries of the form
-    ``<video>/<frame>.jpg``. Annotations missing the ``pedestrian_id`` /
-    ``distance_m`` extension keys fall back to the COCO annotation id and
-    an infinite distance respectively. An absent or null ``info`` value
-    takes its default (0 for the image size, "" for ``dataset_id``, unset
-    otherwise). A given ``info.videos`` must claim one image per frame.
+    ``<video>/<frame>.jpg``. Only annotations of the pedestrian category
+    are kept, as are those without ``category_id``; those of another are
+    dropped unchecked beyond their image and category. Annotations missing
+    the ``pedestrian_id`` / ``distance_m`` extension keys fall back to the
+    COCO annotation id and an infinite distance respectively. An absent or
+    null ``info`` value takes its default (0 for the image size, "" for
+    ``dataset_id``, unset otherwise). A given ``info.videos`` must claim one
+    image per frame.
 
     Raises:
         ParseError: malformed JSON or a malformed part of the document,
@@ -762,12 +803,15 @@ def emit_mot(annotations: Sequence[AnnotatedBox]) -> str:
 
     Raises:
         MixedVideos: annotations span more than one video.
+        InvalidArgument: a box field is not finite.
     """
     _one_video(annotations)
-    return "".join(
-        csv_row(a.frame_id, a.pedestrian_id, a.box.x, a.box.y, a.box.w, a.box.h, 1, 1, 1)
-        for a in sorted(annotations, key=_mot_order)
-    )
+    ordered = sorted(annotations, key=_mot_order)
+    with _writing(ordered):
+        return "".join(
+            csv_row(a.frame_id, a.pedestrian_id, a.box.x, a.box.y, a.box.w, a.box.h, 1, 1, 1)
+            for a in ordered
+        )
 
 
 def parse_mot_gt(source: str, video_id: str) -> tuple[list[AnnotatedBox], int]:
@@ -793,14 +837,13 @@ def _mot_rows(rows: list, video_id: str, at: Optional[str] = None) -> Optional[l
     if not rows:
         return []
     frames, ids, _, _, _, _, _, classes, _ = zip(*rows)
-    frames, ids, classes = _frames(frames, at), _ints(ids, "id", at), _ints(classes, "class", at)
-    if None in (frames, ids, classes):
+    if (frames := _frames(frames, at)) is None or (ids := _ints(ids, "id", at)) is None:
         return None
-    if {*classes} != {PEDESTRIAN_CATEGORY_ID}:  # Other classes go unchecked, then dropped.
-        keep = [*map(PEDESTRIAN_CATEGORY_ID.__eq__, classes)]
-        rows, frames, ids = ([*compress(column, keep)] for column in (rows, frames, ids))
-        if not rows:
-            return []
+    if (kept := _pedestrians(classes, "class", at, rows, frames, ids)) is None:
+        return None
+    rows, frames, ids = kept
+    if not rows:
+        return []
     if (boxes := _boxes([*map(itemgetter(slice(2, 6)), rows)], at)) is None:
         return None
     return [*map(AnnotatedBox, repeat(video_id), frames, ids, boxes, repeat(math.inf))]
@@ -859,22 +902,17 @@ def _coco_detections(
     """The pedestrians of ``records``, or None if one breaks the ``coco_results`` record
     rule, checked by column in field order; given ``at``, raises instead."""
     if {*map(type, records)} - {dict}:
-        if at:
-            raise ParseError(f"expected an object, got {records[0]!r}", location=at)
-        return None
+        return _refuse(at, ParseError, f"expected an object, got {records[0]!r}")
     image_ids = _ints([*map(dict.get, records, repeat("image_id"))], "image_id", at)
-    if image_ids is None or not frame_of.keys() >= {*image_ids}:
-        if at:
-            raise JoinError(f"detection references unknown image id {image_ids[0]}", at)
+    if image_ids is None:
         return None
-    categories = [*map(dict.get, records, repeat("category_id"), repeat(PEDESTRIAN_CATEGORY_ID))]
-    if (checked := _ints(categories, "category_id", at)) is None:
+    if not frame_of.keys() >= {*image_ids}:
+        return _refuse(at, JoinError, f"detection references unknown image id {image_ids[0]}")
+    if (kept := _coco_categories(records, at, image_ids)) is None:
         return None
-    if {*checked} != {PEDESTRIAN_CATEGORY_ID}:  # Other categories go unchecked, then dropped.
-        keep = [*map(PEDESTRIAN_CATEGORY_ID.__eq__, checked)]
-        records, image_ids = [*compress(records, keep)], [*compress(image_ids, keep)]
-        if not records:
-            return []
+    records, image_ids = kept
+    if not records:
+        return []
     boxes = _boxes([*map(dict.get, records, repeat("bbox"))], at)
     if boxes is None or (scores := _scores([*map(dict.get, records, repeat("score"))], at)) is None:
         return None
@@ -892,9 +930,8 @@ def _mot_detections(
     if (frames := _frames([*map(itemgetter(0), rows)], at)) is None:
         return None
     if known is not None and not known.issuperset(zip(repeat(video_id), frames)):
-        if at:
-            raise JoinError(f"detection on ({video_id}, {frames[0]}) has no ground-truth frame", at)
-        return None
+        message = f"detection on ({video_id}, {frames[0]}) has no ground-truth frame"
+        return _refuse(at, JoinError, message)
     boxes = _boxes([*map(itemgetter(slice(2, 6)), rows)], at)
     if boxes is None or (scores := _scores([*map(itemgetter(6), rows)], at)) is None:
         return None
@@ -911,6 +948,9 @@ def emit_detections(
 
     Output order matches what :func:`parse_detections` produces, so
     emit/parse pairs are identity and re-emission is byte-identical.
+
+    Raises:
+        InvalidArgument: a box field or score is not finite.
     """
     ordered = sorted(detections, key=_detection_order)
     if fmt == "coco_results":
@@ -931,13 +971,15 @@ def emit_detections(
                     "score": json_number(det.score),
                 }
             )
-        return json.dumps(records, separators=(",", ":"), allow_nan=False)
+        with _writing(ordered):
+            return json.dumps(records, separators=(",", ":"), allow_nan=False)
     if fmt == "mot_det":
         _one_video(ordered)
-        return "".join(
-            csv_row(d.frame_id, -1, d.box.x, d.box.y, d.box.w, d.box.h, d.score, -1, -1, -1)
-            for d in ordered
-        )
+        with _writing(ordered):
+            return "".join(
+                csv_row(d.frame_id, -1, d.box.x, d.box.y, d.box.w, d.box.h, d.score, -1, -1, -1)
+                for d in ordered
+            )
     raise ParseError(f"unknown detection format {fmt!r}")
 
 

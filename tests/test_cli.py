@@ -72,6 +72,20 @@ def annotation(video, frame, ped, x, y, w, h, dist):
     return AnnotatedBox(video, frame, ped, box, dist)
 
 
+def two_category_file(tmp_path):
+    """A foreign COCO file: one image holding a person and a car (category 3)."""
+    doc = {
+        "images": [{"id": 1, "file_name": "v/000001.jpg", "width": 200, "height": 100}],
+        "annotations": [
+            {"id": 1, "image_id": 1, "category_id": 1, "bbox": [10, 10, 20, 40]},
+            {"id": 2, "image_id": 1, "category_id": 3, "bbox": [50, 50, 30, 20]},
+        ],
+    }
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def coco_file(tmp_path, annotations, name="gt.json", dataset_id="ds"):
     manifest = manifest_for_annotations(
         annotations, dataset_id=dataset_id, image_w=1920.0, image_h=1080.0
@@ -765,6 +779,16 @@ class TestConvert:
         assert err == f"error: {gt}: holds videos ['a'], not 'b'\n"
         assert not out.exists()
 
+    def test_coco_annotations_of_other_categories_are_dropped(self, tmp_path, capsys):
+        out = tmp_path / "two.txt"
+        summary = summary_of(
+            capsys,
+            "convert", "--in", two_category_file(tmp_path), "--from", "coco", "--to", "mot",
+            "--video-id", "v", "--out", out,
+        )
+        assert summary["n_annotations"] == 1
+        assert out.read_text() == "1,1,10,10,20,40,1,1,1\n"
+
 
 class TestEvaluate:
     def make_pair(self, tmp_path):
@@ -783,6 +807,13 @@ class TestEvaluate:
             emit_detections(dets, "coco_results", image_id_of_frame=gt.image_id_by_frame())
         )
         return gt_path, det_path
+
+    def test_ground_truth_of_other_categories_is_not_counted(self, tmp_path, capsys):
+        det = tmp_path / "det.json"
+        det.write_text('[{"image_id": 1, "bbox": [10, 10, 20, 40], "score": 0.9}]')
+        gt = two_category_file(tmp_path)
+        summary = summary_of(capsys, "evaluate", "--gt", gt, "--det", det)
+        assert (summary["ap_allpoint"], summary["n_gt"], summary["n_det"]) == (1.0, 1, 1)
 
     def test_perfect_detections(self, tmp_path, capsys):
         gt_path, det_path = self.make_pair(tmp_path)

@@ -42,6 +42,7 @@ from skel2box import (
 )
 from skel2box import formats
 from skel2box.formats import MAX_FRAMES
+from test_value_rules import RULES, csv_box
 
 
 def jta_records(frame, ped, n_joints=22, base=(100.0, 200.0), z=10.0):
@@ -864,8 +865,29 @@ class TestEmitCoco:
 
     def test_non_finite_values_rejected(self):
         ann = make_ann(box=BBox(math.nan, 20.0, 30.0, 40.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument) as exc_info:
             emit_coco([ann], manifest_for_annotations([ann], "ds", 100.0, 100.0))
+        assert str(exc_info.value) == (
+            "box field must be a finite number, got nan (annotation (v, 1, 1))"
+        )
+        assert exc_info.value.location == "annotation (v, 1, 1)"
+
+    def test_area_beyond_float_range_rejected(self):
+        # The first annotation in written order that cannot be written is named.
+        anns = [
+            make_ann(ped=2, box=BBox(0, 0, 1e200, 1e200)),
+            make_ann(frame=2, box=BBox(0, 0, math.inf, 1)),
+        ]
+        with pytest.raises(InvalidArgument) as exc_info:
+            emit_coco(anns, manifest_for_annotations(anns, "ds", 0, 0))
+        assert str(exc_info.value) == (
+            "box width times height must be finite, got 1e+200 and 1e+200 (annotation (v, 1, 2))"
+        )
+        # A distance error is raised as it was, whatever box comes after it.
+        anns = [make_ann(distance=0.0), make_ann(frame=2, box=BBox(0, 0, 1e200, 1e200))]
+        with pytest.raises(InvalidArgument) as exc_info:
+            emit_coco(anns, manifest_for_annotations(anns, "ds", 0, 0))
+        assert str(exc_info.value) == "distance must be finite and positive, got 0.0"
 
     def test_unknown_distance_omitted(self):
         manifest = DatasetManifest("d", 100, 100, (("v", 1),))
@@ -1101,6 +1123,18 @@ class TestParseCocoForeign:
 
 
 class TestMot:
+    @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_emit_non_finite_box_rejected(self, field, value):
+        box = dataclasses.replace(BBox(0.0, 0.0, 1.0, 1.0), **{field: value})
+        anns = [make_ann(frame=2, ped=1, box=box), make_ann(frame=1, ped=9, box=box), make_ann()]
+        with pytest.raises(InvalidArgument) as exc_info:
+            emit_mot(anns)
+        assert str(exc_info.value) == (
+            f"box field must be a finite number, got {value!r} (annotation (v, 1, 9))"
+        )
+        assert exc_info.value.location == "annotation (v, 1, 9)"
+
     def test_field_mapping(self):
         ann = make_ann("v", 3, 5)
         assert emit_mot([ann]) == "3,5,10,20,30,40,1,1,1\n"
@@ -1301,8 +1335,26 @@ class TestDetections:
 
     def test_emit_coco_results_non_finite_rejected(self):
         detections = [Detection("v", 1, BBox(0, 0, 1, 1), math.nan)]
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument) as exc_info:
             emit_detections(detections, "coco_results", image_id_of_frame={("v", 1): 1})
+        assert str(exc_info.value) == "score must be a finite number, got nan (detection (v, 1))"
+        assert exc_info.value.location == "detection (v, 1)"
+
+    @pytest.mark.parametrize(
+        "box, score, message",
+        [
+            (BBox(0, 0, math.nan, 1), 0.5, "box field must be a finite number, got nan"),
+            (BBox(-math.inf, 0, 1, 1), 0.5, "box field must be a finite number, got -inf"),
+            (BBox(0, 0, 1, 1), math.inf, "score must be a finite number, got inf"),
+        ],
+        ids=["nan_width", "infinite_x", "infinite_score"],
+    )
+    def test_emit_mot_det_non_finite_rejected(self, box, score, message):
+        # Detections are written by descending score, so the first one named is frame 2's.
+        detections = [Detection("v", 3, box, score), Detection("v", 2, box, score)]
+        with pytest.raises(InvalidArgument) as exc_info:
+            emit_detections([Detection("v", 1, BBox(0, 0, 1, 1), 0.5), *detections], "mot_det")
+        assert str(exc_info.value) == f"{message} (detection (v, 2))"
 
     @pytest.mark.parametrize(
         "fmt, index, error, message",
@@ -1428,11 +1480,31 @@ COCO_ANNOTATION_CASES = {
         with_key(COCO_ANNOTATION, "distance_m", math.inf),
         "distance_m must be a finite number, got inf",
     ),
+    "no category_id": (with_key(COCO_ANNOTATION, "category_id", ABSENT), None),
+    "category_id 1.0": (with_key(COCO_ANNOTATION, "category_id", 1.0), None),
+    "category_id 1.5": (
+        with_key(COCO_ANNOTATION, "category_id", 1.5), "category_id must be an integer, got 1.5"
+    ),
+    "category_id null": (
+        with_key(COCO_ANNOTATION, "category_id", None), "category_id must be an integer, got None"
+    ),
+    "category_id 3 with a bad bbox": (
+        with_key(with_key(COCO_ANNOTATION, "category_id", 3), "bbox", "x"), None
+    ),
+    "category_id 3 on an unknown image": (
+        with_key(with_key(COCO_ANNOTATION, "category_id", 3), "image_id", 2),
+        "annotation references unknown image id 2",
+    ),
     "not an object": ([COCO_ANNOTATION], f"expected an object, got {[COCO_ANNOTATION]!r}"),
-    # Two bad keys: the error is the first check's, image, bbox, pedestrian_id, distance_m.
+    # Two bad keys: the error is the first check's: image, category, bbox, pedestrian_id,
+    # distance_m.
     "unknown image_id, bad bbox": (
         with_key(with_key(COCO_ANNOTATION, "image_id", 2), "bbox", "x"),
         "annotation references unknown image id 2",
+    ),
+    "category_id 1.5, bad bbox": (
+        with_key(with_key(COCO_ANNOTATION, "category_id", 1.5), "bbox", "x"),
+        "category_id must be an integer, got 1.5",
     ),
     "bad bbox, pedestrian_id 1.5": (
         with_key(with_key(COCO_ANNOTATION, "bbox", "x"), "pedestrian_id", 1.5),
@@ -1496,13 +1568,15 @@ FRAME_OF = {1: ("v", 3)}
 
 
 def reference_annotation(ann, idx):
-    """One annotation the reader accepts, built record by record, independently of it."""
+    """The annotations of one record the reader accepts, built independently of it."""
+    if int(ann.get("category_id", 1)) != 1:
+        return []
     video, frame = FRAME_OF[int(ann["image_id"])]
     x, y, w, h = map(float, ann["bbox"])
     pedestrian_id = int(ann.get("pedestrian_id", ann.get("id", idx + 1)))
-    return AnnotatedBox(
+    return [AnnotatedBox(
         video, frame, pedestrian_id, BBox(x, y, w, h), float(ann.get("distance_m", math.inf))
-    )
+    )]
 
 
 def reference_detections(rec):
@@ -1542,7 +1616,7 @@ class TestCocoRecordRules:
         assert (built is None, worded) == (message is not None,) * 2
         text = coco_document([record])
         if message is None:
-            want = [reference_annotation(record, 0)]
+            want = reference_annotation(record, 0)
             # repr tells 1 from True and 1.0, which == does not.
             assert repr(built) == repr(want)
             assert repr(list(parse_coco_gt(text).annotations)) == repr(want)
@@ -1585,7 +1659,7 @@ class TestCocoRecordRules:
     def test_mixed_records_parse_as_each_alone(self):
         variants = [r for r, message in COCO_ANNOTATION_CASES.values() if message is None]
         want = sorted(
-            (reference_annotation(r, idx) for idx, r in enumerate(variants)),
+            (a for idx, r in enumerate(variants) for a in reference_annotation(r, idx)),
             key=lambda a: (a.video_id, a.frame_id, a.pedestrian_id),
         )
         assert repr(list(parse_coco_gt(coco_document(variants)).annotations)) == repr(want)
@@ -1594,6 +1668,60 @@ class TestCocoRecordRules:
         want.sort(key=lambda d: -d.score)
         parsed = parse_detections(json.dumps(variants), "coco_results", frame_of_image=FRAME_OF)
         assert repr(parsed) == repr(want)
+
+
+def csv_record(line, fewest, most):
+    return formats.csv_rows(line, fewest, most)[1][0]
+
+
+FRAME_VALUES = [value for value, _ in RULES["frame"][1].values()]
+BOX_VALUES = [box for box, _ in RULES["box"][1].values()]
+SCORE_VALUES = [2, -0.2, 1 + 1e-10, -1e-10, math.nan, math.inf]
+# Per record rule: the arguments after the records, a good record, and one-record
+# variants, good and bad: JTA_RECORD_CASES, and the frame, box and score values
+# that tests/test_value_rules.py feeds the readers, in MOT and mot_det rows.
+RULE_CASES = {
+    "jta": (formats._jta_rows, (), JTA_RECORD, [record for record, _ in JTA_RECORD_CASES.values()]),
+    "mot": (formats._mot_rows, ("v",), csv_record("1,7,10,20,30,40,1,1,1", 9, 9), [
+        *(csv_record(f"{frame},7,10,20,30,40,1,1,1", 9, 9) for frame in FRAME_VALUES),
+        *(csv_record(f"1,7,{csv_box(box)},1,1,1", 9, 9) for box in BOX_VALUES),
+        *(csv_record(f"1,7,{csv_box(box)},1,2,1", 9, 9) for box in BOX_VALUES),
+        csv_record("1,7.5,10,20,30,40,1,1,1", 9, 9),
+        csv_record("1,7,10,20,30,40,1,1.5,1", 9, 9),
+    ]),
+    **{
+        f"mot_det{name}": (formats._mot_detections, ("v", known), [1, -1, 10, 20, 30, 40, 0.5], [
+            *(csv_record(f"{frame},-1,10,20,30,40,0.5", 7, 10) for frame in FRAME_VALUES),
+            *(csv_record(f"1,-1,{csv_box(box)},0.5", 7, 10) for box in BOX_VALUES),
+            *(csv_record(f"1,-1,10,20,30,40,{score!r}", 7, 10) for score in SCORE_VALUES),
+            csv_record("7,-1,10,20,30,40,0.5", 7, 10),
+        ])
+        for name, known in [("", None), (", frames known", {("v", 1)})]
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "rule, args, good, record",
+    [
+        pytest.param(rule, args, good, record, id=f"{name}-{idx}")
+        for name, (rule, args, good, records) in RULE_CASES.items()
+        for idx, record in enumerate(records)
+    ],
+)
+def test_record_rule_refuses_what_it_words(rule, args, good, record):
+    # Without a location a rule gives None, and raises nothing, exactly when,
+    # given one, it raises: the records it refuses are the ones it words. A
+    # message is formatted without a location too, so the rule also runs on
+    # a good record then the variant, where the first value is not the bad one.
+    refused = rule([record], *args) is None
+    assert (rule([good, record], *args) is None) == refused
+    try:
+        rule([record], *args, at="record 0")
+    except (ParseError, JoinError):
+        assert refused
+    else:
+        assert not refused
 
 
 # Per reader: a good record, a bad one, the bad one's error, and how a record is located.

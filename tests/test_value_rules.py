@@ -4,7 +4,7 @@ Every reader or operation that takes a frame number, a box or a camera
 distance refuses a bad one with the same message; only the location differs,
 and it is the one that reader gives its records (``record N``, ``line N``,
 ``image N``, ``annotation N``). The COCO emitter and the distance operations
-take no file, so their errors carry no location.
+take no file, so their distance errors carry no location.
 """
 
 import json
