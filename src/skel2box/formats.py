@@ -23,7 +23,7 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, cycle, repeat
+from itertools import chain, compress, cycle, repeat
 from operator import attrgetter, itemgetter, mod, mul
 from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence, TextIO
 
@@ -79,6 +79,15 @@ class DatasetManifest:
     distance_limit_m: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # What parse_coco_gt refuses in ``info``, which emit_coco could not write.
+        for what in ("image_w", "image_h", "alpha_used", "distance_limit_m"):
+            size, value = what.startswith("image"), getattr(self, what)
+            if value is None and not size:
+                continue  # Not given
+            if _floats([value], what) is None:
+                raise InvalidArgument(f"{what} must be a finite number, got {value!r}")
+            if size and value < 0:
+                raise InvalidArgument(f"{what} must be at least 0, got {float(value)!r}")
         total = 0
         for video, count in self.videos:
             total += count
@@ -191,10 +200,14 @@ def csv_row(*values: float) -> str:
 
 @contextmanager
 def _writing(records: Sequence, area: bool = False) -> Iterator[None]:
-    """Wraps the write of ``records``. Should it fail, raises InvalidArgument, worded by the
-    readers' value rules, at the first record it could not write: one whose box field or score
-    is a float that is not finite, or, if the writer gives box ``area``s, whose area is."""
+    """Wraps the write of ``records``. Should a box size not be positive, or the write fail,
+    raises InvalidArgument, worded by the readers' value rules, at the first record it could
+    not write: one whose box field or score is a float that is not finite, whose box width or
+    height is not positive, or, if the writer gives box ``area``s, whose area is not finite."""
     try:
+        # A size that is not positive would be written, so it is looked for first.
+        if not min(map(min, map(attrgetter("box.w", "box.h"), records)), default=1) > 0:
+            raise ValueError
         yield
     except (ValueError, OverflowError):  # From json.dumps, or int() in csv_row
         for rec in records:
@@ -206,10 +219,14 @@ def _writing(records: Sequence, area: bool = False) -> Iterator[None]:
             for what, value in [*zip(repeat("box field"), (box.x, box.y, box.w, box.h)), *values]:
                 if isinstance(value, float) and not math.isfinite(value):
                     raise InvalidArgument(f"{what} must be a finite number, got {value!r}", at)
-            if area and isinstance(size := box.w * box.h, float) and not math.isfinite(size):
-                message = f"box width times height must be finite, got {box.w!r} and {box.h!r}"
-                raise InvalidArgument(message, at)
-        raise  # No record holds it: a manifest value, say.
+            if not (box.w > 0 and box.h > 0):
+                problem = "width and height must be positive"
+            elif area and isinstance(size := box.w * box.h, float) and not math.isfinite(size):
+                problem = "width times height must be finite"
+            else:
+                continue
+            raise InvalidArgument(f"box {problem}, got {box.w!r} and {box.h!r}", at)
+        raise  # No record holds it.
 
 
 # One function per kind of value checks a column of them, and one rule per kind
@@ -351,18 +368,26 @@ def _jta_pieces(blocks: Iterable[str]) -> Iterator[str]:
     yield "" if re.fullmatch(r"[ \t\n\r]*\][ \t\n\r]*", tail) else head + tail
 
 
-def _jta_groups(records: list, joint_ids: tuple) -> Optional[list]:
-    """``(key, group)`` per (frame, pedestrian) of parsed records: a complete group's
-    columns (a tuple), any other's records (a list); None if they break the rule."""
+def _jta_groups(records: list, joint_ids: tuple) -> Optional[tuple]:
+    """``(keys, whole, rest)`` of parsed records grouped by (frame, pedestrian): the keys
+    of the complete groups in order, their five columns laid end to end as five arrays,
+    and ``(key, records)`` of every other group; None if they break the rule."""
+    from array import array
+
     if (records := _jta_rows(records)) is None:
         return None
     groups: dict[tuple[int, int], list] = {}
     for rec in records:
         groups.setdefault((rec[0], rec[1]), []).append(rec)
-    return [
-        (key, len(rows) == len(joint_ids) and _jta_columns(rows, joint_ids) or rows)
-        for key, rows in groups.items()
-    ]
+    keys, whole, rest = [], [array("d") for _ in range(5)], []
+    for key, rows in groups.items():
+        if len(rows) == len(joint_ids) and (columns := _jta_columns(rows, joint_ids)):
+            keys.append(key)
+            for piece_column, column in zip(whole, columns):
+                piece_column += column
+        else:
+            rest.append((key, rows))
+    return keys, whole, rest
 
 
 def _jta_workers(size: int) -> int:
@@ -434,7 +459,7 @@ def _stream_jta(
     done: dict[tuple[int, int], SkeletonInstance] = {}
     count: dict[tuple[int, int], int] = {}  # Each key's rows over the whole dump
 
-    def parse(piece: str) -> Optional[list]:
+    def parse(piece: str) -> Optional[tuple]:
         records = load_json(piece, strict=False)  # None, too, if the piece is not JSON
         return _jta_groups(records, joint_ids) if type(records) is list else None
 
@@ -443,7 +468,9 @@ def _stream_jta(
         for groups in results:
             if groups is None:
                 return None
-            for key, group in groups:
+            keys, whole, rest = groups  # Each complete group's columns, cut at their size
+            cut = ([c[i * joints : (i + 1) * joints] for i in range(len(keys))] for c in whole)
+            for key, group in chain(zip(keys, zip(*cut)), rest):
                 n = count[key] = count.get(key, 0) + (len(group) if type(group) is list else joints)
                 if type(group) is list and n <= joints:
                     split.setdefault(key, []).extend(group)
@@ -535,8 +562,9 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
 
     Raises:
         JoinError: an annotation's video/frame is not in the manifest.
-        InvalidArgument: a known (not infinite) distance is not positive, or
-            a box field is not finite or its area beyond float range.
+        InvalidArgument: a known (not infinite) distance is not positive, a
+            box field is not finite, its width or height is not positive, or
+            its area is beyond float range.
     """
     frame_counts = dict(manifest.videos)
     images = []
@@ -803,7 +831,8 @@ def emit_mot(annotations: Sequence[AnnotatedBox]) -> str:
 
     Raises:
         MixedVideos: annotations span more than one video.
-        InvalidArgument: a box field is not finite.
+        InvalidArgument: a box field is not finite, or its width or height
+            is not positive.
     """
     _one_video(annotations)
     ordered = sorted(annotations, key=_mot_order)
@@ -950,7 +979,8 @@ def emit_detections(
     emit/parse pairs are identity and re-emission is byte-identical.
 
     Raises:
-        InvalidArgument: a box field or score is not finite.
+        InvalidArgument: a box field or score is not finite, or a box width
+            or height is not positive.
     """
     ordered = sorted(detections, key=_detection_order)
     if fmt == "coco_results":

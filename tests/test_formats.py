@@ -189,6 +189,10 @@ class TestParseJta:
         skeletons = parse_jta(source, "v", joints_per_skeleton=15)
         assert len(skeletons[0].joints) == 15
 
+    def test_no_joint_count_builds_no_skeleton(self):
+        with pytest.raises(IncompleteSkeleton, match=r"^expected 0 joints, got 1 \(frame 1, pe"):
+            parse_jta(json.dumps(jta_records(1, 1, n_joints=1)), "v", joints_per_skeleton=0)
+
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             parse_jta("[1, 2", "v")
@@ -420,6 +424,20 @@ RESPELLED = [
 ]
 
 
+def distinct_records(frame, ped):
+    """``jta_records`` of (frame, pedestrian) with coordinates of their own."""
+    return jta_records(frame, ped, base=(100.0 + frame, 200.0 + ped), z=10.0 + frame + ped / 8)
+
+
+# Orders of a dump's records, each an edit in place; the skeletons must not change.
+RECORD_ORDERS = {
+    "run order": lambda rows: None,
+    "reversed": list.reverse,
+    "sorted by joint id, so every group spans pieces": lambda rows: rows.sort(key=lambda r: r[2]),
+    "shuffled": shuffled,
+}
+
+
 def jta_outcome(parse):
     """The repr of the skeletons ``parse()`` returns, which tells 1 from 1.0 and
     True, or the class, message and location of the error it raises."""
@@ -512,6 +530,17 @@ class TestStreamedJta:
         monkeypatch.setattr(formats, "_jta_groups", lambda records, joint_ids: None)
         with pytest.raises(AssertionError, match="^_jta_rows refuses none of the records$"):
             parse_jta(jta_dump((1, 1), (2, 1)), "v")
+
+    def test_a_piece_gives_its_complete_groups_end_to_end(self):
+        # Two groups whole in the piece, and one that another piece completes.
+        records = [*distinct_records(1, 1), *distinct_records(2, 5)[:9], *distinct_records(1, 2)]
+        records.reverse()
+        keys, whole, rest = formats._jta_groups(records, tuple(range(22)))
+        assert keys == [(1, 2), (1, 1)]
+        assert [(type(c), c.typecode, len(c)) for c in whole] == [(array, "d", 2 * 22)] * 5
+        assert whole[0] == array("d", [101.0 + j for j in range(22)] * 2)
+        assert whole[4] == array("d", [11.25] * 22 + [11.125] * 22)
+        assert [(key, len(rows)) for key, rows in rest] == [((2, 5), 9)]
 
     def test_string_source_is_streamed_too(self, monkeypatch):
         text, _ = STREAM_CASES["records split across blocks"]
@@ -635,6 +664,34 @@ class TestPooledJta:
             for name in ("x_px", "y_px", "x3d_m", "y3d_m", "z3d_m"):
                 column = getattr(skeleton, name)
                 assert (type(column), column.typecode, len(column)) == (array, "d", 22)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_columns_have_no_spare_capacity(self, monkeypatch, workers):
+        # A column unpickled on its own grows as it is read and keeps spare
+        # doubles; one cut from its piece's columns is allocated at its size.
+        text = jta_dump(*((frame, ped) for frame in range(1, 9) for ped in range(3)))
+        monkeypatch.setattr(formats, "_jta_workers", lambda size: workers)
+        monkeypatch.setattr(formats, "_JTA_BLOCK", 4096)
+        skeletons = parse_jta(text, "v")
+        assert multiprocessing.active_children() == [] and len(skeletons) == 24
+        empty = sys.getsizeof(array("d"))
+        for skeleton in skeletons:
+            for column in (skeleton.x_px, skeleton.y_px, skeleton.x3d_m, skeleton.y3d_m,
+                           skeleton.z3d_m):
+                assert sys.getsizeof(column) == empty + 8 * len(column)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    @pytest.mark.parametrize("order", RECORD_ORDERS)
+    def test_record_order_does_not_matter(self, monkeypatch, tmp_path, order, block, workers):
+        groups = [(frame, ped) for frame in range(1, 14) for ped in range(7)]
+        rows = [row for group in groups for row in distinct_records(*group)]
+        assert len(rows) == 2002
+        expected = repr(parse_jta(json.dumps(rows), "v"))
+        RECORD_ORDERS[order](rows)
+        path = tmp_path / "dump.json"
+        path.write_text(json.dumps(rows), encoding="utf-8")
+        assert self.pooled(monkeypatch, path, block, workers, []) == (expected, False)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("block", [1, 7, 300])
@@ -819,6 +876,43 @@ class TestFrameTable:
         doc = {"images": [{"id": 1, "file_name": "v/20000000.jpg"}], "annotations": []}
         with pytest.raises(ParseError, match="^video 'v' puts the frame table over"):
             parse_coco_gt(json.dumps(doc))
+
+
+class TestManifestValues:
+    """A manifest holds only what parse_coco_gt takes in ``info``, so emit_coco can write it."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("image_w", math.inf, "image_w must be a finite number, got inf"),
+            ("image_h", math.nan, "image_h must be a finite number, got nan"),
+            ("image_w", -1, "image_w must be at least 0, got -1.0"),
+            ("image_h", -0.5, "image_h must be at least 0, got -0.5"),
+            ("image_w", True, "image_w must be a finite number, got True"),
+            ("alpha_used", math.nan, "alpha_used must be a finite number, got nan"),
+            ("alpha_used", "100", "alpha_used must be a finite number, got '100'"),
+            ("distance_limit_m", -math.inf, "distance_limit_m must be a finite number, got -inf"),
+        ],
+    )
+    def test_refused_as_the_reader_words_it(self, key, value, message):
+        fields = {"dataset_id": "d", "image_w": 0, "image_h": 0, "videos": (("v", 1),)}
+        with pytest.raises(InvalidArgument) as exc_info:
+            DatasetManifest(**{**fields, key: value})
+        assert (str(exc_info.value), exc_info.value.location) == (message, None)
+        # The reader checks info first, so its errors keep their location.
+        info = {**fields, "videos": [["v", 1]], key: value}
+        doc = {"info": info, "images": [{"id": 1, "file_name": "v/000001.jpg"}], "annotations": []}
+        with pytest.raises(ParseError) as exc_info:
+            parse_coco_gt(json.dumps(doc))
+        assert str(exc_info.value) == f"{message} (info.{key})"
+
+    def test_a_size_is_required_and_the_rest_optional(self):
+        with pytest.raises(InvalidArgument, match="^image_h must be a finite number, got None$"):
+            DatasetManifest("d", 0, None, (("v", 1),))
+        manifest = DatasetManifest("d", 0, 1e300, (("v", 1),), distance_limit_m=-40)
+        assert (manifest.alpha_used, manifest.distance_limit_m) == (None, -40)
+        with pytest.raises(InvalidArgument, match="^alpha_used must be a finite number"):
+            dataclasses.replace(manifest, alpha_used=math.inf)
 
 
 class TestEmitCoco:
@@ -1385,6 +1479,55 @@ class TestDetections:
         assert exc_info.value.location == "line 2"
         # Without an index every frame is taken; evaluate() then checks the frames itself.
         assert len(parse_detections(text, "mot_det", video_id="v")) == 2
+
+
+class TestWrittenBoxSizes:
+    """The writers refuse a box size that the readers refuse: not positive."""
+
+    WRITERS = {
+        "coco": lambda anns: emit_coco(anns, manifest_for_annotations(anns, "d", 0, 0)),
+        "mot": emit_mot,
+        "coco_results": lambda dets: emit_detections(
+            dets, "coco_results", image_id_of_frame={("v", 1): 1, ("v", 2): 2, ("v", 3): 3}
+        ),
+        "mot_det": partial(emit_detections, fmt="mot_det"),
+    }
+
+    @staticmethod
+    def records(writer, *boxes):
+        """One record per box, on frames 1, 2, ..., in the writer's kind."""
+        if writer.startswith("coco_") or writer.endswith("_det"):
+            return [Detection("v", frame, box, 0.5) for frame, box in enumerate(boxes, 1)]
+        return [make_ann(frame=frame, ped=9, box=box) for frame, box in enumerate(boxes, 1)]
+
+    @pytest.mark.parametrize("w, h", [(0, 1), (1.0, 0.0), (-1, 1), (1, -0.5), (-0.0, 2.5)])
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_refused_and_located(self, writer, w, h):
+        records = self.records(writer, BBox(0, 0, 1, 1), BBox(0, 0, w, h))
+        at = "detection (v, 2)" if isinstance(records[0], Detection) else "annotation (v, 2, 9)"
+        with pytest.raises(InvalidArgument) as exc_info:
+            self.WRITERS[writer](records)
+        message = f"box width and height must be positive, got {w!r} and {h!r}"
+        assert (str(exc_info.value), exc_info.value.location) == (f"{message} ({at})", at)
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_first_refused_record_wins_and_a_field_not_finite_first(self, writer):
+        # As in the readers: the first record refused, and a field that is not
+        # finite before its size.
+        boxes = BBox(0, 0, 1, 1), BBox(math.inf, 0, 0, 1), BBox(0, 0, -1, 1)
+        with pytest.raises(InvalidArgument, match=r"^box field must be a finite number, got inf"):
+            self.WRITERS[writer](self.records(writer, *boxes))
+        boxes = BBox(0, 0, 1, 1), BBox(0, 0, 0, 1), BBox(0, math.nan, 1, 1)
+        with pytest.raises(InvalidArgument, match=r"^box width and height must be positive, got 0 "):
+            self.WRITERS[writer](self.records(writer, *boxes))
+        boxes = BBox(0, 0, 1, 1), BBox(0, 0, math.nan, 1), BBox(0, 0, 0, 1)
+        with pytest.raises(InvalidArgument, match=r"^box field must be a finite number, got nan"):
+            self.WRITERS[writer](self.records(writer, *boxes))
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_positive_sizes_pass(self, writer):
+        assert self.WRITERS[writer](self.records(writer, BBox(0, 0, 1e-300, 5e-324)))
+        assert self.WRITERS[writer]([]) is not None
 
 
 ABSENT = object()
