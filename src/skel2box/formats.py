@@ -20,7 +20,7 @@ import os
 import re
 import signal
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, cycle, repeat
@@ -69,7 +69,13 @@ class Detection:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Provenance record emitted alongside ground truth."""
+    """Provenance record emitted alongside ground truth.
+
+    Raises:
+        InvalidArgument: a value that :func:`parse_coco_gt` refuses in ``info``,
+            worded as there but unlocated. ``videos`` is kept as it reads back.
+        ParseError: the videos hold more than ``MAX_FRAMES`` frames in all.
+    """
 
     dataset_id: str
     image_w: float
@@ -79,20 +85,14 @@ class DatasetManifest:
     distance_limit_m: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # What parse_coco_gt refuses in ``info``, which emit_coco could not write.
-        for what in ("image_w", "image_h", "alpha_used", "distance_limit_m"):
-            size, value = what.startswith("image"), getattr(self, what)
-            if value is None and not size:
-                continue  # Not given
-            if _floats([value], what) is None:
-                raise InvalidArgument(f"{what} must be a finite number, got {value!r}")
-            if size and value < 0:
-                raise InvalidArgument(f"{what} must be at least 0, got {float(value)!r}")
-        total = 0
-        for video, count in self.videos:
-            total += count
-            if total > MAX_FRAMES:
-                raise ParseError(f"video {video!r} puts the frame table over {MAX_FRAMES} frames")
+        at = _Argument()
+        _image_size(self.image_w, "image_w", at)
+        _image_size(self.image_h, "image_h", at)
+        object.__setattr__(self, "videos", _video_table(self.videos, at))
+        for what in ("alpha_used", "distance_limit_m"):
+            if getattr(self, what) is not None:
+                _require_finite(getattr(self, what), what, at)
+        _require_str(self.dataset_id, "dataset_id", at)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +158,7 @@ def _require_finite(value: Any, what: str, location: str) -> float:
 
 def _require_str(value: Any, what: str, location: str) -> str:
     if not isinstance(value, str):
-        raise ParseError(f"{what} must be a string, got {value!r}", location=location)
+        _refuse(location, ParseError, f"{what} must be a string, got {value!r}")
     return value
 
 
@@ -198,44 +198,21 @@ def csv_row(*values: float) -> str:
     return ",".join(str(int(v)) if v == int(v) else repr(v) for v in values) + "\n"
 
 
-@contextmanager
-def _writing(records: Sequence, area: bool = False) -> Iterator[None]:
-    """Wraps the write of ``records``. Should a box size not be positive, or the write fail,
-    raises InvalidArgument, worded by the readers' value rules, at the first record it could
-    not write: one whose box field or score is a float that is not finite, whose box width or
-    height is not positive, or, if the writer gives box ``area``s, whose area is not finite."""
-    try:
-        # A size that is not positive would be written, so it is looked for first.
-        if not min(map(min, map(attrgetter("box.w", "box.h"), records)), default=1) > 0:
-            raise ValueError
-        yield
-    except (ValueError, OverflowError):  # From json.dumps, or int() in csv_row
-        for rec in records:
-            box = rec.box
-            if isinstance(rec, Detection):
-                at, values = f"detection ({rec.video_id}, {rec.frame_id})", [("score", rec.score)]
-            else:
-                at, values = f"annotation ({rec.video_id}, {rec.frame_id}, {rec.pedestrian_id})", []
-            for what, value in [*zip(repeat("box field"), (box.x, box.y, box.w, box.h)), *values]:
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise InvalidArgument(f"{what} must be a finite number, got {value!r}", at)
-            if not (box.w > 0 and box.h > 0):
-                problem = "width and height must be positive"
-            elif area and isinstance(size := box.w * box.h, float) and not math.isfinite(size):
-                problem = "width times height must be finite"
-            else:
-                continue
-            raise InvalidArgument(f"box {problem}, got {box.w!r} and {box.h!r}", at)
-        raise  # No record holds it.
-
-
 # One function per kind of value checks a column of them, and one rule per kind
 # of record checks a list of them: each gives what it checked, or refuses it
 # through _refuse, which gives None, or given ``at``, raises the located error.
 
+class _Argument(str):
+    """The place of a value that the caller passed in, not one read from a file:
+    a rule refuses it as InvalidArgument; ``_Argument()`` locates nothing."""
+
+
 def _refuse(at: Optional[str], error: type, message: str) -> None:
     """None, the verdict of a rule that refuses a column; given ``at``, the one
-    record refused, raises ``error(message)`` located there instead."""
+    record refused, raises ``error(message)`` located there instead, or
+    InvalidArgument if ``at`` is an :class:`_Argument`."""
+    if type(at) is _Argument:
+        raise InvalidArgument(message, location=str(at) or None)
     if at:
         raise error(message, location=at)
 
@@ -265,12 +242,10 @@ def _frames(column: Sequence, at: Optional[str] = None) -> Optional[Sequence]:
     return frames
 
 
-def _boxes(column: Sequence, at: Optional[str] = None) -> Optional[list]:
-    """The BBox of each array ``[x, y, w, h]``: finite numbers, ``w`` and ``h`` positive,
-    and ``w * h`` within float range, as the area that the emitters write."""
-    if {*map(type, column)} - {list} or {*map(len, column)} - {4}:
-        return _refuse(at, ParseError, f"bbox must be [x, y, w, h], got {column[0]!r}")
-    _, _, ws, hs = columns = [_floats(values, "box field", at) for values in zip(*column)]
+def _box_fields(*columns: Sequence, at: Optional[str] = None) -> Optional[list]:
+    """The ``x``, ``y``, ``w`` and ``h`` columns of boxes as floats: finite numbers, ``w``
+    and ``h`` positive, and ``w * h`` within float range, as the area that the emitters write."""
+    _, _, ws, hs = columns = [_floats(values, "box field", at) for values in columns]
     if None in columns:
         return None
     if min(ws) <= 0 or min(hs) <= 0:
@@ -278,8 +253,16 @@ def _boxes(column: Sequence, at: Optional[str] = None) -> Optional[list]:
     elif max(map(mul, ws, hs)) > _FLOAT_MAX:
         problem = "width times height must be finite"
     else:
-        return [*map(BBox, *columns)]
+        return columns
     return _refuse(at, ParseError, f"box {problem}, got {ws[0]!r} and {hs[0]!r}")
+
+
+def _boxes(column: Sequence, at: Optional[str] = None) -> Optional[list]:
+    """The BBox of each array ``[x, y, w, h]`` whose fields pass :func:`_box_fields`."""
+    if {*map(type, column)} - {list} or {*map(len, column)} - {4}:
+        return _refuse(at, ParseError, f"bbox must be [x, y, w, h], got {column[0]!r}")
+    columns = _box_fields(*zip(*column), at=at)
+    return None if columns is None else [*map(BBox, *columns)]
 
 
 def _scores(column: Sequence, at: Optional[str] = None) -> Optional[Sequence]:
@@ -304,11 +287,47 @@ def _raise_first(rule: Callable, records: list, locate: Callable, *args: Any) ->
     raise AssertionError(f"{rule.__name__} refuses none of the records")
 
 
+def _written(records: list, checks: tuple, at: Optional[str] = None) -> Optional[list]:
+    """The rows that a writer writes of ``records``, as its reader reads them back: each
+    ``(check, *names)`` of ``checks``, in the reader's order, passes the columns of the
+    named attributes through the reader's value function; None if one refuses them, or
+    given ``at``, raises."""
+    if not records:
+        return []
+    columns: list = []
+    for check, *names in checks:
+        checked = check(*([*map(attrgetter(name), records)] for name in names), at=at)
+        if checked is None:
+            return None
+        columns += checked if len(names) > 1 else [checked]
+    return [*zip(*columns)]
+
+
+def _writable(records: list, checks: tuple) -> list:
+    """The rows of :func:`_written`, or InvalidArgument for the first of ``records`` that
+    it refuses, located at ``annotation (v, f, p)`` or ``detection (v, f)``."""
+    if (rows := _written(records, checks)) is None:
+        key = _ANNOTATION if isinstance(records[0], AnnotatedBox) else _DETECTION
+        _raise_first(_written, records, lambda idx: _Argument(key.format(records[idx])), checks)
+    return rows
+
+
+# How the writers' errors name a record.
+_ANNOTATION = "annotation ({0.video_id}, {0.frame_id}, {0.pedestrian_id})"
+_DETECTION = "detection ({0.video_id}, {0.frame_id})"
+
+# What each writer writes: (its reader's value function, *attributes), in the reader's order.
+_BOX = (_box_fields, "box.x", "box.y", "box.w", "box.h")
+_COCO_WRITES = (_BOX, (partial(_ints, what="pedestrian_id"), "pedestrian_id"))
+_MOT_WRITES = ((_frames, "frame_id"), (partial(_ints, what="id"), "pedestrian_id"), _BOX)
+_DETECTION_WRITES = (_BOX, (_scores, "score"))
+
+
 def _image_size(value: Any, what: str, location: str) -> float:
     """An image width or height: finite and at least 0, where 0 means unknown."""
     size = _require_finite(value, what, location)
     if size < 0:
-        raise ParseError(f"{what} must be at least 0, got {size!r}", location=location)
+        _refuse(location, ParseError, f"{what} must be at least 0, got {size!r}")
     return size
 
 
@@ -562,9 +581,10 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
 
     Raises:
         JoinError: an annotation's video/frame is not in the manifest.
-        InvalidArgument: a known (not infinite) distance is not positive, a
-            box field is not finite, its width or height is not positive, or
-            its area is beyond float range.
+        InvalidArgument: a known (not infinite) distance is not positive; else,
+            at the first annotation ``(v, f, p)`` in written order with one, a
+            box field that is not finite, a width or height that is not
+            positive, an area beyond float range or an id not an integer.
     """
     frame_counts = dict(manifest.videos)
     images = []
@@ -582,25 +602,25 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
                 }
             )
 
-    coco_annotations, ordered = [], sorted(annotations, key=sort_key)
+    ordered = sorted(annotations, key=sort_key)
     for ann in ordered:
-        key = (ann.video_id, ann.frame_id)
-        if key not in image_ids:
-            raise JoinError(
-                f"annotation ({ann.video_id}, {ann.frame_id}, {ann.pedestrian_id}) "
-                "is outside the manifest"
-            )
+        if (ann.video_id, ann.frame_id) not in image_ids:
+            raise JoinError(f"{_ANNOTATION.format(ann)} is outside the manifest")
+        if ann.distance_m != math.inf:
+            check_distance(ann.distance_m)
+    coco_annotations = []
+    for ann, (x, y, w, h, pedestrian_id) in zip(ordered, _writable(ordered, _COCO_WRITES)):
         entry: dict[str, Any] = {
             "id": len(coco_annotations) + 1,
-            "image_id": image_ids[key],
+            "image_id": image_ids[ann.video_id, ann.frame_id],
             "category_id": PEDESTRIAN_CATEGORY_ID,
-            "bbox": [json_number(v) for v in (ann.box.x, ann.box.y, ann.box.w, ann.box.h)],
-            "area": json_number(ann.box.w * ann.box.h),
+            "bbox": [json_number(x), json_number(y), json_number(w), json_number(h)],
+            "area": json_number(w * h),
             "iscrowd": 0,
-            "pedestrian_id": ann.pedestrian_id,
+            "pedestrian_id": pedestrian_id,
         }
         if ann.distance_m != math.inf:
-            entry["distance_m"] = json_number(check_distance(ann.distance_m))
+            entry["distance_m"] = json_number(ann.distance_m)
         coco_annotations.append(entry)
 
     info: dict[str, Any] = {
@@ -620,8 +640,7 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
         "annotations": coco_annotations,
         "categories": [{"id": PEDESTRIAN_CATEGORY_ID, "name": "pedestrian"}],
     }
-    with _writing(ordered, area=True):
-        return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
 def _parse_file_name(file_name: Any, location: str) -> tuple[str, int]:
@@ -643,31 +662,37 @@ def _info_value(info: dict, key: str, default: Any, check: Callable[..., Any]) -
     return check(value, key, f"info.{key}")
 
 
-def _manifest_videos(videos: Any, images: Sequence[FrameRef]) -> tuple[tuple[str, int], ...]:
-    """The ``info.videos`` table: an array of ``[name, frame count]`` pairs, each
-    name a string given once and each count at least 1. The table claims one
-    image per frame: every image lies in a claimed frame, no two images share
-    one, and the counts add up to the number of images."""
-    loc = "info.videos"
-    if not isinstance(videos, list):
-        raise ParseError(
-            f"expected an array of [video, frame count] pairs, got {videos!r}", location=loc
-        )
+def _video_table(videos: Any, location: str) -> tuple[tuple[str, int], ...]:
+    """A table of videos: an array of ``[name, frame count]`` pairs, each name a
+    string given once and each count an integer of at least 1, and at most
+    ``MAX_FRAMES`` frames in all (else a ParseError without a location)."""
+    if not isinstance(videos, (list, tuple)):
+        message = f"expected an array of [video, frame count] pairs, got {videos!r}"
+        _refuse(location, ParseError, message)
     counts: dict[str, int] = {}
+    total = 0
     for idx, entry in enumerate(videos):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ParseError(
-                f"entry {idx} must be [video, frame count], got {entry!r}", location=loc
-            )
-        name, count = entry[0], _ints([entry[1]], f"entry {idx} frame count", loc)[0]
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            message = f"entry {idx} must be [video, frame count], got {entry!r}"
+            _refuse(location, ParseError, message)
+        name, count = entry[0], _ints([entry[1]], f"entry {idx} frame count", location)[0]
         if not isinstance(name, str) or count < 1:
-            raise ParseError(
-                f"entry {idx} must be [name, frame count >= 1], got {[name, count]!r}",
-                location=loc,
-            )
+            message = f"entry {idx} must be [name, frame count >= 1], got {[name, count]!r}"
+            _refuse(location, ParseError, message)
         if name in counts:
-            raise ParseError(f"entry {idx} repeats video {name!r}", location=loc)
+            _refuse(location, ParseError, f"entry {idx} repeats video {name!r}")
         counts[name] = count
+        if (total := total + count) > MAX_FRAMES:
+            raise ParseError(f"video {name!r} puts the frame table over {MAX_FRAMES} frames")
+    return tuple(counts.items())
+
+
+def _manifest_videos(videos: Any, images: Sequence[FrameRef]) -> tuple[tuple[str, int], ...]:
+    """The ``info.videos`` table (:func:`_video_table`), which claims one image per
+    frame: every image lies in a claimed frame, no two images share one, and the
+    counts add up to the number of images."""
+    loc = "info.videos"
+    counts = dict(_video_table(videos, loc))
     seen: set[tuple[str, int]] = set()
     for idx, ref in enumerate(images):
         key = (ref.video_id, ref.frame_id)
@@ -831,16 +856,14 @@ def emit_mot(annotations: Sequence[AnnotatedBox]) -> str:
 
     Raises:
         MixedVideos: annotations span more than one video.
-        InvalidArgument: a box field is not finite, or its width or height
-            is not positive.
+        InvalidArgument: at the first annotation ``(v, f, p)`` in written
+            order with one, a frame not an integer of at least 1, an id not an
+            integer, a box field that is not finite, a width or height that is
+            not positive, or an area beyond float range.
     """
     _one_video(annotations)
-    ordered = sorted(annotations, key=_mot_order)
-    with _writing(ordered):
-        return "".join(
-            csv_row(a.frame_id, a.pedestrian_id, a.box.x, a.box.y, a.box.w, a.box.h, 1, 1, 1)
-            for a in ordered
-        )
+    rows = _writable(sorted(annotations, key=_mot_order), _MOT_WRITES)
+    return "".join(csv_row(*row, 1, 1, 1) for row in rows)
 
 
 def parse_mot_gt(source: str, video_id: str) -> tuple[list[AnnotatedBox], int]:
@@ -979,37 +1002,34 @@ def emit_detections(
     emit/parse pairs are identity and re-emission is byte-identical.
 
     Raises:
-        InvalidArgument: a box field or score is not finite, or a box width
-            or height is not positive.
+        InvalidArgument: at the first detection ``(v, f)`` in written order
+            with one, a ``mot_det`` frame not an integer of at least 1, a box
+            field that is not finite, a width or height that is not positive,
+            an area beyond float range, or a score outside [0, 1] beyond the
+            readers' slack.
     """
     ordered = sorted(detections, key=_detection_order)
     if fmt == "coco_results":
         if image_id_of_frame is None:
             raise ParseError("coco_results emission needs an image-id index")
-        records = []
-        for det in ordered:
-            key = (det.video_id, det.frame_id)
+        keys = [(det.video_id, det.frame_id) for det in ordered]
+        for key in keys:
             if key not in image_id_of_frame:
                 raise JoinError(f"detection frame {key} is not in the image index")
-            records.append(
-                {
-                    "image_id": image_id_of_frame[key],
-                    "category_id": PEDESTRIAN_CATEGORY_ID,
-                    "bbox": [
-                        json_number(v) for v in (det.box.x, det.box.y, det.box.w, det.box.h)
-                    ],
-                    "score": json_number(det.score),
-                }
-            )
-        with _writing(ordered):
-            return json.dumps(records, separators=(",", ":"), allow_nan=False)
+        records = [
+            {
+                "image_id": image_id_of_frame[key],
+                "category_id": PEDESTRIAN_CATEGORY_ID,
+                "bbox": [json_number(x), json_number(y), json_number(w), json_number(h)],
+                "score": json_number(score),
+            }
+            for key, (x, y, w, h, score) in zip(keys, _writable(ordered, _DETECTION_WRITES))
+        ]
+        return json.dumps(records, separators=(",", ":"), allow_nan=False)
     if fmt == "mot_det":
         _one_video(ordered)
-        with _writing(ordered):
-            return "".join(
-                csv_row(d.frame_id, -1, d.box.x, d.box.y, d.box.w, d.box.h, d.score, -1, -1, -1)
-                for d in ordered
-            )
+        rows = _writable(ordered, ((_frames, "frame_id"), *_DETECTION_WRITES))
+        return "".join(csv_row(f, -1, x, y, w, h, s, -1, -1, -1) for f, x, y, w, h, s in rows)
     raise ParseError(f"unknown detection format {fmt!r}")
 
 

@@ -1507,7 +1507,7 @@ class TestWrittenBoxSizes:
         at = "detection (v, 2)" if isinstance(records[0], Detection) else "annotation (v, 2, 9)"
         with pytest.raises(InvalidArgument) as exc_info:
             self.WRITERS[writer](records)
-        message = f"box width and height must be positive, got {w!r} and {h!r}"
+        message = f"box width and height must be positive, got {float(w)!r} and {float(h)!r}"
         assert (str(exc_info.value), exc_info.value.location) == (f"{message} ({at})", at)
 
     @pytest.mark.parametrize("writer", WRITERS)
@@ -1518,7 +1518,7 @@ class TestWrittenBoxSizes:
         with pytest.raises(InvalidArgument, match=r"^box field must be a finite number, got inf"):
             self.WRITERS[writer](self.records(writer, *boxes))
         boxes = BBox(0, 0, 1, 1), BBox(0, 0, 0, 1), BBox(0, math.nan, 1, 1)
-        with pytest.raises(InvalidArgument, match=r"^box width and height must be positive, got 0 "):
+        with pytest.raises(InvalidArgument, match=r"^box width and height must be positive, got 0.0 and 1.0 "):
             self.WRITERS[writer](self.records(writer, *boxes))
         boxes = BBox(0, 0, 1, 1), BBox(0, 0, math.nan, 1), BBox(0, 0, 0, 1)
         with pytest.raises(InvalidArgument, match=r"^box field must be a finite number, got nan"):

@@ -191,6 +191,68 @@ def test_json_read_checker_flags_each_form():
     assert json_reads(source) == ["<module>", "load_json", "from_json", "from_json"]
 
 
+def isfinite_calls(source: str) -> list[str]:
+    """The function around each call of ``math.isfinite`` in ``source``, or
+    ``<module>`` at top level.
+
+    Covers ``math.isfinite(...)``, ``import math as m`` then ``m.isfinite(...)``,
+    and ``from math import isfinite`` (also renamed) then ``isfinite(...)``.
+    """
+    tree = ast.parse(source)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "math"}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "math":
+            functions |= {
+                alias.asname or alias.name for alias in node.names if alias.name == "isfinite"
+            }
+
+    def checks(func: ast.expr) -> bool:
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            return func.value.id in modules and func.attr == "isfinite"
+        return isinstance(func, ast.Name) and func.id in functions
+
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and checks(child.func):
+                found.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_formats_checks_finiteness_only_in_floats():
+    # One rule per kind of value: formats.py checks that a number is finite in
+    # _floats alone, and every reader and writer goes through it.
+    source = (SOURCE_DIR / "formats.py").read_text(encoding="utf-8")
+    assert isfinite_calls(source) == ["_floats"]
+
+
+def test_isfinite_checker_flags_each_form():
+    source = "\n".join(
+        [
+            "import math",
+            "import math as m",
+            "from math import isfinite, isfinite as finite, isinf",
+            "ok = math.isfinite(1.0)",
+            "def _floats(column):",
+            "    return m.isfinite(sum(column))",
+            "class Writer:",
+            "    def write(self, value):",
+            "        return isfinite(value) and finite(value)",
+            "math.isinf(1.0)",
+            "isinf(1.0)",
+            "other.isfinite(1.0)",
+        ]
+    )
+    assert isfinite_calls(source) == ["<module>", "_floats", "write", "write"]
+
+
 def csv_imports(source: str) -> list[str]:
     """Each import of the ``csv`` module or a submodule of it in ``source``."""
     found = []
