@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, cycle, repeat
 from operator import attrgetter, itemgetter, mod, mul
-from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from . import DEFAULT_JOINTS_PER_SKELETON
 from .errors import IncompleteSkeleton, InvalidArgument, JoinError, MixedVideos, ParseError
@@ -117,10 +117,6 @@ class CocoGroundTruth:
 
     def image_id_by_frame(self) -> dict[tuple[str, int], int]:
         return {(ref.video_id, ref.frame_id): ref.image_id for ref in self.images}
-
-
-# The orders of MOT rows and of detections, as geometry.sort_key is the order of COCO.
-_mot_order = attrgetter("frame_id", "pedestrian_id")
 
 
 def _detection_order(det: Detection) -> tuple[str, int, float]:
@@ -277,9 +273,11 @@ def _scores(column: Sequence, at: Optional[str] = None) -> Optional[Sequence]:
     return scores
 
 
-def _raise_first(rule: Callable, records: list, locate: Callable, *args: Any) -> NoReturn:
-    """Raise the error of the first of ``records`` that ``rule`` refuses, at ``locate(N)`` for
-    record N: the rule runs on runs of 1,000 records, then at each record of the first refused."""
+def _checked(rule: Callable, records: list, locate: Callable, *args: Any) -> Any:
+    """What ``rule`` gives of ``records``; if it refuses them, the error of the first refused, at
+    ``locate(N)`` for record N, found by runs of 1,000 records, then each of the first refused."""
+    if (checked := rule(records, *args)) is not None:
+        return checked
     for start in range(0, len(records), 1000):
         if rule(run := records[start : start + 1000], *args) is None:
             for idx, record in enumerate(run, start):
@@ -306,10 +304,8 @@ def _written(records: list, checks: tuple, at: Optional[str] = None) -> Optional
 def _writable(records: list, checks: tuple) -> list:
     """The rows of :func:`_written`, or InvalidArgument for the first of ``records`` that
     it refuses, located at ``annotation (v, f, p)`` or ``detection (v, f)``."""
-    if (rows := _written(records, checks)) is None:
-        key = _ANNOTATION if isinstance(records[0], AnnotatedBox) else _DETECTION
-        _raise_first(_written, records, lambda idx: _Argument(key.format(records[idx])), checks)
-    return rows
+    key = _ANNOTATION if records and isinstance(records[0], AnnotatedBox) else _DETECTION
+    return _checked(_written, records, lambda i: _Argument(key.format(records[i])), checks)
 
 
 # How the writers' errors name a record.
@@ -561,7 +557,8 @@ def parse_jta(
     records = load_json(source)
     if not isinstance(records, list):
         raise ParseError("expected a top-level JSON array of joint records")
-    _raise_first(_jta_rows, records, "record {}".format)
+    _checked(_jta_rows, records, "record {}".format)
+    raise AssertionError("_jta_rows refuses none of the records")
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +718,20 @@ def _pedestrians(
     return columns
 
 
-def _coco_categories(records: list, at: Optional[str], *columns: Sequence) -> Optional[Sequence]:
-    """``records`` and ``columns`` cut to the pedestrians by ``category_id``, 1 if absent."""
+def _coco_records(records: list, frame_of: Mapping[int, tuple[str, int]], what: str,
+                  at: Optional[str], *columns: Sequence) -> Optional[Sequence]:
+    """``records``, their image ids and ``columns`` cut to the pedestrians, or None if one fails
+    the first checks of both COCO record rules: an object, an integer ``image_id`` that
+    ``frame_of`` holds (else a JoinError naming ``what``), and ``category_id``, 1 if absent."""
+    if {*map(type, records)} - {dict}:
+        return _refuse(at, ParseError, f"expected an object, got {records[0]!r}")
+    image_ids = _ints([*map(dict.get, records, repeat("image_id"))], "image_id", at)
+    if image_ids is None:
+        return None
+    if not frame_of.keys() >= {*image_ids}:
+        return _refuse(at, JoinError, f"{what} references unknown image id {image_ids[0]}")
     categories = [*map(dict.get, records, repeat("category_id"), repeat(PEDESTRIAN_CATEGORY_ID))]
-    return _pedestrians(categories, "category_id", at, records, *columns)
+    return _pedestrians(categories, "category_id", at, records, image_ids, *columns)
 
 
 def _coco_annotations(
@@ -732,17 +739,8 @@ def _coco_annotations(
 ) -> Optional[list]:
     """``anns`` as AnnotatedBoxes, or None if one breaks the COCO annotation rule,
     checked by column in field order; given ``at``, raises instead."""
-    if not anns:
-        return []
-    if {*map(type, anns)} - {dict}:
-        return _refuse(at, ParseError, f"expected an object, got {anns[0]!r}")
-    image_ids = _ints([*map(dict.get, anns, repeat("image_id"))], "image_id", at)
-    if image_ids is None:
-        return None
-    if not frame_of.keys() >= {*image_ids}:
-        return _refuse(at, JoinError, f"annotation references unknown image id {image_ids[0]}")
     # Each annotation's 1-based index in the document goes along, as its fallback pedestrian id.
-    if (kept := _coco_categories(anns, at, image_ids, range(1, len(anns) + 1))) is None:
+    if (kept := _coco_records(anns, frame_of, "annotation", at, range(1, len(anns) + 1))) is None:
         return None
     anns, image_ids, numbers = kept
     if not anns:
@@ -806,8 +804,7 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
         frame_of[image_id] = (video_id, frame_id)
         images.append(FrameRef(image_id=image_id, video_id=video_id, frame_id=frame_id))
 
-    if (annotations := _coco_annotations(doc["annotations"], frame_of)) is None:
-        _raise_first(_coco_annotations, doc["annotations"], "annotation {}".format, frame_of)
+    annotations = _checked(_coco_annotations, doc["annotations"], "annotation {}".format, frame_of)
     annotations.sort(key=sort_key)
 
     info = doc.get("info")
@@ -862,7 +859,7 @@ def emit_mot(annotations: Sequence[AnnotatedBox]) -> str:
             not positive, or an area beyond float range.
     """
     _one_video(annotations)
-    rows = _writable(sorted(annotations, key=_mot_order), _MOT_WRITES)
+    rows = _writable(sorted(annotations, key=sort_key), _MOT_WRITES)
     return "".join(csv_row(*row, 1, 1, 1) for row in rows)
 
 
@@ -877,9 +874,8 @@ def parse_mot_gt(source: str, video_id: str) -> tuple[list[AnnotatedBox], int]:
         (annotations sorted by (frame, id), skipped non-pedestrian row count)
     """
     lines, rows = csv_rows(source, 9, 9)
-    if (annotations := _mot_rows(rows, video_id)) is None:
-        _raise_first(_mot_rows, rows, lambda idx: f"line {lines[idx]}", video_id)
-    annotations.sort(key=_mot_order)
+    annotations = _checked(_mot_rows, rows, lambda i: f"line {lines[i]}", video_id)
+    annotations.sort(key=sort_key)
     return annotations, len(rows) - len(annotations)
 
 
@@ -932,16 +928,14 @@ def parse_detections(
         records = load_json(source)
         if not isinstance(records, list):
             raise ParseError("expected a top-level JSON array of detection records")
-        if (detections := _coco_detections(records, frame_of_image)) is None:
-            _raise_first(_coco_detections, records, "record {}".format, frame_of_image)
+        detections = _checked(_coco_detections, records, "record {}".format, frame_of_image)
         del records  # Freed before the sort, whose keys would add to its peak.
     elif fmt == "mot_det":
         if video_id is None:
             raise ParseError("mot_det parsing needs the video id")
         known = None if frame_of_image is None else {*frame_of_image.values()}
         lines, rows = csv_rows(source, 7, 10)
-        if (detections := _mot_detections(rows, video_id, known)) is None:
-            _raise_first(_mot_detections, rows, lambda idx: f"line {lines[idx]}", video_id, known)
+        detections = _checked(_mot_detections, rows, lambda i: f"line {lines[i]}", video_id, known)
     else:
         raise ParseError(f"unknown detection format {fmt!r}")
     detections.sort(key=_detection_order)
@@ -953,14 +947,7 @@ def _coco_detections(
 ) -> Optional[list]:
     """The pedestrians of ``records``, or None if one breaks the ``coco_results`` record
     rule, checked by column in field order; given ``at``, raises instead."""
-    if {*map(type, records)} - {dict}:
-        return _refuse(at, ParseError, f"expected an object, got {records[0]!r}")
-    image_ids = _ints([*map(dict.get, records, repeat("image_id"))], "image_id", at)
-    if image_ids is None:
-        return None
-    if not frame_of.keys() >= {*image_ids}:
-        return _refuse(at, JoinError, f"detection references unknown image id {image_ids[0]}")
-    if (kept := _coco_categories(records, at, image_ids)) is None:
+    if (kept := _coco_records(records, frame_of, "detection", at)) is None:
         return None
     records, image_ids = kept
     if not records:
