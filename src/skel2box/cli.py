@@ -279,8 +279,7 @@ def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict
     skipped = 0
     if args.from_fmt == "coco":
         gt = _parse_file(args.infile, formats.parse_coco_gt)
-        annotations = list(gt.annotations)
-        manifest = gt.manifest
+        annotations, manifest, skipped = list(gt.annotations), gt.manifest, gt.skipped_count
         if args.to_fmt == "mot" and args.video_id:
             videos = sorted(name for name, _ in manifest.videos)
             if args.video_id not in videos:

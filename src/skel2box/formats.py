@@ -106,11 +106,13 @@ class FrameRef:
 
 @dataclass(frozen=True)
 class CocoGroundTruth:
-    """Parsed COCO ground truth: annotations, manifest, and the frame table."""
+    """Parsed COCO ground truth: annotations, manifest, the frame table, and the
+    count of annotations dropped for their category."""
 
     annotations: tuple[AnnotatedBox, ...]
     manifest: DatasetManifest
     images: tuple[FrameRef, ...]
+    skipped_count: int = 0
 
     def frame_by_image_id(self) -> dict[int, tuple[str, int]]:
         return {ref.image_id: (ref.video_id, ref.frame_id) for ref in self.images}
@@ -578,7 +580,8 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
 
     Raises:
         JoinError: an annotation's video/frame is not in the manifest.
-        InvalidArgument: a known (not infinite) distance is not positive; else,
+        InvalidArgument: a known (not infinite) distance not a finite number, as
+            :func:`parse_coco_gt` words it, or not positive, both unlocated; else,
             at the first annotation ``(v, f, p)`` in written order with one, a
             box field that is not finite, a width or height that is not
             positive, an area beyond float range or an id not an integer.
@@ -603,8 +606,9 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
     for ann in ordered:
         if (ann.video_id, ann.frame_id) not in image_ids:
             raise JoinError(f"{_ANNOTATION.format(ann)} is outside the manifest")
-        if ann.distance_m != math.inf:
-            check_distance(ann.distance_m)
+    known = [ann.distance_m for ann in ordered if ann.distance_m != math.inf]
+    for distance in _checked(_floats, known, lambda _: _Argument(), "distance_m"):
+        check_distance(distance)
     coco_annotations = []
     for ann, (x, y, w, h, pedestrian_id) in zip(ordered, _writable(ordered, _COCO_WRITES)):
         entry: dict[str, Any] = {
@@ -769,12 +773,12 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
     Frames are recovered from image ``file_name`` entries of the form
     ``<video>/<frame>.jpg``. Only annotations of the pedestrian category
     are kept, as are those without ``category_id``; those of another are
-    dropped unchecked beyond their image and category. Annotations missing
-    the ``pedestrian_id`` / ``distance_m`` extension keys fall back to the
-    COCO annotation id and an infinite distance respectively. An absent or
-    null ``info`` value takes its default (0 for the image size, "" for
-    ``dataset_id``, unset otherwise). A given ``info.videos`` must claim one
-    image per frame.
+    dropped unchecked beyond their image and category, and counted in
+    ``skipped_count``. Annotations missing the ``pedestrian_id`` /
+    ``distance_m`` extension keys fall back to the COCO annotation id and an
+    infinite distance respectively. An absent or null ``info`` value takes
+    its default (0 for the image size, "" for ``dataset_id``, unset
+    otherwise). A given ``info.videos`` must claim one image per frame.
 
     Raises:
         ParseError: malformed JSON or a malformed part of the document,
@@ -830,7 +834,8 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
     images.sort(key=attrgetter("video_id", "frame_id"))
 
     return CocoGroundTruth(
-        annotations=tuple(annotations), manifest=manifest, images=tuple(images)
+        annotations=tuple(annotations), manifest=manifest, images=tuple(images),
+        skipped_count=len(doc["annotations"]) - len(annotations),
     )
 
 
@@ -989,11 +994,13 @@ def emit_detections(
     emit/parse pairs are identity and re-emission is byte-identical.
 
     Raises:
+        JoinError: a ``coco_results`` detection's frame is not in ``image_id_of_frame``.
         InvalidArgument: at the first detection ``(v, f)`` in written order
-            with one, a ``mot_det`` frame not an integer of at least 1, a box
-            field that is not finite, a width or height that is not positive,
-            an area beyond float range, or a score outside [0, 1] beyond the
-            readers' slack.
+            with one, a ``coco_results`` image id not an integer; else, at the
+            first with one, a ``mot_det`` frame not an integer of at least 1, a
+            box field that is not finite, a width or height that is not
+            positive, an area beyond float range, or a score outside [0, 1]
+            beyond the readers' slack.
     """
     ordered = sorted(detections, key=_detection_order)
     if fmt == "coco_results":
@@ -1003,14 +1010,16 @@ def emit_detections(
         for key in keys:
             if key not in image_id_of_frame:
                 raise JoinError(f"detection frame {key} is not in the image index")
+        ids = [*map(image_id_of_frame.__getitem__, keys)]
+        ids = _checked(_ints, ids, lambda i: _Argument(_DETECTION.format(ordered[i])), "image_id")
         records = [
             {
-                "image_id": image_id_of_frame[key],
+                "image_id": image_id,
                 "category_id": PEDESTRIAN_CATEGORY_ID,
                 "bbox": [json_number(x), json_number(y), json_number(w), json_number(h)],
                 "score": json_number(score),
             }
-            for key, (x, y, w, h, score) in zip(keys, _writable(ordered, _DETECTION_WRITES))
+            for image_id, (x, y, w, h, score) in zip(ids, _writable(ordered, _DETECTION_WRITES))
         ]
         return json.dumps(records, separators=(",", ":"), allow_nan=False)
     if fmt == "mot_det":

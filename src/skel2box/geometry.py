@@ -116,10 +116,12 @@ def camera_distance(skeleton: SkeletonInstance) -> Optional[float]:
     """Distance of the pedestrian's center of mass from the camera.
 
     The center of mass is the unweighted mean of the joints' camera-space
-    positions; the distance is its Euclidean norm. Returns None when a
-    column's sum is beyond float range, or the norm is zero or not finite.
+    positions; the distance is its Euclidean norm. Returns None for a
+    skeleton with no joints, when a column's sum is beyond float range, or
+    when the norm is zero or not finite.
     """
-    n = len(skeleton.z3d_m)
+    if not (n := len(skeleton.z3d_m)):
+        return None
     columns = (skeleton.x3d_m, skeleton.y3d_m, skeleton.z3d_m)
     try:
         dist = math.hypot(*(math.fsum(column) / n for column in columns))

@@ -789,6 +789,15 @@ class TestConvert:
         assert summary["n_annotations"] == 1
         assert out.read_text() == "1,1,10,10,20,40,1,1,1\n"
 
+    def test_coco_annotations_of_other_categories_are_counted(self, tmp_path, capsys):
+        # As --from mot counts rows of other classes.
+        summary = summary_of(
+            capsys,
+            "convert", "--in", two_category_file(tmp_path), "--from", "coco", "--to", "coco",
+            "--out", tmp_path / "one.json",
+        )
+        assert (summary["n_annotations"], summary["n_skipped"]) == (1, 1)
+
 
 class TestEvaluate:
     def make_pair(self, tmp_path):

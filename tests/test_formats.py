@@ -983,6 +983,21 @@ class TestEmitCoco:
             emit_coco(anns, manifest_for_annotations(anns, "ds", 0, 0))
         assert str(exc_info.value) == "distance must be finite and positive, got 0.0"
 
+    @pytest.mark.parametrize("distance", [True, "5", None, math.nan, -math.inf])
+    def test_distance_not_a_number_rejected_as_read(self, distance):
+        # parse_coco_gt refuses each of these distance_m values, so emit_coco may not write one.
+        ann = make_ann(distance=distance)
+        with pytest.raises(InvalidArgument) as exc_info:
+            emit_coco([ann], DatasetManifest("d", 100, 100, (("v", 1),)))
+        assert str(exc_info.value) == f"distance_m must be a finite number, got {distance!r}"
+        assert exc_info.value.location is None
+
+    def test_join_error_comes_before_every_distance_error(self):
+        # The annotation outside the manifest is named, though two bad distances come first.
+        anns = [make_ann(distance=True), make_ann(distance=0.0, frame=2), make_ann("w")]
+        with pytest.raises(JoinError, match=r"^annotation \(w, 1, 1\) is outside the manifest$"):
+            emit_coco(anns, DatasetManifest("d", 100, 100, (("v", 2),)))
+
     def test_unknown_distance_omitted(self):
         manifest = DatasetManifest("d", 100, 100, (("v", 1),))
         doc = json.loads(emit_coco([make_ann(distance=math.inf)], manifest))
@@ -1102,6 +1117,20 @@ class TestParseCocoForeign:
             doc = dict(base, annotations=[{"id": 1, "image_id": 1, "bbox": bbox}])
             with pytest.raises(ParseError):
                 parse_coco_gt(json.dumps(doc))
+
+    def test_annotations_of_other_categories_are_counted(self):
+        doc = {
+            "images": [{"id": 1, "file_name": "v/000001.jpg"}],
+            "annotations": [
+                {"id": 1, "image_id": 1, "category_id": 3, "bbox": [0, 0, 1, 1]},
+                {"id": 2, "image_id": 1, "bbox": [0, 0, 1, 1]},
+                {"id": 3, "image_id": 1, "category_id": 2, "bbox": "unchecked"},
+            ],
+        }
+        parsed = parse_coco_gt(json.dumps(doc))
+        assert [a.pedestrian_id for a in parsed.annotations] == [2]
+        assert parsed.skipped_count == 2
+        assert parse_coco_gt(emit_coco(parsed.annotations, parsed.manifest)).skipped_count == 0
 
     def test_bad_distance(self):
         doc = {
@@ -1433,6 +1462,31 @@ class TestDetections:
             emit_detections(detections, "coco_results", image_id_of_frame={("v", 1): 1})
         assert str(exc_info.value) == "score must be a finite number, got nan (detection (v, 1))"
         assert exc_info.value.location == "detection (v, 1)"
+
+    @pytest.mark.parametrize("image_id", [1.5, "1", None, math.inf])
+    def test_emit_coco_results_image_id_not_an_integer_rejected(self, image_id):
+        # parse_detections refuses each of these image ids, so no detection may be written with one.
+        detections = [Detection("v", f, BBox(0, 0, 1, 1), 0.5) for f in (2, 1)]
+        index = {("v", 1): 1, ("v", 2): image_id}
+        with pytest.raises(InvalidArgument) as exc_info:
+            emit_detections(detections, "coco_results", image_id_of_frame=index)
+        assert str(exc_info.value) == (
+            f"image_id must be an integer, got {image_id!r} (detection (v, 2))"
+        )
+        assert exc_info.value.location == "detection (v, 2)"
+
+    def test_emit_coco_results_image_id_checked_before_boxes(self):
+        detections = [Detection("v", 1, BBox(0, 0, math.nan, 1), 0.5)]
+        with pytest.raises(InvalidArgument, match=r"^image_id must be an integer, got 1\.5 "):
+            emit_detections(detections, "coco_results", image_id_of_frame={("v", 1): 1.5})
+
+    def test_emit_coco_results_integral_image_ids_written_as_integers(self):
+        detections = [Detection("v", f, BBox(0, 0, 1, 1), 0.5) for f in (1, 2)]
+        text = emit_detections(
+            detections, "coco_results", image_id_of_frame={("v", 1): 7.0, ("v", 2): True}
+        )
+        assert [record["image_id"] for record in json.loads(text)] == [7, 1]
+        assert '"image_id":7,' in text
 
     @pytest.mark.parametrize(
         "box, score, message",

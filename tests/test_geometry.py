@@ -93,6 +93,10 @@ class TestCameraDistance:
             expected = math.sqrt(mx * mx + my * my + mz * mz)
             assert camera_distance(skeleton) == pytest.approx(expected, rel=1e-12)
 
+    def test_no_joints(self):
+        # As skeleton_enclosing_box, and not a division by zero.
+        assert camera_distance(skeleton_of([])) is None
+
     def test_zero_norm_rejected(self):
         joints = [(0, 0, 0.0, 0.0, 0.0), (1, 1, 0.0, 0.0, 0.0)]
         assert camera_distance(skeleton_of(joints)) is None

@@ -2,9 +2,9 @@
 
 No module of ``skel2box`` uses a ``_``-prefixed name of another package
 module: a helper that two modules share is public in one of them. The
-package imports nothing outside the standard library and itself. JSON is
-read in one place, ``formats.load_json``, so every JSON input fails the
-same way; and CSV is read and written by ``formats.csv_rows`` and
+package imports nothing outside the standard library and itself, and no
+module imports a name that it never reads. JSON is read in one place,
+``formats.load_json``, so every JSON input fails the same way; and CSV is read and written by ``formats.csv_rows`` and
 ``formats.csv_row``, not by the ``csv`` module. Errors are for failures
 only: every class of ``errors.py`` but the base is raised somewhere, and
 only ``cli.py`` catches one, so no module raises an error to steer its own
@@ -91,6 +91,46 @@ def test_checker_flags_each_form():
         "skel2box._hidden",
         "formats._coco_box",
     ]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Each name that an import in ``source`` binds and no other line reads.
+
+    ``from x import a`` binds ``a``, ``import a.b`` binds ``a``, and ``as c``
+    binds ``c``; ``from __future__`` imports bind nothing. A name is read
+    wherever it stands as a name: in code, in an annotation, or as the root
+    of an attribute such as ``a.b.c``.
+    """
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in dict.fromkeys(bound) if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_checker_flags_each_form():
+    source = "\n".join(
+        [
+            "from __future__ import annotations",
+            "import json, os.path, xml.dom",
+            "import numpy as np, math as m",
+            "from typing import Any, NoReturn, Optional",
+            "from .errors import ParseError as Refused, JoinError",
+            "from . import formats",
+            "def read(text: Optional[str]) -> Any:",
+            "    return os.path.join(formats.load_json(text), m.pi)",
+        ]
+    )
+    assert unused_imports(source) == ["json", "xml", "np", "NoReturn", "Refused", "JoinError"]
 
 
 def non_stdlib_imports(source: str) -> list[str]:
