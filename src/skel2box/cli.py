@@ -276,7 +276,6 @@ def _cmd_distance_limit(args: argparse.Namespace, config: PipelineConfig) -> tup
 
 def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict, _Outputs]:
     from . import formats
-    skipped = 0
     if args.from_fmt == "coco":
         gt = _parse_file(args.infile, formats.parse_coco_gt)
         annotations, manifest, skipped = list(gt.annotations), gt.manifest, gt.skipped_count
