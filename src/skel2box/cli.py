@@ -226,6 +226,7 @@ def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> tuple[d
         "alpha": config.alpha,
         "n_annotations": len(result.annotations),
         "n_skipped": result.skipped_count,
+        "n_skipped_by_cause": dict(result.skipped_by_cause),
     }, {
         "out_coco": (args.out_coco, partial(formats.emit_coco, result.annotations, manifest)),
         "out_mot": (args.out_mot, partial(formats.emit_mot, result.annotations)),

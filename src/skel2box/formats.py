@@ -132,6 +132,11 @@ def json_number(value: float) -> Any:
     return value
 
 
+def _numbers(*values: float) -> str:
+    """Finite ``values`` as JSON numbers, comma-separated, as json.dumps writes each json_number."""
+    return ",".join(map(repr, map(json_number, values)))
+
+
 def load_json(source: str, *, strict: bool = True) -> Any:
     """The value of a JSON document; the package's one JSON reader. Unless
     ``strict``, a document that does not parse gives None."""
@@ -586,62 +591,41 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
             box field that is not finite, a width or height that is not
             positive, an area beyond float range or an id not an integer.
     """
-    frame_counts = dict(manifest.videos)
-    images = []
-    image_ids: dict[tuple[str, int], int] = {}
-    for video_id in sorted(frame_counts):
-        for frame_id in range(1, frame_counts[video_id] + 1):
-            image_id = len(images) + 1
-            image_ids[(video_id, frame_id)] = image_id
-            images.append(
-                {
-                    "id": image_id,
-                    "width": json_number(manifest.image_w),
-                    "height": json_number(manifest.image_h),
-                    "file_name": coco_file_name(video_id, frame_id),
-                }
-            )
-
+    spans, first = {}, 1  # Each video's first image id and frame count, by name
+    for video_id, count in sorted(manifest.videos):
+        spans[video_id], first = (first, count), first + count
     ordered = sorted(annotations, key=sort_key)
+    image_ids = []
     for ann in ordered:
-        if (ann.video_id, ann.frame_id) not in image_ids:
+        first, count = spans.get(ann.video_id, (0, 0))
+        # An integral float tests as an int; range tests any other value by ==, as a dict key.
+        if (frame := json_number(ann.frame_id)) not in range(1, count + 1):
             raise JoinError(f"{_ANNOTATION.format(ann)} is outside the manifest")
+        image_ids.append(first + int(frame) - 1)
     known = [ann.distance_m for ann in ordered if ann.distance_m != math.inf]
     for distance in _checked(_floats, known, lambda _: _Argument(), "distance_m"):
         check_distance(distance)
-    coco_annotations = []
-    for ann, (x, y, w, h, pedestrian_id) in zip(ordered, _writable(ordered, _COCO_WRITES)):
-        entry: dict[str, Any] = {
-            "id": len(coco_annotations) + 1,
-            "image_id": image_ids[ann.video_id, ann.frame_id],
-            "category_id": PEDESTRIAN_CATEGORY_ID,
-            "bbox": [json_number(x), json_number(y), json_number(w), json_number(h)],
-            "area": json_number(w * h),
-            "iscrowd": 0,
-            "pedestrian_id": pedestrian_id,
-        }
-        if ann.distance_m != math.inf:
-            entry["distance_m"] = json_number(ann.distance_m)
-        coco_annotations.append(entry)
-
-    info: dict[str, Any] = {
-        "dataset_id": manifest.dataset_id,
-        "image_w": json_number(manifest.image_w),
-        "image_h": json_number(manifest.image_h),
-        "videos": [[video_id, count] for video_id, count in manifest.videos],
-    }
-    if manifest.alpha_used is not None:
-        info["alpha_used"] = json_number(manifest.alpha_used)
-    if manifest.distance_limit_m is not None:
-        info["distance_limit_m"] = json_number(manifest.distance_limit_m)
-
-    doc = {
-        "info": info,
-        "images": images,
-        "annotations": coco_annotations,
-        "categories": [{"id": PEDESTRIAN_CATEGORY_ID, "name": "pedestrian"}],
-    }
-    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    rows = _writable(ordered, _COCO_WRITES)
+    # Each value written has passed its reader's rule, so the text is strict JSON.
+    size = f'"width":{_numbers(manifest.image_w)},"height":{_numbers(manifest.image_h)}'
+    images = (
+        f'{{"id":{first + frame - 1},{size},"file_name":{json.dumps(coco_file_name(name, frame))}}}'
+        for name, (first, count) in spans.items() for frame in range(1, count + 1)
+    )
+    records = (
+        f'{{"id":{n},"image_id":{image_id},"category_id":{PEDESTRIAN_CATEGORY_ID},'
+        f'"bbox":[{_numbers(x, y, w, h)}],"area":{_numbers(w * h)},"iscrowd":0,'
+        f'"pedestrian_id":{pid}'
+        + ("}" if ann.distance_m == math.inf else f',"distance_m":{_numbers(ann.distance_m)}}}')
+        for n, (ann, image_id, (x, y, w, h, pid)) in enumerate(zip(ordered, image_ids, rows), 1)
+    )
+    info = {"dataset_id": manifest.dataset_id, "image_w": json_number(manifest.image_w),
+            "image_h": json_number(manifest.image_h), "videos": manifest.videos,
+            **{what: json_number(value) for what in ("alpha_used", "distance_limit_m")
+               if (value := getattr(manifest, what)) is not None}}
+    return (f'{{"info":{json.dumps(info, separators=(",", ":"), allow_nan=False)},'
+            f'"images":[{",".join(images)}],"annotations":[{",".join(records)}],'
+            f'"categories":[{{"id":{PEDESTRIAN_CATEGORY_ID},"name":"pedestrian"}}]}}')
 
 
 def _parse_file_name(file_name: Any, location: str) -> tuple[str, int]:
@@ -1012,16 +996,12 @@ def emit_detections(
                 raise JoinError(f"detection frame {key} is not in the image index")
         ids = [*map(image_id_of_frame.__getitem__, keys)]
         ids = _checked(_ints, ids, lambda i: _Argument(_DETECTION.format(ordered[i])), "image_id")
-        records = [
-            {
-                "image_id": image_id,
-                "category_id": PEDESTRIAN_CATEGORY_ID,
-                "bbox": [json_number(x), json_number(y), json_number(w), json_number(h)],
-                "score": json_number(score),
-            }
+        records = (
+            f'{{"image_id":{image_id},"category_id":{PEDESTRIAN_CATEGORY_ID},'
+            f'"bbox":[{_numbers(x, y, w, h)}],"score":{_numbers(score)}}}'
             for image_id, (x, y, w, h, score) in zip(ids, _writable(ordered, _DETECTION_WRITES))
-        ]
-        return json.dumps(records, separators=(",", ":"), allow_nan=False)
+        )
+        return "[" + ",".join(records) + "]"
     if fmt == "mot_det":
         _one_video(ordered)
         rows = _writable(ordered, ((_frames, "frame_id"), *_DETECTION_WRITES))

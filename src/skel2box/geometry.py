@@ -89,10 +89,12 @@ class AnnotatedBox:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """Annotations produced by :func:`synthesize_annotations` plus the skip count."""
+    """Annotations produced by :func:`synthesize_annotations`, the skip count, and
+    ``(cause, count)`` of each skip cause, which add up to it."""
 
     annotations: tuple[AnnotatedBox, ...]
     skipped_count: int
+    skipped_by_cause: tuple[tuple[str, int], ...] = ()
 
 
 def skeleton_enclosing_box(skeleton: SkeletonInstance) -> Optional[BBox]:
@@ -191,8 +193,8 @@ def synthesize_annotations(
     (optional) clamping. Degenerate skeletons, distances that are not
     positive and finite, boxes that fall entirely outside the image, and
     boxes whose corner, size or area is beyond float range are skipped and
-    counted rather than aborting the batch: large synthetic dumps contain
-    edge cases and batch jobs must complete.
+    counted by cause rather than aborting the batch: large synthetic dumps
+    contain edge cases and batch jobs must complete.
 
     Output is sorted by (video_id, frame_id, pedestrian_id), so the result
     is independent of input order.
@@ -202,7 +204,9 @@ def synthesize_annotations(
         _check_image_size(image_w, image_h)
 
     kept: list[AnnotatedBox] = []
-    skipped = 0
+    # A skip counts under its first cause: no hull, no camera distance, a box
+    # clamped away, or a box beyond float range.
+    skipped = dict.fromkeys(("hull", "distance", "off_image", "float_range"), 0)
     for skeleton in skeletons:
         skeleton_box = skeleton_enclosing_box(skeleton)
         z = None if skeleton_box is None else camera_distance(skeleton)
@@ -210,7 +214,8 @@ def synthesize_annotations(
         if clamp and box is not None:
             box = clamp_to_image(box, image_w, image_h)
         if box is None or not all(map(math.isfinite, (box.x, box.y, box.w, box.h, box.area))):
-            skipped += 1
+            skipped["hull" if skeleton_box is None else "distance" if z is None
+                    else "off_image" if box is None else "float_range"] += 1
             continue
         kept.append(
             AnnotatedBox(
@@ -222,7 +227,7 @@ def synthesize_annotations(
             )
         )
     kept.sort(key=sort_key)
-    return SynthesisResult(annotations=tuple(kept), skipped_count=skipped)
+    return SynthesisResult(tuple(kept), sum(skipped.values()), tuple(skipped.items()))
 
 
 def _check_alpha(alpha: float) -> None:

@@ -1148,7 +1148,9 @@ SUMMARY_LINES = {
     "calibrate": '{"command": "calibrate", "alpha": 100.0, "n_samples": 4, "rmse_px": 0.0, '
                  '"max_abs_residual_px": 0.0, "out": OUT}',
     "synthesize": '{"command": "synthesize", "video_id": "clip", "alpha": 100.0, '
-                  '"n_annotations": 1, "n_skipped": 0, "out_coco": OUT, "out_mot": null}',
+                  '"n_annotations": 1, "n_skipped": 0, "n_skipped_by_cause": {"hull": 0, '
+                  '"distance": 0, "off_image": 0, "float_range": 0}, "out_coco": OUT, '
+                  '"out_mot": null}',
     "histogram": '{"command": "histogram", "n_annotations": 1, "bin_width_m": 1.0, "n_bins": 6, '
                  '"out": OUT}',
     "prune": '{"command": "prune", "distance_limit_m": 40.0, "kept": 1, "pruned": 0, "out": OUT}',

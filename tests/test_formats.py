@@ -14,6 +14,7 @@ import time
 import tracemalloc
 from array import array
 from functools import partial
+from operator import attrgetter
 
 import pytest
 
@@ -41,7 +42,7 @@ from skel2box import (
     parse_mot_gt,
 )
 from skel2box import formats
-from skel2box.formats import MAX_FRAMES
+from skel2box.formats import MAX_FRAMES, coco_file_name
 from test_value_rules import RULES, csv_box
 
 
@@ -1011,6 +1012,143 @@ class TestEmitCoco:
         assert info["alpha_used"] == 120.5
         assert info["distance_limit_m"] == 40
         assert info["videos"] == [["v", 1]]
+
+
+# Video ids that JSON must escape or that are not ASCII, and box values whose
+# spelling is easy to get wrong: huge, negative zero, subnormal, integral, repeating.
+AWKWARD_VIDEOS = ('a"b', "c\\d", "e\x01f", "é", "视频")
+AWKWARD_NUMBERS = (1e16, -0.0, 5e-324, 2.0, 1 / 3)
+
+
+def as_json_number(value):
+    """How the writers spell a number: an integral float as an int."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def dumped(reference):
+    return json.dumps(reference, separators=(",", ":"))
+
+
+class TestWrittenText:
+    """The COCO writers write exactly what json.dumps writes of each document,
+    which the tests build as dicts."""
+
+    # Three videos listed out of order, so that image ids run on across them in sorted order.
+    VIDEOS = (("视频", 2), ('a"b', 3), ("c\\d", 1))
+
+    def frame_table(self):
+        """(video, frame) -> image id: frames of sorted videos numbered from 1."""
+        frames = [(v, f) for v, n in sorted(self.VIDEOS) for f in range(1, n + 1)]
+        return {frame: image_id for image_id, frame in enumerate(frames, 1)}
+
+    def annotations(self):
+        """Annotations on frames of all three videos, out of order, with each of the
+        awkward numbers in their boxes, and known and unknown distances."""
+        a, b, c, d, e = AWKWARD_NUMBERS
+        return [
+            AnnotatedBox("视频", 2, 1, BBox(a, b, c, d), 12.5),
+            AnnotatedBox('a"b', 3, 4, BBox(e, a, d, e), math.inf),
+            AnnotatedBox('a"b', 1, 2, BBox(b, c, a, c), 7),
+            AnnotatedBox("c\\d", 1, 9, BBox(d, e, e, a), 1e16),
+            AnnotatedBox("视频", 1, 3, BBox(c, d, d, d), math.inf),
+            AnnotatedBox('a"b', 1, 1, BBox(-1.5, 0, 1e16, e), e),
+        ]
+
+    def test_coco_document(self):
+        manifest = DatasetManifest(
+            'set "é"\\', 1920.5, 1080, self.VIDEOS, alpha_used=174.0, distance_limit_m=1 / 3
+        )
+        table = self.frame_table()
+        images = [
+            {"id": image_id, "width": 1920.5, "height": 1080, "file_name": f"{v}/{f:06d}.jpg"}
+            for (v, f), image_id in table.items()
+        ]
+        records = []
+        order = attrgetter("video_id", "frame_id", "pedestrian_id")
+        for ann in sorted(self.annotations(), key=order):
+            box = ann.box
+            record = {
+                "id": len(records) + 1,
+                "image_id": table[ann.video_id, ann.frame_id],
+                "category_id": 1,
+                "bbox": [as_json_number(v) for v in (box.x, box.y, box.w, box.h)],
+                "area": as_json_number(box.w * box.h),
+                "iscrowd": 0,
+                "pedestrian_id": ann.pedestrian_id,
+            }
+            if ann.distance_m != math.inf:
+                record["distance_m"] = as_json_number(ann.distance_m)
+            records.append(record)
+        info = {
+            "dataset_id": 'set "é"\\', "image_w": 1920.5, "image_h": 1080,
+            "videos": [list(video) for video in self.VIDEOS], "alpha_used": 174,
+            "distance_limit_m": 1 / 3,
+        }
+        reference = {
+            "info": info, "images": images, "annotations": records,
+            "categories": [{"id": 1, "name": "pedestrian"}],
+        }
+        text = emit_coco(self.annotations(), manifest)
+        assert text == dumped(reference)
+        written = [image["file_name"] for image in json.loads(text)["images"]]
+        assert written == [coco_file_name(v, f) for v, f in table]
+
+    @pytest.mark.parametrize("video", AWKWARD_VIDEOS)
+    def test_coco_file_names_of_awkward_videos(self, video):
+        text = emit_coco([make_ann(video, 2)], DatasetManifest("d", 0, 0, ((video, 2),)))
+        reference = {
+            "info": {"dataset_id": "d", "image_w": 0, "image_h": 0, "videos": [[video, 2]]},
+            "images": [{"id": f, "width": 0, "height": 0, "file_name": f"{video}/{f:06d}.jpg"}
+                       for f in (1, 2)],
+            "annotations": [{"id": 1, "image_id": 2, "category_id": 1, "bbox": [10, 20, 30, 40],
+                             "area": 1200, "iscrowd": 0, "pedestrian_id": 1, "distance_m": 10}],
+            "categories": [{"id": 1, "name": "pedestrian"}],
+        }
+        assert text == dumped(reference)
+        doc = json.loads(text)
+        assert doc["info"]["videos"] == [[video, 2]]
+        assert [image["file_name"] for image in doc["images"]] == [
+            coco_file_name(video, 1), coco_file_name(video, 2)
+        ]
+
+    def test_coco_results(self):
+        table = self.frame_table()
+        scores = (1 / 3, 1.0, 0.0, 0.5, 5e-324)
+        dets = [
+            Detection(ann.video_id, ann.frame_id, ann.box, score)
+            for ann, score in zip(self.annotations(), scores * 2)
+        ]
+        reference = [
+            {
+                "image_id": table[det.video_id, det.frame_id],
+                "category_id": 1,
+                "bbox": [as_json_number(v) for v in (det.box.x, det.box.y, det.box.w, det.box.h)],
+                "score": as_json_number(det.score),
+            }
+            for det in sorted(dets, key=lambda d: (d.video_id, d.frame_id, -d.score))
+        ]
+        assert emit_detections(dets, "coco_results", image_id_of_frame=table) == dumped(reference)
+
+
+class TestManifestCheck:
+    """emit_coco writes an annotation only on a frame that its manifest holds."""
+
+    MANIFEST = DatasetManifest("d", 100, 100, (("v", 3), ("u", 2)))
+
+    @pytest.mark.parametrize(
+        "video, frame", [("v", 1.5), ("v", 0), ("v", math.nan), ("v", 4), ("w", 1)]
+    )
+    def test_outside_manifest(self, video, frame):
+        with pytest.raises(JoinError) as exc_info:
+            emit_coco([make_ann(video, frame, 7)], self.MANIFEST)
+        assert type(exc_info.value) is JoinError
+        assert str(exc_info.value) == f"annotation ({video}, {frame}, 7) is outside the manifest"
+
+    @pytest.mark.parametrize("frame", [True, 1.0])
+    def test_frame_one_spelled_otherwise(self, frame):
+        text = emit_coco([make_ann("v", frame)], self.MANIFEST)
+        assert text == emit_coco([make_ann("v", 1)], self.MANIFEST)
+        assert json.loads(text)["annotations"][0]["image_id"] == 3  # After u's two frames.
 
 
 def random_annotations(rng, n, videos=("cam_a", "cam_b", "cam_c")):

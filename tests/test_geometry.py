@@ -7,6 +7,7 @@ from skel2box import (
     BBox,
     InvalidArgument,
     SkeletonInstance,
+    SynthesisResult,
     camera_distance,
     clamp_to_image,
     emit_coco,
@@ -221,6 +222,26 @@ class TestSynthesizeAnnotations:
         result = synthesize_annotations([off], alpha=10, image_w=1920, image_h=1080)
         assert result.annotations == ()
         assert result.skipped_count == 1
+
+    @pytest.mark.parametrize(
+        "skeleton, alpha, clamp, cause",
+        [
+            (make_skeleton([(5, 5), (5, 5)]), 100, True, "hull"),
+            (make_skeleton([(100, 200), (120, 250)], z=0.0), 100, True, "distance"),
+            (make_skeleton([(-500, -500), (-400, -300)]), 10, True, "off_image"),
+            (make_skeleton([(100, 200), (120, 250)], z=1e-300), 1e10, False, "float_range"),
+        ],
+    )
+    def test_skip_counted_under_its_cause(self, skeleton, alpha, clamp, cause):
+        good = make_skeleton([(100, 200), (120, 250)], pedestrian_id=2)
+        result = synthesize_annotations([skeleton, good], alpha, 1920, 1080, clamp=clamp)
+        assert len(result.annotations) == 1
+        assert result.skipped_count == 1
+        counts = dict.fromkeys(("hull", "distance", "off_image", "float_range"), 0)
+        assert result.skipped_by_cause == tuple({**counts, cause: 1}.items())
+
+    def test_skip_counts_default_for_positional_construction(self):
+        assert SynthesisResult((), 0).skipped_by_cause == ()
 
     def test_no_clamp_keeps_out_of_frame_boxes(self):
         off = make_skeleton([(-500, -500), (-400, -300)])
