@@ -598,10 +598,10 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
     image_ids = []
     for ann in ordered:
         first, count = spans.get(ann.video_id, (0, 0))
-        # An integral float tests as an int; range tests any other value by ==, as a dict key.
-        if (frame := json_number(ann.frame_id)) not in range(1, count + 1):
+        # As a dict key is found: by its hash, an int that is in range(1, count + 1), and ==.
+        if (frame := hash(ann.frame_id)) not in range(1, count + 1) or frame != ann.frame_id:
             raise JoinError(f"{_ANNOTATION.format(ann)} is outside the manifest")
-        image_ids.append(first + int(frame) - 1)
+        image_ids.append(first + frame - 1)
     known = [ann.distance_m for ann in ordered if ann.distance_m != math.inf]
     for distance in _checked(_floats, known, lambda _: _Argument(), "distance_m"):
         check_distance(distance)

@@ -13,6 +13,7 @@ import threading
 import time
 import tracemalloc
 from array import array
+from fractions import Fraction
 from functools import partial
 from operator import attrgetter
 
@@ -1136,7 +1137,9 @@ class TestManifestCheck:
     MANIFEST = DatasetManifest("d", 100, 100, (("v", 3), ("u", 2)))
 
     @pytest.mark.parametrize(
-        "video, frame", [("v", 1.5), ("v", 0), ("v", math.nan), ("v", 4), ("w", 1)]
+        "video, frame",
+        # 2**61 + 1 hashes to 2, a frame of v: a dict key must also be equal to be found.
+        [("v", 1.5), ("v", 0), ("v", math.nan), ("v", 4), ("w", 1), ("v", 2**61 + 1)],
     )
     def test_outside_manifest(self, video, frame):
         with pytest.raises(JoinError) as exc_info:
@@ -1144,7 +1147,7 @@ class TestManifestCheck:
         assert type(exc_info.value) is JoinError
         assert str(exc_info.value) == f"annotation ({video}, {frame}, 7) is outside the manifest"
 
-    @pytest.mark.parametrize("frame", [True, 1.0])
+    @pytest.mark.parametrize("frame", [True, 1.0, Fraction(1)])
     def test_frame_one_spelled_otherwise(self, frame):
         text = emit_coco([make_ann("v", frame)], self.MANIFEST)
         assert text == emit_coco([make_ann("v", 1)], self.MANIFEST)
