@@ -598,7 +598,7 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
     image_ids = []
     for ann in ordered:
         first, count = spans.get(ann.video_id, (0, 0))
-        # As a dict key is found: by its hash, an int that is in range(1, count + 1), and ==.
+        # Found as a dict key would be: the hash of the frame is in 1..count and equal to it.
         if (frame := hash(ann.frame_id)) not in range(1, count + 1) or frame != ann.frame_id:
             raise JoinError(f"{_ANNOTATION.format(ann)} is outside the manifest")
         image_ids.append(first + frame - 1)
