@@ -15,6 +15,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import pairwise
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -180,27 +181,12 @@ def pr_curve(
     kept.sort(key=itemgetter(0), reverse=True)
     points = []
     tp = 0
-    fp = 0
-    for i, (score, outcome) in enumerate(kept):
-        if outcome.is_tp:
-            tp += 1
-        else:
-            fp += 1
-        is_run_end = i + 1 == len(kept) or kept[i + 1][0] != score
-        if is_run_end:
-            points.append((score, tp / (tp + fp), tp / n_gt))
+    # n outcomes read so far, tp of them true: precision tp / n, false positives n - tp.
+    for n, (score, outcome) in enumerate(kept, 1):
+        tp += outcome.is_tp
+        if n == len(kept) or kept[n][0] != score:
+            points.append((score, tp / n, tp / n_gt))
     return PRCurve(points=tuple(points), n_gt=n_gt)
-
-
-def _envelope(pr: PRCurve) -> list[tuple[float, float]]:
-    """(recall, max precision at recall >= this one) per curve point."""
-    env: list[tuple[float, float]] = []
-    running_max = 0.0
-    for _, precision, recall in reversed(pr.points):
-        running_max = max(running_max, precision)
-        env.append((recall, running_max))
-    env.reverse()
-    return env
 
 
 def average_precision(pr: PRCurve, scheme: str = "allpoint") -> float:
@@ -215,16 +201,14 @@ def average_precision(pr: PRCurve, scheme: str = "allpoint") -> float:
     """
     if scheme not in ("allpoint", "101point"):
         raise InvalidArgument(f"unknown AP scheme {scheme!r}")
-    if not pr.points:
-        return 0.0
-    env = _envelope(pr)
+    env = []  # (recall, highest precision at this point or after it)
+    highest = 0.0
+    for _, precision, recall in reversed(pr.points):
+        highest = max(highest, precision)
+        env.append((recall, highest))
+    env.reverse()
     if scheme == "allpoint":
-        terms = []
-        prev_recall = 0.0
-        for recall, precision in env:
-            terms.append((recall - prev_recall) * precision)
-            prev_recall = recall
-        return math.fsum(terms)
+        return math.fsum((r - q) * p for (q, _), (r, p) in pairwise([(0.0, 0.0), *env]))
     samples = []
     k = 0
     for i in range(101):
