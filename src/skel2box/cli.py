@@ -224,6 +224,9 @@ def _cmd_synthesize(args: argparse.Namespace, config: PipelineConfig) -> tuple[d
     return {
         "video_id": video_id,
         "alpha": config.alpha,
+        # Every record of a dump that parses belongs to a complete skeleton.
+        "n_records": len(skeletons) * config.joints_per_skeleton,
+        "n_skeletons": len(skeletons),
         "n_annotations": len(result.annotations),
         "n_skipped": result.skipped_count,
         "n_skipped_by_cause": dict(result.skipped_by_cause),

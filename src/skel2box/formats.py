@@ -196,9 +196,9 @@ def csv_rows(source: str, fewest: int, most: int, header: Sequence[str] = ()) ->
 
 
 def csv_row(*values: float) -> str:
-    """One CSV line of ``values``: integral values without a decimal point,
-    others by ``repr``; the package's one CSV writer."""
-    return ",".join(str(int(v)) if v == int(v) else repr(v) for v in values) + "\n"
+    """One CSV line of finite ``values``, each spelled as the JSON writers spell
+    it (integral values without a decimal point); the package's one CSV writer."""
+    return _numbers(*values) + "\n"
 
 
 # One function per kind of value checks a column of them, and one rule per kind
@@ -608,9 +608,11 @@ def emit_coco(annotations: Sequence[AnnotatedBox], manifest: DatasetManifest) ->
     rows = _writable(ordered, _COCO_WRITES)
     # Each value written has passed its reader's rule, so the text is strict JSON.
     size = f'"width":{_numbers(manifest.image_w)},"height":{_numbers(manifest.image_h)}'
+    # JSON escapes per character and the name rule adds none to escape, so ids are escaped once.
     images = (
-        f'{{"id":{first + frame - 1},{size},"file_name":{json.dumps(coco_file_name(name, frame))}}}'
-        for name, (first, count) in spans.items() for frame in range(1, count + 1)
+        f'{{"id":{first + frame - 1},{size},"file_name":"{coco_file_name(escaped, frame)}"}}'
+        for name, (first, count) in spans.items() for escaped in [json.dumps(name)[1:-1]]
+        for frame in range(1, count + 1)
     )
     records = (
         f'{{"id":{n},"image_id":{image_id},"category_id":{PEDESTRIAN_CATEGORY_ID},'

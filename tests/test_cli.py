@@ -216,6 +216,20 @@ class TestSynthesize:
         assert ann.pedestrian_id == 7
         assert out_mot.read_text() == "3,7,98,195,24,60,1,1,1\n"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_of_skeletons_and_records(self, monkeypatch, tmp_path, capsys, workers):
+        # 40 frames of 3 pedestrians, the third beyond the image's right edge.
+        jta = jta_file(tmp_path, [(f, p, 100.0 + 3000.0 * (p == 2), 200.0, 20.0, 50.0, 10.0)
+                                  for f in range(1, 41) for p in range(3)])
+        monkeypatch.setattr(formats, "_jta_workers", lambda size: workers)
+        monkeypatch.setattr(formats, "_JTA_BLOCK", 4096)
+        summary = summary_of(
+            capsys, "synthesize", "--jta", jta, "--alpha", 100, "--out-coco", tmp_path / "gt.json"
+        )
+        assert (summary["n_skeletons"], summary["n_skipped"]) == (120, 40)
+        assert summary["n_records"] == 22 * summary["n_skeletons"]
+        assert summary["n_annotations"] + summary["n_skipped"] == summary["n_skeletons"]
+
     def test_alpha_file(self, tmp_path, capsys):
         samples = tmp_path / "samples.csv"
         samples.write_text(SAMPLES_CSV)
@@ -1148,9 +1162,9 @@ SUMMARY_LINES = {
     "calibrate": '{"command": "calibrate", "alpha": 100.0, "n_samples": 4, "rmse_px": 0.0, '
                  '"max_abs_residual_px": 0.0, "out": OUT}',
     "synthesize": '{"command": "synthesize", "video_id": "clip", "alpha": 100.0, '
-                  '"n_annotations": 1, "n_skipped": 0, "n_skipped_by_cause": {"hull": 0, '
-                  '"distance": 0, "off_image": 0, "float_range": 0}, "out_coco": OUT, '
-                  '"out_mot": null}',
+                  '"n_records": 22, "n_skeletons": 1, "n_annotations": 1, "n_skipped": 0, '
+                  '"n_skipped_by_cause": {"hull": 0, "distance": 0, "off_image": 0, '
+                  '"float_range": 0}, "out_coco": OUT, "out_mot": null}',
     "histogram": '{"command": "histogram", "n_annotations": 1, "bin_width_m": 1.0, "n_bins": 6, '
                  '"out": OUT}',
     "prune": '{"command": "prune", "distance_limit_m": 40.0, "kept": 1, "pruned": 0, "out": OUT}',

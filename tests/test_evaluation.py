@@ -315,6 +315,26 @@ class TestPrCurve:
         with pytest.raises(InvalidArgument):
             pr_curve([], n_gt=-1)
 
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("floor", [0.0, 0.05, 0.3])
+    def test_points_count_true_and_false_positives(self, seed, floor):
+        # Tied scores, some of them at a floor; each point counts the kept
+        # outcomes scored at or above its threshold.
+        rng = random.Random(seed)
+        n_gt = rng.randint(1, 40)
+        scored = [
+            (rng.choice([*SCORE_POOL, 0.3]) if rng.random() < 0.7 else rng.random(),
+             MatchOutcome(i, 0 if rng.random() < 0.5 else None))
+            for i in range(rng.randint(0, 60))
+        ]
+        kept = [(score, outcome.is_tp) for score, outcome in scored if score > floor]
+        expected = []
+        for threshold in sorted({score for score, _ in kept}, reverse=True):
+            tp = sum(hit for score, hit in kept if score >= threshold)
+            fp = sum(not hit for score, hit in kept if score >= threshold)
+            expected.append((threshold, tp / (tp + fp), tp / n_gt))
+        assert pr_curve(scored, n_gt, floor).points == tuple(expected)
+
 
 class TestAveragePrecision:
     def test_perfect_curve(self):
@@ -386,6 +406,33 @@ class TestAveragePrecision:
         )
         curve = PRCurve(points=points, n_gt=1)
         assert average_precision(curve, "101point") == rescanned(curve)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_allpoint_sum_equals_the_rescan(self, seed):
+        # Each point's envelope rescanned from that point to the end, and the
+        # steps in recall from 0 summed, weighted by it.
+        def rescanned(curve):
+            steps = []
+            for i, (_, _, recall) in enumerate(curve.points):
+                highest = max([0.0, *(p for _, p, _ in reversed(curve.points[i:]))])
+                previous = curve.points[i - 1][2] if i else 0.0
+                steps.append((recall - previous) * highest)
+            return math.fsum(steps)
+
+        # The curves of test_101point_sweep_equals_the_rescan.
+        rng = random.Random(seed)
+        n_gt = rng.randint(1, 300)
+        scored = []
+        for i in range(rng.randint(0, 2 * n_gt)):
+            score = rng.random() if rng.random() < 0.5 else rng.choice(SCORE_POOL)
+            scored.append((score, MatchOutcome(i, 0 if rng.random() < 0.6 else None)))
+        curve = pr_curve(scored, n_gt=n_gt, score_floor=rng.choice([0.0, 0.3]))
+        assert average_precision(curve, "allpoint") == rescanned(curve)
+        points = tuple(
+            (0.5, rng.random(), rng.choice([rng.random(), i / 100, 1.0])) for i in range(seed)
+        )
+        curve = PRCurve(points=points, n_gt=1)
+        assert average_precision(curve, "allpoint") == rescanned(curve)
 
 
 def random_instance(rng, max_frames=20):

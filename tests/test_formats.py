@@ -43,7 +43,7 @@ from skel2box import (
     parse_mot_gt,
 )
 from skel2box import formats
-from skel2box.formats import MAX_FRAMES, coco_file_name
+from skel2box.formats import MAX_FRAMES, coco_file_name, csv_row, json_number
 from test_value_rules import RULES, csv_box
 
 
@@ -1015,9 +1015,10 @@ class TestEmitCoco:
         assert info["videos"] == [["v", 1]]
 
 
-# Video ids that JSON must escape or that are not ASCII, and box values whose
-# spelling is easy to get wrong: huge, negative zero, subnormal, integral, repeating.
-AWKWARD_VIDEOS = ('a"b', "c\\d", "e\x01f", "é", "视频")
+# Video ids that JSON must escape, that are not ASCII, empty or hold a slash, and
+# box values whose spelling is easy to get wrong: huge, negative zero, subnormal,
+# integral, repeating.
+AWKWARD_VIDEOS = ('a"b', "c\\d", "e\x01f", "é", "视频", "\ud800", "😀", "", "a/b")
 AWKWARD_NUMBERS = (1e16, -0.0, 5e-324, 2.0, 1 / 3)
 
 
@@ -1387,6 +1388,13 @@ class TestParseCocoForeign:
 
 
 class TestMot:
+    @pytest.mark.parametrize("values", [
+        *((v,) for v in (0, 7, -3, 0.0, -0.0, 2.0, 1e16, 2.0**53 + 2, 5e-324, 1 / 3, 1e300, -1.5)),
+        (3, -1, 0.5, -0.0, 1e16, 40.0, 1 / 3, 5e-324, -1, 2**53),
+    ])
+    def test_csv_numbers_are_spelled_as_json_numbers(self, values):
+        assert csv_row(*values) == ",".join(json.dumps(json_number(v)) for v in values) + "\n"
+
     @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_emit_non_finite_box_rejected(self, field, value):
