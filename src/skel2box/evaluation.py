@@ -194,7 +194,8 @@ def average_precision(pr: PRCurve, scheme: str = "allpoint") -> float:
 
     ``allpoint`` integrates the precision envelope exactly over recall;
     ``101point`` samples the envelope at recall 0, 0.01, ..., 1.00 and
-    averages. An empty curve scores 0.
+    averages. An empty curve scores 0. A point whose precision or recall is
+    NaN or outside [0, 1] raises InvalidArgument.
 
     The envelope's precision never rises along the list, so the sample at
     ``r`` is that of the first point reaching ``r``: one sweep finds all 101.
@@ -204,6 +205,8 @@ def average_precision(pr: PRCurve, scheme: str = "allpoint") -> float:
     env = []  # (recall, highest precision at this point or after it)
     highest = 0.0
     for _, precision, recall in reversed(pr.points):
+        if not (0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0):
+            raise InvalidArgument(f"precision {precision!r} or recall {recall!r} is outside [0, 1]")
         highest = max(highest, precision)
         env.append((recall, highest))
     env.reverse()

@@ -9,7 +9,6 @@ consumption by any trainer.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import random
@@ -18,6 +17,14 @@ from typing import Iterator, Union
 
 from . import DEFAULT_RATIO
 from .errors import InvalidConfig, ParseError
+
+try:  # hashlib loads OpenSSL, about 3 MB of peak memory, for the same digest.
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 SYNTHETIC = "syn"
 REAL = "real"
@@ -56,7 +63,7 @@ class FineTunePlan:
 
 def _permutation(n: int, *tokens: object) -> list[int]:
     """Seeded permutation of range(n); the seed is derived from the tokens."""
-    digest = hashlib.sha256("/".join(str(t) for t in tokens).encode()).digest()
+    digest = sha256("/".join(str(t) for t in tokens).encode()).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
     indices = list(range(n))
     rng.shuffle(indices)
@@ -189,11 +196,11 @@ def serialize_plan(plan: Union[BatchPlan, FineTunePlan]) -> str:
     if not isinstance(plan, BatchPlan):
         return json.dumps(_plan_doc(plan), separators=(",", ":"))
     config = json.dumps(asdict(plan.config), separators=(",", ":"))
-    epochs = (
-        "[" + ",".join(map(_entry_text, itertools.chain.from_iterable(epoch))) + "]"
-        for epoch in plan.epochs
+    epochs = "],[".join(
+        ",".join(map(_entry_text, itertools.chain.from_iterable(epoch))) for epoch in plan.epochs
     )
-    return '{"config":' + config + ',"kind":"mixed","epochs":[' + ",".join(epochs) + "]}"
+    outer = ("[[", epochs, "]]") if plan.epochs else ("[]",)
+    return "".join(('{"config":', config, ',"kind":"mixed","epochs":', *outer, "}"))
 
 
 def parse_plan(source: str) -> Union[BatchPlan, FineTunePlan]:

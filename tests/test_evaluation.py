@@ -336,6 +336,25 @@ class TestPrCurve:
         assert pr_curve(scored, n_gt, floor).points == tuple(expected)
 
 
+def random_curves(seed):
+    """A curve from ``pr_curve``, of at most ``n_gt`` true positives, and one
+    of ``seed`` arbitrary points with recall in any order."""
+    rng = random.Random(seed)
+    n_gt = rng.randint(1, 300)
+    scored = []
+    hits = 0
+    for i in range(rng.randint(0, 2 * n_gt)):
+        score = rng.random() if rng.random() < 0.5 else rng.choice(SCORE_POOL)
+        hit = rng.random() < 0.6 and hits < n_gt
+        hits += hit
+        scored.append((score, MatchOutcome(i, 0 if hit else None)))
+    swept = pr_curve(scored, n_gt=n_gt, score_floor=rng.choice([0.0, 0.3]))
+    points = tuple(
+        (0.5, rng.random(), rng.choice([rng.random(), i / 100, 1.0])) for i in range(seed)
+    )
+    return swept, PRCurve(points=points, n_gt=1)
+
+
 class TestAveragePrecision:
     def test_perfect_curve(self):
         curve = PRCurve(points=((0.9, 1.0, 1.0),), n_gt=3)
@@ -392,20 +411,8 @@ class TestAveragePrecision:
                 samples.append(max(beyond) if beyond else 0.0)
             return math.fsum(samples) / 101
 
-        rng = random.Random(seed)
-        n_gt = rng.randint(1, 300)
-        scored = []
-        for i in range(rng.randint(0, 2 * n_gt)):
-            score = rng.random() if rng.random() < 0.5 else rng.choice(SCORE_POOL)
-            scored.append((score, MatchOutcome(i, 0 if rng.random() < 0.6 else None)))
-        curve = pr_curve(scored, n_gt=n_gt, score_floor=rng.choice([0.0, 0.3]))
-        assert average_precision(curve, "101point") == rescanned(curve)
-        # Arbitrary points too, with recall in any order.
-        points = tuple(
-            (0.5, rng.random(), rng.choice([rng.random(), i / 100, 1.0])) for i in range(seed)
-        )
-        curve = PRCurve(points=points, n_gt=1)
-        assert average_precision(curve, "101point") == rescanned(curve)
+        for curve in random_curves(seed):
+            assert average_precision(curve, "101point") == rescanned(curve)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_allpoint_sum_equals_the_rescan(self, seed):
@@ -419,20 +426,35 @@ class TestAveragePrecision:
                 steps.append((recall - previous) * highest)
             return math.fsum(steps)
 
-        # The curves of test_101point_sweep_equals_the_rescan.
-        rng = random.Random(seed)
-        n_gt = rng.randint(1, 300)
-        scored = []
-        for i in range(rng.randint(0, 2 * n_gt)):
-            score = rng.random() if rng.random() < 0.5 else rng.choice(SCORE_POOL)
-            scored.append((score, MatchOutcome(i, 0 if rng.random() < 0.6 else None)))
-        curve = pr_curve(scored, n_gt=n_gt, score_floor=rng.choice([0.0, 0.3]))
-        assert average_precision(curve, "allpoint") == rescanned(curve)
-        points = tuple(
-            (0.5, rng.random(), rng.choice([rng.random(), i / 100, 1.0])) for i in range(seed)
-        )
-        curve = PRCurve(points=points, n_gt=1)
-        assert average_precision(curve, "allpoint") == rescanned(curve)
+        for curve in random_curves(seed):
+            assert average_precision(curve, "allpoint") == rescanned(curve)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.9, 1.0, math.inf)],
+            [(0.9, 1.0, -math.inf)],
+            # Summed, their steps once raised a bare ValueError from math.fsum.
+            [(0.9, 1.0, math.inf), (0.8, 1.0, -math.inf)],
+            [(0.9, math.nan, 0.5)],
+            [(0.9, 1.0, math.nan)],
+            [(0.9, 1.5, 0.5)],
+            [(0.9, 0.5, 1.0000001)],
+            [(0.9, -0.0001, 0.5)],
+        ],
+        ids=["inf_recall", "minus_inf_recall", "infinite_recalls_of_both_signs", "nan_precision",
+             "nan_recall", "precision_above_1", "recall_above_1", "negative_precision"],
+    )
+    @pytest.mark.parametrize("scheme", ["allpoint", "101point"])
+    def test_point_outside_the_unit_square_is_refused(self, points, scheme):
+        curve = PRCurve(points=((0.95, 1.0, 0.25), *points), n_gt=4)
+        with pytest.raises(InvalidArgument, match=r"is outside \[0, 1\]$"):
+            average_precision(curve, scheme)
+
+    def test_curve_on_the_unit_square_edges_is_scored(self):
+        curve = PRCurve(points=((0.9, 0.0, 0.0), (0.8, 1.0, 0.0), (0.7, 1.0, 1.0)), n_gt=2)
+        assert average_precision(curve, "allpoint") == 1.0
+        assert average_precision(curve, "101point") == 1.0
 
 
 def random_instance(rng, max_frames=20):

@@ -3,6 +3,8 @@
 ``import skel2box`` loads none of its modules: a name is imported from its
 module on first use. The command line imports only the modules the
 subcommand it runs calls, so a short job does not pay for the others.
+Planning takes SHA-256 from the interpreter's lean module, not from
+``hashlib``, whose OpenSSL costs about 3 MB of peak memory.
 """
 
 import ast
@@ -60,21 +62,21 @@ class TestNamespace:
             skel2box.no_such_name  # noqa: B018
 
 
-# Runs a command line, then prints the package modules it loaded, even when
-# the command exits (``--help`` does).
+# Runs a command line, then prints the modules it loaded, even when the
+# command exits (``--help`` does).
 PROBE = """
 import sys
 from skel2box.cli import main
 try:
     main()
 finally:
-    print(sorted(name for name in sys.modules if name.split(".")[0] == "skel2box"))
+    print(sorted(sys.modules))
 """
 
 
 def loaded_modules(*args):
-    """The sorted ``skel2box`` entries of ``sys.modules`` after a fresh
-    interpreter runs ``skel2box`` with ``args``."""
+    """The sorted names in ``sys.modules`` after a fresh interpreter runs
+    ``skel2box`` with ``args``."""
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *map(str, args)], capture_output=True, text=True
     )
@@ -93,7 +95,8 @@ class TestImportsPerPath:
         assert [name for name in loaded if name.split(".")[0] == "skel2box"] == ["skel2box"]
 
     def test_help_loads_only_the_command_line(self):
-        assert loaded_modules("--help") == ["skel2box", "skel2box.cli", "skel2box.errors"]
+        loaded = [name for name in loaded_modules("--help") if name.split(".")[0] == "skel2box"]
+        assert loaded == ["skel2box", "skel2box.cli", "skel2box.errors"]
 
     @pytest.mark.parametrize(
         "command, used, unused",
@@ -109,3 +112,28 @@ class TestImportsPerPath:
         loaded = loaded_modules(*command_argv(tmp_path, command, tmp_path / "out"))
         assert f"skel2box.{used}" in loaded
         assert {f"skel2box.{name}" for name in unused}.isdisjoint(loaded)
+
+    @pytest.mark.parametrize("command", ["plan-batches", "plan-finetune"])
+    def test_planning_loads_no_openssl(self, tmp_path, command):
+        loaded = loaded_modules(*command_argv(tmp_path, command, tmp_path / "out"))
+        assert "skel2box.training_plan" in loaded
+        assert {"hashlib", "_hashlib"}.isdisjoint(loaded)
+
+    def test_plan_bytes_are_the_same_through_hashlib(self):
+        # With both names of the lean module refused, the planner falls back to
+        # hashlib; its digest, and so the plan, must be the same.
+        script = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from skel2box import MixConfig, plan_mixed_batches, serialize_plan
+text = serialize_plan(plan_mixed_batches(MixConfig(2000, 300, 12, seed=9, epochs=3)))
+assert "_hashlib" in sys.modules
+import hashlib
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # The pinned digest of test_mixed_plan_bytes_are_pinned[two_to_one].
+        assert proc.stdout.split() == [
+            "80cc181a8e1ad23c1c6c7c0d92e7d9d5df528b78049f4889d8d701834fc5b46a"
+        ]

@@ -21,6 +21,9 @@ import pytest
 PACKAGE = "skel2box"
 SOURCE_DIR = Path(__file__).resolve().parent.parent / "src" / PACKAGE
 MODULES = sorted(SOURCE_DIR.glob("*.py"))
+# The lean SHA-256 module is _sha256 up to Python 3.11 and _sha2 from 3.12, and
+# sys.stdlib_module_names lists only the running interpreter's name of it.
+STDLIB = sys.stdlib_module_names | {"_sha2", "_sha256"}
 
 
 def _is_private(name: str) -> bool:
@@ -144,7 +147,7 @@ def non_stdlib_imports(source: str) -> list[str]:
             names.append(node.module)
     return [
         name for name in names
-        if name.split(".")[0] not in sys.stdlib_module_names | {PACKAGE}
+        if name.split(".")[0] not in STDLIB | {PACKAGE}
     ]
 
 
@@ -159,6 +162,8 @@ def test_import_checker_flags_each_form():
             "from __future__ import annotations",
             "import json, numpy.linalg",
             "from os import path",
+            "from _sha2 import sha256",
+            "from _sha256 import sha256",
             "from . import formats",
             "from .geometry import BBox",
             "from skel2box.errors import ParseError",

@@ -11,6 +11,7 @@ from skel2box import (
     MixConfig,
     ParseError,
     Skel2BoxError,
+    cli,
     parse_plan,
     plan_finetune,
     plan_mixed_batches,
@@ -215,9 +216,26 @@ class TestSerialization:
         }
         assert doc["phases"][1]["dataset"] == "real"
 
-    def test_empty_epochs_document(self):
-        plan = BatchPlan(config=MixConfig(8, 4, 3), epochs=())
-        assert '"epochs":[]' in serialize_plan(plan)
+    @pytest.mark.parametrize(
+        "epochs, text",
+        [((), "[]"), (((),), "[[]]"), (((), ()), "[[],[]]")],
+        ids=["no_epoch", "one_empty_epoch", "two_empty_epochs"],
+    )
+    def test_caller_built_epochs_document(self, epochs, text):
+        plan = BatchPlan(config=MixConfig(8, 4, 3), epochs=epochs)
+        assert serialize_plan(plan) == (
+            '{"config":{"n_synthetic":8,"n_real":4,"batch_size":3,"ratio":[2,1],"seed":0,'
+            '"epochs":1},"kind":"mixed","epochs":' + text + "}"
+        )
+
+    def test_one_and_two_epoch_documents(self):
+        head = '{"config":{"n_synthetic":4,"n_real":2,"batch_size":3,"ratio":[2,1],"seed":5,'
+        first = '[["syn",1],["syn",3],["real",1],["syn",2],["syn",0],["real",0]]'
+        second = '[["syn",3],["syn",2],["real",0],["syn",1],["syn",0],["real",1]]'
+        one = serialize_plan(plan_mixed_batches(MixConfig(4, 2, 3, seed=5)))
+        two = serialize_plan(plan_mixed_batches(MixConfig(4, 2, 3, seed=5, epochs=2)))
+        assert one == head + '"epochs":1},"kind":"mixed","epochs":[' + first + "]}"
+        assert two == head + '"epochs":2},"kind":"mixed","epochs":[' + first + "," + second + "]}"
 
     def test_mixed_round_trip(self):
         config = MixConfig(n_synthetic=40, n_real=6, batch_size=9, ratio=(2, 1), seed=77, epochs=2)
@@ -360,6 +378,16 @@ class TestSerialization:
     def test_mixed_plan_bytes_are_pinned(self, config, digest):
         text = serialize_plan(plan_mixed_batches(config))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_curate_plan_file_is_pinned(self, tmp_path, capsys):
+        # The plan file of the benchmark's curate workload: the serialized text
+        # and the newline that ends every written file.
+        out = tmp_path / "mix.json"
+        args = ["plan-batches", "--n-synthetic", "20000", "--n-real", "3000",
+                "--batch-size", "12", "--seed", "9", "--epochs", "10", "--out", str(out)]
+        assert cli.run(args) == 0, capsys.readouterr().err
+        digest = "106c2b19da7aa4bcff8b90d498291759cde21b1cda671c0787a86f1add98549a"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "entry", [("syn", True), ("syn", 1.0), ("val", 0)], ids=["bool", "float", "val"]
