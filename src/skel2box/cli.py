@@ -320,13 +320,12 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> tuple[dic
     if args.det_format == "mot_det" and not args.video_id:
         raise _UsageError("--video-id is required with --det-format mot_det")
     gt = _parse_file(args.gt, formats.parse_coco_gt)
-    detections = _parse_file(
-        args.det,
-        formats.parse_detections,
-        args.det_format,
-        video_id=args.video_id,
-        frame_of_image=gt.frame_by_image_id(),
-    )
+    # coco_results is streamed; a pipe, which its reader could not read again, goes as text.
+    with _reading(args.det), Path(args.det).open(encoding="utf-8") as det:
+        detections = formats.parse_detections(
+            det if args.det_format == "coco_results" and det.seekable() else det.read(),
+            args.det_format, video_id=args.video_id, frame_of_image=gt.frame_by_image_id(),
+        )
     report = evaluation.evaluate(
         detections,
         gt.annotations,
@@ -339,6 +338,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> tuple[dic
         "ap_101point": report.ap_101point,
         "n_gt": report.n_gt,
         "n_det": report.n_det,
+        "n_matched": report.n_matched,
         "n_floor_dropped": sum(not d.score > config.score_floor for d in detections),
     }, {"out": (args.out, report.to_json)}
 

@@ -15,7 +15,6 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import pairwise
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -57,6 +56,7 @@ class EvalReport:
     n_gt: int
     n_det: int
     pr: PRCurve
+    n_matched: int = 0  # Detections that match_frame matched; not in to_json's report.
 
     def to_json(self) -> str:
         doc = {
@@ -171,13 +171,13 @@ def pr_curve(
 
     Outcomes whose score does not exceed ``score_floor`` are discarded (the
     floor is strict). One point is emitted per distinct score, at the end of
-    its run, so ties collapse into a single threshold.
+    its run, so ties collapse into a single threshold. A recall above 1 raises InvalidArgument.
     """
     if n_gt < 0:
         raise InvalidArgument("n_gt must be non-negative")
     if n_gt == 0:
         return PRCurve(points=(), n_gt=0)
-    kept = [(score, outcome) for score, outcome in scored_outcomes if score > score_floor]
+    kept = [pair for pair in scored_outcomes if pair[0] > score_floor]
     kept.sort(key=itemgetter(0), reverse=True)
     points = []
     tp = 0
@@ -186,6 +186,8 @@ def pr_curve(
         tp += outcome.is_tp
         if n == len(kept) or kept[n][0] != score:
             points.append((score, tp / n, tp / n_gt))
+    if tp > n_gt:
+        raise InvalidArgument(f"{tp} true positives above the floor, more than n_gt {n_gt}")
     return PRCurve(points=tuple(points), n_gt=n_gt)
 
 
@@ -202,23 +204,22 @@ def average_precision(pr: PRCurve, scheme: str = "allpoint") -> float:
     """
     if scheme not in ("allpoint", "101point"):
         raise InvalidArgument(f"unknown AP scheme {scheme!r}")
-    env = []  # (recall, highest precision at this point or after it)
-    highest = 0.0
+    # Each point's recall, and its envelope: the highest precision at it or after it.
+    recalls, env, highest = [recall for _, _, recall in pr.points], [], 0.0
     for _, precision, recall in reversed(pr.points):
         if not (0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0):
             raise InvalidArgument(f"precision {precision!r} or recall {recall!r} is outside [0, 1]")
-        highest = max(highest, precision)
-        env.append((recall, highest))
+        env.append(highest := max(highest, precision))
     env.reverse()
     if scheme == "allpoint":
-        return math.fsum((r - q) * p for (q, _), (r, p) in pairwise([(0.0, 0.0), *env]))
+        return math.fsum((r - q) * p for q, r, p in zip([0.0, *recalls], recalls, env))
     samples = []
     k = 0
     for i in range(101):
         r = i / 100
-        while k < len(env) and env[k][0] < r:
+        while k < len(env) and recalls[k] < r:
             k += 1
-        samples.append(env[k][1] if k < len(env) else 0.0)
+        samples.append(env[k] if k < len(env) else 0.0)
     return math.fsum(samples) / 101
 
 
@@ -263,4 +264,5 @@ def evaluate(
         n_gt=n_gt,
         n_det=len(detections),
         pr=pr,
+        n_matched=sum(outcome.is_tp for _, outcome in scored),
     )

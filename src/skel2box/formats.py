@@ -38,13 +38,13 @@ _JTA_ARITY = 10
 _JTA_NAMES = ("frame", "pedestrian_id", "joint_id", *(f"field {i}" for i in range(3, 8)),
               "occluded", "self_occluded")  # Each field's name in its errors.
 
-# Characters per block when parse_jta streams a dump.
+# Characters per block when parse_jta streams a dump, or parse_detections coco_results.
 _JTA_BLOCK = 1 << 19
 # The smallest dump whose pieces go to worker processes: below it, starting
 # them costs about what they save (see README, Joint dumps).
 _JTA_POOL_FROM = 3 << 20
-# What follows a record's ``]`` in a dump: JSON whitespace, then the comma
-# before the next record.
+# What follows a record's closing ``]`` or ``}`` in an array: JSON whitespace,
+# then the comma before the next record.
 _RECORD_SPACE = re.compile(r"[ \t\n\r]*,")
 
 # Confidence clamping slack: values this far outside [0, 1] are treated as
@@ -370,17 +370,17 @@ def _jta_columns(rows: list, joint_ids: tuple) -> Optional[tuple]:
     return tuple(array("d", column) for column in columns) if ids == joint_ids else None
 
 
-def _jta_pieces(blocks: Iterable[str]) -> Iterator[str]:
-    """The text of each piece of the dump that ``blocks`` spell: what was read
-    up to the last separator of records (a ``]``, JSON whitespace and a comma)
-    wholly inside the newest block, bracketed, as a JSON array of its records.
-    The last piece is "" if it holds no record, so that ``[...],]`` does not parse."""
+def _jta_pieces(blocks: Iterable[str], close: str = "]") -> Iterator[str]:
+    """The text of each piece of the array that ``blocks`` spell: what was read
+    up to the last separator of records (a record's ``close``, JSON whitespace and
+    a comma) wholly inside the newest block, bracketed, as a JSON array of its
+    records. The last piece is "" if it holds no record, so that ``[...,]`` does not parse."""
     head, tail = "", ""
     for block in blocks:
         start = len(tail)
         tail += block
         at = len(tail)
-        while (at := tail.rfind("]", start, at)) >= 0:
+        while (at := tail.rfind(close, start, at)) >= 0:
             if after := _RECORD_SPACE.match(tail, at + 1):
                 after = after.end()  # A Match would keep the text before the cut alive.
                 piece, head, tail = head + tail[: at + 1] + "]", "[", tail[after:]
@@ -388,6 +388,25 @@ def _jta_pieces(blocks: Iterable[str]) -> Iterator[str]:
                 break
     # Compiled here, on the JTA path only: at import it cost other readers 0.1 MB of peak RSS.
     yield "" if re.fullmatch(r"[ \t\n\r]*\][ \t\n\r]*", tail) else head + tail
+
+
+def _blocks(source: str | TextIO) -> Iterator[str]:
+    """The text of ``source``, a string or a seekable text stream, in ``_JTA_BLOCK`` blocks."""
+    if isinstance(source, str):
+        return (source[i : i + _JTA_BLOCK] for i in range(0, len(source), _JTA_BLOCK))
+    source.seek(0)
+    return iter(partial(source.read, _JTA_BLOCK), "")
+
+
+def _whole_array(source: str | TextIO, what: str, rule: Callable, *args: Any) -> Any:
+    """What ``rule`` gives of the records, each at ``record N``, of the JSON array in ``source``
+    read whole, so that a stream's UnicodeDecodeError has its offset in the file as ``start``."""
+    if not isinstance(source, str):
+        source.seek(0)
+        source = source.read()
+    if not isinstance(records := load_json(source), list):
+        raise ParseError(f"expected a top-level JSON array of {what} records")
+    return _checked(rule, records, "record {}".format, *args)
 
 
 def _jta_groups(records: list, joint_ids: tuple) -> Optional[tuple]:
@@ -547,24 +566,13 @@ def parse_jta(
             whole read, so its ``start`` is the offset in the file.
     """
     joint_ids = tuple(range(joints_per_skeleton))
-    if isinstance(source, str):
-        size = len(source)
-        blocks = (source[i : i + _JTA_BLOCK] for i in range(0, size, _JTA_BLOCK))
-    else:
-        size = source.seek(0, os.SEEK_END)
-        source.seek(0)
-        blocks = iter(partial(source.read, _JTA_BLOCK), "")
-    if (skeletons := _stream_jta(blocks, video_id, joint_ids, _jta_workers(size))) is not None:
+    size = len(source) if isinstance(source, str) else source.seek(0, os.SEEK_END)
+    skeletons = _stream_jta(_blocks(source), video_id, joint_ids, _jta_workers(size))
+    if skeletons is not None:
         return skeletons
-    if not isinstance(source, str):
-        source.seek(0)
-        source = source.read()
 
     # The stream refused the dump: read it whole to word its first error.
-    records = load_json(source)
-    if not isinstance(records, list):
-        raise ParseError("expected a top-level JSON array of joint records")
-    _checked(_jta_rows, records, "record {}".format)
+    _whole_array(source, "joint", _jta_rows)
     raise AssertionError("_jta_rows refuses none of the records")
 
 
@@ -893,7 +901,7 @@ def _mot_rows(rows: list, video_id: str, at: Optional[str] = None) -> Optional[l
 # ---------------------------------------------------------------------------
 
 def parse_detections(
-    source: str,
+    source: str | TextIO,
     fmt: str,
     *,
     video_id: Optional[str] = None,
@@ -907,6 +915,9 @@ def parse_detections(
     All records are returned regardless of score; the confidence floor is an
     evaluation concern. Output is sorted by (video, frame, descending score).
 
+    ``source`` is the text, or for ``coco_results`` also a seekable text stream;
+    either is streamed as :func:`parse_jta` streams a dump (README, COCO records).
+
     Raises:
         ParseError: malformed records, or a score outside [0, 1] beyond
             clamping slack.
@@ -916,11 +927,8 @@ def parse_detections(
     if fmt == "coco_results":
         if frame_of_image is None:
             raise ParseError("coco_results parsing needs an image-id index from the ground truth")
-        records = load_json(source)
-        if not isinstance(records, list):
-            raise ParseError("expected a top-level JSON array of detection records")
-        detections = _checked(_coco_detections, records, "record {}".format, frame_of_image)
-        del records  # Freed before the sort, whose keys would add to its peak.
+        if (detections := _stream_detections(_blocks(source), frame_of_image)) is None:
+            detections = _whole_array(source, "detection", _coco_detections, frame_of_image)
     elif fmt == "mot_det":
         if video_id is None:
             raise ParseError("mot_det parsing needs the video id")
@@ -931,6 +939,21 @@ def parse_detections(
         raise ParseError(f"unknown detection format {fmt!r}")
     detections.sort(key=_detection_order)
     return detections
+
+
+def _stream_detections(blocks: Iterable[str], frame_of: Mapping) -> Optional[list]:
+    """The detections of the ``coco_results`` array that ``blocks`` spell, piece by piece;
+    None if a piece does not parse, :func:`_coco_detections` refuses a record, or a block
+    does not decode."""
+    detections: list = []
+    with suppress(UnicodeDecodeError):
+        for piece in _jta_pieces(blocks, "}"):
+            records = load_json(piece, strict=False)
+            if type(records) is not list or (part := _coco_detections(records, frame_of)) is None:
+                return None
+            detections += part
+        return detections
+    return None
 
 
 def _coco_detections(

@@ -868,6 +868,32 @@ class TestEvaluate:
         report = json.loads(out.read_text())
         assert set(report) == {"ap_allpoint", "ap_101point", "n_gt", "n_det", "pr"}
 
+    def test_non_utf8_byte_past_the_first_block_is_located(self, tmp_path, capsys):
+        gt = coco_file(tmp_path, [annotation("v", 1, 1, 10, 20, 30, 40, 5.0)])
+        record = {"image_id": 1, "bbox": [10, 20, 30, 40], "score": 0.5}
+        text = json.dumps([record] * 20000).encode("utf-8")
+        assert len(text) > 2 * 2**19
+        at = text.index(b" ", 3 * 2**18)
+        det = tmp_path / "det.json"
+        det.write_bytes(text[:at] + b"\xff" + text[at + 1:])
+        out = tmp_path / "report.json"
+        code, stdout, err = run_cli(capsys, "evaluate", "--gt", gt, "--det", det, "--out", out)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {det}: not UTF-8 text (invalid start byte) (byte {at})\n"
+        assert not out.exists()
+
+    def test_detections_from_a_pipe_are_read_whole(self, tmp_path):
+        # A pipe cannot be read again, so the stream's reader does not take it.
+        gt_path, det_path = self.make_pair(tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "skel2box.cli", "evaluate", "--gt", str(gt_path),
+             "--det", "/dev/stdin"],
+            input=det_path.read_text(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads(proc.stdout)
+        assert (summary["ap_allpoint"], summary["n_det"], summary["n_matched"]) == (1.0, 3, 3)
+
     def test_mot_det_frame_without_ground_truth_names_file_and_line(self, tmp_path, capsys):
         gt = coco_file(tmp_path, [annotation("v", 1, 1, 10, 20, 30, 40, 5.0)])
         det = tmp_path / "det.txt"
@@ -899,6 +925,82 @@ class TestEvaluate:
         )
         assert code == 1
         assert "--video-id" in err
+
+
+def own_detections(gt, path, image_id=int):
+    """Each annotation of the COCO document ``gt`` as a coco_results detection of
+    score 0.9, its image id spelled by ``image_id``, written to ``path``."""
+    detections = [{"image_id": image_id(a["image_id"]), "bbox": a["bbox"], "score": 0.9}
+                  for a in gt["annotations"]]
+    path.write_text(json.dumps(detections))
+    return path
+
+
+class TestEvaluateOwnBoxes:
+    """A written document's own boxes, as detections, score what they must. The
+    inputs are those of the console-script checks of CI that these replace;
+    there a person-and-car document's check is
+    TestEvaluate::test_ground_truth_of_other_categories_is_not_counted."""
+
+    @pytest.fixture(scope="class")
+    def dumps(self, tmp_path_factory):
+        """small.json, 20 skeletons, and pooled.json, written from clean.json: 600
+        frames of 8 pedestrians, over 3 MiB, so that its pieces may go to workers."""
+        work = tmp_path_factory.mktemp("dumps")
+        rows = [[f, p, j, 100.0 + j, 200.0 + 2 * j, 0.5, 0.5, 10.0, 0, 0]
+                for f in range(1, 601) for p in range(8) for j in range(22)]
+        (work / "small.json").write_text(json.dumps(rows[:440]))
+        (work / "clean.json").write_text(json.dumps(rows))
+        assert (work / "clean.json").stat().st_size > 3 * 2**20
+        argv = ["synthesize", "--jta", work / "clean.json", "--alpha", 100,
+                "--out-coco", work / "pooled.json"]
+        assert cli.run([str(a) for a in argv]) == 0
+        return work
+
+    def test_odd_video_id(self, dumps, tmp_path, capsys):
+        odd = tmp_path / "odd.json"
+        summary_of(capsys, "synthesize", "--jta", dumps / "small.json", "--alpha", 100,
+                   "--video-id", 'a"b\\c é', "--out-coco", odd)
+        gt = json.loads(odd.read_text(encoding="utf-8"))
+        assert [video for video, _ in gt["info"]["videos"]] == ['a"b\\c é'], gt["info"]
+        assert gt["images"][0]["file_name"] == 'a"b\\c é/000001.jpg', gt["images"][0]
+        det = own_detections(gt, tmp_path / "odd_det.json")
+        summary = summary_of(capsys, "evaluate", "--gt", odd, "--det", det)
+        assert summary["ap_allpoint"] == 1.0, summary
+
+    def test_no_detections_score_zero(self, dumps, tmp_path, capsys):
+        gt = tmp_path / "small_gt.json"
+        summary_of(capsys, "synthesize", "--jta", dumps / "small.json", "--alpha", 100,
+                   "--out-coco", gt)
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]\n")
+        out = tmp_path / "empty_report.json"
+        summary = summary_of(capsys, "evaluate", "--gt", gt, "--det", empty, "--out", out)
+        report = json.loads(out.read_text())
+        assert (summary["ap_allpoint"], summary["ap_101point"], summary["n_det"]) == (0.0, 0.0, 0)
+        assert (report["pr"], report["ap_allpoint"], report["ap_101point"]) == ([], 0, 0), report
+
+    def test_pooled_dump(self, dumps, tmp_path, capsys):
+        gt = json.loads((dumps / "pooled.json").read_text())
+        det = own_detections(gt, tmp_path / "pooled_det.json")
+        summary = summary_of(capsys, "evaluate", "--gt", dumps / "pooled.json", "--det", det)
+        assert summary["ap_allpoint"] == 1.0, summary
+
+    def test_respelled_as_a_foreign_document(self, dumps, tmp_path, capsys):
+        # Float image ids and no category_id in the detections; no info,
+        # pedestrian_id or distance_m in the ground truth.
+        gt = json.loads((dumps / "pooled.json").read_text())
+        det = own_detections(gt, tmp_path / "pooled_det.json")
+        pooled = summary_of(capsys, "evaluate", "--gt", dumps / "pooled.json", "--det", det)
+        del gt["info"]
+        for a in gt["annotations"]:
+            del a["pedestrian_id"], a["distance_m"]
+        respelled = tmp_path / "respelled.json"
+        respelled.write_text(json.dumps(gt))
+        det = own_detections(gt, tmp_path / "respelled_det.json", float)
+        summary = summary_of(capsys, "evaluate", "--gt", respelled, "--det", det)
+        assert summary["ap_allpoint"] == 1.0, summary
+        assert [summary[k] for k in ("n_gt", "n_det")] == [pooled[k] for k in ("n_gt", "n_det")]
 
 
 def json_reader_argv(tmp_path, kind, bad, out):
@@ -1173,7 +1275,7 @@ SUMMARY_LINES = {
     "convert": '{"command": "convert", "from": "mot", "to": "coco", "n_annotations": 1, '
                '"n_skipped": 0, "out": OUT}',
     "evaluate": '{"command": "evaluate", "ap_allpoint": 1.0, "ap_101point": 1.0, "n_gt": 1, '
-                '"n_det": 1, "n_floor_dropped": 0, "out": OUT}',
+                '"n_det": 1, "n_matched": 1, "n_floor_dropped": 0, "out": OUT}',
     "plan-batches": '{"command": "plan-batches", "epochs": 1, "batches_per_epoch": 3, '
                     '"batch_size": 3, "ratio": [2, 1], "out": OUT}',
     "plan-finetune": '{"command": "plan-finetune", "phase1_epochs": 1, "phase2_epochs": 1, '

@@ -315,6 +315,16 @@ class TestPrCurve:
         with pytest.raises(InvalidArgument):
             pr_curve([], n_gt=-1)
 
+    def test_more_true_positives_than_ground_truth_are_refused(self):
+        # Two outcomes matched to box 0 of one ground-truth box: a recall of 2.
+        scored = [(0.9, MatchOutcome(0, 0, 1.0)), (0.8, MatchOutcome(1, 0, 1.0))]
+        message = r"^2 true positives above the floor, more than n_gt 1$"
+        with pytest.raises(InvalidArgument, match=message):
+            pr_curve(scored, n_gt=1)
+        # Below the floor, the second is discarded before it is counted.
+        scored[1] = (0.05, scored[1][1])
+        assert pr_curve(scored, n_gt=1).points == ((0.9, 1.0, 1.0),)
+
     @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize("floor", [0.0, 0.05, 0.3])
     def test_points_count_true_and_false_positives(self, seed, floor):
@@ -328,6 +338,7 @@ class TestPrCurve:
             for i in range(rng.randint(0, 60))
         ]
         kept = [(score, outcome.is_tp) for score, outcome in scored if score > floor]
+        n_gt = max(n_gt, sum(hit for _, hit in kept))  # No recall above 1, which pr_curve refuses.
         expected = []
         for threshold in sorted({score for score, _ in kept}, reverse=True):
             tp = sum(hit for score, hit in kept if score >= threshold)
@@ -539,6 +550,15 @@ class TestEvaluate:
             assert list(report.pr.points) == expected["points"]
             assert report.n_gt == expected["n_gt"]
             assert report.n_det == expected["n_det"]
+
+    def test_matched_counts_every_true_positive(self):
+        # Both boxes matched, one of them below the floor, and one detection unmatched.
+        boxes = [BBox(0, 0, 10, 10), BBox(30, 0, 5, 20)]
+        ground_truth = [gt_ann(b, ped=i) for i, b in enumerate(boxes)]
+        detections = [det(boxes[0], 0.9), det(boxes[1], 0.01), det(BBox(100, 100, 5, 5), 0.8)]
+        report = evaluate(detections, ground_truth)
+        assert (report.n_det, report.n_matched) == (3, 2)
+        assert "n_matched" not in json.loads(report.to_json())
 
     def test_report_json_rejects_non_finite(self):
         report = EvalReport(math.nan, 0.0, 1, 1, PRCurve(points=(), n_gt=1))

@@ -441,11 +441,11 @@ RECORD_ORDERS = {
 
 
 def jta_outcome(parse):
-    """The repr of the skeletons ``parse()`` returns, which tells 1 from 1.0 and
-    True, or the class, message and location of the error it raises."""
+    """The repr of the skeletons or detections ``parse()`` returns, which tells 1
+    from 1.0 and True, or the class, message and location of the error it raises."""
     try:
         return repr(parse())
-    except ParseError as exc:
+    except (ParseError, JoinError) as exc:
         return type(exc).__name__, str(exc), exc.location
 
 
@@ -1925,11 +1925,11 @@ def reference_annotation(ann, idx):
     )]
 
 
-def reference_detections(rec):
+def reference_detections(rec, frame_of=FRAME_OF):
     """The detections of one record the reader accepts, built independently of it."""
     if int(rec.get("category_id", 1)) != 1:
         return []
-    video, frame = FRAME_OF[int(rec["image_id"])]
+    video, frame = frame_of[int(rec["image_id"])]
     x, y, w, h = map(float, rec["bbox"])
     return [Detection(video, frame, BBox(x, y, w, h), min(max(float(rec["score"]), 0.0), 1.0))]
 
@@ -2014,6 +2014,137 @@ class TestCocoRecordRules:
         want.sort(key=lambda d: -d.score)
         parsed = parse_detections(json.dumps(variants), "coco_results", frame_of_image=FRAME_OF)
         assert repr(parsed) == repr(want)
+
+
+def results_text(records, separator=", "):
+    """A coco_results array of ``records``, each written by json.dumps."""
+    return "[" + separator.join(map(json.dumps, records)) + "]"
+
+
+# Twelve records over five images, tied and distinct scores, then each case's
+# text and whether the stream hands it to the whole read: None where that
+# depends on the blocks, as a cut after a record's last ``}, `` splits it.
+RESULT_FRAMES = {i: ("v", i) for i in range(1, 6)}
+RESULTS = [
+    with_key(with_key(COCO_RESULT, "image_id", 1 + i % 5), "score", [0.75, 0.5, 1][i % 3])
+    for i in range(12)
+]
+RESULT_STREAM_CASES = {
+    "whitespace and newlines between records": (results_text(RESULTS, " \n\t,\r\n  "), False),
+    "no records": ("[]", False),
+    "no records, spaced": (" \n[ \n]\n", False),
+    "a byte order mark": ("\ufeff" + results_text(RESULTS), True),
+    "a comma after the last record": (results_text(RESULTS)[:-1] + ",]", True),
+    "truncated": (results_text(RESULTS)[:-30], True),
+    "a NaN score": (results_text([*RESULTS[:7], with_key(COCO_RESULT, "score", math.nan),
+                                  *RESULTS[7:]]), True),
+    "an unknown image id in the last record": (
+        results_text([*RESULTS, with_key(COCO_RESULT, "image_id", 6)]), True),
+    "a category-3 record": (
+        results_text([*RESULTS[:5], with_key(COCO_RESULT, "category_id", 3), *RESULTS[5:]]),
+        False),
+    "a valid record with a nested object": (
+        results_text([*RESULTS, {"extra": {"a": {"b": 1}, "c": 2}, **COCO_RESULT}]), None),
+    "a valid record with a string holding },": (
+        results_text([*RESULTS, {"note": "a}, b},c", **COCO_RESULT}]), None),
+}
+
+
+class TestStreamedResults:
+    """A coco_results array read in small blocks, from its text or from a file,
+    parses exactly as the whole read of it does, error for error."""
+
+    @staticmethod
+    def parsed(monkeypatch, source, block):
+        """The outcome of parse_detections on ``source`` read ``block`` characters at
+        a time, and whether it handed the array over to the whole read."""
+        whole_reads = []
+        load_json = formats.load_json
+
+        def spy(text, **kwargs):
+            if not kwargs:
+                whole_reads.append(len(text))
+            return load_json(text, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(formats, "load_json", spy)
+            patch.setattr(formats, "_JTA_BLOCK", block)
+            outcome = jta_outcome(
+                lambda: parse_detections(source, "coco_results", frame_of_image=RESULT_FRAMES)
+            )
+        return outcome, bool(whole_reads)
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["text", "stream"])
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    @pytest.mark.parametrize("case", RESULT_STREAM_CASES)
+    def test_equals_the_whole_read(self, monkeypatch, tmp_path, case, block, from_file):
+        text, falls_back = RESULT_STREAM_CASES[case]
+        with monkeypatch.context() as patch:
+            patch.setattr(formats, "_stream_detections", lambda blocks, frame_of: None)
+            whole = jta_outcome(
+                lambda: parse_detections(text, "coco_results", frame_of_image=RESULT_FRAMES)
+            )
+        if from_file:
+            path = tmp_path / "det.json"
+            path.write_text(text, encoding="utf-8")
+            with path.open(encoding="utf-8") as stream:
+                outcome, fell_back = self.parsed(monkeypatch, stream, block)
+        else:
+            outcome, fell_back = self.parsed(monkeypatch, text, block)
+        assert outcome == whole
+        assert fell_back == falls_back or falls_back is None
+        # Only the cases whose text is not a valid array of valid records raise.
+        assert isinstance(whole, tuple) == (falls_back is True)
+
+    @pytest.mark.parametrize(
+        "case", ["a valid record with a nested object", "a valid record with a string holding },"]
+    )
+    def test_a_record_that_a_cut_splits_is_read_whole(self, monkeypatch, case):
+        # In one block, the last "}, " is inside the last record, so the cut splits it.
+        text, _ = RESULT_STREAM_CASES[case]
+        outcome, fell_back = self.parsed(monkeypatch, text, len(text))
+        want = [d for r in [*RESULTS, COCO_RESULT] for d in reference_detections(r, RESULT_FRAMES)]
+        want.sort(key=lambda d: (d.frame_id, -d.score))
+        assert fell_back and outcome == repr(want)
+
+    def test_pieces_are_cut_after_a_records_brace(self):
+        text, _ = RESULT_STREAM_CASES["whitespace and newlines between records"]
+        blocks = (text[i : i + 300] for i in range(0, len(text), 300))
+        pieces = [*map(json.loads, formats._jta_pieces(blocks, "}"))]
+        assert len(pieces) > 2 and [record for piece in pieces for record in piece] == RESULTS
+
+    def test_stream_holds_little_beyond_its_detections(self):
+        # About 1.1 MB of text in 64 KiB blocks. Beyond the detections that it
+        # returns, the stream holds one block's records and the sort's keys; the
+        # whole read holds every record's dict (3.5 times as much when written).
+        rng = random.Random(5)
+        records = [
+            {"image_id": rng.randint(1, 5), "category_id": 1,
+             "bbox": [rng.uniform(0, 1800), rng.uniform(0, 1000), rng.uniform(1, 90),
+                      rng.uniform(1, 200)], "score": rng.random()}
+            for _ in range(8000)
+        ]
+        text = json.dumps(records)
+        del records
+        assert 900_000 < len(text) < 1_300_000
+        peaks = []
+        tracemalloc.start()
+        try:
+            for stream in (True, False):
+                tracemalloc.reset_peak()
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(formats, "_JTA_BLOCK", 1 << 16)
+                    if not stream:
+                        patch.setattr(formats, "_stream_detections", lambda blocks, frame_of: None)
+                    detections = parse_detections(
+                        text, "coco_results", frame_of_image=RESULT_FRAMES
+                    )
+                    kept, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak - kept)
+                del detections
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < peaks[1] / 2
 
 
 def csv_record(line, fewest, most):
