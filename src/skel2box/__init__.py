@@ -15,9 +15,9 @@ import sys
 
 __version__ = "0.1.0"
 
-# Defaults and the number rule that the library modules and the command line's
-# settings share. They live here, which every import of the package runs, so
-# the command line can read them without loading the modules that use them.
+# Defaults, the number rule and the rule of each setting, which the library modules
+# and the command line share. They live here, which every import of the package runs,
+# so the command line can check its settings without loading the modules that use them.
 DEFAULT_JOINTS_PER_SKELETON = 22
 DEFAULT_DISTANCE_LIMIT_M = 40.0
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -28,6 +28,30 @@ DEFAULT_RATIO = (2, 1)
 def is_finite_number(value: object) -> bool:
     """True for an ``int`` or ``float`` within float range: not a bool, NaN or infinity."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+# Each setting, in PipelineConfig's field order: the test of its range, and the words refusing it.
+SETTING_RANGES = {
+    "image_w": (lambda v: v > 0, "image dimensions must be positive"),
+    "image_h": (lambda v: v > 0, "image dimensions must be positive"),
+    "joints_per_skeleton": (lambda v: v > 0, "joints_per_skeleton must be positive"),
+    "alpha": (lambda v: v >= 0, "alpha must be at least 0"),
+    "distance_limit_m": (lambda v: v > 0, "distance_limit_m must be positive"),
+    "score_floor": (lambda v: 0 <= v < 1, "score_floor must lie in [0, 1)"),
+    "iou_thr": (lambda v: 0 < v <= 1, "iou_thr must lie in (0, 1]"),
+}
+
+
+def check_setting(name: str, value: object, error: type[Exception]) -> object:
+    """``value``, if it keeps the rule of the setting ``name``; else raises ``error``."""
+    if name == "joints_per_skeleton" and type(value) is not int:
+        raise error(f"{name} must be an integer, got {value!r}")
+    if not is_finite_number(value):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    in_range, words = SETTING_RANGES[name]
+    if not in_range(value):
+        raise error(words)
+    return value
 
 
 _NAMES_BY_MODULE = {

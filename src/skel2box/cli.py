@@ -34,7 +34,8 @@ from . import (
     DEFAULT_JOINTS_PER_SKELETON,
     DEFAULT_RATIO,
     DEFAULT_SCORE_FLOOR,
-    is_finite_number,
+    SETTING_RANGES,
+    check_setting,
 )
 from .errors import InvalidConfig, JoinError, MixedVideos, ParseError, Skel2BoxError
 
@@ -64,31 +65,11 @@ class PipelineConfig:
     iou_thr: float = DEFAULT_IOU_THRESHOLD
 
     def validate(self) -> "PipelineConfig":
-        """Check every field, whatever its source: a real, finite number
-        (``joints_per_skeleton`` an ``int``, ``alpha`` possibly unset), then
-        within its range."""
-        for name in _CONFIG_FIELDS:
-            value = getattr(self, name)
-            if name == "joints_per_skeleton" and type(value) is not int:
-                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-            if not is_finite_number(value) and not (name == "alpha" and value is None):
-                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
-        if self.image_w <= 0 or self.image_h <= 0:
-            raise InvalidConfig("image dimensions must be positive")
-        if self.joints_per_skeleton <= 0:
-            raise InvalidConfig("joints_per_skeleton must be positive")
-        if self.alpha is not None and self.alpha <= 0:
-            raise InvalidConfig("alpha must be positive")
-        if self.distance_limit_m <= 0:
-            raise InvalidConfig("distance_limit_m must be positive")
-        if not 0 <= self.score_floor < 1:
-            raise InvalidConfig("score_floor must lie in [0, 1)")
-        if not 0 < self.iou_thr <= 1:
-            raise InvalidConfig("iou_thr must lie in (0, 1]")
+        """Check each field, whatever its source, in field order; an unset alpha passes."""
+        for name in SETTING_RANGES:
+            if not (name == "alpha" and self.alpha is None):
+                check_setting(name, getattr(self, name), InvalidConfig)
         return self
-
-
-_CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(PipelineConfig))
 
 
 class _UsageError(Exception):
@@ -110,7 +91,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
         doc = _parse_file(config_path, formats.load_json)
         if not isinstance(doc, dict):
             raise InvalidConfig(f"{config_path}: config file must hold a JSON object")
-        unknown = sorted(set(doc) - set(_CONFIG_FIELDS))
+        unknown = sorted(set(doc) - SETTING_RANGES.keys())
         if unknown:
             raise InvalidConfig(f"{config_path}: unknown config keys {unknown}")
         values.update(doc)
@@ -118,7 +99,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if alpha_file and args.alpha is None:
         from . import calibration
         values["alpha"] = _parse_file(alpha_file, calibration.CalibrationResult.from_json).alpha
-    for field in _CONFIG_FIELDS:
+    for field in SETTING_RANGES:
         flag_value = getattr(args, field, None)
         if flag_value is not None:
             values[field] = flag_value

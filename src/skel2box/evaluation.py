@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from . import DEFAULT_IOU_THRESHOLD, DEFAULT_SCORE_FLOOR
+from . import DEFAULT_IOU_THRESHOLD, DEFAULT_SCORE_FLOOR, check_setting
 from .errors import InvalidArgument, JoinError
 from .formats import Detection, json_number
 from .geometry import AnnotatedBox, BBox
@@ -107,6 +107,7 @@ def match_frame(
             is unmatched, and that detection or an unmatched ground-truth
             box has no positive area (the condition :func:`iou` rejects).
     """
+    check_setting("iou_thr", iou_thr, InvalidArgument)
     # The first detection processed scans every ground-truth box.
     if detections and any(b.w <= 0 or b.h <= 0 for b in gts):
         raise InvalidArgument("iou needs boxes with positive area")
@@ -173,6 +174,7 @@ def pr_curve(
     floor is strict). One point is emitted per distinct score, at the end of
     its run, so ties collapse into a single threshold. A recall above 1 raises InvalidArgument.
     """
+    check_setting("score_floor", score_floor, InvalidArgument)
     if n_gt < 0:
         raise InvalidArgument("n_gt must be non-negative")
     if n_gt == 0:
@@ -237,6 +239,8 @@ def evaluate(
     raise JoinError; frames with ground truth but no detections still count
     toward n_gt. n_det counts all input detections, before the score floor.
     """
+    check_setting("iou_thr", iou_thr, InvalidArgument)
+    check_setting("score_floor", score_floor, InvalidArgument)
     gt_by_frame: dict[tuple[str, int], list[BBox]] = {key: [] for key in frames or ()}
     for ann in ground_truth:
         gt_by_frame.setdefault((ann.video_id, ann.frame_id), []).append(ann.box)

@@ -27,7 +27,7 @@ from itertools import chain, compress, cycle, repeat
 from operator import attrgetter, itemgetter, mod, mul
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
-from . import DEFAULT_JOINTS_PER_SKELETON
+from . import DEFAULT_JOINTS_PER_SKELETON, check_setting
 from .errors import IncompleteSkeleton, InvalidArgument, JoinError, MixedVideos, ParseError
 from .geometry import AnnotatedBox, BBox, SkeletonInstance, check_distance, sort_key
 
@@ -565,6 +565,7 @@ def parse_jta(
         UnicodeDecodeError: a stream that is not UTF-8 text, raised by the
             whole read, so its ``start`` is the offset in the file.
     """
+    check_setting("joints_per_skeleton", joints_per_skeleton, InvalidArgument)
     joint_ids = tuple(range(joints_per_skeleton))
     size = len(source) if isinstance(source, str) else source.seek(0, os.SEEK_END)
     skeletons = _stream_jta(_blocks(source), video_id, joint_ids, _jta_workers(size))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
+from . import check_setting
 from .errors import InvalidArgument
 
 
@@ -150,7 +151,7 @@ def pad_box(skeleton_box: BBox, z: float, alpha: float) -> BBox:
     check_distance(z)
     if not (math.isfinite(skeleton_box.h) and skeleton_box.h > 0) or skeleton_box.w <= 0:
         raise InvalidArgument(f"skeleton box must have positive extent, got {skeleton_box}")
-    _check_alpha(alpha)
+    check_setting("alpha", alpha, InvalidArgument)
 
     pad = alpha / z
     h_m = skeleton_box.h + pad
@@ -168,7 +169,8 @@ def clamp_to_image(box: BBox, image_w: float, image_h: float) -> Optional[BBox]:
 
     Returns None when the intersection has zero area.
     """
-    _check_image_size(image_w, image_h)
+    check_setting("image_w", image_w, InvalidArgument)
+    check_setting("image_h", image_h, InvalidArgument)
     if box.x >= 0 and box.y >= 0 and box.x2 <= image_w and box.y2 <= image_h:
         return box
     x1 = max(box.x, 0.0)
@@ -199,9 +201,10 @@ def synthesize_annotations(
     Output is sorted by (video_id, frame_id, pedestrian_id), so the result
     is independent of input order.
     """
-    _check_alpha(alpha)
+    check_setting("alpha", alpha, InvalidArgument)
     if clamp:
-        _check_image_size(image_w, image_h)
+        check_setting("image_w", image_w, InvalidArgument)
+        check_setting("image_h", image_h, InvalidArgument)
 
     kept: list[AnnotatedBox] = []
     # A skip counts under its first cause: no hull, no camera distance, a box
@@ -228,18 +231,6 @@ def synthesize_annotations(
         )
     kept.sort(key=sort_key)
     return SynthesisResult(tuple(kept), sum(skipped.values()), tuple(skipped.items()))
-
-
-def _check_alpha(alpha: float) -> None:
-    """The alpha rule of the padding: finite and non-negative."""
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise InvalidArgument(f"alpha must be finite and non-negative, got {alpha!r}")
-
-
-def _check_image_size(image_w: float, image_h: float) -> None:
-    """The image-size rule of clamping: both sides positive."""
-    if image_w <= 0 or image_h <= 0:
-        raise InvalidArgument(f"image dimensions must be positive, got {image_w}x{image_h}")
 
 
 sort_key = attrgetter("video_id", "frame_id", "pedestrian_id")  # Canonical, used by all emitters.

@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import DEFAULT_DISTANCE_LIMIT_M
+from . import DEFAULT_DISTANCE_LIMIT_M, check_setting
 from .errors import EmptyInput, InvalidArgument
 from .formats import csv_row
 from .geometry import AnnotatedBox, check_distance
@@ -83,8 +83,7 @@ def prune_by_distance(
     Returns:
         (kept annotations, pruned count)
     """
-    if not (math.isfinite(limit_m) and limit_m > 0):
-        raise InvalidArgument(f"distance limit must be positive, got {limit_m!r}")
+    check_setting("distance_limit_m", limit_m, InvalidArgument)
     kept = [a for a in annotations if check_distance(a.distance_m) <= limit_m]
     return kept, len(annotations) - len(kept)
 

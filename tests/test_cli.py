@@ -1419,12 +1419,17 @@ class TestSettings:
         )
         out = tmp_path / "out.json"
         argv = command_argv(tmp_path, "synthesize", out, alpha=False)
-        by_flag = run_cli(capsys, *argv, "--alpha", value)
-        by_file = run_cli(capsys, *argv, "--alpha-file", alpha_file)
-        assert by_file == by_flag
-        assert by_flag[0] == 2 and by_flag[2].startswith("error: alpha must be ")
-        assert not out.exists()
-
+        runs = []
+        for source in (("--alpha", value), ("--alpha-file", alpha_file)):
+            code, _, err = run_cli(capsys, *argv, *source)
+            runs.append((code, err, out.read_bytes() if out.exists() else None))
+            out.unlink(missing_ok=True)
+        assert runs[0] == runs[1]
+        code, err, written = runs[0]
+        if value == "0":  # The no-padding baseline
+            assert (code, err) == (0, "") and written
+        else:
+            assert code == 2 and err.startswith("error: alpha must be ") and written is None
 
     @pytest.mark.parametrize("value, shown", [('"3.5"', "'3.5'"), ("true", "True")])
     def test_alpha_file_value_must_be_a_number(self, tmp_path, capsys, value, shown):

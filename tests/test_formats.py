@@ -192,7 +192,7 @@ class TestParseJta:
         assert len(skeletons[0].joints) == 15
 
     def test_no_joint_count_builds_no_skeleton(self):
-        with pytest.raises(IncompleteSkeleton, match=r"^expected 0 joints, got 1 \(frame 1, pe"):
+        with pytest.raises(InvalidArgument, match=r"^joints_per_skeleton must be positive$"):
             parse_jta(json.dumps(jta_records(1, 1, n_joints=1)), "v", joints_per_skeleton=0)
 
     def test_malformed_json(self):
