@@ -72,7 +72,10 @@ class EvalReport:
 
 
 def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two axis-aligned boxes."""
+    """IoU of two boxes; InvalidArgument unless each field is finite and each box has area."""
+    for value in (a.x, a.y, a.w, a.h, b.x, b.y, b.w, b.h):
+        if not math.isfinite(value):
+            raise InvalidArgument(f"box field must be a finite number, got {value!r}")
     if a.w <= 0 or a.h <= 0 or b.w <= 0 or b.h <= 0:
         raise InvalidArgument("iou needs boxes with positive area")
     inter_w = min(a.x2, b.x2) - max(a.x, b.x)
@@ -103,15 +106,17 @@ def match_frame(
     ``iou_at_match`` equals ``iou(det.box, gt)``.
 
     Raises:
-        InvalidArgument: a detection is processed while some ground truth
-            is unmatched, and that detection or an unmatched ground-truth
-            box has no positive area (the condition :func:`iou` rejects).
+        InvalidArgument: ``iou_thr`` outside its range, a NaN detection score, or a detection
+            processed while some ground truth is unmatched, where that detection or an
+            unmatched ground-truth box has no positive area (the condition :func:`iou` rejects).
     """
     check_setting("iou_thr", iou_thr, InvalidArgument)
     # The first detection processed scans every ground-truth box.
     if detections and any(b.w <= 0 or b.h <= 0 for b in gts):
         raise InvalidArgument("iou needs boxes with positive area")
-    order = sorted(range(len(detections)), key=[-d.score for d in detections].__getitem__)
+    if any(map(math.isnan, keys := [-d.score for d in detections])):
+        raise InvalidArgument("detection score must not be NaN")
+    order = sorted(range(len(detections)), key=keys.__getitem__)
     corners = sorted(
         ((b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h, i) for i, b in enumerate(gts)),
         key=itemgetter(0),
@@ -170,9 +175,9 @@ def pr_curve(
 ) -> PRCurve:
     """Pool per-frame outcomes into one precision-recall curve.
 
-    Outcomes whose score does not exceed ``score_floor`` are discarded (the
-    floor is strict). One point is emitted per distinct score, at the end of
-    its run, so ties collapse into a single threshold. A recall above 1 raises InvalidArgument.
+    Outcomes whose score does not exceed ``score_floor`` are discarded (the floor is strict).
+    One point is emitted per distinct score, at the end of its run, so ties collapse into one
+    threshold. A recall above 1, or a ``score_floor`` outside its range, raises InvalidArgument.
     """
     check_setting("score_floor", score_floor, InvalidArgument)
     if n_gt < 0:
@@ -234,10 +239,10 @@ def evaluate(
 ) -> EvalReport:
     """Score detections against ground truth over all frames.
 
-    ``frames`` is the set of known (video, frame) pairs; it defaults to the
-    frames carrying ground truth. Detections on frames outside that set
-    raise JoinError; frames with ground truth but no detections still count
-    toward n_gt. n_det counts all input detections, before the score floor.
+    ``frames`` is the set of known (video, frame) pairs; it defaults to the frames carrying
+    ground truth. Detections on frames outside that set raise JoinError; frames with ground
+    truth but no detections still count toward n_gt. n_det counts all input detections, before
+    the score floor. An ``iou_thr`` or ``score_floor`` outside its range raises InvalidArgument.
     """
     check_setting("iou_thr", iou_thr, InvalidArgument)
     check_setting("score_floor", score_floor, InvalidArgument)

@@ -558,10 +558,10 @@ def parse_jta(
     piece's records are the whole array's, so the whole read then always raises.
 
     Raises:
+        InvalidArgument: ``joints_per_skeleton`` not an ``int`` within its range.
         ParseError: malformed JSON, wrong record arity, or bad field values,
             located as ``record N`` (0-based index in the array).
-        IncompleteSkeleton: a pedestrian's records do not cover exactly the
-            joint ids 0..joints_per_skeleton-1.
+        IncompleteSkeleton: a pedestrian's joint ids are not exactly 0..joints_per_skeleton-1.
         UnicodeDecodeError: a stream that is not UTF-8 text, raised by the
             whole read, so its ``start`` is the offset in the file.
     """

@@ -144,12 +144,15 @@ def check_distance(z: float, location: Optional[str] = None) -> float:
 def pad_box(skeleton_box: BBox, z: float, alpha: float) -> BBox:
     """Grow a skeleton box into a full-body box.
 
-    The height gains ``alpha / z`` pixels; the width is rescaled so the
-    aspect ratio is preserved. Growth is symmetric about the box center,
-    which keeps the box centered on the body.
+    The height gains ``alpha / z`` pixels; the width is rescaled so the aspect ratio is
+    preserved. Growth is symmetric about the box center, keeping the box centered on the body.
+    A bad ``z``, a box not finite or without extent, or a bad ``alpha`` raises InvalidArgument.
     """
     check_distance(z)
-    if not (math.isfinite(skeleton_box.h) and skeleton_box.h > 0) or skeleton_box.w <= 0:
+    for value in (skeleton_box.x, skeleton_box.y, skeleton_box.w, skeleton_box.h):
+        if not math.isfinite(value):
+            raise InvalidArgument(f"box field must be a finite number, got {value!r}")
+    if skeleton_box.w <= 0 or skeleton_box.h <= 0:
         raise InvalidArgument(f"skeleton box must have positive extent, got {skeleton_box}")
     check_setting("alpha", alpha, InvalidArgument)
 
@@ -167,7 +170,7 @@ def pad_box(skeleton_box: BBox, z: float, alpha: float) -> BBox:
 def clamp_to_image(box: BBox, image_w: float, image_h: float) -> Optional[BBox]:
     """Intersect a box with the image rectangle [0, image_w] x [0, image_h].
 
-    Returns None when the intersection has zero area.
+    Returns None for a zero-area intersection. A size outside its range raises InvalidArgument.
     """
     check_setting("image_w", image_w, InvalidArgument)
     check_setting("image_h", image_h, InvalidArgument)
@@ -198,8 +201,8 @@ def synthesize_annotations(
     counted by cause rather than aborting the batch: large synthetic dumps
     contain edge cases and batch jobs must complete.
 
-    Output is sorted by (video_id, frame_id, pedestrian_id), so the result
-    is independent of input order.
+    Output is sorted by (video_id, frame_id, pedestrian_id), so the result is independent of
+    input order. An ``alpha``, or with ``clamp`` a size, outside its range raises InvalidArgument.
     """
     check_setting("alpha", alpha, InvalidArgument)
     if clamp:

@@ -75,10 +75,10 @@ def prune_by_distance(
 ) -> tuple[list[AnnotatedBox], int]:
     """Drop annotations farther than ``limit_m`` from the camera.
 
-    The boundary is inclusive: a pedestrian at exactly the limit is kept,
-    since only those strictly farther are pruned. Input order is preserved.
-    An annotation of unknown (infinite) distance is refused, not kept or
-    dropped, as the histogram and :func:`derive_distance_limit` refuse it.
+    The boundary is inclusive: a pedestrian at exactly the limit is kept, since only those
+    strictly farther are pruned. Input order is preserved. An annotation of unknown (infinite)
+    distance is refused, not kept or dropped, as the histogram and :func:`derive_distance_limit`
+    refuse it. A ``limit_m`` outside the range of ``distance_limit_m`` raises InvalidArgument.
 
     Returns:
         (kept annotations, pruned count)

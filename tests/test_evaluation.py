@@ -141,6 +141,15 @@ class TestIou:
         with pytest.raises(InvalidArgument):
             iou(BBox(0, 0, 0, 10), BBox(0, 0, 10, 10))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(8))
+    def test_field_not_finite_rejected(self, field, value):
+        fields = [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]
+        fields[field] = value
+        with pytest.raises(InvalidArgument) as exc_info:
+            iou(BBox(*fields[:4]), BBox(*fields[4:]))
+        assert str(exc_info.value) == f"box field must be a finite number, got {value!r}"
+
     def test_exact_threshold_values(self):
         # intersection 4999, union 10000: IoU exactly 0.4999
         below = iou(BBox(0, 0, 7499.5, 1), BBox(2500.5, 0, 7499.5, 1))
@@ -182,12 +191,24 @@ class TestMatchFrame:
         (outcome,) = match_frame([det(BBox(0, 0, 10, 10), 0.9)], twins)
         assert outcome.matched_gt == 0
 
-    def test_nan_x_is_scored_as_iou_scores_it(self):
-        # A NaN x has no place in the x order, so that frame scans every box.
+    def test_nan_x_is_scored_in_a_full_scan(self):
+        # A NaN x has no place in the x order, so that frame scans every box. The
+        # matcher's loop checks no box field, so it scores what iou refuses.
         box = BBox(0, 0, 10, 10)
         gts = [BBox(50, 0, 10, 10), BBox(math.nan, 0, 10, 10)]
         (outcome,) = match_frame([det(box, 0.9)], gts)
-        assert outcome == MatchOutcome(0, 1, iou(box, gts[1]))
+        assert outcome == MatchOutcome(0, 1, 1.0)
+        with pytest.raises(InvalidArgument, match="^box field must be a finite number, got nan$"):
+            iou(box, gts[1])
+
+    def test_nan_score_refused(self):
+        # Unrefused, the NaN breaks the sort: the 0.5 detection took the ground
+        # truth, which the 0.9 detection takes when the NaN is left out.
+        gt = BBox(0, 0, 10, 10)
+        dets = [det(gt, 0.5), det(BBox(50, 50, 10, 10), math.nan), det(gt, 0.9)]
+        assert [o.matched_gt for o in match_frame(dets[::2], [gt])] == [None, 0]
+        with pytest.raises(InvalidArgument, match="^detection score must not be NaN$"):
+            match_frame(dets, [gt])
 
     def test_iou_threshold_boundary(self):
         gt_boxes = [BBox(0, 0, 7499.5, 1)]

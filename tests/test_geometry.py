@@ -135,6 +135,20 @@ class TestPadBox:
         with pytest.raises(InvalidArgument):
             pad_box(BBox(0, 0, 10, 0), z=10.0, alpha=100)
 
+    @pytest.mark.parametrize(
+        "box, shown",
+        [
+            (BBox(0, 0, math.inf, 1), "inf"),
+            (BBox(math.nan, 0, 10, 20), "nan"),
+            (BBox(0, -math.inf, 10, 20), "-inf"),
+            (BBox(0, 0, 10, math.nan), "nan"),
+        ],
+    )
+    def test_box_field_not_finite_rejected(self, box, shown):
+        with pytest.raises(InvalidArgument) as exc_info:
+            pad_box(box, 5.0, 1.0)
+        assert str(exc_info.value) == f"box field must be a finite number, got {shown}"
+
     def test_aspect_containment_monotonicity(self):
         rng = random.Random(23)
         for _ in range(500):

@@ -7,33 +7,48 @@ and it is the one that reader gives its records (``record N``, ``line N``,
 take no file, so their distance errors carry no location.
 """
 
+import inspect
 import json
 import math
 import random
 import sys
+from array import array
+from dataclasses import fields
 from operator import attrgetter
 
 import pytest
 
+import skel2box
 from skel2box import (
+    SETTING_RANGES,
     AnnotatedBox,
     BBox,
     DatasetManifest,
     Detection,
     InvalidArgument,
+    InvalidConfig,
     ParseError,
+    SkeletonInstance,
+    clamp_to_image,
     derive_distance_limit,
     distance_histogram,
     emit_coco,
     emit_detections,
     emit_mot,
+    evaluate,
     manifest_for_annotations,
+    match_frame,
+    pad_box,
     parse_coco_gt,
     parse_detections,
     parse_jta,
     parse_mot_gt,
+    pr_curve,
     prune_by_distance,
+    synthesize_annotations,
 )
+from skel2box import cli
+from skel2box.cli import PipelineConfig
 
 
 def jta_frame(frame):
@@ -334,3 +349,230 @@ def test_a_manifest_keeps_its_table_as_the_reader_reads_it(videos, read):
     text = emit_coco([], manifest)
     assert parse_coco_gt(text).manifest == manifest
     assert emit_coco([], parse_coco_gt(text).manifest) == text
+
+
+# Each setting of the pipeline has one rule, skel2box.check_setting. The command
+# line runs it on every setting, from its flag or from --config, and so does each
+# library function that takes the setting. Both give the same verdict in the same
+# words; only the class differs, InvalidConfig or InvalidArgument.
+
+SMALLEST = 5e-324
+BIGGEST = sys.float_info.max
+BEYOND_FLOAT = 10**400
+
+# Each setting's values at and around the ends of its range, with the words that
+# refuse them, or None where the value is accepted.
+RANGE_CASES = {
+    "image_w": {
+        "0": (0, "image dimensions must be positive"),
+        "-0.0": (-0.0, "image dimensions must be positive"),
+        "smallest": (SMALLEST, None),
+        "biggest": (BIGGEST, None),
+    },
+    "joints_per_skeleton": {
+        "0": (0, "joints_per_skeleton must be positive"),
+        "-1": (-1, "joints_per_skeleton must be positive"),
+        "1": (1, None),
+        "22": (22, None),
+        "-0.0": (-0.0, "joints_per_skeleton must be an integer, got -0.0"),
+        "2.5": (2.5, "joints_per_skeleton must be an integer, got 2.5"),
+    },
+    "alpha": {
+        "0": (0, None),
+        "-0.0": (-0.0, None),
+        "below_0": (-SMALLEST, "alpha must be at least 0"),
+        "biggest": (BIGGEST, None),
+    },
+    "distance_limit_m": {
+        "0": (0, "distance_limit_m must be positive"),
+        "-0.0": (-0.0, "distance_limit_m must be positive"),
+        "smallest": (SMALLEST, None),
+        "biggest": (BIGGEST, None),
+    },
+    "score_floor": {
+        "0": (0, None),
+        "-0.0": (-0.0, None),
+        "below_0": (-SMALLEST, "score_floor must lie in [0, 1)"),
+        "below_1": (math.nextafter(1.0, 0.0), None),
+        "1": (1, "score_floor must lie in [0, 1)"),
+    },
+    "iou_thr": {
+        "0": (0, "iou_thr must lie in (0, 1]"),
+        "-0.0": (-0.0, "iou_thr must lie in (0, 1]"),
+        "smallest": (SMALLEST, None),
+        "1": (1, None),
+        "above_1": (math.nextafter(1.0, 2.0), "iou_thr must lie in (0, 1]"),
+    },
+}
+RANGE_CASES["image_h"] = RANGE_CASES["image_w"]
+
+
+def number_words(name, value):
+    if name == "joints_per_skeleton" and type(value) is not int:
+        return f"{name} must be an integer, got {value!r}"
+    return f"{name} must be a finite number, got {value!r}"
+
+
+SETTING_CASES = {
+    name: {
+        **{
+            value_id: (value, number_words(name, value))
+            for value_id, value in [
+                ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("true", True),
+                ("beyond_float", BEYOND_FLOAT),
+            ]
+        },
+        **RANGE_CASES[name],
+    }
+    for name in SETTING_RANGES
+}
+
+SKELETON = SkeletonInstance(
+    "v", 1, 1, array("d", [100.0, 120.0]), array("d", [200.0, 250.0]),
+    array("d", [0.0, 0.0]), array("d", [0.0, 0.0]), array("d", [10.0, 10.0]),
+)
+GT = AnnotatedBox("v", 1, 1, BBox(100, 200, 20, 50), 10.0)
+
+# Each library function that takes a setting, called with a usable input.
+LIBRARY = {
+    "image_w": {
+        "clamp_to_image": lambda v: clamp_to_image(GT.box, v, 1080),
+        "synthesize_annotations": lambda v: synthesize_annotations([SKELETON], 100, v, 1080),
+    },
+    "image_h": {
+        "clamp_to_image": lambda v: clamp_to_image(GT.box, 1920, v),
+        "synthesize_annotations": lambda v: synthesize_annotations([SKELETON], 100, 1920, v),
+    },
+    "joints_per_skeleton": {"parse_jta": lambda v: parse_jta("[]", "v", v)},
+    "alpha": {
+        "pad_box": lambda v: pad_box(GT.box, 10.0, v),
+        "synthesize_annotations": lambda v: synthesize_annotations([SKELETON], v, 1920, 1080),
+    },
+    "distance_limit_m": {"prune_by_distance": lambda v: prune_by_distance([GT], v)},
+    "score_floor": {
+        "pr_curve": lambda v: pr_curve([], 1, v),
+        "evaluate": lambda v: evaluate([], [GT], score_floor=v),
+    },
+    "iou_thr": {
+        "match_frame": lambda v: match_frame([], [GT.box], v),
+        "evaluate": lambda v: evaluate([], [GT], iou_thr=v),
+    },
+}
+
+# The subcommand that reads each setting, and its flag.
+COMMAND_OF = {
+    "image_w": ("synthesize", "--image-w"),
+    "image_h": ("synthesize", "--image-h"),
+    "joints_per_skeleton": ("synthesize", "--joints-per-skeleton"),
+    "alpha": ("synthesize", "--alpha"),
+    "distance_limit_m": ("prune", "--distance-limit"),
+    "score_floor": ("evaluate", "--score-floor"),
+    "iou_thr": ("evaluate", "--iou-thr"),
+}
+
+
+def command_argv(tmp_path, command, joints=22):
+    """A run of ``command`` on small inputs that writes ``out.json``."""
+    records = [[1, 1, j, 100.0 + j, 200.0 + 2 * j, 0.0, 0.0, 10.0, 0, 0] for j in range(joints)]
+    (jta := tmp_path / "clip.json").write_text(json.dumps(records))
+    (gt := tmp_path / "gt.json").write_text(emitted([GT]))
+    (det := tmp_path / "det.txt").write_text("1,-1,100,200,20,50,0.9\n")
+    out = tmp_path / "out.json"
+    return {
+        "synthesize": ["synthesize", "--jta", jta, "--out-coco", out],
+        "prune": ["prune", "--gt", gt, "--out", out],
+        "evaluate": ["evaluate", "--gt", gt, "--det", det, "--det-format", "mot_det",
+                     "--video-id", "v", "--out", out],
+    }[command]
+
+
+def run_cli(tmp_path, capsys, argv):
+    """Exit code, stdout and stderr of a command, and whether it wrote ``out.json``."""
+    code = cli.run([str(a) for a in argv])
+    captured = capsys.readouterr()
+    written = (tmp_path / "out.json").exists()
+    (tmp_path / "out.json").unlink(missing_ok=True)
+    return code, captured.out, captured.err, written
+
+
+def flag_text(name, value):
+    """``value`` as its flag spells it, or None if the flag cannot carry it."""
+    if type(value) is bool:
+        return None
+    text = repr(value)
+    try:
+        parsed = (int if name == "joints_per_skeleton" else float)(text)
+    except ValueError:
+        return None
+    return text if parsed == value or (math.isnan(parsed) and math.isnan(value)) else None
+
+
+SETTING_PARAMS = [
+    pytest.param(name, value, words, id=f"{name}-{value_id}")
+    for name, cases in SETTING_CASES.items()
+    for value_id, (value, words) in cases.items()
+]
+
+
+@pytest.mark.parametrize("name, value, words", SETTING_PARAMS)
+def test_every_library_function_keeps_the_setting_rule(name, value, words):
+    for function, call in LIBRARY[name].items():
+        if words is None:
+            call(value)
+            continue
+        with pytest.raises(InvalidArgument) as exc_info:
+            call(value)
+        assert (str(exc_info.value), exc_info.value.location) == (words, None), function
+
+
+@pytest.mark.parametrize("name, value, words", SETTING_PARAMS)
+def test_the_command_line_keeps_the_setting_rule(tmp_path, capsys, name, value, words):
+    command, flag = COMMAND_OF[name]
+    joints = value if name == "joints_per_skeleton" and words is None else 22
+    argv = command_argv(tmp_path, command, joints)
+    if command == "synthesize" and name != "alpha":
+        argv += ["--alpha", "100"]
+    (config := tmp_path / "config.json").write_text(json.dumps({name: value}))
+    runs = {"--config": run_cli(tmp_path, capsys, argv + ["--config", config])}
+    if (text := flag_text(name, value)) is not None:
+        # "--flag=-inf": argparse takes a separate "-inf" for an option.
+        runs[flag] = run_cli(tmp_path, capsys, argv + [f"{flag}={text}"])
+    for source, (code, out, err, written) in runs.items():
+        if words is None:
+            assert (code, err, written) == (0, "", True), source
+        else:
+            assert (code, out, err, written) == (2, "", f"error: {words}\n", False), source
+
+
+def test_a_config_names_its_first_bad_field():
+    with pytest.raises(InvalidConfig) as exc_info:
+        PipelineConfig(image_w=0, iou_thr=math.nan).validate()
+    assert str(exc_info.value) == "image dimensions must be positive"
+
+
+def test_a_config_file_names_its_first_bad_field(tmp_path, capsys):
+    (config := tmp_path / "config.json").write_text('{"iou_thr": NaN, "image_w": 0}')
+    argv = command_argv(tmp_path, "synthesize") + ["--alpha", "100", "--config", config]
+    code, out, err, written = run_cli(tmp_path, capsys, argv)
+    assert (code, out, err, written) == (2, "", "error: image dimensions must be positive\n", False)
+
+
+def test_the_settings_are_the_config_fields_in_order():
+    assert tuple(SETTING_RANGES) == tuple(field.name for field in fields(PipelineConfig))
+
+
+# These record an image size in a manifest, which the COCO reader takes as 0 when
+# it is unknown; they clamp nothing.
+RECORDING = {("image_w", "manifest_for_annotations"), ("image_h", "manifest_for_annotations")}
+
+
+def test_every_library_function_that_takes_a_setting_is_in_the_table():
+    parameter_of = {**{name: name for name in SETTING_RANGES}, "limit_m": "distance_limit_m"}
+    taking = {
+        (parameter_of[parameter], name)
+        for name in skel2box.__all__
+        if inspect.isfunction(function := getattr(skel2box, name))
+        for parameter in inspect.signature(function).parameters
+        if parameter in parameter_of
+    }
+    assert taking - RECORDING == {(name, f) for name, calls in LIBRARY.items() for f in calls}
