@@ -800,7 +800,7 @@ class TestConvert:
             "convert", "--in", two_category_file(tmp_path), "--from", "coco", "--to", "mot",
             "--video-id", "v", "--out", out,
         )
-        assert summary["n_annotations"] == 1
+        assert (summary["n_annotations"], summary["n_skipped"]) == (1, 1)
         assert out.read_text() == "1,1,10,10,20,40,1,1,1\n"
 
     def test_coco_annotations_of_other_categories_are_counted(self, tmp_path, capsys):
@@ -936,26 +936,31 @@ def own_detections(gt, path, image_id=int):
     return path
 
 
+@pytest.fixture(scope="module")
+def dumps(tmp_path_factory):
+    """small.json, 20 skeletons, and pooled.json, written from clean.json: 600
+    frames of 8 pedestrians, over 3 MiB, so that its pieces may go to workers.
+    comma.json is small.json with a comma after its last record, and missing.json
+    lacks small.json's record 100: a joint of frame 1, pedestrian 4."""
+    work = tmp_path_factory.mktemp("dumps")
+    rows = [[f, p, j, 100.0 + j, 200.0 + 2 * j, 0.5, 0.5, 10.0, 0, 0]
+            for f in range(1, 601) for p in range(8) for j in range(22)]
+    (work / "small.json").write_text(json.dumps(rows[:440]))
+    (work / "comma.json").write_text(json.dumps(rows[:440])[:-1] + ",]")
+    (work / "missing.json").write_text(json.dumps(rows[:100] + rows[101:440]))
+    (work / "clean.json").write_text(json.dumps(rows))
+    assert (work / "clean.json").stat().st_size > 3 * 2**20
+    argv = ["synthesize", "--jta", work / "clean.json", "--alpha", 100,
+            "--out-coco", work / "pooled.json"]
+    assert cli.run([str(a) for a in argv]) == 0
+    return work
+
+
 class TestEvaluateOwnBoxes:
     """A written document's own boxes, as detections, score what they must. The
     inputs are those of the console-script checks of CI that these replace;
     there a person-and-car document's check is
     TestEvaluate::test_ground_truth_of_other_categories_is_not_counted."""
-
-    @pytest.fixture(scope="class")
-    def dumps(self, tmp_path_factory):
-        """small.json, 20 skeletons, and pooled.json, written from clean.json: 600
-        frames of 8 pedestrians, over 3 MiB, so that its pieces may go to workers."""
-        work = tmp_path_factory.mktemp("dumps")
-        rows = [[f, p, j, 100.0 + j, 200.0 + 2 * j, 0.5, 0.5, 10.0, 0, 0]
-                for f in range(1, 601) for p in range(8) for j in range(22)]
-        (work / "small.json").write_text(json.dumps(rows[:440]))
-        (work / "clean.json").write_text(json.dumps(rows))
-        assert (work / "clean.json").stat().st_size > 3 * 2**20
-        argv = ["synthesize", "--jta", work / "clean.json", "--alpha", 100,
-                "--out-coco", work / "pooled.json"]
-        assert cli.run([str(a) for a in argv]) == 0
-        return work
 
     def test_odd_video_id(self, dumps, tmp_path, capsys):
         odd = tmp_path / "odd.json"
@@ -1001,6 +1006,37 @@ class TestEvaluateOwnBoxes:
         summary = summary_of(capsys, "evaluate", "--gt", respelled, "--det", det)
         assert summary["ap_allpoint"] == 1.0, summary
         assert [summary[k] for k in ("n_gt", "n_det")] == [pooled[k] for k in ("n_gt", "n_det")]
+
+
+class TestConsoleErrors:
+    """Bad inputs of the console-script checks of CI that these replace: each ends
+    in exit 2 with one line on stderr, located by file, and no output."""
+
+    def test_comma_after_the_last_record(self, dumps, tmp_path, capsys):
+        jta, out = dumps / "comma.json", tmp_path / "comma_gt.json"
+        with pytest.raises(json.JSONDecodeError) as exc_info:
+            json.loads(jta.read_text())
+        result = run_cli(capsys, "synthesize", "--jta", jta, "--alpha", 100, "--out-coco", out)
+        assert result == (2, "", f"error: {jta}: malformed JSON: {exc_info.value}\n")
+        assert not out.exists()
+
+    def test_missing_joint_names_its_skeleton(self, dumps, tmp_path, capsys):
+        jta, out = dumps / "missing.json", tmp_path / "missing_gt.json"
+        result = run_cli(capsys, "synthesize", "--jta", jta, "--alpha", 100, "--out-coco", out)
+        message = "expected 22 joints, got 21 (frame 1, pedestrian 4)"
+        assert result == (2, "", f"error: {jta}: {message}\n")
+        assert not out.exists()
+
+    def test_mot_det_frame_beyond_the_dump_is_located(self, dumps, tmp_path, capsys):
+        det, out = tmp_path / "beyond.txt", tmp_path / "beyond_report.json"
+        det.write_text("1,-1,100,200,20,40,0.9\n601,-1,100,200,20,40,0.9\n")
+        result = run_cli(
+            capsys, "evaluate", "--gt", dumps / "pooled.json", "--det", det,
+            "--det-format", "mot_det", "--video-id", "clean", "--out", out,
+        )
+        message = "detection on (clean, 601) has no ground-truth frame (line 2)"
+        assert result == (2, "", f"error: {det}: {message}\n")
+        assert not out.exists()
 
 
 def json_reader_argv(tmp_path, kind, bad, out):
