@@ -26,7 +26,6 @@ from skel2box import (
     DatasetManifest,
     Detection,
     InvalidArgument,
-    InvalidConfig,
     ParseError,
     SkeletonInstance,
     clamp_to_image,
@@ -542,12 +541,6 @@ def test_the_command_line_keeps_the_setting_rule(tmp_path, capsys, name, value, 
             assert (code, err, written) == (0, "", True), source
         else:
             assert (code, out, err, written) == (2, "", f"error: {words}\n", False), source
-
-
-def test_a_config_names_its_first_bad_field():
-    with pytest.raises(InvalidConfig) as exc_info:
-        PipelineConfig(image_w=0, iou_thr=math.nan).validate()
-    assert str(exc_info.value) == "image dimensions must be positive"
 
 
 def test_a_config_file_names_its_first_bad_field(tmp_path, capsys):
