@@ -161,10 +161,12 @@ def _reading(source: str):
         raise
 
 
-def _parse_file(path: str, parse: Callable[..., _T], *args: Any, **kwargs: Any) -> _T:
-    """``parse`` run on the text of ``path``; its data errors name the file."""
-    with _reading(path):
-        return parse(Path(path).read_text(encoding="utf-8"), *args, **kwargs)
+def _parse_file(
+    path: str, parse: Callable[..., _T], *args: Any, stream: bool = False, **kwargs: Any
+) -> _T:
+    """``parse`` of the text of ``path``, or with ``stream`` of the file, unless it is a pipe."""
+    with _reading(path), Path(path).open(encoding="utf-8") as file:
+        return parse(file if stream and file.seekable() else file.read(), *args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +223,7 @@ def _cmd_histogram(args: argparse.Namespace, config: PipelineConfig) -> tuple[di
     from . import formats, sanitize
     with _reading("--bin-width"):
         sanitize.check_bin_width(args.bin_width)
-    gt = _parse_file(args.gt, formats.parse_coco_gt)
+    gt = _parse_file(args.gt, formats.parse_coco_gt, stream=True)
     with _reading(args.gt):
         hist = sanitize.distance_histogram(gt.annotations, bin_width_m=args.bin_width)
     return {
@@ -233,7 +235,7 @@ def _cmd_histogram(args: argparse.Namespace, config: PipelineConfig) -> tuple[di
 
 def _cmd_prune(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict, _Outputs]:
     from . import formats, sanitize
-    gt = _parse_file(args.gt, formats.parse_coco_gt)
+    gt = _parse_file(args.gt, formats.parse_coco_gt, stream=True)
     with _reading(args.gt):
         kept, pruned = sanitize.prune_by_distance(gt.annotations, limit_m=config.distance_limit_m)
     manifest = dataclasses.replace(gt.manifest, distance_limit_m=config.distance_limit_m)
@@ -247,7 +249,7 @@ def _cmd_distance_limit(args: argparse.Namespace, config: PipelineConfig) -> tup
         sanitize.check_bin_width(args.bin_width)
     with _reading("--h-min"):
         sanitize.check_height_floor(args.h_min)
-    gt = _parse_file(args.gt, formats.parse_coco_gt)
+    gt = _parse_file(args.gt, formats.parse_coco_gt, stream=True)
     with _reading(args.gt):
         limit = sanitize.derive_distance_limit(
             gt.annotations,
@@ -262,7 +264,7 @@ def _cmd_distance_limit(args: argparse.Namespace, config: PipelineConfig) -> tup
 def _cmd_convert(args: argparse.Namespace, config: PipelineConfig) -> tuple[dict, _Outputs]:
     from . import formats
     if args.from_fmt == "coco":
-        gt = _parse_file(args.infile, formats.parse_coco_gt)
+        gt = _parse_file(args.infile, formats.parse_coco_gt, stream=True)
         annotations, manifest, skipped = list(gt.annotations), gt.manifest, gt.skipped_count
         if args.to_fmt == "mot" and args.video_id:
             videos = sorted(name for name, _ in manifest.videos)
@@ -300,15 +302,12 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> tuple[dic
     from . import evaluation, formats
     if args.det_format == "mot_det" and not args.video_id:
         raise _UsageError("--video-id is required with --det-format mot_det")
-    gt = _parse_file(args.gt, formats.parse_coco_gt)
-    # coco_results is streamed; a pipe, which its reader could not read again, goes as text.
-    with _reading(args.det), Path(args.det).open(encoding="utf-8") as det:
-        detections = formats.parse_detections(
-            det if args.det_format == "coco_results" and det.seekable() else det.read(),
-            args.det_format, video_id=args.video_id, frame_of_image=gt.frame_by_image_id(),
-        )
+    gt = _parse_file(args.gt, formats.parse_coco_gt, stream=True)
+    # Unnamed here, so that evaluate frees each frame's detections once matched.
     report = evaluation.evaluate(
-        detections,
+        _parse_file(
+            args.det, formats.parse_detections, args.det_format, video_id=args.video_id,
+            stream=args.det_format == "coco_results", frame_of_image=gt.frame_by_image_id()),
         gt.annotations,
         iou_thr=config.iou_thr,
         score_floor=config.score_floor,
@@ -320,7 +319,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> tuple[dic
         "n_gt": report.n_gt,
         "n_det": report.n_det,
         "n_matched": report.n_matched,
-        "n_floor_dropped": sum(not d.score > config.score_floor for d in detections),
+        "n_floor_dropped": report.n_floor_dropped,
     }, {"out": (args.out, report.to_json)}
 
 

@@ -56,7 +56,8 @@ class EvalReport:
     n_gt: int
     n_det: int
     pr: PRCurve
-    n_matched: int = 0  # Detections that match_frame matched; not in to_json's report.
+    n_matched: int = 0  # Detections that match_frame matched; not in to_json's report,
+    n_floor_dropped: int = 0  # nor are those that the score floor dropped.
 
     def to_json(self) -> str:
         doc = {
@@ -107,13 +108,16 @@ def match_frame(
 
     Raises:
         InvalidArgument: ``iou_thr`` outside its range, a NaN detection score, or a detection
-            processed while some ground truth is unmatched, where that detection or an
-            unmatched ground-truth box has no positive area (the condition :func:`iou` rejects).
+            processed while some ground truth is unmatched, where a ground-truth box field is not
+            finite, or it or an unmatched ground-truth box has no positive area (as in :func:`iou`).
     """
     check_setting("iou_thr", iou_thr, InvalidArgument)
     # The first detection processed scans every ground-truth box.
-    if detections and any(b.w <= 0 or b.h <= 0 for b in gts):
-        raise InvalidArgument("iou needs boxes with positive area")
+    if detections:
+        for value in (v for b in gts for v in (b.x, b.y, b.w, b.h) if not math.isfinite(v)):
+            raise InvalidArgument(f"box field must be a finite number, got {value!r}")
+        if any(b.w <= 0 or b.h <= 0 for b in gts):
+            raise InvalidArgument("iou needs boxes with positive area")
     if any(map(math.isnan, keys := [-d.score for d in detections])):
         raise InvalidArgument("detection score must not be NaN")
     order = sorted(range(len(detections)), key=keys.__getitem__)
@@ -122,8 +126,6 @@ def match_frame(
         key=itemgetter(0),
     )
     lefts = [c[0] for c in corners]
-    # A NaN x leaves ``lefts`` unsorted, so then every box is scanned.
-    windowed = not math.isnan(sum(lefts))
     widest = max((b.w for b in gts), default=0.0)
     matched = [False] * len(gts)
     unmatched = len(gts)
@@ -136,11 +138,9 @@ def match_frame(
             if box.w <= 0 or box.h <= 0:
                 raise InvalidArgument("iou needs boxes with positive area")
             dx1, dy1, dx2, dy2, darea = box.x, box.y, box.x + box.w, box.y + box.h, box.w * box.h
-            window = corners
-            if windowed:
-                # One ulp of slack below dx1 - widest, for its rounding.
-                start = bisect_left(lefts, math.nextafter(dx1 - widest, -math.inf))
-                window = corners[start:bisect_left(lefts, dx2, start)]
+            # One ulp of slack below dx1 - widest, for its rounding.
+            start = bisect_left(lefts, math.nextafter(dx1 - widest, -math.inf))
+            window = corners[start:bisect_left(lefts, dx2, start)]
             for gx1, gy1, gx2, gy2, garea, gt_index in window:
                 if matched[gt_index]:
                     continue
@@ -242,7 +242,8 @@ def evaluate(
     ``frames`` is the set of known (video, frame) pairs; it defaults to the frames carrying
     ground truth. Detections on frames outside that set raise JoinError; frames with ground
     truth but no detections still count toward n_gt. n_det counts all input detections, before
-    the score floor. An ``iou_thr`` or ``score_floor`` outside its range raises InvalidArgument.
+    the score floor, and n_floor_dropped those at or below it; each frame's go once matched. An
+    ``iou_thr`` or ``score_floor`` outside its range raises InvalidArgument.
     """
     check_setting("iou_thr", iou_thr, InvalidArgument)
     check_setting("score_floor", score_floor, InvalidArgument)
@@ -258,12 +259,12 @@ def evaluate(
                 f"detection on ({det.video_id}, {det.frame_id}) has no ground-truth frame"
             )
         det_by_frame.setdefault(key, []).append(det)
+    detections = det = None  # Then only the frames' lists hold the detections.
 
     scored: list[tuple[float, MatchOutcome]] = []
     for key in sorted(det_by_frame):
-        frame_dets = det_by_frame[key]
-        outcomes = match_frame(frame_dets, gt_by_frame[key], iou_thr)
-        scored.extend(zip([d.score for d in frame_dets], outcomes))
+        scores = [d.score for d in det_by_frame[key]]
+        scored.extend(zip(scores, match_frame(det_by_frame.pop(key), gt_by_frame[key], iou_thr)))
 
     n_gt = len(ground_truth)
     pr = pr_curve(scored, n_gt, score_floor)
@@ -271,7 +272,8 @@ def evaluate(
         ap_allpoint=average_precision(pr, "allpoint"),
         ap_101point=average_precision(pr, "101point"),
         n_gt=n_gt,
-        n_det=len(detections),
+        n_det=len(scored),
         pr=pr,
         n_matched=sum(outcome.is_tp for _, outcome in scored),
+        n_floor_dropped=sum(not score > score_floor for score, _ in scored),
     )

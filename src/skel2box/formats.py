@@ -38,8 +38,8 @@ _JTA_ARITY = 10
 _JTA_NAMES = ("frame", "pedestrian_id", "joint_id", *(f"field {i}" for i in range(3, 8)),
               "occluded", "self_occluded")  # Each field's name in its errors.
 
-# Characters per block when parse_jta streams a dump, or parse_detections coco_results.
-_JTA_BLOCK = 1 << 19
+# Characters per block of a streamed joint dump, and of a streamed COCO document (README).
+_JTA_BLOCK, _COCO_BLOCK = 1 << 19, 1 << 17
 # The smallest dump whose pieces go to worker processes: below it, starting
 # them costs about what they save (see README, Joint dumps).
 _JTA_POOL_FROM = 3 << 20
@@ -390,21 +390,23 @@ def _jta_pieces(blocks: Iterable[str], close: str = "]") -> Iterator[str]:
     yield "" if re.fullmatch(r"[ \t\n\r]*\][ \t\n\r]*", tail) else head + tail
 
 
-def _blocks(source: str | TextIO) -> Iterator[str]:
-    """The text of ``source``, a string or a seekable text stream, in ``_JTA_BLOCK`` blocks."""
+def _blocks(source: str | TextIO, size: int) -> Iterator[str]:
+    """The text of ``source``, a string or a seekable text stream, in blocks of ``size``."""
     if isinstance(source, str):
-        return (source[i : i + _JTA_BLOCK] for i in range(0, len(source), _JTA_BLOCK))
+        return (source[i : i + size] for i in range(0, len(source), size))
     source.seek(0)
-    return iter(partial(source.read, _JTA_BLOCK), "")
+    return iter(partial(source.read, size), "")
+
+
+def _whole(source: str | TextIO) -> Any:
+    """The JSON value of ``source``, read whole so that a decode error has its file offset."""
+    return load_json(source if isinstance(source, str) else source.seek(0) or source.read())
 
 
 def _whole_array(source: str | TextIO, what: str, rule: Callable, *args: Any) -> Any:
     """What ``rule`` gives of the records, each at ``record N``, of the JSON array in ``source``
-    read whole, so that a stream's UnicodeDecodeError has its offset in the file as ``start``."""
-    if not isinstance(source, str):
-        source.seek(0)
-        source = source.read()
-    if not isinstance(records := load_json(source), list):
+    read whole (:func:`_whole`)."""
+    if not isinstance(records := _whole(source), list):
         raise ParseError(f"expected a top-level JSON array of {what} records")
     return _checked(rule, records, "record {}".format, *args)
 
@@ -568,7 +570,7 @@ def parse_jta(
     check_setting("joints_per_skeleton", joints_per_skeleton, InvalidArgument)
     joint_ids = tuple(range(joints_per_skeleton))
     size = len(source) if isinstance(source, str) else source.seek(0, os.SEEK_END)
-    skeletons = _stream_jta(_blocks(source), video_id, joint_ids, _jta_workers(size))
+    skeletons = _stream_jta(_blocks(source, _JTA_BLOCK), video_id, joint_ids, _jta_workers(size))
     if skeletons is not None:
         return skeletons
 
@@ -734,12 +736,13 @@ def _coco_records(records: list, frame_of: Mapping[int, tuple[str, int]], what: 
 
 
 def _coco_annotations(
-    anns: list, frame_of: Mapping[int, tuple[str, int]], at: Optional[str] = None
+    anns: list, frame_of: Mapping[int, tuple[str, int]], start: int = 1, at: Optional[str] = None
 ) -> Optional[list]:
-    """``anns`` as AnnotatedBoxes, or None if one breaks the COCO annotation rule,
-    checked by column in field order; given ``at``, raises instead."""
+    """``anns``, a document's from its ``start``-th on, as AnnotatedBoxes, or None if one breaks
+    the COCO annotation rule, checked by column in field order; given ``at``, raises instead."""
     # Each annotation's 1-based index in the document goes along, as its fallback pedestrian id.
-    if (kept := _coco_records(anns, frame_of, "annotation", at, range(1, len(anns) + 1))) is None:
+    numbers = range(start, start + len(anns))
+    if (kept := _coco_records(anns, frame_of, "annotation", at, numbers)) is None:
         return None
     anns, image_ids, numbers = kept
     if not anns:
@@ -762,7 +765,53 @@ def _coco_annotations(
     return [*map(AnnotatedBox, videos, frames, ids, boxes, distances)]
 
 
-def parse_coco_gt(source: str) -> CocoGroundTruth:
+def _coco_images(images: list) -> tuple[list[FrameRef], dict[int, tuple[str, int]]]:
+    """The frame of each of a COCO document's ``images``, and (video, frame) by image id."""
+    frame_of: dict[int, tuple[str, int]] = {}
+    for idx, img in enumerate(images):
+        loc = f"image {idx}"
+        if not isinstance(img, dict):
+            raise ParseError(f"expected an object, got {img!r}", location=loc)
+        image_id = _ints([img.get("id")], "image id", loc)[0]
+        frame = _parse_file_name(img.get("file_name", ""), loc)
+        if image_id in frame_of:
+            raise ParseError(f"duplicate image id {image_id}", location=loc)
+        frame_of[image_id] = frame
+    return [FrameRef(image_id, *frame) for image_id, frame in frame_of.items()], frame_of
+
+
+def _stream_coco_gt(blocks: Iterator[str]) -> Optional[tuple]:
+    """``(doc, images, annotations, n)``: the other members of the COCO document that ``blocks``
+    spell, its images, and its ``n`` annotations' pedestrians, read piece by piece; or None."""
+    # The first top-level key closes the members before it, and follows a comma.
+    key = re.compile(r',[ \t\n\r]*"annotations"[ \t\n\r]*:[ \t\n\r]*\[')
+    text, scan, found, annotations, n = "", 0, None, [], 0
+    with suppress(ParseError, ValueError, RecursionError):  # A refused image, piece or block
+        for block in blocks:
+            if found := key.search(text := text + block, scan):
+                break
+            scan = max(scan, text.rfind(",", scan))  # A match starts at its one comma.
+        head = found and load_json(text[: found.start()] + "}", strict=False)
+        if type(head) is not dict or type(head.get("images")) is not list or "annotations" in head:
+            return None
+        images, frame_of = _coco_images(head["images"])
+        pieces, text = _jta_pieces(chain([text[found.end() - 1 :]], blocks), "}"), ""
+        for piece in pieces:
+            records, end = json.JSONDecoder().raw_decode(piece)  # A piece starts with "[".
+            if (part := _coco_annotations(records, frame_of, n + 1)) is None:
+                return None
+            annotations += part
+            n += len(records)
+            if end < len(piece):  # The array's last piece: the other members follow it.
+                rest = re.compile(r'[ \t\n\r]*(?:,(?=[ \t\n\r]*")|(?=\}))').match(piece, end)
+                tail = rest and load_json("{" + piece[rest.end() :], strict=False)
+                if type(tail) is dict and not {"annotations", *head} & tail.keys():
+                    return {**head, **tail}, images, annotations, n
+                return None
+    return None
+
+
+def parse_coco_gt(source: str | TextIO) -> CocoGroundTruth:
     """Parse a COCO ground-truth document (ours or foreign).
 
     Frames are recovered from image ``file_name`` entries of the form
@@ -773,7 +822,8 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
     ``distance_m`` extension keys fall back to the COCO annotation id and an
     infinite distance respectively. An absent or null ``info`` value takes
     its default (0 for the image size, "" for ``dataset_id``, unset
-    otherwise). A given ``info.videos`` must claim one image per frame.
+    otherwise). A given ``info.videos`` must claim one image per frame. ``source``
+    is the text or a seekable text stream, whose ``annotations`` are streamed.
 
     Raises:
         ParseError: malformed JSON or a malformed part of the document,
@@ -782,28 +832,20 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
             frame of an earlier image), ``annotation N`` or ``info.<key>``.
         JoinError: ``annotation N`` references an unknown image id.
         InvalidArgument: the ``distance_m`` of ``annotation N`` is not positive.
+        UnicodeDecodeError: a stream that is not UTF-8 text, at its offset in the file.
     """
-    doc = load_json(source)
-    if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
-        raise ParseError("expected a COCO document with 'images' and 'annotations'")
-    for key in ("images", "annotations"):
-        if not isinstance(doc[key], list):
-            raise ParseError(f"expected an array, got {type(doc[key]).__name__}", location=key)
-
-    images: list[FrameRef] = []
-    frame_of: dict[int, tuple[str, int]] = {}
-    for idx, img in enumerate(doc["images"]):
-        loc = f"image {idx}"
-        if not isinstance(img, dict):
-            raise ParseError(f"expected an object, got {img!r}", location=loc)
-        image_id = _ints([img.get("id")], "image id", loc)[0]
-        video_id, frame_id = _parse_file_name(img.get("file_name", ""), loc)
-        if image_id in frame_of:
-            raise ParseError(f"duplicate image id {image_id}", location=loc)
-        frame_of[image_id] = (video_id, frame_id)
-        images.append(FrameRef(image_id=image_id, video_id=video_id, frame_id=frame_id))
-
-    annotations = _checked(_coco_annotations, doc["annotations"], "annotation {}".format, frame_of)
+    streamed = _stream_coco_gt(_blocks(source, _COCO_BLOCK))
+    if streamed is None:  # The whole read, which alone words errors
+        doc = _whole(source)
+        if not isinstance(doc, dict) or "images" not in doc or "annotations" not in doc:
+            raise ParseError("expected a COCO document with 'images' and 'annotations'")
+        for key in ("images", "annotations"):
+            if not isinstance(doc[key], list):
+                raise ParseError(f"expected an array, got {type(doc[key]).__name__}", location=key)
+        (images, frame_of), records = _coco_images(doc["images"]), doc["annotations"]
+        annotations = _checked(_coco_annotations, records, "annotation {}".format, frame_of)
+        streamed = doc, images, annotations, len(records)
+    doc, images, annotations, n_records = streamed
     annotations.sort(key=sort_key)
 
     info = doc.get("info")
@@ -826,11 +868,12 @@ def parse_coco_gt(source: str) -> CocoGroundTruth:
             image_h=_image_size(first.get("height", 0), "height", "image 0"),
             dataset_id=_info_value(info, "dataset_id", "", _require_str),
         )
+
     images.sort(key=attrgetter("video_id", "frame_id"))
 
     return CocoGroundTruth(
         annotations=tuple(annotations), manifest=manifest, images=tuple(images),
-        skipped_count=len(doc["annotations"]) - len(annotations),
+        skipped_count=n_records - len(annotations),
     )
 
 
@@ -928,7 +971,7 @@ def parse_detections(
     if fmt == "coco_results":
         if frame_of_image is None:
             raise ParseError("coco_results parsing needs an image-id index from the ground truth")
-        if (detections := _stream_detections(_blocks(source), frame_of_image)) is None:
+        if (detections := _stream_detections(_blocks(source, _COCO_BLOCK), frame_of_image)) is None:
             detections = _whole_array(source, "detection", _coco_detections, frame_of_image)
     elif fmt == "mot_det":
         if video_id is None:

@@ -9,12 +9,11 @@ in human annotations.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import DEFAULT_DISTANCE_LIMIT_M, check_setting
+from . import DEFAULT_DISTANCE_LIMIT_M, check_setting, is_finite_number
 from .errors import EmptyInput, InvalidArgument
 from .formats import csv_row
 from .geometry import AnnotatedBox, check_distance
@@ -34,15 +33,18 @@ class DistanceHistogram:
         return "bin_lower_m,count\n" + "".join(rows)
 
 
+# These two keep their own words, and stay out of SETTING_RANGES, which holds the
+# PipelineConfig fields; they share its number rule, is_finite_number.
+
 def check_bin_width(bin_width_m: float) -> None:
-    """Raise InvalidArgument unless ``bin_width_m`` is finite and positive."""
-    if not (math.isfinite(bin_width_m) and bin_width_m > 0):
+    """Raise InvalidArgument unless ``bin_width_m`` is a finite number and positive."""
+    if not (is_finite_number(bin_width_m) and bin_width_m > 0):
         raise InvalidArgument(f"bin width must be positive, got {bin_width_m!r}")
 
 
 def check_height_floor(h_min_px: float) -> None:
-    """Raise InvalidArgument unless ``h_min_px`` is finite and non-negative."""
-    if not (math.isfinite(h_min_px) and h_min_px >= 0):
+    """Raise InvalidArgument unless ``h_min_px`` is a finite number and non-negative."""
+    if not (is_finite_number(h_min_px) and h_min_px >= 0):
         raise InvalidArgument(f"height floor must be non-negative, got {h_min_px!r}")
 
 

@@ -406,6 +406,85 @@ class TestSynthesizeGolden:
         assert hashlib.sha256(out_mot.read_bytes()).hexdigest() == self.MOT_SHA256
 
 
+def golden_coco_inputs(tmp_path):
+    """A seeded COCO document of two videos, 12 frames each with up to 7 pedestrians,
+    and a coco_results file of jittered boxes, tied scores and false positives."""
+    rng = random.Random(36)
+    anns = [
+        annotation(video, frame, ped, round(rng.uniform(0, 1800), 2), round(rng.uniform(0, 900), 2),
+                   round(rng.uniform(8, 90), 2), round(rng.uniform(20, 180), 2),
+                   round(rng.uniform(3, 70), 3))
+        for video in ("a", "b") for frame in range(1, 13) for ped in range(rng.randint(0, 7))
+    ]
+    gt = coco_file(tmp_path, anns, dataset_id="golden")
+    image_ids = parse_coco_gt(gt.read_text()).image_id_by_frame()
+    records = [
+        {"image_id": image_ids[(a.video_id, a.frame_id)], "category_id": 1,
+         "bbox": [round(v + rng.uniform(-6, 6), 2) for v in (a.box.x, a.box.y)]
+         + [a.box.w, a.box.h], "score": rng.choice([0.9, 0.6, 0.3, round(rng.random(), 3)])}
+        for a in anns if rng.random() < 0.85
+    ] + [
+        {"image_id": rng.randint(1, 24), "category_id": 1,
+         "bbox": [round(rng.uniform(0, 1800), 2), round(rng.uniform(0, 900), 2), 40, 90],
+         "score": rng.choice([0.6, 0.04, round(rng.random(), 3)])}
+        for _ in range(60)
+    ]
+    det = tmp_path / "det.json"
+    det.write_text(json.dumps(records))
+    return gt, det
+
+
+class TestGroundTruthGolden:
+    """The bytes of every command that reads COCO ground truth, on the seeded inputs of
+    golden_coco_inputs, as written before the ground truth was streamed: whole, and in
+    256-character blocks, so that the stream cuts the annotations into many pieces."""
+
+    SHA256 = {
+        "report.json": "dc04bfe6ff90426effba950fd2eedf101e9a660984d8212807a1443b9a8f4101",
+        "hist.csv": "158a5f1b488b25cd90fad1c7331d17d0937cc0cd0b6558b086d7c08c7f7b22a0",
+        "limit.json": "68a6bcc92fc128d83901b305b71680f7d89a494ac82dfadb5be158d8cf021867",
+        "pruned.json": "f65651923a08bf1da0d8e2ba52b79e63fb16f1d3a5a6fdee27a1e3375faf4c3a",
+        "a.txt": "01845dde97722ee4e0021f6104f0ad25abace7909e5d4b34da214e506ad45575",
+        "a.json": "64d241ba17be1163404d04124b67a1a65263e39e735e62bad50c666d5fcf3d2e",
+    }
+
+    @pytest.mark.parametrize("block", [None, 256], ids=["default blocks", "256-character blocks"])
+    def test_output_bytes_are_pinned(self, monkeypatch, tmp_path, capsys, block):
+        if block:
+            monkeypatch.setattr(formats, "_COCO_BLOCK", block)
+        gt, det = golden_coco_inputs(tmp_path)
+        runs = {
+            "report.json": ("evaluate", "--gt", gt, "--det", det),
+            "hist.csv": ("histogram", "--gt", gt, "--bin-width", 5),
+            "limit.json": ("distance-limit", "--gt", gt, "--h-min", 60, "--bin-width", 5,
+                           "--min-bin-count", 3),
+            "pruned.json": ("prune", "--gt", gt, "--distance-limit", 30),
+            "a.txt": ("convert", "--in", gt, "--from", "coco", "--to", "mot", "--video-id", "a"),
+            "a.json": ("convert", "--in", tmp_path / "a.txt", "--from", "mot", "--to", "coco",
+                       "--video-id", "a"),
+        }
+        digests = {}
+        for name, argv in runs.items():
+            summary_of(capsys, *argv, "--out", tmp_path / name)
+            digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digests == self.SHA256
+
+    def test_ground_truth_from_a_pipe_gives_the_file_report(self, tmp_path):
+        # A pipe cannot be read again, so the stream's reader takes its text.
+        gt, det = golden_coco_inputs(tmp_path)
+        reports = []
+        for source in (str(gt), "/dev/stdin"):
+            out = tmp_path / "report.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "skel2box.cli", "evaluate", "--gt", source,
+                 "--det", str(det), "--out", str(out)],
+                input=gt.read_text(), capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append((proc.stdout.rsplit(', "peak_rss_mb"', 1)[0], out.read_bytes()))
+        assert reports[1] == reports[0]
+
+
 class TestStreamedJoints:
     """synthesize reads the dump as a stream; what the stream hands over to
     the whole-document code ends exactly as a whole read does."""

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import weakref
 
 import pytest
 
@@ -16,6 +18,7 @@ from skel2box import (
     PRCurve,
     average_precision,
     evaluate,
+    evaluation,
     iou,
     match_frame,
     pr_curve,
@@ -191,15 +194,26 @@ class TestMatchFrame:
         (outcome,) = match_frame([det(BBox(0, 0, 10, 10), 0.9)], twins)
         assert outcome.matched_gt == 0
 
-    def test_nan_x_is_scored_in_a_full_scan(self):
-        # A NaN x has no place in the x order, so that frame scans every box. The
-        # matcher's loop checks no box field, so it scores what iou refuses.
+    @pytest.mark.parametrize("field, value", [
+        ("x", math.nan), ("y", -math.inf), ("w", math.inf), ("h", math.nan),
+    ])
+    def test_ground_truth_field_not_finite_is_refused_as_iou_refuses_it(self, field, value):
+        # Unrefused, a NaN x took the detection at IoU 1.0 and an infinite width matched
+        # nothing; iou refuses both, so the matcher does, once per call.
         box = BBox(0, 0, 10, 10)
-        gts = [BBox(50, 0, 10, 10), BBox(math.nan, 0, 10, 10)]
-        (outcome,) = match_frame([det(box, 0.9)], gts)
-        assert outcome == MatchOutcome(0, 1, 1.0)
-        with pytest.raises(InvalidArgument, match="^box field must be a finite number, got nan$"):
+        gts = [BBox(50, 0, 10, 10), BBox(**{**dict(x=0, y=0, w=10, h=10), field: value})]
+        words = f"^box field must be a finite number, got {value!r}$"
+        with pytest.raises(InvalidArgument, match=words):
             iou(box, gts[1])
+        with pytest.raises(InvalidArgument, match=words):
+            match_frame([det(box, 0.9)], gts)
+        assert match_frame([], gts) == []
+
+    def test_huge_finite_ground_truth_is_scored(self):
+        # Finite fields whose sum overflows are legal: each field is checked, not a sum.
+        huge = BBox(sys.float_info.max, sys.float_info.max, sys.float_info.max, 1.0)
+        (outcome,) = match_frame([det(BBox(0, 0, 10, 10), 0.9)], [huge, BBox(0, 0, 10, 10)])
+        assert outcome == MatchOutcome(0, 1, 1.0)
 
     def test_nan_score_refused(self):
         # Unrefused, the NaN breaks the sort: the 0.5 detection took the ground
@@ -580,6 +594,44 @@ class TestEvaluate:
         report = evaluate(detections, ground_truth)
         assert (report.n_det, report.n_matched) == (3, 2)
         assert "n_matched" not in json.loads(report.to_json())
+
+    def test_floor_dropped_counts_scores_at_or_below_the_floor(self):
+        box = BBox(0, 0, 10, 10)
+        scores = [1.0, 0.5, 0.05000000000000001, 0.05, 0.01, 0.0]
+        detections = [det(box, score) for score in scores]
+        for floor, dropped in [(0.05, 3), (0.5, 5), (0.0, 1)]:
+            report = evaluate(detections, [gt_ann(box)], score_floor=floor)
+            assert (report.n_det, report.n_floor_dropped) == (6, dropped)
+            assert "n_floor_dropped" not in json.loads(report.to_json())
+        assert [d.score for d in detections] == scores  # The caller's list is left as it was.
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="before 3.11, a caller's stack holds each argument"
+    )
+    def test_each_frame_is_freed_before_the_sweep(self, monkeypatch):
+        # Given the only reference to the detections, evaluate has let every frame's
+        # go by the time it pools the outcomes.
+        class Weak(Detection):  # Unlike Detection, weak-referenceable
+            pass
+
+        refs = []
+
+        def detections():
+            made = [Weak("v", frame, BBox(0, 0, 10, 10), s) for frame in (1, 2, 3)
+                    for s in (0.9, 0.02)]
+            refs.extend(map(weakref.ref, made))
+            return made
+
+        alive = []
+
+        def sweep(scored_outcomes, n_gt, score_floor):
+            alive.append(sum(ref() is not None for ref in refs))
+            return pr_curve(scored_outcomes, n_gt, score_floor)
+
+        monkeypatch.setattr(evaluation, "pr_curve", sweep)
+        ground_truth = [gt_ann(BBox(0, 0, 10, 10), frame=frame) for frame in (1, 2, 3)]
+        report = evaluate(detections(), ground_truth)
+        assert (len(refs), alive, report.ap_allpoint, report.n_floor_dropped) == (6, [0], 1.0, 3)
 
     def test_report_json_rejects_non_finite(self):
         report = EvalReport(math.nan, 0.0, 1, 1, PRCurve(points=(), n_gt=1))

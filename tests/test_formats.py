@@ -2068,7 +2068,7 @@ class TestStreamedResults:
 
         with monkeypatch.context() as patch:
             patch.setattr(formats, "load_json", spy)
-            patch.setattr(formats, "_JTA_BLOCK", block)
+            patch.setattr(formats, "_COCO_BLOCK", block)
             outcome = jta_outcome(
                 lambda: parse_detections(source, "coco_results", frame_of_image=RESULT_FRAMES)
             )
@@ -2133,7 +2133,7 @@ class TestStreamedResults:
             for stream in (True, False):
                 tracemalloc.reset_peak()
                 with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(formats, "_JTA_BLOCK", 1 << 16)
+                    patch.setattr(formats, "_COCO_BLOCK", 1 << 16)
                     if not stream:
                         patch.setattr(formats, "_stream_detections", lambda blocks, frame_of: None)
                     detections = parse_detections(
@@ -2145,6 +2145,184 @@ class TestStreamedResults:
         finally:
             tracemalloc.stop()
         assert peaks[0] < peaks[1] / 2
+
+
+def gt_text(*members, separator=","):
+    """A COCO document of ``members``, (key, value) pairs, each value written by json.dumps."""
+    return "{" + separator.join(f"{json.dumps(k)}:{json.dumps(v)}" for k, v in members) + "}"
+
+
+def gt_outcome(parse):
+    """The repr of the ground truth ``parse()`` returns, or the class, message, location
+    and byte offset of the error it raises."""
+    try:
+        return repr(parse())
+    except (ParseError, JoinError, InvalidArgument, UnicodeDecodeError) as exc:
+        where = getattr(exc, "location", None), getattr(exc, "start", None)
+        return type(exc).__name__, str(exc), *where
+
+
+# Five images of one video and twelve annotations, then each case's text and whether
+# the stream hands it to the whole read: None where that depends on the blocks.
+GT_IMAGES = [{"id": i, "width": 640, "height": 480, "file_name": f"v/{i:06d}.jpg"}
+             for i in range(1, 6)]
+GT_ANNS = [{"id": 100 + i, "image_id": 1 + i % 5, "category_id": 1, "bbox": [10 + i, 20, 30, 40.5],
+            "pedestrian_id": i, "distance_m": 5.0 + i} for i in range(12)]
+INFO = ("info", {"dataset_id": "d", "image_w": 640, "image_h": 480, "videos": [["v", 5]]})
+IMAGES, ANNS = ("images", GT_IMAGES), ("annotations", GT_ANNS)
+CATEGORIES = ("categories", [{"id": 1, "name": "pedestrian"}])
+OURS = gt_text(INFO, IMAGES, ANNS, CATEGORIES)
+
+
+def with_ann(index, key, value):
+    """The annotations member with ``key`` of annotation ``index`` set to ``value``."""
+    return "annotations", [with_key(a, key, value) if i == index else a
+                           for i, a in enumerate(GT_ANNS)]
+
+
+GT_STREAM_CASES = {
+    "ours": (OURS, False),
+    "whitespace around the key and members": (
+        gt_text(INFO, IMAGES, ANNS, CATEGORIES, separator=" ,\n ").replace(
+            '"annotations":', '"annotations" \n:\t\r'), False),
+    "info after annotations": (gt_text(IMAGES, ANNS, INFO), False),
+    "annotations before images": (gt_text(INFO, ANNS, IMAGES), True),
+    "annotations first": (gt_text(ANNS, IMAGES, INFO), True),
+    "an empty array": (gt_text(INFO, IMAGES, ("annotations", []), CATEGORIES), False),
+    "a foreign document without info": (
+        gt_text(IMAGES, ("annotations", [{k: a[k] for k in ("id", "image_id", "bbox")}
+                                         for a in GT_ANNS])), False),
+    "a dropped category": (gt_text(INFO, IMAGES, with_ann(4, "category_id", 3)), False),
+    "the index fallback across pieces": (
+        gt_text(IMAGES, ("annotations", [{"image_id": 1 + i % 5, "bbox": [i, 0, 5, 5]}
+                                         for i in range(12)])), False),
+    "a repeated key": (gt_text(INFO, IMAGES, ANNS, CATEGORIES, ("annotations", GT_ANNS[:3])), True),
+    "images repeated after the array": (gt_text(IMAGES, ANNS, ("images", GT_IMAGES[:2])), True),
+    "info repeated after the array": (gt_text(INFO, IMAGES, ANNS, ("info", {"dataset_id": 3})),
+                                      True),
+    "trailing text": (OURS + " x", True),
+    "a comma after the last member": (OURS[:-1] + ",}", True),
+    "a comma after the array alone": (gt_text(INFO, IMAGES, ANNS)[:-1] + " ,}", True),
+    "no comma after the array": (OURS.replace('],"categories"', '] "categories"'), True),
+    "annotations nested inside info": (
+        gt_text(("info", {**INFO[1], "annotations": GT_ANNS[:2]}), IMAGES, ANNS), True),
+    "annotations first inside info": (
+        gt_text(("info", {"annotations": GT_ANNS[:2], **INFO[1]}), IMAGES, ANNS), False),
+    "an escaped key": (OURS.replace('"annotations"', '"annot\\u0061tions"'), True),
+    "a bad record in a late piece": (gt_text(INFO, IMAGES, with_ann(11, "bbox", [1, 2, 0, 4])),
+                                     True),
+    "an unknown image id": (gt_text(INFO, IMAGES, with_ann(9, "image_id", 6)), True),
+    "a distance that is not positive": (gt_text(INFO, IMAGES, with_ann(10, "distance_m", 0)),
+                                        True),
+    "a bad image": (gt_text(INFO, ("images", [*GT_IMAGES[:2], {"id": 3}]), ANNS), True),
+    "a bad info value": (gt_text(("info", {**INFO[1], "image_w": -1}), IMAGES, ANNS), False),
+    "a truncated document": (OURS[:-40], True),
+    "a byte order mark": ("\ufeff" + OURS, True),
+    "not an object": ("[]", True),
+    "no text": ("", True),
+    "annotations not an array": (gt_text(IMAGES, ("annotations", {})), True),
+    "images not an array": (gt_text(("images", {}), ANNS), True),
+    "a record with a string holding },": (gt_text(IMAGES, with_ann(6, "note", "a}, b},c")), None),
+    "categories of two objects": (
+        gt_text(INFO, IMAGES, ANNS, ("categories", [{"id": 1}, {"id": 2}])), None),
+}
+
+
+class TestStreamedGroundTruth:
+    """A COCO document read in small blocks, from its text or from a file, parses
+    exactly as the whole read of it does, error for error."""
+
+    @staticmethod
+    def parsed(monkeypatch, source, block):
+        """The outcome of parse_coco_gt on ``source`` read ``block`` characters at a
+        time, and whether it handed the document over to the whole read."""
+        whole_reads = []
+        load_json = formats.load_json
+
+        def spy(text, **kwargs):
+            if not kwargs:
+                whole_reads.append(len(text))
+            return load_json(text, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(formats, "load_json", spy)
+            patch.setattr(formats, "_COCO_BLOCK", block)
+            outcome = gt_outcome(lambda: parse_coco_gt(source))
+        return outcome, bool(whole_reads)
+
+    @staticmethod
+    def whole(source):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_stream_coco_gt", lambda blocks: None)
+            return gt_outcome(lambda: parse_coco_gt(source))
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["text", "stream"])
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    @pytest.mark.parametrize("case", GT_STREAM_CASES)
+    def test_equals_the_whole_read(self, monkeypatch, tmp_path, case, block, from_file):
+        text, falls_back = GT_STREAM_CASES[case]
+        whole = self.whole(text)
+        if from_file:
+            path = tmp_path / "gt.json"
+            path.write_text(text, encoding="utf-8")
+            with path.open(encoding="utf-8") as stream:
+                outcome, fell_back = self.parsed(monkeypatch, stream, block)
+        else:
+            outcome, fell_back = self.parsed(monkeypatch, text, block)
+        assert outcome == whole
+        assert fell_back == falls_back or falls_back is None
+
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    @pytest.mark.parametrize("where", ["images", "annotations"])
+    def test_non_utf8_byte_past_the_first_block_is_located(self, monkeypatch, tmp_path, block,
+                                                           where):
+        text = OURS.encode("utf-8")
+        # In the last image's file name, or in the last annotation's bbox key
+        at = text.rindex(b'"file_name"' if where == "images" else b'"bbox"') + 2
+        assert at > 300
+        path = tmp_path / "gt.json"
+        path.write_bytes(text[:at] + b"\xff" + text[at + 1 :])
+        with path.open(encoding="utf-8") as stream:
+            whole = self.whole(stream)
+            outcome, _ = self.parsed(monkeypatch, stream, block)
+        assert outcome == whole == ("UnicodeDecodeError", whole[1], None, at)
+
+    def test_stream_holds_little_beyond_its_annotations(self):
+        # About 1.3 MB of text in 64 KiB blocks. Beyond the annotations that it
+        # returns, the stream holds one block's records; the whole read holds
+        # every record's dict.
+        rng = random.Random(7)
+        anns = [{"id": i, "image_id": rng.randint(1, 5), "category_id": 1,
+                 "bbox": [rng.uniform(0, 1800), rng.uniform(0, 1000), rng.uniform(1, 90),
+                          rng.uniform(1, 200)],
+                 "pedestrian_id": i, "distance_m": rng.uniform(1, 90)}
+                for i in range(8000)]
+        text = gt_text(INFO, IMAGES, ("annotations", anns), CATEGORIES)
+        del anns
+        assert 1_000_000 < len(text) < 1_600_000
+        peaks = []
+        tracemalloc.start()
+        try:
+            for stream in (True, False):
+                tracemalloc.reset_peak()
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(formats, "_COCO_BLOCK", 1 << 16)
+                    if not stream:
+                        patch.setattr(formats, "_stream_coco_gt", lambda blocks: None)
+                    gt = parse_coco_gt(text)
+                    kept, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak - kept)
+                del gt
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < peaks[1] / 2
+
+    def test_the_index_fallback_counts_from_the_first_annotation(self, monkeypatch):
+        text, _ = GT_STREAM_CASES["the index fallback across pieces"]
+        monkeypatch.setattr(formats, "_COCO_BLOCK", 7)
+        gt = parse_coco_gt(text)
+        assert [a.pedestrian_id for a in gt.annotations] == [1, 6, 11, 2, 7, 12, 3, 8, 4, 9, 5, 10]
+        assert [a.box.x for a in gt.annotations] == [0, 5, 10, 1, 6, 11, 2, 7, 3, 8, 4, 9]
 
 
 def csv_record(line, fewest, most):

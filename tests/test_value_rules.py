@@ -47,6 +47,7 @@ from skel2box import (
     synthesize_annotations,
 )
 from skel2box import cli
+from skel2box.sanitize import check_bin_width, check_height_floor
 from skel2box.cli import PipelineConfig
 
 
@@ -569,3 +570,70 @@ def test_every_library_function_that_takes_a_setting_is_in_the_table():
         if parameter in parameter_of
     }
     assert taking - RECORDING == {(name, f) for name, calls in LIBRARY.items() for f in calls}
+
+
+# The knobs of histogram and distance-limit keep words of their own, and stay out of
+# SETTING_RANGES, which holds the PipelineConfig fields; they take its number rule.
+KNOB_WORDS = {
+    "bin_width_m": "bin width must be positive, got {!r}",
+    "h_min_px": "height floor must be non-negative, got {!r}",
+}
+KNOB_RANGES = {
+    "bin_width_m": {"0": (0, False), "-0.0": (-0.0, False), "0.5": (0.5, True),
+                    "biggest": (BIGGEST, True)},
+    "h_min_px": {"0": (0, True), "-0.0": (-0.0, True), "below_0": (-SMALLEST, False),
+                 "biggest": (BIGGEST, True)},
+}
+KNOB_PARAMS = [
+    pytest.param(name, value, accepted, id=f"{name}-{value_id}")
+    for name, cases in KNOB_RANGES.items()
+    for value_id, (value, accepted) in [
+        ("nan", (math.nan, False)), ("inf", (math.inf, False)), ("-inf", (-math.inf, False)),
+        ("true", (True, False)), ("beyond_float", (BEYOND_FLOAT, False)), *cases.items(),
+    ]
+]
+# Each library function that takes the knob, and each subcommand flag that sets it.
+KNOB_LIBRARY = {
+    "bin_width_m": {
+        "check_bin_width": check_bin_width,
+        "distance_histogram": lambda v: distance_histogram([GT], v),
+        "derive_distance_limit": lambda v: derive_distance_limit([GT], 25.0, v),
+    },
+    "h_min_px": {
+        "check_height_floor": check_height_floor,
+        "derive_distance_limit": lambda v: derive_distance_limit([GT], v),
+    },
+}
+KNOB_FLAGS = {
+    "bin_width_m": [("histogram", "--bin-width"), ("distance-limit", "--bin-width")],
+    "h_min_px": [("distance-limit", "--h-min")],
+}
+
+
+@pytest.mark.parametrize("name, value, accepted", KNOB_PARAMS)
+def test_every_library_function_keeps_the_knob_rule(name, value, accepted):
+    for function, call in KNOB_LIBRARY[name].items():
+        if accepted:
+            call(value)
+            continue
+        with pytest.raises(InvalidArgument) as exc_info:
+            call(value)
+        words = KNOB_WORDS[name].format(value)
+        assert (str(exc_info.value), exc_info.value.location) == (words, None), function
+
+
+@pytest.mark.parametrize(
+    "name, value, accepted", [p for p in KNOB_PARAMS if flag_text(*p.values[:2]) is not None]
+)
+def test_the_command_line_keeps_the_knob_rule(tmp_path, capsys, name, value, accepted):
+    text = flag_text(name, value)
+    (gt := tmp_path / "gt.json").write_text(emitted([GT]))
+    for command, flag in KNOB_FLAGS[name]:
+        argv = [command, "--gt", gt, "--out", tmp_path / "out.json"]
+        argv += ["--h-min", "25"] if command == "distance-limit" else []
+        code, out, err, written = run_cli(tmp_path, capsys, argv + [f"{flag}={text}"])
+        if accepted:
+            assert (code, err, written) == (0, "", True), command
+        else:
+            words = KNOB_WORDS[name].format(float(text))
+            assert (code, out, err, written) == (2, "", f"error: {flag}: {words}\n", False), command
