@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 from . import DEFAULT_IOU_THRESHOLD, DEFAULT_SCORE_FLOOR, check_setting
 from .errors import InvalidArgument, JoinError
 from .formats import Detection, json_number
-from .geometry import AnnotatedBox, BBox
+from .geometry import AnnotatedBox, BBox, from_columns
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,8 +108,8 @@ def match_frame(
 
     Raises:
         InvalidArgument: ``iou_thr`` outside its range, a NaN detection score, or a detection
-            processed while some ground truth is unmatched, where a ground-truth box field is not
-            finite, or it or an unmatched ground-truth box has no positive area (as in :func:`iou`).
+            processed while some ground truth is unmatched, where a field of its box or of a
+            ground-truth box is not finite, or either box has no positive area (as in :func:`iou`).
     """
     check_setting("iou_thr", iou_thr, InvalidArgument)
     # The first detection processed scans every ground-truth box.
@@ -127,22 +127,27 @@ def match_frame(
     )
     lefts = [c[0] for c in corners]
     widest = max((b.w for b in gts), default=0.0)
-    matched = [False] * len(gts)
+    taken = [False] * len(gts)
     unmatched = len(gts)
-    outcomes: list = [None] * len(detections)  # Every slot is filled below.
+    inf = math.inf
+    matched_gt: list = [None] * len(detections)  # Each detection's match, None if it has none,
+    ious: list = [None] * len(detections)  # and that match's IoU
     for det_index in order:
         best_gt = -1
         best_iou = 0.0
         if unmatched:
-            box = detections[det_index].box
-            if box.w <= 0 or box.h <= 0:
+            dx1, dy1, dw, dh = (box := detections[det_index].box).x, box.y, box.w, box.h
+            if not (-inf < dx1 < inf and -inf < dy1 < inf and 0 < dw < inf and 0 < dh < inf):
+                for value in (dx1, dy1, dw, dh):  # As iou() refuses them, finiteness first
+                    if not math.isfinite(value):
+                        raise InvalidArgument(f"box field must be a finite number, got {value!r}")
                 raise InvalidArgument("iou needs boxes with positive area")
-            dx1, dy1, dx2, dy2, darea = box.x, box.y, box.x + box.w, box.y + box.h, box.w * box.h
+            dx2, dy2, darea = dx1 + dw, dy1 + dh, dw * dh
             # One ulp of slack below dx1 - widest, for its rounding.
             start = bisect_left(lefts, math.nextafter(dx1 - widest, -math.inf))
             window = corners[start:bisect_left(lefts, dx2, start)]
             for gx1, gy1, gx2, gy2, garea, gt_index in window:
-                if matched[gt_index]:
+                if taken[gt_index]:
                     continue
                 # min(a.x2, b.x2) - max(a.x, b.x) of iou(), operands in the same order
                 inter_w = (gx2 if gx2 < dx2 else dx2) - (gx1 if gx1 > dx1 else dx1)
@@ -160,12 +165,10 @@ def match_frame(
                     best_gt = gt_index
                     best_iou = overlap
         if best_gt >= 0:
-            matched[best_gt] = True
+            taken[best_gt] = True
             unmatched -= 1
-            outcomes[det_index] = MatchOutcome(det_index, best_gt, best_iou)
-        else:
-            outcomes[det_index] = MatchOutcome(det_index)
-    return outcomes
+            matched_gt[det_index], ious[det_index] = best_gt, best_iou
+    return from_columns(MatchOutcome, range(len(detections)), matched_gt, ious)
 
 
 def pr_curve(

@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequenc
 
 from . import DEFAULT_JOINTS_PER_SKELETON, check_setting
 from .errors import IncompleteSkeleton, InvalidArgument, JoinError, MixedVideos, ParseError
-from .geometry import AnnotatedBox, BBox, SkeletonInstance, check_distance, sort_key
+from .geometry import AnnotatedBox, BBox, SkeletonInstance, check_distance, from_columns, sort_key
 
 PEDESTRIAN_CATEGORY_ID = 1
 
@@ -147,12 +147,17 @@ def load_json(source: str, *, strict: bool = True) -> Any:
         if not strict:
             return None
         if type(exc) is ValueError:  # The digit limit, worded differently by each interpreter
-            problem = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+            problem = _too_many_digits()
         elif isinstance(exc, RecursionError):  # Likewise, and apart for arrays and objects
             problem = "maximum recursion depth exceeded by nested arrays or objects"
         else:
             problem = str(exc)
         raise ParseError(f"malformed JSON: {problem}") from exc
+
+
+def _too_many_digits() -> str:
+    """The words for an integer over CPython's limit on the digits of an integer string."""
+    return f"an integer has more than {sys.get_int_max_str_digits()} digits"
 
 
 def _require_finite(value: Any, what: str, location: str) -> float:
@@ -265,7 +270,7 @@ def _boxes(column: Sequence, at: Optional[str] = None) -> Optional[list]:
     if {*map(type, column)} - {list} or {*map(len, column)} - {4}:
         return _refuse(at, ParseError, f"bbox must be [x, y, w, h], got {column[0]!r}")
     columns = _box_fields(*zip(*column), at=at)
-    return None if columns is None else [*map(BBox, *columns)]
+    return None if columns is None else from_columns(BBox, *columns)
 
 
 def _scores(column: Sequence, at: Optional[str] = None) -> Optional[Sequence]:
@@ -371,10 +376,11 @@ def _jta_columns(rows: list, joint_ids: tuple) -> Optional[tuple]:
 
 
 def _jta_pieces(blocks: Iterable[str], close: str = "]") -> Iterator[str]:
-    """The text of each piece of the array that ``blocks`` spell: what was read
-    up to the last separator of records (a record's ``close``, JSON whitespace and
-    a comma) wholly inside the newest block, bracketed, as a JSON array of its
-    records. The last piece is "" if it holds no record, so that ``[...,]`` does not parse."""
+    """The text of each piece of the array that ``blocks`` spell: what was read up to
+    the comma of the last separator of records (a record's ``close``, JSON whitespace
+    and a comma) wholly inside the newest block, bracketed, as a JSON array of its
+    records; so the pieces, unbracketed and joined by commas, are the text read. The
+    last piece is "" if it holds no record, so that ``[...,]`` does not parse."""
     head, tail = "", ""
     for block in blocks:
         start = len(tail)
@@ -383,7 +389,7 @@ def _jta_pieces(blocks: Iterable[str], close: str = "]") -> Iterator[str]:
         while (at := tail.rfind(close, start, at)) >= 0:
             if after := _RECORD_SPACE.match(tail, at + 1):
                 after = after.end()  # A Match would keep the text before the cut alive.
-                piece, head, tail = head + tail[: at + 1] + "]", "[", tail[after:]
+                piece, head, tail = head + tail[: after - 1] + "]", "[", tail[after:]
                 yield piece
                 break
     # Compiled here, on the JTA path only: at import it cost other readers 0.1 MB of peak RSS.
@@ -649,7 +655,12 @@ def _parse_file_name(file_name: Any, location: str) -> tuple[str, int]:
         raise ParseError(
             f"cannot extract a frame number from file_name {file_name!r}", location=location
         )
-    return head, _frames([int(stem)], location)[0]
+    try:
+        frame = int(stem)
+    except ValueError:  # Of a decimal stem, only the digit limit is left to refuse
+        message = f"cannot extract a frame number from file_name: {_too_many_digits()}"
+        raise ParseError(message, location=location) from None
+    return head, _frames([frame], location)[0]
 
 
 def _info_value(info: dict, key: str, default: Any, check: Callable[..., Any]) -> Any:
@@ -762,7 +773,7 @@ def _coco_annotations(
     if len(distances) < len(anns):  # An absent distance is unknown: infinite.
         distances = [*map(float, map(dict.get, anns, repeat("distance_m"), repeat(math.inf)))]
     videos, frames = zip(*map(frame_of.__getitem__, image_ids))
-    return [*map(AnnotatedBox, videos, frames, ids, boxes, distances)]
+    return from_columns(AnnotatedBox, videos, frames, ids, boxes, distances)
 
 
 def _coco_images(images: list) -> tuple[list[FrameRef], dict[int, tuple[str, int]]]:
@@ -802,9 +813,12 @@ def _stream_coco_gt(blocks: Iterator[str]) -> Optional[tuple]:
                 return None
             annotations += part
             n += len(records)
-            if end < len(piece):  # The array's last piece: the other members follow it.
-                rest = re.compile(r'[ \t\n\r]*(?:,(?=[ \t\n\r]*")|(?=\}))').match(piece, end)
-                tail = rest and load_json("{" + piece[rest.end() :], strict=False)
+            if end < len(piece):  # The array ends in this piece: the other members follow it,
+                # in the rest of it and in every later piece, their brackets off and commas back.
+                parts = [piece[end:], *(later[1:] for later in pieces)]
+                after = ",".join([*(part[:-1] for part in parts[:-1]), parts[-1]])
+                rest = re.compile(r'[ \t\n\r]*(?:,(?=[ \t\n\r]*")|(?=\}))').match(after)
+                tail = rest and load_json("{" + after[rest.end() :], strict=False)
                 if type(tail) is dict and not {"annotations", *head} & tail.keys():
                     return {**head, **tail}, images, annotations, n
                 return None
@@ -937,7 +951,8 @@ def _mot_rows(rows: list, video_id: str, at: Optional[str] = None) -> Optional[l
         return []
     if (boxes := _boxes([*map(itemgetter(slice(2, 6)), rows)], at)) is None:
         return None
-    return [*map(AnnotatedBox, repeat(video_id), frames, ids, boxes, repeat(math.inf))]
+    videos, distances = [video_id] * len(ids), [math.inf] * len(ids)  # An unknown distance
+    return from_columns(AnnotatedBox, videos, frames, ids, boxes, distances)
 
 
 # ---------------------------------------------------------------------------
@@ -1014,7 +1029,7 @@ def _coco_detections(
     if boxes is None or (scores := _scores([*map(dict.get, records, repeat("score"))], at)) is None:
         return None
     videos, frames = zip(*map(frame_of.__getitem__, image_ids))
-    return [*map(Detection, videos, frames, boxes, scores)]
+    return from_columns(Detection, videos, frames, boxes, scores)
 
 
 def _mot_detections(
@@ -1032,7 +1047,7 @@ def _mot_detections(
     boxes = _boxes([*map(itemgetter(slice(2, 6)), rows)], at)
     if boxes is None or (scores := _scores([*map(itemgetter(6), rows)], at)) is None:
         return None
-    return [*map(Detection, repeat(video_id), frames, boxes, scores)]
+    return from_columns(Detection, [video_id] * len(frames), frames, boxes, scores)
 
 
 def emit_detections(

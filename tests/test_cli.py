@@ -671,6 +671,18 @@ class TestDistanceFlagsAndData:
         assert err == f"error: {gt}: distance 1000000000000.0 m is past 1000000 bins of 1.0 m\n"
         assert not out.exists()
 
+    def test_file_name_frame_over_the_digit_limit_leaves_no_output(self, tmp_path, capsys):
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({"images": [{"id": 1, "file_name": f"v/{'1' * 5000}.jpg"}],
+                                  "annotations": []}))
+        out = tmp_path / "hist.csv"
+        code, stdout, err = run_cli(capsys, "histogram", "--gt", gt, "--out", out)
+        limit = sys.get_int_max_str_digits()
+        message = f"cannot extract a frame number from file_name: an integer has more than {limit}"
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {gt}: {message} digits (image 0)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args", [("histogram",), ("distance-limit", "--h-min", 10), ("prune",)]
     )

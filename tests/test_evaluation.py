@@ -209,6 +209,41 @@ class TestMatchFrame:
             match_frame([det(box, 0.9)], gts)
         assert match_frame([], gts) == []
 
+    @pytest.mark.parametrize("field, value", [
+        ("x", math.nan), ("y", -math.inf), ("w", math.inf), ("h", math.nan),
+    ])
+    def test_detection_field_not_finite_is_refused_as_iou_refuses_it(self, field, value):
+        # Unrefused, a NaN x or an infinite w left the detection unmatched.
+        gt = BBox(0, 0, 10, 10)
+        box = BBox(**{**dict(x=0, y=0, w=10, h=10), field: value})
+        words = f"^box field must be a finite number, got {value!r}$"
+        with pytest.raises(InvalidArgument, match=words):
+            iou(box, gt)
+        with pytest.raises(InvalidArgument, match=words):
+            match_frame([det(box, 0.9)], [gt])
+        # Finiteness comes first, as in iou, also when the box has no area.
+        flat = BBox(**{**dict(x=0, y=0, w=0, h=0), field: value})
+        with pytest.raises(InvalidArgument, match=words):
+            iou(flat, gt)
+        with pytest.raises(InvalidArgument, match=words):
+            match_frame([det(flat, 0.9)], [gt])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_detection_field_not_finite_passes_once_all_ground_truth_is_matched(self, value):
+        # As a box without area: a detection processed with no ground truth left
+        # is compared with none, so it is not checked.
+        gt = BBox(0, 0, 10, 10)
+        dets = [det(gt, 0.9), det(BBox(value, 0, 10, 10), 0.1), det(BBox(0, 0, value, 10), 0.2)]
+        want = [MatchOutcome(0, 0, 1.0), MatchOutcome(1), MatchOutcome(2)]
+        assert match_frame(dets, [gt]) == want
+        assert match_frame(dets[1:], []) == [MatchOutcome(0), MatchOutcome(1)]
+
+    def test_huge_finite_detection_is_scored(self):
+        # Finite detection fields whose sums overflow are legal, as for ground truth.
+        huge = det(BBox(sys.float_info.max, sys.float_info.max, sys.float_info.max, 1.0), 0.9)
+        outcomes = match_frame([huge, det(BBox(0, 0, 10, 10), 0.5)], [BBox(0, 0, 10, 10)])
+        assert outcomes == [MatchOutcome(0), MatchOutcome(1, 0, 1.0)]
+
     def test_huge_finite_ground_truth_is_scored(self):
         # Finite fields whose sum overflows are legal: each field is checked, not a sum.
         huge = BBox(sys.float_info.max, sys.float_info.max, sys.float_info.max, 1.0)

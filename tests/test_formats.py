@@ -1232,6 +1232,21 @@ class TestParseCocoForeign:
         with pytest.raises(ParseError):
             parse_coco_gt(json.dumps(doc))
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_file_name_frame_over_the_digit_limit(self, sign):
+        # int() refused it with a bare ValueError; it is refused in load_json's words.
+        limit = sys.get_int_max_str_digits()
+        name = f"v/{sign}{'1' * (limit + 700)}.jpg"
+        doc = {"images": [{"id": 1, "file_name": "v/000001.jpg"}, {"id": 2, "file_name": name}],
+               "annotations": []}
+        with pytest.raises(ParseError) as exc_info:
+            parse_coco_gt(json.dumps(doc))
+        words = f"an integer has more than {limit} digits (image 1)"
+        assert str(exc_info.value) == f"cannot extract a frame number from file_name: {words}"
+        assert exc_info.value.location == "image 1"
+        with pytest.raises(ParseError, match="^malformed JSON: an integer has more than"):
+            formats.load_json("1" * (limit + 1))
+
     def test_duplicate_image_id(self):
         doc = {
             "images": [
@@ -2224,7 +2239,7 @@ GT_STREAM_CASES = {
     "images not an array": (gt_text(("images", {}), ANNS), True),
     "a record with a string holding },": (gt_text(IMAGES, with_ann(6, "note", "a}, b},c")), None),
     "categories of two objects": (
-        gt_text(INFO, IMAGES, ANNS, ("categories", [{"id": 1}, {"id": 2}])), None),
+        gt_text(INFO, IMAGES, ANNS, ("categories", [{"id": 1}, {"id": 2}])), False),
 }
 
 
@@ -2316,6 +2331,33 @@ class TestStreamedGroundTruth:
         finally:
             tracemalloc.stop()
         assert peaks[0] < peaks[1] / 2
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["text", "stream"])
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    @pytest.mark.parametrize("text", [
+        gt_text(INFO, IMAGES, ANNS, ("categories", [{"id": 1}, {"id": 2}])),
+        gt_text(INFO, IMAGES, ANNS, ("categories", [{"id": 1, "name": "pedestrian"},
+                                                    {"id": 2, "name": "car"}, {"id": 3}])),
+        # Cuts fall in the members after the array, some inside a string, whose
+        # whitespace before each comma must come back with it.
+        gt_text(IMAGES, ANNS, ("categories", [{"id": 1}, {"id": 2}]),
+                ("info", {**INFO[1], "dataset_id": "a} ,b}\t,c},d"}), separator=" \n,"),
+    ], ids=["two categories", "three categories", "separators in a string"])
+    def test_several_categories_stream_once(self, monkeypatch, tmp_path, text, block, from_file):
+        # The last piece's cut falls among the members after the array; the text
+        # after it is rebuilt from the later pieces, not read again whole.
+        whole = self.whole(text)
+        assert whole.startswith("CocoGroundTruth(")
+        with monkeypatch.context() as patch:
+            patch.setattr(formats, "_COCO_BLOCK", block)
+            patch.setattr(formats, "_whole", lambda source: pytest.fail("the whole read ran"))
+            if from_file:
+                path = tmp_path / "gt.json"
+                path.write_text(text, encoding="utf-8")
+                with path.open(encoding="utf-8") as stream:
+                    assert gt_outcome(lambda: parse_coco_gt(stream)) == whole
+            else:
+                assert gt_outcome(lambda: parse_coco_gt(text)) == whole
 
     def test_the_index_fallback_counts_from_the_first_annotation(self, monkeypatch):
         text, _ = GT_STREAM_CASES["the index fallback across pieces"]

@@ -1,10 +1,16 @@
+import dataclasses
 import math
+import pickle
 import random
+from array import array
 
 import pytest
 
 from skel2box import (
+    AnnotatedBox,
     BBox,
+    Detection,
+    MatchOutcome,
     InvalidArgument,
     SkeletonInstance,
     SynthesisResult,
@@ -16,6 +22,7 @@ from skel2box import (
     skeleton_enclosing_box,
     synthesize_annotations,
 )
+from skel2box.geometry import from_columns
 
 
 def skeleton_of(joints, video_id="v", frame_id=1, pedestrian_id=1):
@@ -287,3 +294,66 @@ class TestSynthesizeAnnotations:
             backward.annotations, manifest
         )
 
+
+
+# A row of each class that the readers and the matcher build with from_columns, in field order
+FROM_COLUMNS_ROWS = {
+    BBox: (1.5, 2, 3.25, 4e10),
+    AnnotatedBox: ("v", 3, 7, BBox(1, 2, 3, 4), math.inf),
+    Detection: ("v/w", 12, BBox(0.5, 0, 9, 9), 0.75),
+    MatchOutcome: (4, 2, 0.625),
+    SkeletonInstance: ("v", 1, 2, array("d", [1, 2]), array("d", [3, 4]), array("d", [5, 6]),
+                       array("d", [7, 8]), array("d", [9, 10])),
+}
+
+
+class TestFromColumns:
+    @pytest.mark.parametrize("cls", FROM_COLUMNS_ROWS, ids=lambda cls: cls.__name__)
+    def test_each_class_is_served(self, cls):
+        # Slots in field order, and no __post_init__ for the builder to skip
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        assert cls.__slots__ == names
+        assert cls.__dataclass_params__.frozen
+        assert not hasattr(cls, "__post_init__")
+
+    @pytest.mark.parametrize("cls", FROM_COLUMNS_ROWS, ids=lambda cls: cls.__name__)
+    def test_records_equal_the_constructors(self, cls):
+        row = FROM_COLUMNS_ROWS[cls]
+        other = tuple(value + 1 if type(value) is int else value for value in row)
+        built = from_columns(cls, *zip(row, other))
+        made = [cls(*row), cls(*other)]
+        assert built == made
+        assert [*map(type, built)] == [cls, cls]
+        assert [*map(hash, built)] == [*map(hash, made)]
+        assert [*map(repr, built)] == [*map(repr, made)]
+        for record, twin in zip(built, made):
+            assert pickle.loads(pickle.dumps(record)) == twin
+            assert dataclasses.replace(record) == twin
+        first = dataclasses.fields(cls)[0].name
+        assert dataclasses.replace(built[1], **{first: row[0]}) == cls(row[0], *other[1:])
+
+    @pytest.mark.parametrize("cls", FROM_COLUMNS_ROWS, ids=lambda cls: cls.__name__)
+    def test_records_are_frozen(self, cls):
+        (record,) = from_columns(cls, *([value] for value in FROM_COLUMNS_ROWS[cls]))
+        for f in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, None)
+        assert record == cls(*FROM_COLUMNS_ROWS[cls])
+
+    @pytest.mark.parametrize("cls", FROM_COLUMNS_ROWS, ids=lambda cls: cls.__name__)
+    def test_empty_columns_give_no_records(self, cls):
+        assert from_columns(cls, *([] for _ in dataclasses.fields(cls))) == []
+
+    def test_columns_of_any_sequence_kind(self):
+        built = from_columns(MatchOutcome, range(2), (None, 1), [None, 0.5])
+        assert built == [MatchOutcome(0), MatchOutcome(1, 1, 0.5)]
+
+    @pytest.mark.parametrize("columns", [
+        ([1.0], [2.0], [3.0]),
+        ([1.0], [2.0], [3.0], [4.0], [5.0]),
+        ([1.0, 2.0], [2.0], [3.0], [4.0]),
+        ([1.0], [2.0], [3.0], [4.0, 5.0]),
+    ])
+    def test_a_missing_column_or_value_is_refused(self, columns):
+        with pytest.raises(InvalidArgument, match="^BBox needs 4 columns of one length$"):
+            from_columns(BBox, *columns)
